@@ -9,7 +9,8 @@ class HodgeDiamond:
     """The table h^{p,q} of a smooth projective variety of given dimension.
 
     Construction validates Hodge symmetry h^{p,q} = h^{q,p}, the duality
-    h^{p,q} = h^{d-p,d-q}, non-negativity and h^{0,0} = 1.
+    h^{p,q} = h^{d-p,d-q}, non-negativity and, in positive dimension,
+    h^{0,0} = 1 (in dimension 0, h^{0,0} counts the points).
     """
 
     __slots__ = ("dim", "h")
@@ -55,7 +56,7 @@ class HodgeDiamond:
                 raise IntegrityError(f"Hodge symmetry fails at ({p},{q})")
             if v != self.h[(d - p, d - q)]:
                 raise IntegrityError(f"Serre duality fails at ({p},{q})")
-        if self.h[(0, 0)] != 1:
+        if d > 0 and self.h[(0, 0)] != 1:
             raise IntegrityError(f"h^{{0,0}} = {self.h[(0, 0)]}, expected 1")
 
     def middle_row(self):

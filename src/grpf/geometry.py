@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParityError
+from .errors import IntegrityError, ParityError
 
 
 class VarietyType(Enum):
@@ -200,7 +200,7 @@ def window_sets(params: ModelParams):
     literal = t.issubset(s)
     closed = window_inclusion_closed_form(params.n, params.k)
     if literal != closed:
-        raise ArithmeticError(
+        raise IntegrityError(
             f"window inclusion mismatch at (n,k)=({params.n},{params.k}): "
             f"subset test {literal}, closed form {closed}"
         )

@@ -9,13 +9,15 @@ submaximal Pfaffians for odd n.
 
 Point sampling works over F_p: random lines are swept and the restricted
 locus is solved by interpolation plus an exhaustive root scan, which
-avoids Groebner machinery entirely.  Smoothness at a sample point is the
-Jacobian criterion at the stated ambient codimension (1 for even n, 3
-for odd n).
+avoids Groebner machinery entirely.  Smoothness at a sample point u is
+the tangent-space test of a rank locus (no symbolic Pfaffian): with K
+the kernel of M_u and c = 2 (even n) or 3 (odd n), u is smooth iff
+dim K = c and the pairings k_a^T M_r k_b on K have rank C(c, 2).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -26,7 +28,7 @@ import numpy as np
 
 from .diamond import HodgeDiamond
 from .errors import DegenerateFamilyError, ParityError
-from .modp import det_mod, pfaffian_mod, rank_mod
+from .modp import det_mod, nullspace_mod, pfaffian_mod, rank_mod
 from .poly import Poly, PrimeField, Rationals, is_prime
 
 
@@ -395,27 +397,38 @@ def _combine_forms(forms, u, p):
     return out
 
 
-def _jacobian_rank_at(polys, u, k, p):
-    jac = [[poly.partial(r).evaluate(u) for r in range(k)] for poly in polys]
-    return rank_mod(jac, p)
+def _point_at(forms, u, p):
+    """The sample point at u, or None when M_u lies off the degeneracy locus.
+
+    This is the Jacobian criterion: at corank 2 the gradient of Pf is a
+    nonzero multiple of (k1^T M_r k2)_r, at corank 3 the Jacobian of the
+    submaximal Pfaffians is contraction with k1 ^ k2 ^ k3, and at any
+    larger corank both vanish.
+    """
+    n = len(forms[0])
+    corank = 2 if n % 2 == 0 else 3
+    kernel = nullspace_mod(_combine_forms(forms, u, p), p)
+    if len(kernel) < corank:
+        return None
+    pairs = list(itertools.combinations(kernel, 2))
+    pairings = [
+        [sum(x * f * y for x, row in zip(a, form) for f, y in zip(row, b)) % p
+         for a, b in pairs]
+        for form in forms
+    ]
+    smooth = len(kernel) == corank and rank_mod(pairings, p) == len(pairs)
+    return SamplePoint(tuple(u), n - len(kernel), len(kernel), smooth)
 
 
 def _sample_even(am, p, count, seed, max_lines):
     n, k = am.n, am.k
     forms = am.basis_forms()
-    slm = build_skew_matrix(am)
-    pf = pfaffian_polynomial(slm)
-    grads = [pf.partial(r) for r in range(k)]
     deg = n // 2
-    found = {}
     if k == 1:
         # P(U) is a single point; no lines to sweep.
-        if pfaffian_mod(_combine_forms(forms, (1,), p), p) == 0:
-            mat = _combine_forms(forms, (1,), p)
-            rank = rank_mod(mat, p)
-            smooth = any(g.evaluate((1,)) != 0 for g in grads)
-            found[(1,)] = SamplePoint((1,), rank, n - rank, smooth)
-        return found, 1
+        point = _point_at(forms, (1,), p)
+        return ({(1,): point} if point else {}), 1
+    found = {}
     line = 0
     while len(found) < count and line < max_lines:
         rng = random.Random(f"{seed}:even:{line}")
@@ -438,12 +451,10 @@ def _sample_even(am, p, count, seed, max_lines):
             )
             if u is None or u in found:
                 continue
-            mat = _combine_forms(forms, u, p)
-            rank = rank_mod(mat, p)
-            if rank > n - 2:
+            point = _point_at(forms, u, p)
+            if point is None:
                 continue
-            smooth = any(g.evaluate(u) != 0 for g in grads)
-            found[u] = SamplePoint(u, rank, n - rank, smooth)
+            found[u] = point
             if len(found) >= count:
                 break
     return found, line
@@ -467,22 +478,19 @@ def _kernel_cofactor_vector(b, p, drop_row=0):
     return out
 
 
-def _sample_odd_square(am, p, count, seed, max_lines, record):
+def _sample_odd_square(am, p, count, seed, max_lines):
     """Sampling for odd n with k = n via the kernel-incidence line trick.
 
     For v in V the matrix B_v = [M_1 v | ... | M_n v] is square and
     singular (its columns pair to zero against v), and its kernel vector
     u(v) is generically the unique family member with v in its kernel.
-    The locus
-    where u(v) lands on the degeneracy variety is a hypersurface in P(V),
-    so random lines in P(V) meet it; along a line the relevant submaximal
-    Pfaffian of M(u(v)) is a polynomial in the line parameter, recovered
-    by interpolation and scanned for roots.
+    The locus where u(v) lands on the degeneracy variety is a hypersurface
+    in P(V), so random lines in P(V) meet it; along a line the relevant
+    submaximal Pfaffian of M(u(v)) is a polynomial in the line parameter,
+    recovered by interpolation and scanned for roots.
     """
-    n, k = am.n, am.k
+    n = am.n
     forms = am.basis_forms()
-    slm = build_skew_matrix(am)
-    subpfs = submaximal_pfaffians(slm)
     gdeg = (n - 1) * (n - 1) // 2  # deg u(v) = n-1 per entry, times (n-1)/2
     found = {}
     line = 0
@@ -518,29 +526,23 @@ def _sample_odd_square(am, p, count, seed, max_lines, record):
             u = _normalize_projective(u_at(x), p)
             if u is None or u in found:
                 continue
-            mat = _combine_forms(forms, u, p)
-            rank = rank_mod(mat, p)
-            if rank > n - 3:
+            point = _point_at(forms, u, p)
+            if point is None:
                 continue
-            smooth = _jacobian_rank_at(subpfs, u, k, p) == 3
-            found[u] = SamplePoint(u, rank, n - rank, smooth)
+            found[u] = point
             if len(found) >= count:
                 break
-    record.update(found)
-    return line
+    return found, line
 
 
 def _sample_odd(am, p, count, seed, max_lines):
     n, k = am.n, am.k
     if k == n:
-        found = {}
-        lines = _sample_odd_square(am, p, count, seed, max_lines, found)
-        return found, lines
+        return _sample_odd_square(am, p, count, seed, max_lines)
+    forms = am.basis_forms()
     if k > n:
         # Slice the parameter space down to an n-dimensional subfamily;
         # points of the sliced locus are points of the full one.
-        slm = build_skew_matrix(am)
-        subpfs = submaximal_pfaffians(slm)
         found = {}
         lines = 0
         attempt = 0
@@ -548,39 +550,29 @@ def _sample_odd(am, p, count, seed, max_lines):
             rng = random.Random(f"{seed}:slice:{attempt}")
             attempt += 1
             emb = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
-            sliced_rows = []
-            for r in range(n):
-                row = [
-                    sum(emb[s][r] * am.matrix[s][c] for s in range(k)) % p
-                    for c in range(math.comb(n, 2))
-                ]
-                sliced_rows.append(row)
+            sliced_rows = [
+                [sum(emb[s][r] * am.matrix[s][c] for s in range(k)) % p
+                 for c in range(math.comb(n, 2))]
+                for r in range(n)
+            ]
             try:
                 sliced = AMap(n, n, PrimeField(p), sliced_rows)
             except DegenerateFamilyError:
                 continue
-            sub = {}
-            lines += _sample_odd_square(
+            sub, sub_lines = _sample_odd_square(
                 sliced, p, count - len(found), f"{seed}:{attempt}",
-                max_lines - lines, sub,
+                max_lines - lines,
             )
-            for uprime, pt in sub.items():
+            lines += sub_lines
+            for uprime in sub:
                 u = _normalize_projective(
-                    [
-                        sum(emb[s][r] * uprime[r] for r in range(n)) % p
-                        for s in range(k)
-                    ],
-                    p,
+                    [sum(e * x for e, x in zip(row, uprime)) % p for row in emb], p
                 )
                 if u is None or u in found:
                     continue
-                smooth = _jacobian_rank_at(subpfs, u, k, p) == 3
-                found[u] = SamplePoint(u, pt.rank, pt.kernel_dim, smooth)
+                found[u] = _point_at(forms, u, p)
         return found, lines
     # k < n leaves no linear handle on the kernel; honest trial search.
-    forms = am.basis_forms()
-    slm = build_skew_matrix(am)
-    subpfs = submaximal_pfaffians(slm)
     found = {}
     rng = random.Random(f"{seed}:trials")
     trials = 0
@@ -590,12 +582,9 @@ def _sample_odd(am, p, count, seed, max_lines):
         u = _normalize_projective([rng.randrange(p) for _ in range(k)], p)
         if u is None or u in found:
             continue
-        mat = _combine_forms(forms, u, p)
-        rank = rank_mod(mat, p)
-        if rank > n - 3:
-            continue
-        smooth = _jacobian_rank_at(subpfs, u, k, p) == 3
-        found[u] = SamplePoint(u, rank, n - rank, smooth)
+        point = _point_at(forms, u, p)
+        if point is not None:
+            found[u] = point
     return found, trials
 
 
@@ -603,13 +592,16 @@ def sample_y2(a: AMap, p, count, seed, max_lines=None) -> SampleResult:
     """Search for F_p-points of the degeneracy locus of the family.
 
     Returns up to ``count`` distinct projective points with their rank,
-    kernel dimension and the Jacobian smoothness verdict.  Running out of
-    budget yields an exhausted report, not an exception.  Every random
-    draw comes from a stream derived from (seed, line index), so results
-    are reproducible and independent of how lines would be scheduled.
+    kernel dimension and the tangent-space smoothness verdict.  Running
+    out of budget yields an exhausted report, not an exception.  Every
+    random draw comes from a stream derived from (seed, line index), so
+    results are reproducible and independent of how lines would be
+    scheduled.  The int64 root scan needs p(p - 1) < 2^63.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
+    if p * (p - 1) >= 2**63:
+        raise ValueError(f"need p(p-1) < 2^63 for the int64 root scan, got p = {p}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     am = a.reduce_mod(p)

@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import DominanceError, RankMismatchError
+from .errors import DominanceError, IntegrityError, RankMismatchError
 from .weights import GLWeight, Partition, weyl_dimension
 
 
@@ -283,5 +283,5 @@ def cauchy_exterior_cotangent(n, m):
         terms[(s_weight, q_weight)] = 1
     kc = KClass(n, terms)
     if kc.virtual_rank() != math.comb(dim, m):
-        raise ArithmeticError(f"Cauchy rank check failed at n={n}, m={m}")
+        raise IntegrityError(f"Cauchy rank check failed at n={n}, m={m}")
     return kc

@@ -43,13 +43,14 @@ def omega_p_class(params: ModelParams, deg):
     The conormal bundle of Y is O(-1)^k, so in K-theory
     Wedge^deg(Omega_Y) = lambda^deg([Omega_Gr] - [O(-1)^k]), expanded by
     the lambda-ring rule into Cauchy classes twisted by O(-i) with
-    alternating multiplicities C(k+i-1, i).
+    alternating multiplicities C(k+i-1, i), the coefficients of (1-t)^-k.
     """
     n, k = params.n, params.k
     out = KClass(n, {})
     for i in range(deg + 1):
         piece = cauchy_exterior_cotangent(n, deg - i).tensor_by_line(-i)
-        out = out + piece.scale((-1) ** i * math.comb(k + i - 1, i))
+        mult = math.comb(k + i - 1, i) if k else int(i == 0)
+        out = out + piece.scale((-1) ** i * mult)
     return out
 
 

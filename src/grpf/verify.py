@@ -187,8 +187,8 @@ def _partitions_upto(size, max_len):
     return out
 
 
-def _schur_monomials(shape, nvars, cache={}):
-    """Monomial expansion of a Schur polynomial by tableau enumeration."""
+def _schur_monomials(shape, nvars, cache):
+    """Monomial expansion of a Schur polynomial, memoized in the caller's cache."""
     key = (shape.parts, nvars)
     if key in cache:
         return cache[key]
@@ -226,11 +226,11 @@ def _schur_monomials(shape, nvars, cache={}):
     return out
 
 
-def _lr_by_monomials(lam, mu, nvars):
+def _lr_by_monomials(lam, mu, nvars, cache):
     """Expand s_lam * s_mu in the Schur basis by leading-term elimination."""
     prod = {}
-    a = _schur_monomials(lam, nvars)
-    b = _schur_monomials(mu, nvars)
+    a = _schur_monomials(lam, nvars, cache)
+    b = _schur_monomials(mu, nvars, cache)
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
@@ -241,7 +241,7 @@ def _lr_by_monomials(lam, mu, nvars):
         coeff = prod[lead]
         shape = Partition(lead)
         result[shape] = coeff
-        for e, c in _schur_monomials(shape, nvars).items():
+        for e, c in _schur_monomials(shape, nvars, cache).items():
             v = prod.get(e, 0) - coeff * c
             if v:
                 prod[e] = v
@@ -259,9 +259,10 @@ def _check_lr_oracle(seed=2027):
     bigger = _partitions_upto(6, nvars)
     for _ in range(25):
         pairs.append((rng.choice(bigger), rng.choice(bigger)))
+    cache = {}
     for lam, mu in pairs:
         ours = dict(littlewood_richardson(lam, mu, nvars))
-        oracle = _lr_by_monomials(lam, mu, nvars)
+        oracle = _lr_by_monomials(lam, mu, nvars, cache)
         if ours != oracle:
             return False, f"mismatch at {lam}, {mu}"
         theirs = dict(littlewood_richardson(mu, lam, nvars))

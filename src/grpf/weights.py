@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DominanceError, InvalidRankError
+from .errors import DominanceError, IntegrityError, InvalidRankError
 
 
 class Partition:
@@ -205,7 +205,7 @@ def weyl_dimension(w, n):
             den *= j - i
     dim, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"Weyl product not integral for {w}")
+        raise IntegrityError(f"Weyl product not integral for {w}")
     return dim
 
 
@@ -245,5 +245,5 @@ def grassmannian_poincare(n):
     coeffs = gaussian_binomial(n, 2)
     poly = PoincarePolynomial(coeffs)
     if poly.total() != math.comb(n, 2):
-        raise ArithmeticError(f"Schubert cell count failed for n={n}")
+        raise IntegrityError(f"Schubert cell count failed for n={n}")
     return poly

@@ -57,6 +57,34 @@ def test_windows_report(capsys):
     assert len(res["orthogonal_rectangle"]) == 20
 
 
+def test_windows_internal_check_is_integrity_error(monkeypatch, capsys):
+    # a disagreement between the two inclusion tests is a bug: exit 1 with
+    # a one-line message, not a traceback
+    import grpf.geometry
+
+    monkeypatch.setattr(
+        grpf.geometry, "window_inclusion_closed_form", lambda n, k: False
+    )
+    assert run(["windows", "--n", "10", "--k", "5"]) == 1
+    assert "integrity error" in capsys.readouterr().err
+
+
+def test_hodge_grass_section_edge_cases_exit_0(capsys):
+    from grpf.weights import grassmannian_poincare
+
+    code, report = run_json(capsys, ["hodge", "grass-section", "--n", "10", "--k", "0"])
+    assert code == 0
+    rows = report["result"]["rows"]
+    assert [sum(row) for row in rows[::2]] == list(grassmannian_poincare(10).coefficients)
+    assert not any(any(row) for row in rows[1::2])
+    for n, k, points in ((4, 4, 2), (5, 6, 5)):
+        code, report = run_json(
+            capsys, ["hodge", "grass-section", "--n", str(n), "--k", str(k)]
+        )
+        assert code == 0
+        assert report["result"]["rows"] == [[points]]
+
+
 def test_hodge_hypersurface_human(capsys):
     code = run(["hodge", "hypersurface", "--dim", "4", "--degree", "5"])
     out = capsys.readouterr().out
@@ -118,6 +146,15 @@ def test_pfaffian_build_and_sample(tmp_path, capsys):
     assert report["result"]["found"] == 10
     for pt in report["result"]["points"]:
         assert pt["rank"] + pt["kernel_dim"] == 6
+
+
+def test_pfaffian_sample_prime_beyond_int64_exit_2(tmp_path, capsys):
+    am = AMap.random(6, 3, seed=5, p=10007)
+    path = tmp_path / "a.json"
+    am.save(path)
+    argv = ["pfaffian", "sample", "--in", str(path), "--prime", "3037000507"]
+    assert run(argv) == 2
+    assert "2^63" in capsys.readouterr().err
 
 
 def test_pfaffian_sample_bad_file_exit_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from grpf.errors import DegenerateFamilyError, ParityError
 from grpf.modp import rank_mod
 from grpf.pfaffian import (
     AMap,
+    _point_at,
     build_skew_matrix,
     hypersurface_hodge,
     jacobian_ring_dimension,
@@ -240,6 +241,118 @@ def test_sampling_forced_singular_point():
     assert pf.evaluate(e0) == 0
     grads = [pf.partial(r).evaluate(e0) for r in range(k)]
     assert all(g == 0 for g in grads)  # Jacobian criterion fails there
+    point = _point_at(am.basis_forms(), e0, p)
+    assert (point.rank, point.kernel_dim, point.smooth_at) == (4, 4, False)
+
+
+def symbolic_jacobian_test(am):
+    """Reference verdict u -> bool: the Jacobian criterion on the symbolic
+    Pfaffian (even n, codimension 1) or submaximal Pfaffians (odd n, 3)."""
+    slm = build_skew_matrix(am)
+    if am.n % 2 == 0:
+        polys, codim = [pfaffian_polynomial(slm)], 1
+    else:
+        polys, codim = submaximal_pfaffians(slm), 3
+    partials = [[poly.partial(r) for r in range(am.k)] for poly in polys]
+    p = am.field.p
+    return lambda u: rank_mod([[d.evaluate(u) for d in row] for row in partials], p) == codim
+
+
+@pytest.mark.parametrize(
+    "n, k, p, seeds, count, max_lines, verdicts",
+    [
+        (10, 5, 10007, (1, 2), 10, None, {True}),  # even, line sweep
+        (8, 4, 10007, (1, 2), 20, None, {True}),
+        (6, 3, 101, (9, 13), 100, None, {True, False}),  # singular points
+        (6, 1, 3, (1, 2), 1, None, {False}),  # even, k = 1
+        (7, 7, 10007, (1, 2), 10, None, {True}),  # odd square
+        (7, 8, 10007, (1, 2), 8, None, {True}),  # odd sliced
+        (5, 3, 5, (3,), 4, 40, {False}),  # odd trials, excess points only
+        (7, 5, 5, (3,), 4, 40, {True, False}),  # odd trials
+    ],
+    ids=["even-10-5", "even-8-4", "even-6-3", "even-k1", "odd-square-7-7",
+         "odd-sliced-7-8", "odd-trials-5-3", "odd-trials-7-5"],
+)
+def test_point_verdict_matches_symbolic_jacobian(n, k, p, seeds, count, max_lines, verdicts):
+    seen = set()
+    for seed in seeds:
+        am = AMap.random(n, k, seed=seed, p=p)
+        reference = symbolic_jacobian_test(am)
+        res = sample_y2(am, p, count, seed=seed, max_lines=max_lines)
+        for q in res.points:
+            assert q == _point_at(am.basis_forms(), q.coordinates, p)
+            assert q.smooth_at == reference(q.coordinates), q
+            seen.add(q.smooth_at)
+    assert seen == verdicts
+
+
+def planted_family(n, k, p, seed, support, vanishing=()):
+    """A family whose first member is sum of e_i ^ e_j over ``support``.
+
+    Every member is zero on the pairs listed in ``vanishing``.
+    """
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randrange(p) for _ in range(math.comb(n, 2))] for _ in range(k)]
+        rows[0] = [0] * math.comb(n, 2)
+        for i, j in support:
+            rows[0][pair_index(n, i, j)] = 1
+        for row in rows:
+            for i, j in vanishing:
+                row[pair_index(n, i, j)] = 0
+        try:
+            return AMap(n, k, PrimeField(p), rows)
+        except DegenerateFamilyError:
+            continue
+
+
+def test_planted_odd_corank_three_points():
+    # n = 7, first member of rank 4 with kernel e4, e5, e6; when every
+    # member vanishes on (e4, e5) the map U -> Wedge^2 K* misses a direction
+    p = 10007
+    e0 = (1, 0, 0, 0)
+    for vanishing, smooth in ((((4, 5),), False), ((), True)):
+        am = planted_family(7, 4, p, 31, ((0, 1), (2, 3)), vanishing)
+        point = _point_at(am.basis_forms(), e0, p)
+        assert (point.rank, point.kernel_dim) == (4, 3)
+        assert point.smooth_at is smooth
+        assert symbolic_jacobian_test(am)(e0) is smooth
+
+
+def test_planted_deep_corank_points_are_singular():
+    # corank 4 (even n) or 5 (odd n): the Pfaffians vanish to order two,
+    # even when k is large enough for the pairings on K to have full rank
+    p = 10007
+    for n, k in ((6, 7), (7, 11)):
+        am = planted_family(n, k, p, 32, ((0, 1),))
+        e0 = (1,) + (0,) * (k - 1)
+        point = _point_at(am.basis_forms(), e0, p)
+        assert (point.rank, point.kernel_dim, point.smooth_at) == (2, n - 2, False)
+        assert symbolic_jacobian_test(am)(e0) is False
+
+
+def test_sampler_builds_no_symbolic_pfaffian(monkeypatch):
+    import grpf.pfaffian as pf_mod
+
+    def forbidden(*args):
+        raise AssertionError("symbolic Pfaffian on the sampling path")
+
+    monkeypatch.setattr(pf_mod, "pfaffian_polynomial", forbidden)
+    monkeypatch.setattr(pf_mod, "submaximal_pfaffians", forbidden)
+    monkeypatch.setattr(Poly, "partial", forbidden)
+    for n, k, p in ((8, 4, 10007), (6, 1, 3), (7, 7, 10007), (7, 8, 10007), (7, 5, 5)):
+        am = AMap.random(n, k, seed=2, p=p)
+        sample_y2(am, p, 2, seed=2, max_lines=40)
+
+
+def test_sampling_beyond_symbolic_reach():
+    # (14, 7): the symbolic Pfaffian has about 2^14 memoized subsets; the
+    # sampler no longer builds it
+    am = AMap.random(14, 7, seed=1, p=10007)
+    res = sample_y2(am, 10007, 5, seed=1)
+    assert len(res.points) == 5
+    for q in res.points:
+        assert (q.rank, q.kernel_dim, q.smooth_at) == (12, 2, True)
 
 
 def test_sampling_exhaustion_report_not_exception():
@@ -255,6 +368,17 @@ def test_sampling_validates_prime():
     am = AMap.random(6, 3, seed=2)
     with pytest.raises(ValueError):
         sample_y2(am, 10006, 5, seed=1)
+
+
+def test_sampling_bounds_prime_at_int64():
+    # the root scan evaluates acc * x + c < p(p - 1) in int64; the largest
+    # prime with p(p - 1) < 2^63 is accepted (checked with count = 0 so
+    # that validation stops before any O(p) allocation)
+    am = AMap.random(6, 3, seed=2)
+    with pytest.raises(ValueError, match="2\\^63"):
+        sample_y2(am, 3037000507, 5, seed=1)
+    with pytest.raises(ValueError, match="count"):
+        sample_y2(am, 3037000493, 0, seed=1)
 
 
 # --- rank census over finite fields ----------------------------------------------

@@ -12,6 +12,7 @@ from grpf.schur import (
     label_weight,
     littlewood_richardson,
 )
+from grpf.verify import _lr_by_monomials
 from grpf.weights import Partition
 
 
@@ -27,65 +28,6 @@ def char_product(a, b):
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             out[(e1[0] + e2[0], e1[1] + e2[1])] += c1 * c2
-    return out
-
-
-def schur_monomials(shape, nvars):
-    """Monomial expansion of a Schur polynomial by direct tableau counting."""
-    shape = Partition(shape)
-    if len(shape) > nvars:
-        return Counter()
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    grid = [[0] * shape[r] for r in range(len(shape))]
-    out = Counter()
-
-    def fill(idx):
-        if idx == len(cells):
-            exp = [0] * nvars
-            for row in grid:
-                for v in row:
-                    exp[v - 1] += 1
-            out[tuple(exp)] += 1
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, nvars + 1):
-            grid[r][c] = v
-            fill(idx + 1)
-        grid[r][c] = 0
-
-    fill(0)
-    return out
-
-
-def lr_by_monomials(lam, mu, nvars):
-    """Expand s_lam * s_mu in the Schur basis by leading-term elimination."""
-    prod = char_product_general(schur_monomials(lam, nvars), schur_monomials(mu, nvars))
-    result = {}
-    while prod:
-        lead = max(prod)
-        coeff = prod[lead]
-        shape = Partition(lead)
-        result[shape] = coeff
-        for e, c in schur_monomials(shape, nvars).items():
-            v = prod.get(e, 0) - coeff * c
-            if v:
-                prod[e] = v
-            else:
-                prod.pop(e, None)
-    return result
-
-
-def char_product_general(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
     return out
 
 
@@ -180,12 +122,13 @@ def test_lr_dimension_identity():
 
 
 def test_lr_against_monomial_oracle_exhaustive_small():
+    cache = {}
     for total in range(0, 7):
         for a in range(total + 1):
             for lam in partitions_of(a, 3):
                 for mu in partitions_of(total - a, 3):
                     ours = dict(littlewood_richardson(lam, mu, 5))
-                    oracle = lr_by_monomials(lam, mu, 5)
+                    oracle = _lr_by_monomials(lam, mu, 5, cache)
                     assert ours == oracle, (lam, mu)
 
 

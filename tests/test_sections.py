@@ -112,6 +112,27 @@ def test_hodge_diamond_k3_type_section():
     )
 
 
+def test_hodge_diamond_no_section_is_grassmannian():
+    # k = 0 cuts nothing: the diamond is that of Gr(2, 10), diagonal with
+    # h^{p,p} the Poincare coefficients
+    from grpf.weights import grassmannian_poincare
+
+    dia = hodge_diamond_y1(ModelParams(10, 0)).diamond
+    gp = grassmannian_poincare(10)
+    assert dia.dim == gp.degree == 16
+    for p in range(17):
+        for q in range(17):
+            assert dia.h[(p, q)] == (gp[p] if p == q else 0)
+
+
+def test_hodge_diamond_zero_dimensional_sections():
+    # k = dim Gr(2, n) leaves deg Gr(2, n) = Catalan(n - 2) points
+    for n, k, points in ((4, 4, 2), (5, 6, 5)):
+        assert points == math.comb(2 * (n - 2), n - 2) // (n - 1)
+        dia = hodge_diamond_y1(ModelParams(n, k)).diamond
+        assert (dia.dim, dia.h) == (0, {(0, 0): points})
+
+
 def test_hodge_diamond_rejects_empty_section():
     with pytest.raises(ValueError):
         hodge_diamond_y1(ModelParams(5, 7))

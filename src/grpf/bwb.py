@@ -31,14 +31,6 @@ class BwbResult:
     rep: tuple[int, ...] | None = None
     dimension: int = 0
 
-    @classmethod
-    def zero(cls):
-        return cls(vanishes=True)
-
-    @classmethod
-    def concentrated(cls, degree, rep, dimension):
-        return cls(False, degree, rep, dimension)
-
 
 class TermCohomology(NamedTuple):
     s_weight: tuple[int, int]
@@ -78,18 +70,23 @@ def _count_inversions(v):
     return inversions, tuple(arr)
 
 
-def bwb_cohomology(w: GLWeight) -> BwbResult:
-    """All sheaf cohomology of the irreducible bundle with weight ``w``."""
-    shift = rho(w.n)
-    v = tuple(a + b for a, b in zip(w.vector(), shift))
+def _bott(weight, n):
+    """The Bott algorithm on a Levi-dominant weight tuple, unvalidated."""
+    shift = rho(n)
+    v = tuple(a + b for a, b in zip(weight, shift))
     if len(set(v)) < len(v):
-        return BwbResult.zero()
+        return BwbResult(vanishes=True)
     degree, ordered = _count_inversions(v)
     rep = tuple(a - b for a, b in zip(ordered, shift))
-    dim = weyl_dimension(rep, w.n)
-    if degree > 2 * (w.n - 2):
-        raise IntegrityError(f"degree {degree} exceeds dim Gr for {w}")
-    return BwbResult.concentrated(degree, rep, dim)
+    dim = weyl_dimension(rep, n)
+    if degree > 2 * (n - 2):
+        raise IntegrityError(f"degree {degree} exceeds dim Gr(2, {n}) for {weight}")
+    return BwbResult(False, degree, rep, dim)
+
+
+def bwb_cohomology(w: GLWeight) -> BwbResult:
+    """All sheaf cohomology of the irreducible bundle with weight ``w``."""
+    return _bott(w.vector(), w.n)
 
 
 def serre_dual_weight(w: GLWeight) -> GLWeight:
@@ -109,11 +106,10 @@ def cohomology_of_kclass(c: KClass, twist=0) -> KClassCohomology:
     positive = {}
     negative = {}
     records = []
-    for weight, mult in c.tensor_by_line(twist).weights():
-        res = bwb_cohomology(weight)
-        records.append(
-            TermCohomology(weight.s_block, weight.q_block, mult, res)
-        )
+    for s, q, mult in c.terms():
+        s = (s[0] + twist, s[1] + twist)
+        res = _bott(s + q, c.n)
+        records.append(TermCohomology(s, q, mult, res))
         if res.vanishes:
             continue
         table = positive if mult > 0 else negative
@@ -124,8 +120,8 @@ def cohomology_of_kclass(c: KClass, twist=0) -> KClassCohomology:
 def euler_characteristic(c: KClass, twist=0):
     """Alternating sum of cohomology over all terms of ``c(twist)``."""
     chi = 0
-    for weight, mult in c.tensor_by_line(twist).weights():
-        res = bwb_cohomology(weight)
+    for s, q, mult in c.terms():
+        res = _bott((s[0] + twist, s[1] + twist) + q, c.n)
         if not res.vanishes:
             chi += mult * (-1) ** res.degree * res.dimension
     return chi

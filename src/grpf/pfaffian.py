@@ -573,18 +573,28 @@ def _sample_odd(am, p, count, seed, max_lines):
                 found[u] = _point_at(forms, u, p)
         return found, lines
     # k < n leaves no linear handle on the kernel; honest trial search.
+    # When the budget could cover all of P^{k-1}(F_p), off-locus draws are
+    # remembered and the search stops once every point has been drawn.
     found = {}
     rng = random.Random(f"{seed}:trials")
     trials = 0
     budget = max_lines * 50
-    while len(found) < count and trials < budget:
+    space = (p**k - 1) // (p - 1)
+    off_locus = set()
+    while (
+        len(found) < count
+        and trials < budget
+        and len(found) + len(off_locus) < space
+    ):
         trials += 1
         u = _normalize_projective([rng.randrange(p) for _ in range(k)], p)
-        if u is None or u in found:
+        if u is None or u in found or u in off_locus:
             continue
         point = _point_at(forms, u, p)
         if point is not None:
             found[u] = point
+        elif space <= budget:
+            off_locus.add(u)
     return found, trials
 
 

@@ -21,7 +21,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import DominanceError, IntegrityError, RankMismatchError
-from .weights import GLWeight, Partition, weyl_dimension
+from .weights import Partition, weyl_dimension
 
 
 class SchurTerm(NamedTuple):
@@ -86,12 +86,6 @@ class KClass:
     def terms(self):
         """Deterministically ordered list of :class:`SchurTerm`."""
         return [SchurTerm(s, q, m) for (s, q), m in self._terms.items()]
-
-    def weights(self):
-        """Per-term (GLWeight, multiplicity) pairs."""
-        return [
-            (GLWeight(self.n, s, q), m) for (s, q), m in self._terms.items()
-        ]
 
     def _check(self, other):
         if not isinstance(other, KClass):

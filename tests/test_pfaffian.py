@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -362,6 +363,27 @@ def test_sampling_exhaustion_report_not_exception():
     res = sample_y2(am, 101, 5, seed=1, max_lines=20)
     assert res.exhausted
     assert res.points == ()
+
+
+def test_trial_search_stops_when_every_point_is_drawn():
+    # odd n with k < n samples by trials; at p = 3 the 13 points of
+    # P^2(F_3) are far fewer than the budget of 50 * 1150 trials, so the
+    # search must return exactly the locus points of an exhaustive scan
+    # and stop once it has drawn every point
+    p = 3
+    plane = [u for u in itertools.product(range(p), repeat=3)
+             if any(u) and next(x for x in u if x) == 1]
+    assert len(plane) == 13
+    sizes = set()
+    for seed in (1, 2, 10):
+        am = AMap.random(5, 3, seed=seed, p=p)
+        scan = [_point_at(am.basis_forms(), u, p) for u in plane]
+        res = sample_y2(am, p, 13, seed=seed)
+        assert res.points == tuple(q for q in scan if q is not None)
+        assert res.exhausted
+        assert res.attempts < 1000
+        sizes.add(len(res.points))
+    assert sizes == {0, 1, 2}
 
 
 def test_sampling_validates_prime():

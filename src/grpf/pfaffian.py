@@ -8,8 +8,8 @@ the vanishing of the Pfaffian itself for even n, of all principal
 submaximal Pfaffians for odd n.
 
 Point sampling works over F_p: random lines are swept and the restricted
-locus is solved by interpolation plus an exhaustive root scan, which
-avoids Groebner machinery entirely.  Smoothness at a sample point u is
+locus is solved by interpolation plus exact root finding for any odd p,
+which avoids Groebner machinery entirely.  Smoothness at a sample point u is
 the tangent-space test of a rank locus (no symbolic Pfaffian): with K
 the kernel of M_u and c = 2 (even n) or 3 (odd n), u is smooth iff
 dim K = c and the pairings k_a^T M_r k_b on K have rank C(c, 2).
@@ -24,11 +24,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .diamond import HodgeDiamond
 from .errors import DegenerateFamilyError, ParityError
-from .modp import det_mod, nullspace_mod, pfaffian_mod, rank_mod
+from .modp import _rref, det_mod, nullspace_mod, pfaffian_mod, rank_mod
+from .modp import roots_mod as _roots_mod  # the name perfbench traces
 from .poly import Poly, PrimeField, Rationals, is_prime
 
 
@@ -46,27 +45,6 @@ def pair_of_index(n, idx):
             return (i, i + 1 + idx)
         idx -= width
     raise ValueError("index out of range")
-
-
-def _rank_fractions(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 class AMap:
@@ -97,15 +75,10 @@ class AMap:
         if len(rows) != self.k:
             raise ValueError(f"{len(rows)} rows != k = {self.k}")
         self.matrix = tuple(rows)
-        if self._rank() < self.k:
+        if _rref(self.matrix, field)[0] < self.k:
             raise DegenerateFamilyError(
                 f"family matrix has rank < k = {self.k}"
             )
-
-    def _rank(self):
-        if isinstance(self.field, PrimeField):
-            return rank_mod([list(r) for r in self.matrix], self.field.p)
-        return _rank_fractions([list(r) for r in self.matrix])
 
     def basis_forms(self):
         """The k skew n x n coefficient matrices, one per row."""
@@ -365,19 +338,6 @@ def _lagrange_mod(xs, ys, p):
     return coeffs
 
 
-def _roots_mod(coeffs, p):
-    """All roots in F_p by a vectorized exhaustive scan (Horner)."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if not coeffs:
-        return []
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * xs + c) % p
-    return np.nonzero(acc == 0)[0].tolist()
-
-
 def _combine_forms(forms, u, p):
     """The numeric skew matrix sum_r u_r * forms[r] over F_p."""
     n = len(forms[0])
@@ -487,7 +447,7 @@ def _sample_odd_square(am, p, count, seed, max_lines):
     The locus where u(v) lands on the degeneracy variety is a hypersurface
     in P(V), so random lines in P(V) meet it; along a line the relevant
     submaximal Pfaffian of M(u(v)) is a polynomial in the line parameter,
-    recovered by interpolation and scanned for roots.
+    recovered by interpolation and solved for its roots.
     """
     n = am.n
     forms = am.basis_forms()
@@ -606,12 +566,10 @@ def sample_y2(a: AMap, p, count, seed, max_lines=None) -> SampleResult:
     out of budget yields an exhausted report, not an exception.  Every
     random draw comes from a stream derived from (seed, line index), so
     results are reproducible and independent of how lines would be
-    scheduled.  The int64 root scan needs p(p - 1) < 2^63.
+    scheduled.  Any odd prime works; memory does not grow with p.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
-    if p * (p - 1) >= 2**63:
-        raise ValueError(f"need p(p-1) < 2^63 for the int64 root scan, got p = {p}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     am = a.reduce_mod(p)

@@ -8,9 +8,11 @@ the instance sizes here are tiny, so clarity beats sparsity tricks.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 
+@functools.lru_cache(maxsize=64)  # every rank_mod call builds a PrimeField
 def is_prime(p):
     """Deterministic Miller-Rabin for the word-sized inputs used here."""
     if p < 2:

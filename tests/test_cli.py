@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from grpf.cli import run
 from grpf.pfaffian import AMap
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_json(capsys, argv):
@@ -148,13 +154,35 @@ def test_pfaffian_build_and_sample(tmp_path, capsys):
         assert pt["rank"] + pt["kernel_dim"] == 6
 
 
-def test_pfaffian_sample_prime_beyond_int64_exit_2(tmp_path, capsys):
-    am = AMap.random(6, 3, seed=5, p=10007)
+def test_pfaffian_sample_prime_2_61_minus_1(tmp_path, capsys):
+    am = AMap.random(6, 3, seed=5)
     path = tmp_path / "a.json"
     am.save(path)
-    argv = ["pfaffian", "sample", "--in", str(path), "--prime", "3037000507"]
-    assert run(argv) == 2
-    assert "2^63" in capsys.readouterr().err
+    code, report = run_json(
+        capsys,
+        ["pfaffian", "sample", "--in", str(path), "--prime", "2305843009213693951",
+         "--points", "5"],
+    )
+    assert code == 0
+    assert report["result"]["found"] == 5
+
+
+def test_runs_without_numpy(tmp_path):
+    script = f"""
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+import grpf
+from grpf.cli import run
+from grpf.pfaffian import AMap
+AMap.random(7, 7, seed=3).save({str(tmp_path / "a.json")!r})
+sys.exit(run(["pfaffian", "sample", "--in", {str(tmp_path / "a.json")!r},
+              "--points", "5", "--json"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["found"] == 5
 
 
 def test_pfaffian_sample_bad_file_exit_2(tmp_path, capsys):

@@ -392,15 +392,19 @@ def test_sampling_validates_prime():
         sample_y2(am, 10006, 5, seed=1)
 
 
-def test_sampling_bounds_prime_at_int64():
-    # the root scan evaluates acc * x + c < p(p - 1) in int64; the largest
-    # prime with p(p - 1) < 2^63 is accepted (checked with count = 0 so
-    # that validation stops before any O(p) allocation)
+@pytest.mark.parametrize("p", [3037000507, 2**61 - 1])
+def test_sampling_at_large_primes(p):
+    # far beyond the reach of any scan of F_p
     am = AMap.random(6, 3, seed=2)
-    with pytest.raises(ValueError, match="2\\^63"):
-        sample_y2(am, 3037000507, 5, seed=1)
+    res = sample_y2(am, p, 5, seed=1)
+    assert len(res.points) == 5 and not res.exhausted
+    slm = build_skew_matrix(am.reduce_mod(p))
+    for q in res.points:
+        assert rank_mod(slm.evaluate(q.coordinates), p) == q.rank == 4
     with pytest.raises(ValueError, match="count"):
-        sample_y2(am, 3037000493, 0, seed=1)
+        sample_y2(am, p, 0, seed=1)
+    with pytest.raises(ValueError, match="odd prime"):
+        sample_y2(am, p + 2, 5, seed=1)
 
 
 # --- rank census over finite fields ----------------------------------------------

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from grpf.modp import (
+    _powmod,
+    _rref,
     det_mod,
     inv_mod,
     nullspace_mod,
     pfaffian_mod,
     random_skew_mod,
     rank_mod,
+    roots_mod,
 )
 from grpf.poly import Poly, PrimeField, Rationals, is_prime
 
@@ -93,6 +96,88 @@ def test_nullspace_dimensions():
     for v in basis:
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) % p == 0
+
+
+def test_rref_over_q_and_fp():
+    # det = 7: full rank over Q, rank 1 over F_7
+    m = [[1, 2], [3, 13]]
+    q = [[Fraction(x) for x in row] for row in m]
+    assert _rref(q, Rationals()) == (2, [[1, 0], [0, 1]], [0, 1])
+    assert _rref(m, PrimeField(7)) == (1, [[1, 2], [0, 0]], [0])
+    assert rank_mod(m, 7) == 1 and rank_mod(m, 11) == 2
+    half = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+    assert _rref(half, Rationals()) == (1, [[1, Fraction(2, 3)], [0, 0]], [0])
+
+
+# --- roots of univariate polynomials over F_p --------------------------------
+
+def brute_roots(coeffs, p):
+    if not any(c % p for c in coeffs):
+        return []
+    return [x for x in range(p)
+            if sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p == 0]
+
+
+def from_roots(roots, lead, p):
+    """Ascending coefficients of lead * prod (x - r)."""
+    coeffs = [lead % p]
+    for r in roots:
+        coeffs = [(lo - r * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_roots_mod_matches_brute_force(p):
+    rng = random.Random(p)
+    for d in range(25):  # includes degree >= p
+        for _ in range(8):
+            coeffs = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+            assert roots_mod(coeffs, p) == brute_roots(coeffs, p), coeffs
+        # repeated roots, often the root 0, and trailing zero coefficients
+        roots = [rng.randrange(p) for _ in range(rng.randrange(d + 1))]
+        roots += roots[: rng.randrange(len(roots) + 1)] + [0] * rng.randrange(3)
+        coeffs = from_roots(roots, rng.randrange(1, p), p) + [0] * rng.randrange(3)
+        assert roots_mod(coeffs, p) == sorted(set(roots)) == brute_roots(coeffs, p)
+    # x^p - x vanishes on all of F_p; x^(p-1) - 1 everywhere but 0
+    assert roots_mod([0, -1] + [0] * (p - 2) + [1], p) == list(range(p))
+    assert roots_mod([-1] + [0] * (p - 2) + [1], p) == list(range(1, p))
+    assert roots_mod([0, 0, 0, 2], p) == [0]
+    for zero_or_constant in ([], [0], [0, 0, 0], [p], [3], [3, 0, p]):
+        assert roots_mod(zero_or_constant, p) == []
+
+
+def test_powmod_matches_naive_product():
+    # shifts a close to p give the largest packed slots
+    def mulmod(u, v, f, p):
+        prod = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                prod[i + j] += x * y
+        for k in range(len(prod) - 1, len(f) - 2, -1):  # f is monic
+            c = prod[k]
+            for i, y in enumerate(f):
+                prod[k - len(f) + 1 + i] -= c * y
+        return [x % p for x in prod[: len(f) - 1]]
+
+    rng = random.Random(4)
+    for p in (3, 101, 10007, 2**61 - 1):
+        for d in (1, 2, 5, 18):
+            f = [rng.randrange(p) for _ in range(d)] + [1]
+            a = p - 1 - rng.randrange(2)
+            expected = [1]
+            for e in range(40):
+                assert _powmod(a, e, f, p) == (expected + [0] * d)[:d]
+                expected = mulmod(expected, [a, 1], f, p)
+
+
+def test_roots_mod_large_primes():
+    for p in (3037000507, 2**61 - 1, 2**127 - 1):
+        roots = [0, 1, 5, p - 1, 123456789 % p, 2**40 % p]
+        coeffs = from_roots(roots + [5, p - 1], 7, p)
+        assert roots_mod(coeffs, p) == sorted(set(roots))
+        # an irreducible quadratic: x^2 - c for a non-residue c
+        c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+        assert roots_mod([-c, 0, 1], p) == []
 
 
 # --- independent Pfaffian oracle: perfect matchings ---------------------------

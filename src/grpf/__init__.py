@@ -2,10 +2,10 @@
 
 What lives where:
 
-* :mod:`grpf.weights`   partitions, parabolic weights, Weyl dimensions,
-  Poincare polynomials of Grassmannians
-* :mod:`grpf.schur`     Clebsch-Gordan, Littlewood-Richardson, the Cauchy
-  identity, and the K-theory carrier :class:`~grpf.schur.KClass`
+* :mod:`grpf.weights`   parabolic weights, Weyl dimensions, Poincare
+  polynomials of Grassmannians
+* :mod:`grpf.schur`     Clebsch-Gordan, the Cauchy identity, and the
+  K-theory carrier :class:`~grpf.schur.KClass`
 * :mod:`grpf.bwb`       the Borel-Weil-Bott engine
 * :mod:`grpf.geometry`  parameter classification, window sets, strata
 * :mod:`grpf.sections`  Hodge diamonds and deformations of linear sections,
@@ -40,18 +40,13 @@ from .pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
-from .schur import (
-    KClass,
-    cauchy_exterior_cotangent,
-    clebsch_gordan_rank2,
-    littlewood_richardson,
-)
+from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
-from .weights import GLWeight, Partition, PoincarePolynomial, grassmannian_poincare, rho, weyl_dimension
+from .weights import GLWeight, PoincarePolynomial, grassmannian_poincare, rho, weyl_dimension
 
 __version__ = "0.1.0"

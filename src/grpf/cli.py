@@ -174,9 +174,10 @@ def _cmd_windows(args):
 
 
 def _cmd_collection_verify(args):
+    if args.which == "T" and args.k is None:
+        raise ValueError("--set T requires --k")
+    ModelParams(args.n, args.k or 0)  # rejects n < 3 and k outside 0..C(n,2)
     if args.which == "T":
-        if args.k is None:
-            raise ValueError("--set T requires --k")
         window = pfaffian_window(args.n, args.k)
     else:
         window = grassmannian_window(args.n)

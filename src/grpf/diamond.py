@@ -62,11 +62,6 @@ class HodgeDiamond:
     def middle_row(self):
         return [self.h[(p, self.dim - p)] for p in range(self.dim + 1)]
 
-    def betti(self, j):
-        return sum(
-            v for (p, q), v in self.h.items() if p + q == j
-        )
-
     def euler_characteristic(self):
         return sum((-1) ** (p + q) * v for (p, q), v in self.h.items())
 

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,22 @@ def pair_of_index(n, idx):
             return (i, i + 1 + idx)
         idx -= width
     raise ValueError("index out of range")
+
+
+def _json_int(name, x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
+def _json_entry(x, field):
+    """A family entry: an integer, or over Q an "a/b" string."""
+    if isinstance(x, str) and isinstance(field, Rationals):
+        m = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", x)
+        if m and int(m[2]):
+            return Fraction(int(m[1]), int(m[2]))
+        raise ValueError(f"matrix entry must be an integer or 'a/b', got {x!r}")
+    return _json_int("matrix entry", x)
 
 
 class AMap:
@@ -134,14 +151,28 @@ class AMap:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Inverse of :meth:`to_json_dict`; a malformed document raises ValueError.
+
+        n, k, p and the entries must be JSON integers (not bools or floats);
+        over Q an entry may also be an "a/b" string.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"family must be a JSON object, got {type(data).__name__}")
+        missing = [key for key in ("n", "k", "field", "matrix") if key not in data]
+        if missing:
+            raise ValueError(f"family has no {', '.join(missing)}")
         field = data["field"]
         if field == "Q":
             f = Rationals()
         elif isinstance(field, dict) and "p" in field:
-            f = PrimeField(field["p"])
+            f = PrimeField(_json_int("p", field["p"]))
         else:
             raise ValueError(f"bad field descriptor {field!r}")
-        return cls(data["n"], data["k"], f, data["matrix"])
+        matrix = data["matrix"]
+        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+            raise ValueError("matrix must be a list of rows")
+        rows = [[_json_entry(x, f) for x in row] for row in matrix]
+        return cls(_json_int("n", data["n"]), _json_int("k", data["k"]), f, rows)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,9 +1,8 @@
 """Schur-functor calculus for the tautological bundles on Gr(2, n).
 
-The three decompositions needed downstream:
+The two decompositions needed downstream:
 
 * the rank-2 Clebsch-Gordan rule Sym^l x Sym^l' = sum_i Sym^{l+l'-2i} det^i,
-* Littlewood-Richardson coefficients by tableau enumeration,
 * the Cauchy identity for exterior powers of the cotangent bundle
   Wedge^m (S x Q*) = sum over lam of S_lam(S) x S_lam'(Q*), lam running over
   partitions of m with at most 2 rows and n-2 columns (Q* the dual of Q).
@@ -21,7 +20,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import DominanceError, IntegrityError, RankMismatchError
-from .weights import Partition, weyl_dimension
+from .weights import weyl_dimension
 
 
 class SchurTerm(NamedTuple):
@@ -161,102 +160,6 @@ def clebsch_gordan_rank2(l, lp):
     return [(l + lp - 2 * i, i) for i in range(min(l, lp) + 1)]
 
 
-def _candidate_shapes(lam, mu, max_rows):
-    """Partitions nu of |lam|+|mu| with lam inside nu and <= max_rows rows."""
-    total = lam.size() + mu.size()
-    mu1 = mu[0] if len(mu) else 0
-    lam_p = lam.padded(max_rows)
-    out = []
-
-    def build(row, prefix, remaining):
-        if remaining == 0 and row == max_rows:
-            out.append(Partition(prefix))
-            return
-        if row == max_rows:
-            return
-        hi = min(prefix[-1] if prefix else total, lam_p[row] + mu1)
-        lo = lam_p[row]
-        for v in range(hi, lo - 1, -1):
-            if v > remaining:
-                continue
-            build(row + 1, prefix + [v], remaining - v)
-
-    build(0, [], total)
-    return out
-
-
-def _lattice_fillings(nu, lam, mu):
-    """Count column-strict lattice fillings of nu/lam with content mu."""
-    rows = len(nu)
-    lam_p = lam.padded(rows)
-    mu_p = tuple(mu)
-    nvals = len(mu_p)
-    # cells in reading order: row by row, right to left
-    cells = []
-    for r in range(rows):
-        for c in range(nu[r] - 1, lam_p[r] - 1, -1):
-            cells.append((r, c))
-    grid = [[0] * nu[r] for r in range(rows)]
-    used = [0] * (nvals + 1)
-    count = 0
-
-    def place(idx):
-        nonlocal count
-        if idx == len(cells):
-            count += 1
-            return
-        r, c = cells[idx]
-        for v in range(1, nvals + 1):
-            if used[v] >= mu_p[v - 1]:
-                continue
-            # lattice: after placing, #v <= #(v-1)
-            if v > 1 and used[v] + 1 > used[v - 1]:
-                continue
-            # row weakly increasing left to right: cell to the right is filled
-            if c + 1 < nu[r] and grid[r][c + 1] and v > grid[r][c + 1]:
-                continue
-            # column strictly increasing downwards
-            if r > 0 and c < nu[r - 1] and c >= lam_p[r - 1]:
-                if grid[r - 1][c] and v <= grid[r - 1][c]:
-                    continue
-            elif r > 0 and c < lam_p[r - 1]:
-                pass  # cell above is in lam, no constraint
-            elif r > 0 and c >= nu[r - 1]:
-                pass  # no cell above
-            grid[r][c] = v
-            used[v] += 1
-            place(idx + 1)
-            used[v] -= 1
-            grid[r][c] = 0
-
-    place(0)
-    return count
-
-
-def littlewood_richardson(lam, mu, max_rows):
-    """All nu with c^nu_{lam,mu} > 0 and at most max_rows rows.
-
-    Returns (Partition, multiplicity) pairs, sorted.  The multiplicities
-    are exact; tableau enumeration with light pruning is ample for the
-    sizes that occur here.
-    """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    if max_rows < 1:
-        raise ValueError("max_rows must be positive")
-    if len(lam) > max_rows:
-        return []
-    if mu.size() == 0:
-        return [(lam, 1)]
-    out = []
-    for nu in _candidate_shapes(lam, mu, max_rows):
-        c = _lattice_fillings(nu, lam, mu)
-        if c:
-            out.append((nu, c))
-    out.sort(key=lambda pair: pair[0].parts)
-    return out
-
-
 def cauchy_exterior_cotangent(n, m):
     """K-class of Wedge^m of the cotangent bundle of Gr(2, n).
 
@@ -271,9 +174,9 @@ def cauchy_exterior_cotangent(n, m):
         return KClass(n, {})
     terms = {}
     for j in range(max(0, m - (n - 2)), m // 2 + 1):
-        lam = Partition((m - j, j))
+        # lam' for lam = (m - j, j): j columns of height 2, m - 2j of height 1
         s_weight = (-j, -(m - j))
-        q_weight = lam.conjugate().padded(n - 2)
+        q_weight = (2,) * j + (1,) * (m - 2 * j) + (0,) * (n - 2 - m + j)
         terms[(s_weight, q_weight)] = 1
     kc = KClass(n, terms)
     if kc.virtual_rank() != math.comb(dim, m):

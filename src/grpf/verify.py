@@ -7,7 +7,6 @@ property sweeps); the full profile runs everything.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -22,19 +21,14 @@ from .geometry import (
 )
 from .modp import det_mod, pfaffian_mod, random_skew_mod
 from .pfaffian import AMap, build_skew_matrix, hypersurface_hodge, pfaffian_polynomial, sample_y2
-from .schur import (
-    KClass,
-    cauchy_exterior_cotangent,
-    clebsch_gordan_rank2,
-    littlewood_richardson,
-)
+from .schur import cauchy_exterior_cotangent, clebsch_gordan_rank2
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
-from .weights import GLWeight, Partition
+from .weights import GLWeight
 
 
 def _check_hypersurface_quintic():
@@ -171,106 +165,6 @@ def _check_pf_square_det(per_size=334, seed=2026):
     return True, f"{total} random matrices"
 
 
-def _partitions_upto(size, max_len):
-    """All partitions of total size at most ``size`` and length <= max_len."""
-    out = [Partition()]
-
-    def rec(prefix, remaining, cap):
-        if len(prefix) >= max_len:
-            return
-        for v in range(min(cap, remaining), 0, -1):
-            q = prefix + [v]
-            out.append(Partition(q))
-            rec(q, remaining - v, v)
-
-    rec([], size, size)
-    return out
-
-
-def _schur_monomials(shape, nvars, cache):
-    """Monomial expansion of a Schur polynomial, memoized in the caller's cache."""
-    key = (shape.parts, nvars)
-    if key in cache:
-        return cache[key]
-    if len(shape) > nvars:
-        cache[key] = {}
-        return {}
-    rows = len(shape)
-    cols = [shape[r] for r in range(rows)]
-    cells = [(r, c) for r in range(rows) for c in range(cols[r])]
-    grid = [[0] * shape[r] for r in range(rows)]
-    out = {}
-
-    def fill(idx):
-        if idx == len(cells):
-            exp = [0] * nvars
-            for row in grid:
-                for v in row:
-                    exp[v - 1] += 1
-            exp = tuple(exp)
-            out[exp] = out.get(exp, 0) + 1
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, nvars + 1):
-            grid[r][c] = v
-            fill(idx + 1)
-        grid[r][c] = 0
-
-    fill(0)
-    cache[key] = out
-    return out
-
-
-def _lr_by_monomials(lam, mu, nvars, cache):
-    """Expand s_lam * s_mu in the Schur basis by leading-term elimination."""
-    prod = {}
-    a = _schur_monomials(lam, nvars, cache)
-    b = _schur_monomials(mu, nvars, cache)
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            prod[e] = prod.get(e, 0) + c1 * c2
-    result = {}
-    while prod:
-        lead = max(prod)
-        coeff = prod[lead]
-        shape = Partition(lead)
-        result[shape] = coeff
-        for e, c in _schur_monomials(shape, nvars, cache).items():
-            v = prod.get(e, 0) - coeff * c
-            if v:
-                prod[e] = v
-            else:
-                prod.pop(e, None)
-    return result
-
-
-def _check_lr_oracle(seed=2027):
-    nvars = 6
-    pairs = []
-    small = _partitions_upto(4, nvars)
-    pairs.extend(itertools.product(small, small))
-    rng = random.Random(seed)
-    bigger = _partitions_upto(6, nvars)
-    for _ in range(25):
-        pairs.append((rng.choice(bigger), rng.choice(bigger)))
-    cache = {}
-    for lam, mu in pairs:
-        ours = dict(littlewood_richardson(lam, mu, nvars))
-        oracle = _lr_by_monomials(lam, mu, nvars, cache)
-        if ours != oracle:
-            return False, f"mismatch at {lam}, {mu}"
-        theirs = dict(littlewood_richardson(mu, lam, nvars))
-        if ours != theirs:
-            return False, f"symmetry fails at {lam}, {mu}"
-    return True, f"{len(pairs)} products"
-
-
 def _check_sampling():
     details = []
     for n, k in ((10, 5), (7, 7), (8, 4)):
@@ -314,7 +208,6 @@ ITEMS = (
     VerifyItem("clebsch-gordan-dimensions", False, _check_clebsch_gordan_dims),
     VerifyItem("diamond-integrity", False, _check_diamond_integrity),
     VerifyItem("pfaffian-square-is-det", True, _check_pf_square_det),
-    VerifyItem("littlewood-richardson-oracle", True, _check_lr_oracle),
     VerifyItem("pfaffian-sampling", True, _check_sampling),
 )
 

@@ -1,4 +1,4 @@
-"""Weight combinatorics for GL(n): partitions, parabolic weights, dimensions.
+"""Weight combinatorics for GL(n): parabolic weights and dimensions.
 
 Conventions fixed here and shared by every other module:
 
@@ -19,77 +19,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DominanceError, IntegrityError, InvalidRankError
-
-
-class Partition:
-    """A weakly decreasing tuple of non-negative integers, zeros stripped.
-
-    Two partitions are equal iff their nonzero parts agree; trailing zeros
-    are normalized away on construction.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        if isinstance(parts, Partition):
-            parts = parts.parts
-        parts = tuple(int(x) for x in parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise DominanceError(f"parts not weakly decreasing: {parts}")
-        if parts and parts[-1] < 0:
-            raise ValueError(f"negative part in partition: {parts}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        self.parts = parts
-
-    def size(self):
-        return sum(self.parts)
-
-    def conjugate(self):
-        """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p > j) for j in range(self.parts[0])
-        )
-
-    def padded(self, length):
-        """Parts extended by zeros to the given length."""
-        if len(self.parts) > length:
-            raise ValueError(f"partition {self} has more than {length} parts")
-        return self.parts + (0,) * (length - len(self.parts))
-
-    def contains(self, other):
-        other = Partition(other)
-        if len(other.parts) > len(self.parts):
-            return False
-        return all(a >= b for a, b in zip(self.parts, other.parts))
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, (tuple, list)):
-            return self == Partition(other)
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self.parts < Partition(other).parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
 
 
 @dataclass(frozen=True)

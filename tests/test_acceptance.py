@@ -16,12 +16,9 @@ from grpf.cli import run
 from grpf.geometry import ModelParams, orthogonal_rectangle, window_inclusion_closed_form, window_sets
 from grpf.modp import det_mod, pfaffian_mod, random_skew_mod
 from grpf.pfaffian import AMap
-from grpf.schur import cauchy_exterior_cotangent, littlewood_richardson
+from grpf.schur import cauchy_exterior_cotangent
 from grpf.sections import h1_tangent_y1, hodge_diamond_y1
-from grpf.verify import _lr_by_monomials
 from grpf.weights import GLWeight
-
-from test_schur import partitions_of
 
 
 class Criterion:
@@ -191,20 +188,3 @@ def test_criterion_10_property_suites():
             assert dia.euler_characteristic() == sum(
                 (-1) ** p * res.chi_p[p] for p in range(dia.dim + 1)
             )
-
-        # Littlewood-Richardson against the monomial oracle: exhaustive on
-        # small sizes, seeded spot checks up to total size 12
-        cache = {}
-        for a in range(0, 5):
-            for b in range(0, 9 - a):
-                for lam in partitions_of(a, 3):
-                    for mu in partitions_of(b, 3):
-                        assert dict(littlewood_richardson(lam, mu, 5)) == \
-                            _lr_by_monomials(lam, mu, 5, cache)
-        rng = random.Random(44)
-        big = [q for s in range(4, 7) for q in partitions_of(s, 4)]
-        for _ in range(12):
-            lam, mu = rng.choice(big), rng.choice(big)
-            assert lam.size() + mu.size() <= 12
-            assert dict(littlewood_richardson(lam, mu, 5)) == \
-                _lr_by_monomials(lam, mu, 5, cache)

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from grpf.cli import run
 from grpf.pfaffian import AMap
 
@@ -120,6 +122,22 @@ def test_collection_verify_pass_and_fail(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "0"],
+        ["--n", "1"],
+        ["--n", "10", "--set", "T", "--k", "-3"],
+        ["--n", "10", "--set", "T", "--k", "46"],  # C(10, 2) = 45
+    ],
+)
+def test_collection_verify_bad_params_exit_2(capsys, argv):
+    assert run(["collection", "verify"] + argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need ")
+
+
 def test_lemma_check_report(capsys):
     code, report = run_json(capsys, ["lemma", "check", "--n", "8"])
     assert code == 0
@@ -194,6 +212,73 @@ def test_pfaffian_sample_bad_file_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+GOOD_Q = {"n": 4, "k": 2, "field": "Q",
+          "matrix": [[1, 0, 0, 0, 0, "1/2"], [0, 1, 0, 0, 3, 0]]}
+GOOD_P = {"n": 4, "k": 2, "field": {"p": 7},
+          "matrix": [[1, 0, 0, 0, 0, 4], [0, 1, 0, 0, 3, 0]]}
+
+
+def _with(doc, **changes):
+    return {**doc, **changes}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _entry(doc, value):
+    return _with(doc, matrix=[[value] + doc["matrix"][0][1:], doc["matrix"][1]])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [GOOD_Q],
+        "family",
+        _without(GOOD_Q, "field"),
+        _without(GOOD_Q, "matrix"),
+        _with(GOOD_Q, n=None),
+        _entry(GOOD_Q, [1]),
+        _with(GOOD_Q, matrix=5),
+        _with(GOOD_Q, matrix=[5, 6]),
+        _with(GOOD_Q, n=4.7),
+        _with(GOOD_Q, k=True),
+        _entry(GOOD_Q, 0.1),
+        _entry(GOOD_Q, True),
+        _entry(GOOD_Q, "0.1"),
+        _entry(GOOD_Q, "1/0"),
+        _entry(GOOD_P, 2.9),
+        _entry(GOOD_P, "1/2"),
+        _with(GOOD_P, field={"p": 7.0}),
+    ],
+    ids=[
+        "array", "string", "no-field", "no-matrix", "n-null", "nested-entry",
+        "matrix-int", "row-int", "n-float", "k-bool", "q-float-entry",
+        "bool-entry", "q-decimal-string", "q-zero-denominator",
+        "fp-float-entry", "fp-string-entry", "p-float",
+    ],
+)
+def test_malformed_family_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    for sub in ("build", "sample"):
+        assert run(["pfaffian", sub, "--in", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("doc", [GOOD_Q, GOOD_P], ids=["Q", "Fp"])
+def test_saved_family_round_trips_byte_for_byte(tmp_path, capsys, doc):
+    first = tmp_path / "a.json"
+    first.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    am = AMap.load(first)
+    am.save(tmp_path / "b.json")
+    assert (tmp_path / "b.json").read_bytes() == first.read_bytes()
+    assert run(["pfaffian", "build", "--in", str(first), "--json"]) == 0
+    capsys.readouterr()
+
+
 def test_out_flag_writes_report(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = run(["classify", "--n", "8", "--k", "4", "--out", str(target)])
@@ -210,6 +295,32 @@ def test_verify_all_fast(capsys):
     names = {item["name"] for item in report["result"]["items"]}
     assert "section-hodge-10-5" in names
     assert "pfaffian-sampling" not in names  # slow item skipped in fast profile
+
+
+def test_verify_all_full(capsys):
+    code, report = run_json(capsys, ["verify-all", "--profile", "full"])
+    assert code == 0
+    assert report["result"]["all_passed"] is True
+    assert [item["name"] for item in report["result"]["items"]] == [
+        "hypersurface-quintic",
+        "section-hodge-10-5",
+        "tangent-deformations-10-5",
+        "collection-n10",
+        "collection-n7",
+        "lemma-n8",
+        "lemma-n10",
+        "lemma-n12",
+        "window-inclusion-grid",
+        "orthogonal-rectangle-10-5",
+        "pfaffian-degree-10-5",
+        "serre-duality-random",
+        "bwb-degree-range-random",
+        "cauchy-rank-conservation",
+        "clebsch-gordan-dimensions",
+        "diamond-integrity",
+        "pfaffian-square-is-det",
+        "pfaffian-sampling",
+    ]
 
 
 def test_grass_section_audit_trail(capsys):

@@ -1,5 +1,4 @@
 import math
-import random
 from collections import Counter
 
 import pytest
@@ -10,10 +9,7 @@ from grpf.schur import (
     cauchy_exterior_cotangent,
     clebsch_gordan_rank2,
     label_weight,
-    littlewood_richardson,
 )
-from grpf.verify import _lr_by_monomials
-from grpf.weights import Partition
 
 
 # --- independent oracles -----------------------------------------------------
@@ -29,23 +25,6 @@ def char_product(a, b):
         for e2, c2 in b.items():
             out[(e1[0] + e2[0], e1[1] + e2[1])] += c1 * c2
     return out
-
-
-def partitions_of(size, max_len):
-    if size == 0:
-        yield Partition()
-        return
-
-    def rec(prefix, remaining, cap):
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        if len(prefix) >= max_len:
-            return
-        for v in range(min(cap, remaining), 0, -1):
-            yield from rec(prefix + [v], remaining - v, v)
-
-    yield from rec([], size, size)
 
 
 # --- Clebsch-Gordan ----------------------------------------------------------
@@ -72,72 +51,6 @@ def test_clebsch_gordan_dimension_identity():
     for l in range(31):
         for lp in range(31):
             assert sum(e + 1 for e, _ in clebsch_gordan_rank2(l, lp)) == (l + 1) * (lp + 1)
-
-
-# --- Littlewood-Richardson ---------------------------------------------------
-
-def test_lr_pieri_smallest():
-    assert littlewood_richardson((1,), (1,), 4) == [
-        (Partition((1, 1)), 1),
-        (Partition((2,)), 1),
-    ]
-
-
-def test_lr_pieri_hand():
-    got = littlewood_richardson((2, 1), (1,), 4)
-    assert got == [
-        (Partition((2, 1, 1)), 1),
-        (Partition((2, 2)), 1),
-        (Partition((3, 1)), 1),
-    ]
-
-
-def test_lr_classic_multiplicity_two():
-    got = dict(littlewood_richardson((2, 1), (2, 1), 6))
-    assert got[Partition((3, 2, 1))] == 2
-
-
-def test_lr_max_rows_truncation():
-    full = dict(littlewood_richardson((1, 1), (1, 1), 4))
-    assert Partition((1, 1, 1, 1)) in full
-    cut = dict(littlewood_richardson((1, 1), (1, 1), 3))
-    assert Partition((1, 1, 1, 1)) not in cut
-    assert all(len(nu) <= 3 for nu in cut)
-
-
-def test_lr_dimension_identity():
-    # evaluate Weyl dimensions in exactly max_rows variables: truncation exact
-    from grpf.weights import weyl_dimension
-
-    rng = random.Random(11)
-    shapes = [p for s in range(5) for p in partitions_of(s, 4)]
-    for _ in range(40):
-        lam, mu = rng.choice(shapes), rng.choice(shapes)
-        m = 4
-        total = sum(
-            c * weyl_dimension(nu.padded(m), m)
-            for nu, c in littlewood_richardson(lam, mu, m)
-        )
-        assert total == weyl_dimension(lam.padded(m), m) * weyl_dimension(mu.padded(m), m)
-
-
-def test_lr_against_monomial_oracle_exhaustive_small():
-    cache = {}
-    for total in range(0, 7):
-        for a in range(total + 1):
-            for lam in partitions_of(a, 3):
-                for mu in partitions_of(total - a, 3):
-                    ours = dict(littlewood_richardson(lam, mu, 5))
-                    oracle = _lr_by_monomials(lam, mu, 5, cache)
-                    assert ours == oracle, (lam, mu)
-
-
-def test_lr_symmetry_random():
-    rng = random.Random(5)
-    shapes = [p for s in range(7) for p in partitions_of(s, 5)]
-    for _ in range(60):
-        lam, mu = rng.choice(shapes), rng.choice(shapes)
-        assert littlewood_richardson(lam, mu, 6) == littlewood_richardson(mu, lam, 6)
 
 
 # --- Cauchy identity ---------------------------------------------------------
@@ -171,6 +84,26 @@ def test_cauchy_rank_conservation():
                 assert kc.virtual_rank() == math.comb(2 * (n - 2), m)
             else:
                 assert len(kc) == 0
+
+
+def test_cauchy_terms_are_conjugate_two_row_partitions():
+    # oracle: lam = (m - j, j) fits in 2 rows and n-2 columns; its conjugate
+    # is read off the Young diagram by counting the cells in each column
+    for n in range(3, 13):
+        cols = n - 2
+        for m in range(0, 2 * cols + 1):
+            expected = {}
+            for j in range(0, m // 2 + 1):
+                lam = (m - j, j)
+                if lam[0] > cols:
+                    continue
+                conj = tuple(sum(1 for row in lam if row > c) for c in range(cols))
+                expected[((-j, -(m - j)), conj)] = 1
+            got = {
+                (t.s_weight, t.q_weight): t.multiplicity
+                for t in cauchy_exterior_cotangent(n, m).terms()
+            }
+            assert got == expected, (n, m)
 
 
 # --- KClass ring operations --------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from grpf.errors import DominanceError, InvalidRankError
 from grpf.weights import (
     GLWeight,
-    Partition,
     PoincarePolynomial,
     gaussian_binomial,
     grassmannian_poincare,
@@ -92,25 +91,6 @@ def test_grassmannian_poincare_cell_count_and_palindrome():
 def test_poincare_polynomial_rejects_non_palindromic():
     with pytest.raises(ValueError):
         PoincarePolynomial((1, 2, 3))
-
-
-def test_partition_normalization_and_equality():
-    assert Partition((3, 2, 0, 0)) == Partition((3, 2))
-    assert Partition(()) == Partition((0, 0))
-    assert len(Partition((2, 1, 1))) == 3
-    with pytest.raises(DominanceError):
-        Partition((1, 2))
-
-
-def test_partition_conjugate():
-    assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
-    assert Partition((2, 2)).conjugate() == Partition((2, 2))
-    # conjugation is an involution
-    rng = random.Random(3)
-    for _ in range(50):
-        parts = sorted((rng.randrange(6) for _ in range(rng.randrange(5))), reverse=True)
-        lam = Partition(parts)
-        assert lam.conjugate().conjugate() == lam
 
 
 def test_glweight_validation():

@@ -3,7 +3,8 @@
 
 A random 5-dimensional family of 2-forms on a 10-dimensional space cuts
 a quintic threefold out of projective 4-space; its points over F_p have
-2-dimensional kernels and the Jacobian criterion certifies smoothness.
+2-dimensional kernels, and smoothness at each is the tangent-space test
+of the rank locus: the pairings k_a^T M_r k_b on the kernel have full rank.
 """
 
 from grpf import AMap, build_skew_matrix, pfaffian_polynomial, sample_y2

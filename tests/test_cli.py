@@ -27,6 +27,17 @@ def test_classify_report(capsys):
     assert report["params"] == {"n": 10, "k": 5}
 
 
+def test_python_dash_m_matches_run(capsys):
+    argv = ["classify", "--n", "10", "--k", "5", "--json"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "grpf", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.encode()
+
+
 def test_classify_bad_params_exit_2(capsys):
     code = run(["classify", "--n", "3", "--k", "99"])
     err = capsys.readouterr().err

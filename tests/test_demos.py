@@ -11,7 +11,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["bott_cohomology_tour.py", "section_hodge_tour.py", "window_tour.py"]
+    "demo",
+    [
+        "bott_cohomology_tour.py",
+        "pfaffian_tour.py",
+        "section_hodge_tour.py",
+        "window_tour.py",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

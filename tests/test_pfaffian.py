@@ -1,15 +1,18 @@
+import hashlib
 import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from grpf.errors import DegenerateFamilyError, ParityError
-from grpf.modp import rank_mod
+from grpf.modp import pfaffian_mod, rank_mod
 from grpf.pfaffian import (
     AMap,
+    SkewLinearMatrix,
     _point_at,
     build_skew_matrix,
     hypersurface_hodge,
@@ -115,8 +118,6 @@ def test_pfaffian_squares_to_det_symbolic():
                 out = out + term if t % 2 == 0 else out - term
             return out
 
-        from grpf.pfaffian import SkewLinearMatrix
-
         slm = SkewLinearMatrix(n, nv, f, mat)
         pf = pfaffian_polynomial(slm)
         assert pf * pf == det(tuple(range(n)), tuple(range(n)))
@@ -134,8 +135,6 @@ def test_symbolic_family_pfaffian_degree():
     pf = pfaffian_polynomial(build_skew_matrix(am))
     assert pf.total_degree() == 5
     # interior sanity: evaluating the polynomial agrees with the numeric route
-    from grpf.modp import pfaffian_mod
-
     slm = build_skew_matrix(am)
     rng = random.Random(0)
     for _ in range(20):
@@ -174,6 +173,138 @@ def test_submaximal_vanishing_matches_rank_drop():
         assert vanishes == (rank_mod(mat, 10007) <= 4)
         hits += vanishes
     assert hits == 0  # random points essentially never land on the locus
+
+
+def _terms_digest(poly):
+    return hashlib.sha256(repr(sorted(poly.terms.items())).encode()).hexdigest()
+
+
+# sha256 of the sorted (exponents, coeff) list of each Pfaffian, recorded
+# from the term-by-term expansion that predates the shared memo
+FROZEN_PFAFFIANS = {
+    (10, 5, 42, 10007): "5d9d3182f572080137f758c2c9e63e740edae17091d4d2f88df362dfc4110c0f",
+    (12, 6, 1, 10007): "d4078358ee8543c0d65f2696e9b1f052d3584fd4f740547d52f3e87b44e7cabb",
+    (8, 4, 1, None): "2a09353fbbe7dab57fd2b423d5ba2e992e7207d2919f6f135c14696572ced7f7",
+}
+FROZEN_SUBMAXIMAL = {
+    (7, 7, 42, 10007): [
+        "d170fca52e12ef5b6f3643c5b0c49b89dfada40c15e3aaf11f66158ce1ed9bbd",
+        "c38d9b5294694ff21beeadf8fd48449795b2bc2d891d23d11167ff8cdbc244e9",
+        "7afc03ccd4893a24cc11b9e4a64c881c02bbf8cd85aebaef6990f44090d5cf39",
+        "ef2f19985abb4aa891c101c19bea5eaa983bf005a65682c51dcb30dca95d15fe",
+        "5d7aada3e05d219b703f530e9a1d4de8468ca125760d2a9a06faf570482ce6f7",
+        "5af2b6f05bc81e29e32d6ceac9f99fffa30c81d5cf4e227d3e3c5e3f43017cb7",
+        "c1ba4cb37dd3f5d18b9dff3a056e1b09a369a2c52181b6cad16b36961d29c4ae",
+    ],
+    (9, 9, 1, 10007): [
+        "0a56d4cc00ea10fde4ff4d2ede668d8c10bd6a560b2bcfd16a79db38eb08dc1a",
+        "54b431e0be9319e26c8c6f96e6bbfe96e57313449e9cd6255c6c0d77121d7448",
+        "2c75dc0027c4aa15ba5cb2ab91587fe03149e27a50364d8dc55f496bad3db8b0",
+        "9326b12d630295678fede331a41c98b1644b27f60f2687c5219fad5e72a8add0",
+        "ca1a9d8b3983c131a226f0709451d1ad8b3a0c5f22c6d934a5a51ef202f9a050",
+        "b46cc1b825912fe8d4fd2b800c086127425ee8bf62253f538bb92d6277e067e4",
+        "9c3e99ca70435d0c116ae0de3a6e425b677eed7a5f59befed578ddcd916277e4",
+        "76245047459b28eb51f130d56c5488a146138c695a7c4c3d3f0e5e22b0690bbd",
+        "5b92383a6c55d0c91198a727b65d40a24de004066581d125cbfd2208b97851a3",
+    ],
+    (9, 5, 1, None): [
+        "bbde56ac7a5b0924d74ba5e8d9ca4d234c0fbe53b094d7fcffcbfce92f5ed6c7",
+        "5c28192a5d17c009dd4d14e97a1d2fb2e10cc34c9b99dfdd663da1a5ffda0257",
+        "d3446144fce31f37ed1e16dbf27ccecf16316635dba4c283099107476e7ab465",
+        "09b5940ec90f06eee43754c9b0687d9846129b2e872e086a0c45ff00499188e5",
+        "db3bc3019983136c830628d5a668ec8fe2efd5c13fd04bde34e8a405eb5cbf62",
+        "6de4a41f4e0d6c5120c296dde46bb80e748ae415ed91fd6cd09ae4be50354e8c",
+        "b900409acbd185defb52c76cbc31618f9a2393231201d640fc8dd647e799a6bf",
+        "bdd846bc3d931caa94b96523e66f88d69deeab0496b503a7cacb56bee22721b8",
+        "fe5bd2d2b2d1c72529875ca3f495bb7a72b7cb00a3d1cdb2dbe6d14eb9df4c97",
+    ],
+}
+
+
+@pytest.mark.parametrize("n, k, seed, p", list(FROZEN_PFAFFIANS))
+def test_pfaffian_terms_frozen(n, k, seed, p):
+    slm = build_skew_matrix(AMap.random(n, k, seed=seed, p=p))
+    expected = FROZEN_PFAFFIANS[n, k, seed, p]
+    assert _terms_digest(pfaffian_polynomial(slm)) == expected
+
+
+@pytest.mark.parametrize("n, k, seed, p", list(FROZEN_SUBMAXIMAL))
+def test_submaximal_terms_frozen(n, k, seed, p):
+    slm = build_skew_matrix(AMap.random(n, k, seed=seed, p=p))
+    digests = [_terms_digest(s) for s in submaximal_pfaffians(slm)]
+    assert digests == FROZEN_SUBMAXIMAL[n, k, seed, p]
+
+
+def _delete(slm, i):
+    """The principal submatrix of slm without row and column i."""
+    keep = [j for j in range(slm.n) if j != i]
+    rows = [[slm.entries[a][b] for b in keep] for a in keep]
+    return SkewLinearMatrix(slm.n - 1, slm.k, slm.field, rows)
+
+
+@pytest.mark.parametrize("n, k, seed, p", [(7, 7, 42, 10007), (9, 5, 1, None)])
+def test_submaximal_equals_pfaffian_of_each_deletion(n, k, seed, p):
+    # the memo shared across index sets must not leak one minor into another
+    slm = build_skew_matrix(AMap.random(n, k, seed=seed, p=p))
+    subs = submaximal_pfaffians(slm)
+    for i in range(n):
+        assert subs[i] == pfaffian_polynomial(_delete(slm, i))
+
+
+def test_submaximal_pfaffians_agree_with_numeric_pfaffian():
+    p = 10007
+    slm = build_skew_matrix(AMap.random(9, 9, seed=1, p=p))
+    subs = submaximal_pfaffians(slm)
+    rng = random.Random(11)
+    for _ in range(20):
+        u = [rng.randrange(p) for _ in range(9)]
+        mat = slm.evaluate(u)
+        for i, s in enumerate(subs):
+            keep = [j for j in range(9) if j != i]
+            minor = [[mat[a][b] for b in keep] for a in keep]
+            assert s.evaluate(u) == pfaffian_mod(minor, p)
+
+
+def test_pfaffians_over_q_with_denominators():
+    # over Q the expansion runs on the integer matrix D m and divides by
+    # D^d at the end; check against the numeric Pfaffian mod p
+    p = 10007
+    fp = PrimeField(p)
+    rng = random.Random(5)
+    for n, k in ((8, 4), (7, 3)):
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for _ in range(math.comb(n, 2))]
+            for _ in range(k)
+        ]
+        slm = build_skew_matrix(AMap(n, k, Rationals(), rows))
+        if n % 2 == 0:
+            polys, deleted = [pfaffian_polynomial(slm)], [None]
+        else:
+            polys, deleted = submaximal_pfaffians(slm), range(n)
+        for _ in range(5):
+            u = [rng.randint(-20, 20) for _ in range(k)]
+            mat = [[fp.coerce(x) for x in row] for row in slm.evaluate(u)]
+            for poly, i in zip(polys, deleted):
+                keep = [j for j in range(n) if j != i]
+                minor = [[mat[a][b] for b in keep] for a in keep]
+                assert fp.coerce(poly.evaluate(u)) == pfaffian_mod(minor, p)
+    a = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4),
+         Fraction(4, 5), Fraction(5, 6), Fraction(-6, 7)]
+    m = [[0, a[0], a[1], a[2]], [-a[0], 0, a[3], a[4]],
+         [-a[1], -a[3], 0, a[5]], [-a[2], -a[4], -a[5], 0]]
+    assert pfaffian_polynomial(m) == a[0] * a[5] - a[1] * a[4] + a[2] * a[3]
+
+
+def test_skew_linear_matrix_rejects_nonlinear_entries():
+    f = Rationals()
+    u1 = Poly.variable(f, 2, 0)
+    one = Poly.const(f, 2, 1)
+    zero = Poly.zero(f, 2)
+    SkewLinearMatrix(2, 2, f, [[zero, zero], [zero, zero]])  # zero entries are fine
+    for bad in (one, u1 * u1):
+        with pytest.raises(ValueError, match="not a linear form"):
+            SkewLinearMatrix(2, 2, f, [[zero, bad], [-bad, zero]])
 
 
 # --- sampling -------------------------------------------------------------------

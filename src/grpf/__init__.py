@@ -15,7 +15,7 @@ What lives where:
 * :mod:`grpf.cli`       the ``grpf`` command line tool
 """
 
-from .bwb import BwbResult, bwb_cohomology, cohomology_of_kclass, euler_characteristic
+from .bwb import BwbResult, bwb_cohomology, cohomology_of_kclass
 from .diamond import HodgeDiamond
 from .geometry import (
     Classification,

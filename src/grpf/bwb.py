@@ -54,6 +54,12 @@ class KClassCohomology:
     def is_genuine(self):
         return not self.negative
 
+    def euler_characteristic(self):
+        """Alternating sum of the table: sum of (-1)^d (positive[d] - negative[d])."""
+        return sum((-1) ** d * v for d, v in self.positive.items()) - sum(
+            (-1) ** d * v for d, v in self.negative.items()
+        )
+
 
 def _count_inversions(v):
     """Stable insertion sort to descending order, counting moves."""
@@ -102,6 +108,7 @@ def cohomology_of_kclass(c: KClass, twist=0) -> KClassCohomology:
 
     Dimensions attached to positive and negative multiplicities are
     accumulated in separate tables; per-term outcomes are kept for audit.
+    Their :meth:`KClassCohomology.euler_characteristic` is chi(c(twist)).
     """
     positive = {}
     negative = {}
@@ -116,12 +123,3 @@ def cohomology_of_kclass(c: KClass, twist=0) -> KClassCohomology:
         table[res.degree] = table.get(res.degree, 0) + abs(mult) * res.dimension
     return KClassCohomology(positive, negative, tuple(records))
 
-
-def euler_characteristic(c: KClass, twist=0):
-    """Alternating sum of cohomology over all terms of ``c(twist)``."""
-    chi = 0
-    for s, q, mult in c.terms():
-        res = _bott((s[0] + twist, s[1] + twist) + q, c.n)
-        if not res.vanishes:
-            chi += mult * (-1) ** res.degree * res.dimension
-    return chi

@@ -8,13 +8,15 @@ inputs) and --out to write that report to a file.  Output is plain text;
 NO_COLOR is honoured trivially since nothing is ever colourised.
 
 Exit codes: 0 success, 1 mathematical verification failure (the report
-carries the counterexample), 2 usage or parameter error.
+carries the counterexample), 2 usage or parameter error.  A reader that
+closes the pipe early (``| head``) ends the script by SIGPIPE, never 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .bwb import bwb_cohomology
@@ -38,7 +40,6 @@ from .pfaffian import (
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,
-    section_hodge_audit,
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
@@ -256,7 +257,7 @@ def _cmd_hodge_grass_section(args):
             "tangent_page": page(tangent.tangent_restricted),
             "normal_page": page(tangent.normal_restricted),
         },
-        "audit": section_hodge_audit(ModelParams(args.n, args.k)),
+        "audit": list(res.audit),
     }
     params = {"n": args.n, "k": args.k}
     return 0, params, result, [
@@ -426,6 +427,8 @@ def run(argv):
 
 
 def main():
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -3,11 +3,13 @@
 The section Y cut out by k hyperplanes is the zero locus of a regular
 section of O(1)^k, so its structure sheaf has the Koszul resolution by
 O(-a)^{C(k,a)} and every Euler characteristic on Y is an alternating
-binomial sum of Euler characteristics upstairs.  Middle Hodge numbers are
-extracted from these unconditionally exact Euler characteristics plus the
-Lefschetz hyperplane theorem; hypercohomology spectral sequences are
-resolved honestly (degrees that must vanish force their differentials)
-and anything genuinely ambiguous is reported as bounds, never guessed.
+binomial sum of Euler characteristics upstairs.  One Bott table per
+Koszul twist (:func:`_koszul_tables`) feeds the Euler characteristics,
+the first Koszul page and the audit trail alike.  Middle Hodge numbers
+come from these exact Euler characteristics plus the Lefschetz
+hyperplane theorem; hypercohomology spectral sequences are resolved
+honestly (degrees that must vanish force their differentials) and
+anything genuinely ambiguous is reported as bounds, never guessed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bwb import _bott, cohomology_of_kclass, euler_characteristic
+from .bwb import _bott, cohomology_of_kclass
 from .diamond import HodgeDiamond
 from .errors import IntegrityError
 from .geometry import (
@@ -28,13 +30,22 @@ from .schur import KClass, cauchy_exterior_cotangent
 from .weights import grassmannian_poincare
 
 
+def _koszul_tables(params: ModelParams, c: KClass):
+    """Bott tables of c(-a) for the Koszul twists a = 0..k, in order of a."""
+    return [cohomology_of_kclass(c, twist=-a) for a in range(params.k + 1)]
+
+
+def _koszul_euler(k, tables):
+    """Alternating binomial sum of the Koszul tables: chi of the restriction."""
+    return sum(
+        (-1) ** a * math.comb(k, a) * table.euler_characteristic()
+        for a, table in enumerate(tables)
+    )
+
+
 def restricted_euler(params: ModelParams, c: KClass):
     """chi(Y, c|_Y) via the Koszul resolution of the structure sheaf of Y."""
-    k = params.k
-    return sum(
-        (-1) ** a * math.comb(k, a) * euler_characteristic(c, -a)
-        for a in range(k + 1)
-    )
+    return _koszul_euler(params.k, _koszul_tables(params, c))
 
 
 def omega_p_class(params: ModelParams, deg):
@@ -63,39 +74,24 @@ class SectionHodge:
     chi_p: tuple[int, ...]
     theorem_range: bool
     lefschetz_gate: bool
+    audit: tuple  # per p, the surviving Bott outcomes behind chi^p
 
 
-def section_hodge_audit(params: ModelParams):
-    """Per-term audit trail behind each chi^p: the surviving Bott outcomes.
-
-    For every exterior degree p and Koszul twist, lists the weight terms
-    whose cohomology does not vanish, with their degree and dimension.
-    Vanishing terms are omitted; they contribute nothing to the sums.
-    """
-    info = classify(params)
-    audit = []
-    for p in range(info.dim_y1 + 1):
-        c = omega_p_class(params, p)
-        survivors = []
-        for a in range(params.k + 1):
-            table = cohomology_of_kclass(c, twist=-a)
-            for rec in table.terms:
-                if rec.result.vanishes:
-                    continue
-                survivors.append(
-                    {
-                        "s_weight": list(rec.s_weight),
-                        "q_weight": list(rec.q_weight),
-                        "multiplicity": rec.multiplicity
-                        * (-1) ** a
-                        * math.comb(params.k, a),
-                        "twist": -a,
-                        "degree": rec.result.degree,
-                        "dimension": rec.result.dimension,
-                    }
-                )
-        audit.append({"p": p, "terms": survivors})
-    return audit
+def _audit_row(k, tables):
+    """The non-vanishing terms of the Koszul tables, signed as in chi."""
+    return [
+        {
+            "s_weight": list(rec.s_weight),
+            "q_weight": list(rec.q_weight),
+            "multiplicity": rec.multiplicity * (-1) ** a * math.comb(k, a),
+            "twist": -a,
+            "degree": rec.result.degree,
+            "dimension": rec.result.dimension,
+        }
+        for a, table in enumerate(tables)
+        for rec in table.terms
+        if not rec.result.vanishes
+    ]
 
 
 def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
@@ -103,8 +99,9 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
 
     Rows away from the middle come from the ambient Grassmannian
     (Lefschetz below the middle, duality above); the middle row is solved
-    from the exact Euler characteristics chi^p.  A negative middle entry
-    means an upstream bug and raises.
+    from the exact Euler characteristics chi^p.  The audit trail lists,
+    for each p, the surviving Bott outcomes of the same tables that chi^p
+    sums.  A negative middle entry means an upstream bug and raises.
     """
     n, k = params.n, params.k
     info = classify(params)
@@ -112,7 +109,8 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     if d < 0:
         raise ValueError(f"empty section: dim = {d} for (n,k)=({n},{k})")
     gp = grassmannian_poincare(n)
-    chi = [restricted_euler(params, omega_p_class(params, p)) for p in range(d + 1)]
+    tables = [_koszul_tables(params, omega_p_class(params, p)) for p in range(d + 1)]
+    chi = [_koszul_euler(k, t) for t in tables]
 
     middle = []
     for p in range(d + 1):
@@ -141,6 +139,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
         # Y is a complete intersection of sections of the ample O(1); the
         # gate stays explicit in case the parameter space ever widens.
         lefschetz_gate=True,
+        audit=tuple({"p": p, "terms": _audit_row(k, t)} for p, t in enumerate(tables)),
     )
 
 
@@ -153,8 +152,7 @@ def _koszul_page(params: ModelParams, c: KClass):
     if not c.is_effective():
         raise ValueError("Koszul restriction needs an effective class")
     entries = {}
-    for a in range(params.k + 1):
-        table = cohomology_of_kclass(c, twist=-a)
+    for a, table in enumerate(_koszul_tables(params, c)):
         for b, dim in table.positive.items():
             entries[(a, b)] = entries.get((a, b), 0) + math.comb(params.k, a) * dim
     return {e: v for e, v in entries.items() if v}
@@ -265,7 +263,8 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
     restricted cohomologies through the Koszul complex.  On a curve the
     connecting map need not have maximal rank (H^0(T_Y) != 0 in genus 0
     and 1), so there h^0(T_Y) comes from the genus and h^1 from the exact
-    Euler characteristic chi(T_Y) = chi(T_Gr|_Y) - k chi(O_Y(1)).
+    Euler characteristic chi(T_Y) = chi(T_Gr|_Y) - k chi(O_Y(1)), read off
+    the two first Koszul pages.
     """
     n, k = params.n, params.k
     if k == 0:
@@ -280,7 +279,11 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
     if classify(params).dim_y1 == 1:
         genus = 1 - restricted_euler(params, KClass.trivial(n))
         h0 = 3 if genus == 0 else 1 if genus == 1 else 0
-        chi = restricted_euler(params, KClass.tangent(n) - KClass.line(n, 1).scale(k))
+        chi = sum(
+            sign * (-1) ** (a + b) * v
+            for sign, restricted in ((1, tangent), (-1, normal))
+            for (a, b), v in restricted.page.items()
+        )
         return TangentCohomology("exact", h0 - chi, None, h0, tangent, normal)
     if tangent.mode != "exact" or normal.mode != "exact":
         upper = (

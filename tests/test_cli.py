@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
+import grpf.bwb as bwb
 from grpf.cli import run
+from grpf.geometry import ModelParams
 from grpf.pfaffian import AMap
+from grpf.schur import KClass
+from grpf.sections import omega_p_class
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -349,6 +353,43 @@ def test_grass_section_audit_trail(capsys):
     pages = report["result"]["tangent_h1"]
     assert pages["tangent_page"] == [[0, 0, 48], [7, 9, 1]]
     assert pages["normal_page"] == [[0, 0, 147], [1, 0, 49]]
+
+
+def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
+    # chi^p, the audit trail and the Koszul pages read the same Bott tables,
+    # so each term of Omega^p, T and O(1)^k is run once per Koszul twist
+    calls = []
+    bott = bwb._bott
+
+    def counted(weight, n):
+        calls.append(weight)
+        return bott(weight, n)
+
+    monkeypatch.setattr(bwb, "_bott", counted)
+    assert run(["hodge", "grass-section", "--n", "10", "--k", "5"]) == 0
+    capsys.readouterr()
+    params = ModelParams(10, 5)
+    omega_terms = sum(len(list(omega_p_class(params, p).terms())) for p in range(12))
+    tangent_terms = len(list(KClass.tangent(10).terms()))
+    normal_terms = len(list(KClass.line(10, 1).scale(5).terms()))
+    assert (omega_terms, tangent_terms, normal_terms) == (193, 1, 1)
+    assert len(calls) == 6 * (193 + 1 + 1) == 1170
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that stops early (``| head -c 10``) must not get a traceback
+    # or the exit status of a failed verification
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["hodge", "grass-section", "--n", "12", "--k", "6", "--json"]
+    with subprocess.Popen([sys.executable, "-m", "grpf", *argv], env=env, bufsize=0,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert len(head) == 10
+    assert b"Traceback" not in err, err
+    assert code != 1
 
 
 def test_sample_reports_byte_identical(tmp_path, capsys):

@@ -36,6 +36,9 @@ COMMANDS = [
     "lemma check --n 24",
     "hodge grass-section --n 12 --k 6",
     "collection verify --n 6 --set T --k 9",
+    "hodge grass-section --n 5 --k 5",
+    "hodge grass-section --n 7 --k 7",
+    "hodge grass-section --n 10 --k 0",
 ]
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from grpf.bwb import euler_characteristic
+from grpf.bwb import cohomology_of_kclass
 from grpf.geometry import ModelParams, grassmannian_window, pfaffian_window
 from grpf.schur import KClass
 from grpf.sections import (
@@ -35,7 +35,7 @@ def test_restricted_euler_structure_sheaf_cy3():
 
 def test_restricted_euler_no_section():
     c = KClass.line(8, 2)
-    assert restricted_euler(ModelParams(8, 0), c) == euler_characteristic(c, 0)
+    assert restricted_euler(ModelParams(8, 0), c) == cohomology_of_kclass(c).euler_characteristic()
 
 
 def test_omega_p_rank_bookkeeping():

@@ -399,24 +399,22 @@ def _normalize_projective(u, p):
 
 
 def _lagrange_mod(xs, ys, p):
-    """Interpolating polynomial (ascending coefficients) through the points."""
+    """Interpolating polynomial (ascending coefficients) through the points.
+
+    Newton divided differences, then a Horner expansion of the Newton
+    form: O(d^2) for d + 1 points with distinct xs mod p.
+    """
     npts = len(xs)
+    c = [y % p for y in ys]
+    for j in range(1, npts):
+        for i in range(npts - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * pow(xs[i] - xs[i - j], p - 2, p) % p
     coeffs = [0] * npts
-    for i in range(npts):
-        denom = 1
-        basis = [1]
-        for j in range(npts):
-            if j == i:
-                continue
-            denom = denom * (xs[i] - xs[j]) % p
-            new = [0] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] = (new[d] - c * xs[j]) % p
-                new[d + 1] = (new[d + 1] + c) % p
-            basis = new
-        scale = ys[i] * pow(denom, p - 2, p) % p
-        for d, c in enumerate(basis):
-            coeffs[d] = (coeffs[d] + c * scale) % p
+    for i in range(npts - 1, -1, -1):
+        # coeffs <- coeffs * (x - xs[i]) + c[i]
+        for d in range(npts - 1, 0, -1):
+            coeffs[d] = (coeffs[d - 1] - coeffs[d] * xs[i]) % p
+        coeffs[0] = (c[i] - coeffs[0] * xs[i]) % p
     return coeffs
 
 
@@ -462,7 +460,25 @@ def _point_at(forms, u, p):
     return SamplePoint(tuple(u), n - len(kernel), len(kernel), smooth)
 
 
+def _add_points(forms, vectors, p, found, count):
+    """Add the locus points among ``vectors`` to ``found``, up to ``count``."""
+    for u in vectors:
+        u = _normalize_projective(u, p)
+        if u is None or u in found:
+            continue
+        point = _point_at(forms, u, p)
+        if point is not None:
+            found[u] = point
+            if len(found) >= count:
+                return
+
+
 def _sample_even(am, p, count, seed, max_lines):
+    """Sampling for even n: the Pfaffian, of degree d = n/2, on random lines.
+
+    M(p0 + x p1) = M(p0) + x M(p1), so a line combines the forms twice;
+    for p <= d the d + 1 nodes collide mod p and every x in F_p is tried.
+    """
     n, k = am.n, am.k
     forms = am.basis_forms()
     deg = n // 2
@@ -477,47 +493,49 @@ def _sample_even(am, p, count, seed, max_lines):
         line += 1
         p0 = [rng.randrange(p) for _ in range(k)]
         p1 = [rng.randrange(p) for _ in range(k)]
-        xs = list(range(deg + 1))
-        ys = [
-            pfaffian_mod(
-                _combine_forms(forms, [(a + x * b) % p for a, b in zip(p0, p1)], p), p
-            )
-            for x in xs
-        ]
-        if all(y == 0 for y in ys):
-            continue  # line inside the hypersurface or junk; resample
-        coeffs = _lagrange_mod(xs, ys, p)
-        for x in _roots_mod(coeffs, p):
-            u = _normalize_projective(
-                [(a + x * b) % p for a, b in zip(p0, p1)], p
-            )
-            if u is None or u in found:
-                continue
-            point = _point_at(forms, u, p)
-            if point is None:
-                continue
-            found[u] = point
-            if len(found) >= count:
-                break
+        if p > deg:
+            m0, m1 = _combine_forms(forms, p0, p), _combine_forms(forms, p1, p)
+            xs = list(range(deg + 1))
+            ys = [
+                pfaffian_mod(
+                    [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(m0, m1)],
+                    p,
+                )
+                for x in xs
+            ]
+            if all(y == 0 for y in ys):
+                continue  # line inside the hypersurface or junk; resample
+            candidates = _roots_mod(_lagrange_mod(xs, ys, p), p)
+        else:
+            candidates = range(p)
+        _add_points(forms, ([(a + x * b) % p for a, b in zip(p0, p1)]
+                            for x in candidates), p, found, count)
     return found, line
 
 
-def _kernel_cofactor_vector(b, p, drop_row=0):
-    """A kernel vector of a square singular matrix by cofactors of one row.
+def _kernel_cofactor_vector(b, p):
+    """A kernel vector of a square singular matrix by cofactors of its first row.
 
-    Entries are (-1)^i det(b minus drop_row minus column i): a polynomial
-    formula in the matrix entries, so sweeping a parameter keeps the
-    result on a single polynomial curve (no elimination rescaling).
+    Entries are (-1)^i det(R minus column i), R = b minus row 0: a
+    polynomial formula in the matrix entries, so sweeping a parameter
+    keeps the result on a single polynomial curve (no elimination
+    rescaling).  These cofactors span the kernel of R, so the vector is
+    one kernel vector of R times the scalar that one minor fixes: one
+    elimination for the kernel and one determinant, and the zero vector
+    when rank R < n - 1.
     """
     n = len(b)
-    rows = [b[r] for r in range(n) if r != drop_row]
-    out = []
-    sign = 1
-    for i in range(n):
-        minor = [[row[c] for c in range(n) if c != i] for row in rows]
-        out.append(sign * det_mod(minor, p) % p)
-        sign = -sign
-    return out
+    rows = b[1:]
+    if not rows:
+        return [1]
+    kernel = nullspace_mod(rows, p)
+    if len(kernel) != 1:
+        return [0] * n
+    vec = kernel[0]
+    # RREF leaves the free column last among the nonzero entries, with a 1
+    free = max(i for i, x in enumerate(vec) if x)
+    scale = (-1) ** free * det_mod([row[:free] + row[free + 1:] for row in rows], p)
+    return [x * scale % p for x in vec]
 
 
 def _sample_odd_square(am, p, count, seed, max_lines):
@@ -528,52 +546,53 @@ def _sample_odd_square(am, p, count, seed, max_lines):
     u(v) is generically the unique family member with v in its kernel.
     The locus where u(v) lands on the degeneracy variety is a hypersurface
     in P(V), so random lines in P(V) meet it; along a line the relevant
-    submaximal Pfaffian of M(u(v)) is a polynomial in the line parameter,
-    recovered by interpolation and solved for its roots.
+    submaximal Pfaffian of M(u(v)) is a polynomial in the line parameter
+    of degree d = (n-1)^2/2.  B_v is linear in v, so each line builds its
+    two endpoint matrices once and each node takes one elimination for
+    u(v); for p > d the polynomial is interpolated from d + 1 nodes in
+    O(d^2) and solved for its roots, and for p <= d, where the nodes
+    would collide mod p, every x in F_p is a candidate.
     """
     n = am.n
     forms = am.basis_forms()
     gdeg = (n - 1) * (n - 1) // 2  # deg u(v) = n-1 per entry, times (n-1)/2
     found = {}
     line = 0
+
+    def b_of(v):
+        return [
+            [sum(form[i][j] * v[j] for j in range(n)) % p for form in forms]
+            for i in range(n)
+        ]
+
     while len(found) < count and line < max_lines:
         rng = random.Random(f"{seed}:odd:{line}")
         line += 1
-        v0 = [rng.randrange(p) for _ in range(n)]
-        v1 = [rng.randrange(p) for _ in range(n)]
+        b0 = b_of([rng.randrange(p) for _ in range(n)])
+        b1 = b_of([rng.randrange(p) for _ in range(n)])
 
         def u_at(x):
-            v = [(a + x * b) % p for a, b in zip(v0, v1)]
-            bmat = [
-                [sum(form[i][j] * v[j] for j in range(n)) % p for form in forms]
-                for i in range(n)
-            ]
+            bmat = [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(b0, b1)]
             return _kernel_cofactor_vector(bmat, p)
 
-        xs = list(range(gdeg + 1))
-        mats = [_combine_forms(forms, u_at(x), p) for x in xs]
-        candidates = None
-        for s in range(n):
-            idx = tuple(j for j in range(n) if j != s)
-            ys = [
-                pfaffian_mod([[mat[a][b] for b in idx] for a in idx], p)
-                for mat in mats
-            ]
-            if any(ys):
-                candidates = _roots_mod(_lagrange_mod(xs, ys, p), p)
-                break
-        if candidates is None:
-            continue
-        for x in candidates:
-            u = _normalize_projective(u_at(x), p)
-            if u is None or u in found:
+        if p > gdeg:
+            xs = list(range(gdeg + 1))
+            mats = [_combine_forms(forms, u_at(x), p) for x in xs]
+            candidates = None
+            for s in range(n):
+                idx = tuple(j for j in range(n) if j != s)
+                ys = [
+                    pfaffian_mod([[mat[a][b] for b in idx] for a in idx], p)
+                    for mat in mats
+                ]
+                if any(ys):
+                    candidates = _roots_mod(_lagrange_mod(xs, ys, p), p)
+                    break
+            if candidates is None:
                 continue
-            point = _point_at(forms, u, p)
-            if point is None:
-                continue
-            found[u] = point
-            if len(found) >= count:
-                break
+        else:
+            candidates = range(p)
+        _add_points(forms, (u_at(x) for x in candidates), p, found, count)
     return found, line
 
 

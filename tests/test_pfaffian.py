@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from grpf.errors import DegenerateFamilyError, ParityError
-from grpf.modp import pfaffian_mod, rank_mod
+from grpf.modp import det_mod, pfaffian_mod, rank_mod
 from grpf.pfaffian import (
     AMap,
     SkewLinearMatrix,
+    _kernel_cofactor_vector,
+    _lagrange_mod,
     _point_at,
     build_skew_matrix,
     hypersurface_hodge,
@@ -536,6 +538,111 @@ def test_sampling_at_large_primes(p):
         sample_y2(am, p, 0, seed=1)
     with pytest.raises(ValueError, match="odd prime"):
         sample_y2(am, p + 2, 5, seed=1)
+
+
+# Digests of repr(sample_y2(AMap.random(n, k, s), p, count, seed)), frozen
+# from the sampler that computed each cofactor vector as n separate minors
+# and interpolated by Lagrange basis polynomials.
+FROZEN_SAMPLES = {
+    (7, 7, 1, 10007, 20, 1): "7c02c0e5ff488c69a69b25096ae439e1e2f723cf8dd6e90f73ffd4b582955bb3",
+    (7, 8, 1, 10007, 10, 1): "6df86cacebd0023c966630704641e0d8d2e09b5ec5fc43b104194525ffda3051",
+    (9, 9, 2, 2**61 - 1, 3, 2): "12b9d285cbf88f6e0f8dede321ee0630fd1d2a9a4fea60513a6069340365d4f8",
+    (10, 5, 1, 10007, 20, 1): "34239219ea3544c70ba06ee89077aab4ed6aacc9d0ef60624fe4a3c9a4353754",
+    (8, 4, 1, 2**61 - 1, 10, 1): "4a09f388cb20a1700c2fe960ec715019631077190039f8ef2285169e410ec422",
+    (11, 12, 1, 10007, 3, 1): "14387d3ffa8e86c21313294e285ff05cddc54e765c60ed2997e42a164b175749",
+}
+
+
+@pytest.mark.parametrize("n, k, s, p, count, seed", list(FROZEN_SAMPLES))
+def test_sample_results_frozen(n, k, s, p, count, seed):
+    res = sample_y2(AMap.random(n, k, s), p, count, seed)
+    digest = hashlib.sha256(repr(res).encode()).hexdigest()
+    assert digest == FROZEN_SAMPLES[n, k, s, p, count, seed]
+
+
+def _matrix_of_rank(n, r, p, rng):
+    """A random n x n matrix over F_p, the product of n x r and r x n factors."""
+    a = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+    b = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+    return [[sum(a[i][t] * b[t][j] for t in range(r)) % p for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("p", [3, 10007, 2**61 - 1])
+def test_kernel_cofactor_vector_equals_minors(p):
+    rng = random.Random(f"cofactor:{p}")
+    for n in range(1, 9):
+        ranks = set()
+        for r in (n, n - 1, max(n - 2, 0)):
+            for _ in range(12):
+                b = _matrix_of_rank(n, r, p, rng)
+                minors = [
+                    (-1) ** i * det_mod([row[:i] + row[i + 1:] for row in b[1:]], p) % p
+                    for i in range(n)
+                ]
+                assert _kernel_cofactor_vector(b, p) == minors, (n, b)
+                ranks.add(rank_mod(b[1:], p) if n > 1 else 0)
+        assert n == 1 or {n - 1, n - 2} <= ranks
+
+
+@pytest.mark.parametrize("p", [10007, 2**61 - 1])
+def test_lagrange_mod_recovers_polynomials(p):
+    rng = random.Random(f"lagrange:{p}")
+    for d in range(26):
+        coeffs = [rng.randrange(p) for _ in range(d + 1)]
+        for xs in (list(range(d + 1)), rng.sample(range(p), d + 1)):
+            ys = [sum(c * pow(x, e, p) for e, c in enumerate(coeffs)) % p for x in xs]
+            assert _lagrange_mod(xs, ys, p) == coeffs
+
+
+def test_one_determinant_per_cofactor_vector(monkeypatch):
+    import grpf.pfaffian as pf_mod
+
+    calls = {"det": 0, "cofactor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pf_mod, "det_mod", counted("det", pf_mod.det_mod))
+    monkeypatch.setattr(pf_mod, "_kernel_cofactor_vector",
+                        counted("cofactor", pf_mod._kernel_cofactor_vector))
+    sample_y2(AMap.random(7, 7, seed=42, p=10007), 10007, 10, 42)
+    assert calls["cofactor"] > 0
+    assert calls["det"] <= calls["cofactor"]
+
+
+@pytest.mark.parametrize(
+    "n, k, p", [(10, 5, 3), (10, 4, 3), (8, 4, 3), (12, 4, 5), (5, 5, 5), (5, 5, 7)]
+)
+def test_small_prime_sampling_equals_exhaustive_scan(n, k, p):
+    # p <= d, the degree along a line (n/2 even, (n-1)^2/2 odd square): the
+    # interpolation nodes collide mod p, so every x in F_p is a candidate.
+    # (5, 5) at p = 3 is left out: its singular point (1, 1, 0, 1, 1) has its
+    # kernel in v_0 = 0, where the first-row cofactor vector u(v) vanishes,
+    # so the odd square path cannot reach it at any p.
+    am = AMap.random(n, k, 1)
+    forms = am.reduce_mod(p).basis_forms()
+    space = [u for u in itertools.product(range(p), repeat=k)
+             if any(u) and next(x for x in u if x) == 1]
+    scan = [q for q in (_point_at(forms, u, p) for u in space) if q is not None]
+    assert scan
+    res = sample_y2(am, p, len(scan) + 1, seed=1, max_lines=400)
+    assert res.points == tuple(scan)
+
+
+@pytest.mark.parametrize("n, k, p", [(7, 7, 7), (7, 8, 5)])
+def test_small_prime_odd_square_finds_points(n, k, p):
+    # d = 18 on the odd square and sliced paths; P^(k-1)(F_p) is too large
+    # for a scan, so each point is checked on its own
+    am = AMap.random(n, k, 1)
+    res = sample_y2(am, p, 5, seed=1)
+    assert len(res.points) == 5 and not res.exhausted
+    forms = am.reduce_mod(p).basis_forms()
+    for q in res.points:
+        assert q == _point_at(forms, q.coordinates, p)
 
 
 # --- rank census over finite fields ----------------------------------------------

@@ -5,17 +5,20 @@ entry, otherwise sort to dominant order counting inversions; the number
 of inversions is the unique cohomological degree and the sorted weight
 minus ``rho`` labels the resulting GL(n) representation (with respect to
 the dual of the standard one, matching the dual-bundle convention of
-:mod:`grpf.weights`).
+:mod:`grpf.weights`).  On Gr(2, n) the shifted q-block is already
+strictly decreasing, so the sort is the insertion of two entries.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from .errors import IntegrityError
 from .schur import KClass
-from .weights import GLWeight, rho, weyl_dimension
+from .weights import GLWeight, rho, weyl_dimension, weyl_dimension_of_runs
 
 
 @dataclass(frozen=True)
@@ -61,33 +64,55 @@ class KClassCohomology:
         )
 
 
-def _count_inversions(v):
-    """Stable insertion sort to descending order, counting moves."""
-    arr = list(v)
-    inversions = 0
-    for i in range(1, len(arr)):
-        x = arr[i]
-        j = i - 1
-        while j >= 0 and arr[j] < x:
-            arr[j + 1] = arr[j]
-            j -= 1
-            inversions += 1
-        arr[j + 1] = x
-    return inversions, tuple(arr)
-
-
 def _bott(weight, n):
-    """The Bott algorithm on a Levi-dominant weight tuple, unvalidated."""
+    """The Bott algorithm on a Levi-dominant weight tuple, unvalidated.
+
+    After the shift the tail q + rho[2:] is strictly decreasing, so the
+    shifted weight is that tail with the two shifted s-entries u1 > u2
+    inserted: it has a repeat when u1 or u2 is a tail entry, and its
+    inversions are the tail entries above u1 plus those above u2, two
+    bisections of the tail.
+    """
     shift = rho(n)
-    v = tuple(a + b for a, b in zip(weight, shift))
-    if len(set(v)) < len(v):
+    u1 = weight[0] + shift[0]
+    u2 = weight[1] + shift[1]
+    tail = list(map(add, weight[2:], shift[2:]))
+    p1 = bisect_left(tail, -u1, key=neg)
+    p2 = bisect_left(tail, -u2, key=neg)
+    if (p1 < len(tail) and tail[p1] == u1) or (p2 < len(tail) and tail[p2] == u2):
         return BwbResult(vanishes=True)
-    degree, ordered = _count_inversions(v)
-    rep = tuple(a - b for a, b in zip(ordered, shift))
-    dim = weyl_dimension(rep, n)
+    degree = p1 + p2
     if degree > 2 * (n - 2):
         raise IntegrityError(f"degree {degree} exceeds dim Gr(2, {n}) for {weight}")
-    return BwbResult(False, degree, rep, dim)
+    tail.insert(p2, u2)
+    tail.insert(p1, u1)
+    rep = tuple(map(sub, tail, shift))
+    return BwbResult(False, degree, rep, weyl_dimension(rep, n))
+
+
+def _bott_zero_tail(a1, a2, n):
+    """(degree, dimension) of the Bott outcome of (a1, a2, 0, ..., 0), or None.
+
+    The shifted tail is (n-2, ..., 1), so the weight vanishes when a1 + n
+    or a2 + n - 1 falls in 1..n-2; otherwise each entry sits above the
+    whole tail or below it, the degree is 0, n - 2 or 2(n - 2), and the
+    sorted weight minus rho has three runs, read off without building it.
+    """
+    m = n - 2
+    u1 = a1 + n
+    u2 = a2 + n - 1
+    if 1 <= u1 <= m or 1 <= u2 <= m:
+        return None
+    if u2 > m:
+        runs = ((a1, 1), (a2, 1), (0, m))
+        degree = 0
+    elif u1 > m:
+        runs = ((a1, 1), (-1, m), (a2 + m, 1))
+        degree = m
+    else:
+        runs = ((-2, m), (a1 + m, 1), (a2 + m, 1))
+        degree = 2 * m
+    return degree, weyl_dimension_of_runs(runs)
 
 
 def bwb_cohomology(w: GLWeight) -> BwbResult:

@@ -477,7 +477,8 @@ def _sample_even(am, p, count, seed, max_lines):
     """Sampling for even n: the Pfaffian, of degree d = n/2, on random lines.
 
     M(p0 + x p1) = M(p0) + x M(p1), so a line combines the forms twice;
-    for p <= d the d + 1 nodes collide mod p and every x in F_p is tried.
+    for p <= d the d + 1 nodes collide mod p and every x in F_p is tried,
+    and the search ends once every point of P^{k-1}(F_p) has been drawn.
     """
     n, k = am.n, am.k
     forms = am.basis_forms()
@@ -487,8 +488,10 @@ def _sample_even(am, p, count, seed, max_lines):
         point = _point_at(forms, (1,), p)
         return ({(1,): point} if point else {}), 1
     found = {}
+    off_locus = set()  # filled only for p <= d, where every x is tried
+    space = (p**k - 1) // (p - 1)
     line = 0
-    while len(found) < count and line < max_lines:
+    while len(found) < count and line < max_lines and len(found) + len(off_locus) < space:
         rng = random.Random(f"{seed}:even:{line}")
         line += 1
         p0 = [rng.randrange(p) for _ in range(k)]
@@ -506,10 +509,22 @@ def _sample_even(am, p, count, seed, max_lines):
             if all(y == 0 for y in ys):
                 continue  # line inside the hypersurface or junk; resample
             candidates = _roots_mod(_lagrange_mod(xs, ys, p), p)
-        else:
-            candidates = range(p)
-        _add_points(forms, ([(a + x * b) % p for a, b in zip(p0, p1)]
-                            for x in candidates), p, found, count)
+            _add_points(forms, ([(a + x * b) % p for a, b in zip(p0, p1)]
+                                for x in candidates), p, found, count)
+            continue
+        # P^{k-1}(F_p) is small here: misses are remembered, so the search
+        # stops once every point has been drawn
+        for x in range(p):
+            u = _normalize_projective([(a + x * b) % p for a, b in zip(p0, p1)], p)
+            if u is None or u in found or u in off_locus:
+                continue
+            point = _point_at(forms, u, p)
+            if point is None:
+                off_locus.add(u)
+            else:
+                found[u] = point
+                if len(found) >= count:
+                    break
     return found, line
 
 

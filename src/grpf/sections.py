@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bwb import _bott, cohomology_of_kclass
+from .bwb import _bott_zero_tail, cohomology_of_kclass
 from .diamond import HodgeDiamond
 from .errors import IntegrityError
 from .geometry import (
@@ -57,12 +57,13 @@ def omega_p_class(params: ModelParams, deg):
     alternating multiplicities C(k+i-1, i), the coefficients of (1-t)^-k.
     """
     n, k = params.n, params.k
-    out = KClass(n, {})
+    terms = {}
     for i in range(deg + 1):
-        piece = cauchy_exterior_cotangent(n, deg - i).tensor_by_line(-i)
-        mult = math.comb(k + i - 1, i) if k else int(i == 0)
-        out = out + piece.scale((-1) ** i * mult)
-    return out
+        mult = (-1) ** i * (math.comb(k + i - 1, i) if k else int(i == 0))
+        for s, q, m in cauchy_exterior_cotangent(n, deg - i).terms():
+            key = ((s[0] - i, s[1] - i), q)
+            terms[key] = terms.get(key, 0) + mult * m
+    return KClass(n, terms)
 
 
 @dataclass(frozen=True)
@@ -332,12 +333,12 @@ def hom_s_blocks(e, f, t=0):
 
 def rhom_dimensions(e, f, n, t=0):
     """Map degree -> dim Ext^degree(E, F(t)) by summing Bott outcomes."""
-    zeros = (0,) * (n - 2)
     table = {}
-    for s in hom_s_blocks(e, f, t):
-        res = _bott(s + zeros, n)
-        if not res.vanishes:
-            table[res.degree] = table.get(res.degree, 0) + res.dimension
+    for a1, a2 in hom_s_blocks(e, f, t):
+        res = _bott_zero_tail(a1, a2, n)
+        if res is not None:
+            degree, dim = res
+            table[degree] = table.get(degree, 0) + dim
     return table
 
 
@@ -386,12 +387,11 @@ def verify_strong_exceptional(n, window: WindowSet) -> ExceptionalReport:
         for j, f in enumerate(order):
             key = (e[0], f[0], e[1] - f[1])
             if key not in tables:
-                tables[key] = rhom_dimensions(e, f, n)
-            table = tables[key]
-            hom[i][j] = table.get(0, 0)
-            for degree, dim in sorted(table.items()):
-                if degree > 0:
-                    ext_failures.append((e, f, degree, dim))
+                table = rhom_dimensions(e, f, n)
+                tables[key] = table.get(0, 0), sorted(d for d in table.items() if d[0] > 0)
+            hom[i][j], exts = tables[key]
+            for degree, dim in exts:
+                ext_failures.append((e, f, degree, dim))
             if i == j and hom[i][j] != 1:
                 diagonal_failures.append((e, hom[i][j]))
             if i > j and hom[i][j] != 0:
@@ -417,34 +417,29 @@ class PairVerdict:
     residual_ts: tuple[int, ...]
 
 
-def _interval(lo, hi):
-    """Integer interval [lo, hi] clipped to t >= 0, possibly empty."""
-    return range(max(0, lo), hi + 1)
-
-
 def pair_twisted_vanishing(n, e, f) -> PairVerdict:
     """Decide Ext^{>0}(E, F(t)) = 0 for every integer t >= 0 at once.
 
     Each Clebsch-Gordan summand has s_block entries affine-linear in t of
     slope one, so three regimes cover all but finitely many t: dominant
-    (only degree 0 survives), or one of the two entry windows where the
-    shifted weight has a repeat (everything vanishes).  The finitely many
-    remaining t are decided by running the Bott algorithm directly.
+    (t >= -a2, only degree 0 survives), or one of the two entry windows
+    where the shifted weight has a repeat (everything vanishes).  The
+    first window ends just below the dominant regime, so the residual
+    twists are [0, 2 - n - a2) minus the window [1 - n - a1, -2 - a1];
+    they are decided by running the Bott algorithm directly.
     """
-    zeros = (0,) * (n - 2)
-    residual_all = []
+    residual = set()
     for i, (a1, a2) in enumerate(hom_s_blocks(e, f)):
-        t_dominant = max(0, -a2)
-        covered = set()
-        covered.update(_interval(2 - n - a2, -1 - a2))
-        covered.update(_interval(1 - n - a1, -2 - a1))
-        residual = [t for t in range(t_dominant) if t not in covered]
-        residual_all.extend(residual)
-        for t in residual:
-            res = _bott((a1 + t, a2 + t) + zeros, n)
-            if not res.vanishes and res.degree > 0:
-                return PairVerdict(False, (i, t, res.degree, res.dimension), ())
-    return PairVerdict(True, None, tuple(sorted(set(residual_all))))
+        hi = 2 - n - a2
+        if hi <= 0:
+            break  # a2 grows with i, so no later summand has residual twists
+        for ts in (range(min(hi, 1 - n - a1)), range(max(0, -1 - a1), hi)):
+            residual.update(ts)
+            for t in ts:
+                res = _bott_zero_tail(a1 + t, a2 + t, n)
+                if res is not None and res[0] > 0:
+                    return PairVerdict(False, (i, t) + res, ())
+    return PairVerdict(True, None, tuple(sorted(residual)))
 
 
 @dataclass(frozen=True)
@@ -461,25 +456,44 @@ class VanishingReport:
 
 
 def twisted_ext_vanishing(n) -> VanishingReport:
-    """Run the all-t vanishing decision over the full Grassmannian window."""
+    """Run the all-t vanishing decision over the full Grassmannian window.
+
+    The verdict depends only on the key (l, l', m - m'), and each row of
+    the window (fixed l) is a contiguous run of m, so the number of label
+    pairs behind a key is a count, not a walk.  Label pairs are walked
+    only to list counterexamples, in the order of the sorted labels.
+    """
     if n % 2 != 0 or n < 4:
         raise ValueError(f"the all-t decision is for even n >= 4, got {n}")
-    window = grassmannian_window(n)
-    labels = window.sorted_labels()
-    counterexamples = []
+    labels = grassmannian_window(n).sorted_labels()
+    rows = {}  # l -> (first m, number of m)
+    for l, m in labels:
+        first, size = rows.get(l, (m, 0))
+        if m != first + size:
+            raise IntegrityError(f"row l={l} of the window is not contiguous")
+        rows[l] = (first, size + 1)
     summands = 0
     residual = 0
-    verdicts = {}  # the all-t verdict depends only on (l, l', m - m')
-    for e in labels:
-        for f in labels:
-            key = (e[0], f[0], e[1] - f[1])
-            if key not in verdicts:
-                verdicts[key] = pair_twisted_vanishing(n, e, f)
-            verdict = verdicts[key]
-            summands += min(e[0], f[0]) + 1
-            residual += len(verdict.residual_ts)
-            if not verdict.vanishes_for_all_t:
-                counterexamples.append((e, f) + verdict.counterexample)
+    verdicts = {}
+    for l, (m0, size) in rows.items():
+        for lp, (mp0, size_p) in rows.items():
+            # the pairs with (m - m0) - (m' - mp0) = c have m - m0 in
+            # [max(0, c), min(size, size_p + c))
+            for c in range(1 - size_p, size):
+                pairs = min(size, size_p + c) - max(0, c)
+                m = m0 + max(0, c)
+                e, f = (l, m), (lp, m - c - m0 + mp0)
+                verdict = pair_twisted_vanishing(n, e, f)
+                verdicts[(l, lp, e[1] - f[1])] = verdict
+                summands += pairs * (min(l, lp) + 1)
+                residual += pairs * len(verdict.residual_ts)
+    counterexamples = []
+    if not all(v.vanishes_for_all_t for v in verdicts.values()):
+        for e in labels:
+            for f in labels:
+                verdict = verdicts[(e[0], f[0], e[1] - f[1])]
+                if not verdict.vanishes_for_all_t:
+                    counterexamples.append((e, f) + verdict.counterexample)
     return VanishingReport(
         n=n,
         pair_count=len(labels) ** 2,

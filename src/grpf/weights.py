@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import DominanceError, IntegrityError, InvalidRankError
 
@@ -117,24 +118,48 @@ def rho(n):
 def weyl_dimension(w, n):
     """Dimension of the GL(n) irreducible with dominant weight ``w``.
 
-    Computes prod_{i<j} (w_i - w_j + j - i) / (j - i) exactly.  Invariant
+    The Weyl product prod_{i<j} (w_i - w_j + j - i) / (j - i), taken over
+    runs of equal entries (see :func:`weyl_dimension_of_runs`).  Invariant
     under adding a constant to every entry (determinant twists).
     """
-    w = tuple(int(x) for x in w)
+    w = tuple(map(int, w))
     if len(w) != n:
         raise ValueError(f"weight length {len(w)} != n = {n}")
-    for a, b in zip(w, w[1:]):
-        if a < b:
-            raise DominanceError(f"weight not dominant: {w}")
+    runs = [(x, len(list(group))) for x, group in groupby(w)]
+    if any(x < y for (x, _), (y, _) in zip(runs, runs[1:])):
+        raise DominanceError(f"weight not dominant: {w}")
+    return weyl_dimension_of_runs(runs)
+
+
+def weyl_dimension_of_runs(runs):
+    """Weyl dimension of the dominant weight written as (value, length) runs.
+
+    A pair of equal entries contributes 1.  A run of length r starting at a
+    with value x and a later run of length s starting at b with value y
+    contribute prod_{i=a}^{a+r-1} perm(x - y + b + s - 1 - i, s) /
+    perm(b + s - 1 - i, s); the product runs over the shorter of the two.
+    Values must be weakly decreasing; runs may be empty.
+    """
     num = 1
     den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
+    a = 0
+    for p, (x, r) in enumerate(runs):
+        b = a + r
+        for y, s in runs[p + 1:]:
+            c = x - y
+            if r <= s:
+                for i in range(a, a + r):
+                    num *= math.perm(c + b + s - 1 - i, s)
+                    den *= math.perm(b + s - 1 - i, s)
+            else:
+                for j in range(b, b + s):
+                    num *= math.perm(c + j - a, r)
+                    den *= math.perm(j - a, r)
+            b += s
+        a += r
     dim, rem = divmod(num, den)
     if rem:
-        raise IntegrityError(f"Weyl product not integral for {w}")
+        raise IntegrityError(f"Weyl product not integral for runs {runs}")
     return dim
 
 

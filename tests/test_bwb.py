@@ -4,13 +4,15 @@ import random
 import pytest
 
 from grpf.bwb import (
+    _bott,
+    _bott_zero_tail,
     bwb_cohomology,
     cohomology_of_kclass,
     serre_dual_weight,
 )
 from grpf.errors import DominanceError, IntegrityError
 from grpf.schur import KClass, cauchy_exterior_cotangent
-from grpf.weights import GLWeight, grassmannian_poincare
+from grpf.weights import GLWeight, grassmannian_poincare, weyl_dimension
 
 
 def random_levi_dominant(rng, n, span=8):
@@ -79,6 +81,43 @@ def test_bwb_single_degree_in_range():
         res = bwb_cohomology(random_levi_dominant(rng, n))
         if not res.vanishes:
             assert 0 <= res.degree <= 2 * (n - 2)
+
+
+def sorted_bott(weight, n):
+    """Reference Bott: shift by rho, sort, count inversions pair by pair."""
+    v = [x + n - i for i, x in enumerate(weight)]
+    if len(set(v)) < n:
+        return None
+    degree = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+    ordered = sorted(v, reverse=True)
+    return degree, tuple(x - (n - i) for i, x in enumerate(ordered))
+
+
+def test_bott_insertion_matches_sorting_reference():
+    rng = random.Random(45)
+    outcomes = {True: 0, False: 0}
+    for _ in range(4000):
+        n = rng.randrange(3, 31)
+        w = random_levi_dominant(rng, n, span=rng.choice((2, n, 3 * n)))
+        weight = w.vector()
+        res = _bott(weight, n)
+        expected = sorted_bott(weight, n)
+        outcomes[res.vanishes] += 1
+        if expected is None:
+            assert res.vanishes, weight
+        else:
+            assert (res.degree, res.rep) == expected, weight
+            assert res.dimension == weyl_dimension(res.rep, n)
+    assert min(outcomes.values()) > 500
+
+
+def test_zero_tail_bott_matches_bott():
+    for n in range(3, 25):
+        for a1 in range(-3 * n, 2 * n):
+            for a2 in range(-3 * n, a1 + 1):
+                res = _bott((a1, a2) + (0,) * (n - 2), n)
+                expected = None if res.vanishes else (res.degree, res.dimension)
+                assert _bott_zero_tail(a1, a2, n) == expected, (n, a1, a2)
 
 
 def test_constant_shift_of_rho_is_harmless(monkeypatch):

@@ -39,6 +39,9 @@ COMMANDS = [
     "hodge grass-section --n 5 --k 5",
     "hodge grass-section --n 7 --k 7",
     "hodge grass-section --n 10 --k 0",
+    "lemma check --n 40",
+    "collection verify --n 24 --set S",
+    "hodge grass-section --n 22 --k 11",
 ]
 
 

@@ -1,12 +1,16 @@
-"""Every module-level import in the grpf sources is used in its own module.
+"""Nothing is left behind in the grpf sources when code is deleted.
 
-No linter ships with the project, so this is the check for imports left
-behind when code is deleted.  ``__init__.py`` is exempt: its imports are
-the package's re-exports.
+No linter ships with the project, so these are the checks:
+
+* every module-level import is used in its own module (``__init__.py`` is
+  exempt: its imports are the package's re-exports);
+* every module-level def and class is mentioned somewhere in ``src/grpf``
+  outside its own body.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -42,3 +46,46 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _references(tree):
+    """Every name a module mentions: bare names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def dead_definitions(sources):
+    """Module-level defs and classes that no code outside their own body mentions.
+
+    ``sources`` maps a module name to its source text; the result lists
+    (module, name) pairs.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    counts = Counter(ref for tree in trees.values() for ref in _references(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inside = sum(ref == node.name for ref in _references(node))
+                if counts[node.name] == inside:
+                    dead.append((module, node.name))
+    return sorted(dead)
+
+
+def test_dead_definition_detector():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef unused():\n    return unused()\n",
+        "b": "from a import used\n\nclass Kept:\n    pass\n\nprint(used(), Kept)\n",
+        "c": "import a\n\ndef helper():\n    pass\n\nx = a.helper\n",
+    }
+    assert dead_definitions(sources) == [("a", "unused")]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert dead_definitions(sources) == []

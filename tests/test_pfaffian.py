@@ -633,6 +633,21 @@ def test_small_prime_sampling_equals_exhaustive_scan(n, k, p):
     assert res.points == tuple(scan)
 
 
+@pytest.mark.parametrize("n, k, p", [(10, 5, 3), (12, 4, 5)])
+def test_small_prime_even_search_stops_when_every_point_is_drawn(n, k, p):
+    # asking for more points than the locus has used to run the whole line
+    # budget (50 * count + 500 lines); the misses are remembered, so the
+    # search ends once all of P^(k-1)(F_p) has been drawn
+    am = AMap.random(n, k, 1)
+    forms = am.reduce_mod(p).basis_forms()
+    space = [u for u in itertools.product(range(p), repeat=k)
+             if any(u) and next(x for x in u if x) == 1]
+    scan = tuple(q for q in (_point_at(forms, u, p) for u in space) if q is not None)
+    res = sample_y2(am, p, len(scan) + 1, seed=1)
+    assert res.points == scan and res.exhausted
+    assert res.attempts < 1000
+
+
 @pytest.mark.parametrize("n, k, p", [(7, 7, 7), (7, 8, 5)])
 def test_small_prime_odd_square_finds_points(n, k, p):
     # d = 18 on the odd square and sliced paths; P^(k-1)(F_p) is too large

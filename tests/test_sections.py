@@ -2,10 +2,13 @@ import math
 
 import pytest
 
-from grpf.bwb import cohomology_of_kclass
+import grpf.sections as sections
+from grpf.bwb import bwb_cohomology, cohomology_of_kclass
 from grpf.geometry import ModelParams, grassmannian_window, pfaffian_window
-from grpf.schur import KClass
+from grpf.schur import KClass, cauchy_exterior_cotangent
+from grpf.weights import GLWeight
 from grpf.sections import (
+    PairVerdict,
     h1_tangent_y1,
     hodge_diamond_y1,
     hom_s_blocks,
@@ -45,6 +48,28 @@ def test_omega_p_rank_bookkeeping():
     params = ModelParams(4, 1)
     for p in range(4):
         assert omega_p_class(params, p).virtual_rank() == math.comb(3, p)
+
+
+def folded_omega_p_class(params, deg):
+    """Wedge^deg Omega_Y as a running sum of twisted, scaled Cauchy classes."""
+    n, k = params.n, params.k
+    out = KClass(n, {})
+    for i in range(deg + 1):
+        piece = cauchy_exterior_cotangent(n, deg - i).tensor_by_line(-i)
+        mult = math.comb(k + i - 1, i) if k else int(i == 0)
+        out = out + piece.scale((-1) ** i * mult)
+    return out
+
+
+def test_omega_p_class_equals_the_folded_sum():
+    cases = 0
+    for n in range(3, 13):
+        for k in range(2 * (n - 2) + 1):
+            params = ModelParams(n, k)
+            for deg in range(2 * (n - 2) - k + 1):
+                assert omega_p_class(params, deg) == folded_omega_p_class(params, deg)
+                cases += 1
+    assert cases == sum((2 * m + 1) * (2 * m + 2) // 2 for m in range(1, 11))
 
 
 def test_omega_zero_is_trivial():
@@ -293,6 +318,83 @@ def test_twisted_vanishing_even_cases():
         assert rep.all_vanish
         size = len(grassmannian_window(n))
         assert rep.pair_count == size * size
+
+
+def covered_set_verdict(n, e, f):
+    """The all-t verdict from explicit sets of covered twists per summand."""
+    residual_all = set()
+    for i, (a1, a2) in enumerate(hom_s_blocks(e, f)):
+        covered = set(range(max(0, 2 - n - a2), -a2))
+        covered.update(range(max(0, 1 - n - a1), -1 - a1))
+        for t in range(max(0, -a2)):
+            if t in covered:
+                continue
+            residual_all.add(t)
+            res = bwb_cohomology(GLWeight(n, (a1 + t, a2 + t), (0,) * (n - 2)))
+            if not res.vanishes and res.degree > 0:
+                return PairVerdict(False, (i, t, res.degree, res.dimension), ())
+    return PairVerdict(True, None, tuple(sorted(residual_all)))
+
+
+def test_pair_verdict_residual_twists_in_closed_form():
+    verdicts = set()
+    for n in range(4, 15):
+        for l in range(n):
+            for lp in range(n):
+                for d in range(-3 * n, 2 * n):
+                    e, f = (l, d), (lp, 0)
+                    verdict = pair_twisted_vanishing(n, e, f)
+                    assert verdict == covered_set_verdict(n, e, f), (n, e, f)
+                    verdicts.add((verdict.vanishes_for_all_t, verdict.residual_ts))
+    # a residual twist is neither dominant nor a repeat, so Bott puts it in
+    # positive degree: the first one found is a counterexample
+    assert verdicts == {(True, ()), (False, ())}
+
+
+def brute_twisted_ext_vanishing(n):
+    """The lemma's counts and counterexamples, walking every label pair."""
+    labels = grassmannian_window(n).sorted_labels()
+    verdicts = {}
+    summands = residual = 0
+    counterexamples = []
+    for e in labels:
+        for f in labels:
+            key = (e[0], f[0], e[1] - f[1])
+            if key not in verdicts:
+                verdicts[key] = sections.pair_twisted_vanishing(n, e, f)
+            verdict = verdicts[key]
+            summands += min(e[0], f[0]) + 1
+            residual += len(verdict.residual_ts)
+            if not verdict.vanishes_for_all_t:
+                counterexamples.append((e, f) + verdict.counterexample)
+    return len(labels) ** 2, summands, residual, tuple(counterexamples)
+
+
+@pytest.mark.parametrize("n", range(4, 31, 2))
+def test_twisted_vanishing_counts_match_every_pair(n):
+    rep = twisted_ext_vanishing(n)
+    counts = (rep.pair_count, rep.summand_count, rep.residual_checked, rep.counterexamples)
+    assert counts == brute_twisted_ext_vanishing(n)
+    assert rep.all_vanish
+
+
+@pytest.mark.parametrize("n, bad_key", [(8, (1, 2, -3)), (12, (0, 0, 0)), (12, (5, 3, 4))])
+def test_twisted_vanishing_counterexamples_keep_pair_order(monkeypatch, n, bad_key):
+    # a verdict that fails on one key must be listed for every label pair
+    # with that key, in the order of the label walk
+    pair = sections.pair_twisted_vanishing
+
+    def failing_on_one_key(n, e, f):
+        if (e[0], f[0], e[1] - f[1]) == bad_key:
+            return PairVerdict(False, (0, 7, 1, 3), ())
+        return pair(n, e, f)
+
+    monkeypatch.setattr(sections, "pair_twisted_vanishing", failing_on_one_key)
+    rep = twisted_ext_vanishing(n)
+    pairs, summands, residual, counterexamples = brute_twisted_ext_vanishing(n)
+    assert len(counterexamples) > 1
+    assert rep.counterexamples == counterexamples
+    assert (rep.pair_count, rep.summand_count, rep.residual_checked) == (pairs, summands, residual)
 
 
 def test_twisted_vanishing_requires_even_n():

@@ -11,6 +11,7 @@ from grpf.weights import (
     grassmannian_poincare,
     rho,
     weyl_dimension,
+    weyl_dimension_of_runs,
 )
 
 
@@ -60,6 +61,35 @@ def test_weyl_dimension_determinant_shift_invariance():
         c = rng.randint(-5, 5)
         shifted = [x + c for x in w]
         assert weyl_dimension(w, n) == weyl_dimension(shifted, n)
+
+
+def direct_weyl_product(w):
+    """prod_{i<j} (w_i - w_j + j - i) / (j - i), pair by pair."""
+    num = den = 1
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
+
+
+def test_weyl_dimension_by_runs_matches_direct_product():
+    # few distinct values over many entries give long runs of equal entries
+    rng = random.Random(11)
+    for trial in range(3000):
+        n = rng.randrange(3, 41)
+        values = [rng.randint(-40, 40) for _ in range(rng.randint(1, n))]
+        w = sorted((rng.choice(values) for _ in range(n)), reverse=True)
+        assert weyl_dimension(w, n) == direct_weyl_product(w), w
+
+
+def test_weyl_dimension_of_runs_allows_empty_and_split_runs():
+    w = (3, 3, 1, 0, 0, 0, -2)
+    assert weyl_dimension_of_runs([(3, 2), (1, 1), (0, 3), (-2, 1)]) == direct_weyl_product(w)
+    assert weyl_dimension_of_runs([(3, 1), (3, 1), (2, 0), (1, 1), (0, 1), (0, 2), (-2, 1)]) == (
+        direct_weyl_product(w)
+    )
 
 
 def test_weyl_dimension_rejects_non_dominant():

@@ -40,10 +40,11 @@ from .pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
-from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2
+from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2, label_weight
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,
+    omega_p_class,
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )

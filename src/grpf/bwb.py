@@ -7,6 +7,12 @@ minus ``rho`` labels the resulting GL(n) representation (with respect to
 the dual of the standard one, matching the dual-bundle convention of
 :mod:`grpf.weights`).  On Gr(2, n) the shifted q-block is already
 strictly decreasing, so the sort is the insertion of two entries.
+
+Two families of weights get a closed form that builds no length-n
+tuple: a zero q-block (:func:`_bott_zero_tail`, the Hom summands of the
+window verifiers) and the terms of the Cauchy classes of Wedge^m of the
+cotangent bundle under a twist (:func:`_bott_cauchy`, the Hodge numbers
+of sections), whose shifted q-block is 1..n with two gaps.
 """
 
 from __future__ import annotations
@@ -53,9 +59,6 @@ class KClassCohomology:
     positive: dict
     negative: dict
     terms: tuple[TermCohomology, ...]
-
-    def is_genuine(self):
-        return not self.negative
 
     def euler_characteristic(self):
         """Alternating sum of the table: sum of (-1)^d (positive[d] - negative[d])."""
@@ -113,6 +116,81 @@ def _bott_zero_tail(a1, a2, n):
         runs = ((-2, m), (a1 + m, 1), (a2 + m, 1))
         degree = 2 * m
     return degree, weyl_dimension_of_runs(runs)
+
+
+def _cauchy_gaps(j, m, n):
+    """The two entries g1 > g2 of 1..n missing from the shifted Cauchy q-block.
+
+    Cauchy term j of Wedge^m of the cotangent bundle has q-block
+    (2^j, 1^(m-2j), 0^(n-2-m+j)); after adding rho[2:] = (n-2, ..., 1) the
+    2s fill n..n-j+1, the 1s fill n-j-1..n-m+j and the 0s fill n-m+j-2..1.
+    """
+    return n - j, n - m + j - 1
+
+
+def _bott_cauchy(j, m, t, n):
+    """(degree, dimension) of the Bott outcome of a twisted Cauchy term, or None.
+
+    The term is Cauchy term j of Wedge^m of the cotangent bundle tensored
+    by O(-t): s-block (-j - t, j - m - t) and the q-block of
+    :func:`_cauchy_gaps`, whose shifted tail is 1..n without g1 > g2.  A
+    shifted s-entry u vanishes the weight when it is a tail entry;
+    otherwise it lies above n (no tail entry above it), below 1 (all n - 2
+    above it) or in a gap g (n - g entries of 1..n above it, one of them
+    the gap g1 when g = g2).  The sorted shifted weight is then at most
+    five blocks of consecutive integers (entries above n, the pieces of
+    1..n between unfilled gaps, entries below 1), and each block is one run
+    of the sorted weight minus rho.
+    """
+    g1, g2 = _cauchy_gaps(j, m, n)
+    u1 = n - j - t
+    u2 = n - 1 - m + j - t
+    degree = 0
+    for u in (u1, u2):
+        if u < 1:
+            degree += n - 2
+        elif u <= n:
+            if u != g1 and u != g2:
+                return None
+            degree += n - u - (u == g2)
+    if degree > 2 * (n - 2):
+        raise IntegrityError(f"degree {degree} exceeds dim Gr(2, {n}) for term {(j, m, t)}")
+    blocks = [(u, u) for u in (u1, u2) if u > n]
+    top = n
+    for g in (g1, g2):
+        if g != u1 and g != u2:
+            if top > g:
+                blocks.append((top, g + 1))
+            top = g - 1
+    if top >= 1:
+        blocks.append((top, 1))
+    blocks += [(u, u) for u in (u1, u2) if u < 1]
+    runs = []
+    placed = 0
+    for hi, lo in blocks:
+        # the block starts at position placed + 1, where rho is n - placed
+        runs.append((hi - n + placed, hi - lo + 1))
+        placed += hi - lo + 1
+    return degree, weyl_dimension_of_runs(runs)
+
+
+def _cauchy_twists(j, m, n, lo, hi):
+    """The twists t in lo..hi, ascending, at which :func:`_bott_cauchy` is not None.
+
+    The shifted s-entries are g1 - t and g2 - t.  Both lie above n for
+    t <= g2 - n - 1, both lie below 1 from t = g1 on, and both fill the
+    gaps at t = 0.  Otherwise one entry must fill a gap while the other
+    leaves 1..n: only t = g2 - g1 (when g1 + (g1 - g2) > n) and
+    t = g1 - g2 (when g1 - g2 >= g2) do so.
+    """
+    g1, g2 = _cauchy_gaps(j, m, n)
+    gap = g1 - g2
+    middle = [
+        t
+        for t, survives in ((-gap, g1 + gap > n), (0, True), (gap, gap >= g2))
+        if survives and lo <= t <= hi
+    ]
+    return [*range(lo, min(hi, g2 - n - 1) + 1), *middle, *range(max(lo, g1), hi + 1)]
 
 
 def bwb_cohomology(w: GLWeight) -> BwbResult:

@@ -77,11 +77,6 @@ class KClass:
         """The tangent bundle Hom(S, Q) of Gr(2, n)."""
         return cls(n, {((1, 0), (0,) * (n - 3) + (-1,)): 1})
 
-    @classmethod
-    def from_label(cls, n, l, m, multiplicity=1):
-        """The bundle Sym^l S (det S)^m."""
-        return cls(n, {(label_weight(l, m), (0,) * (n - 2)): multiplicity})
-
     def terms(self):
         """Deterministically ordered list of :class:`SchurTerm`."""
         return [SchurTerm(s, q, m) for (s, q), m in self._terms.items()]
@@ -110,18 +105,6 @@ class KClass:
             self.n,
             {
                 ((s[0] + t, s[1] + t), q): m
-                for (s, q), m in self._terms.items()
-            },
-        )
-
-    def dual(self):
-        return KClass(
-            self.n,
-            {
-                (
-                    (-s[1], -s[0]),
-                    tuple(-x for x in reversed(q)),
-                ): m
                 for (s, q), m in self._terms.items()
             },
         )

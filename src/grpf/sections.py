@@ -3,13 +3,16 @@
 The section Y cut out by k hyperplanes is the zero locus of a regular
 section of O(1)^k, so its structure sheaf has the Koszul resolution by
 O(-a)^{C(k,a)} and every Euler characteristic on Y is an alternating
-binomial sum of Euler characteristics upstairs.  One Bott table per
-Koszul twist (:func:`_koszul_tables`) feeds the Euler characteristics,
-the first Koszul page and the audit trail alike.  Middle Hodge numbers
-come from these exact Euler characteristics plus the Lefschetz
-hyperplane theorem; hypercohomology spectral sequences are resolved
-honestly (degrees that must vanish force their differentials) and
-anything genuinely ambiguous is reported as bounds, never guessed.
+binomial sum of Euler characteristics upstairs.  For Wedge^p Omega_Y
+every term is a Cauchy term of Wedge^m Omega_Gr twisted by O(-t), so
+:func:`hodge_diamond_y1` evaluates one closed-form Bott outcome per
+(term, total twist) and reads chi^p and the audit trail from that one
+table; other classes get one Bott table per Koszul twist
+(:func:`_koszul_tables`).  Middle Hodge numbers come from these exact
+Euler characteristics plus the Lefschetz hyperplane theorem;
+hypercohomology spectral sequences are resolved honestly (degrees that
+must vanish force their differentials) and anything genuinely ambiguous
+is reported as bounds, never guessed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bwb import _bott_zero_tail, cohomology_of_kclass
+from .bwb import _bott_cauchy, _bott_zero_tail, _cauchy_twists, cohomology_of_kclass
 from .diamond import HodgeDiamond
 from .errors import IntegrityError
 from .geometry import (
@@ -31,21 +34,38 @@ from .weights import grassmannian_poincare
 
 
 def _koszul_tables(params: ModelParams, c: KClass):
-    """Bott tables of c(-a) for the Koszul twists a = 0..k, in order of a."""
+    """Bott tables of c(-a) for the Koszul twists a = 0..k, in order of a.
+
+    They serve :func:`restricted_euler` and the first Koszul page; the
+    Hodge numbers of the section take the closed-form path instead.
+    """
     return [cohomology_of_kclass(c, twist=-a) for a in range(params.k + 1)]
-
-
-def _koszul_euler(k, tables):
-    """Alternating binomial sum of the Koszul tables: chi of the restriction."""
-    return sum(
-        (-1) ** a * math.comb(k, a) * table.euler_characteristic()
-        for a, table in enumerate(tables)
-    )
 
 
 def restricted_euler(params: ModelParams, c: KClass):
     """chi(Y, c|_Y) via the Koszul resolution of the structure sheaf of Y."""
-    return _koszul_euler(params.k, _koszul_tables(params, c))
+    return sum(
+        (-1) ** a * math.comb(params.k, a) * table.euler_characteristic()
+        for a, table in enumerate(_koszul_tables(params, c))
+    )
+
+
+def _omega_p_terms(k, deg, cauchy):
+    """Terms of the class of Wedge^deg Omega_Y, in sorted (s, q) order.
+
+    Each is a tuple (s_weight, q_weight, multiplicity, i, j): Cauchy term
+    j of ``cauchy[deg - i]`` (the class of Wedge^(deg-i) Omega_Gr) twisted
+    by O(-i).  The q-block fixes j and deg - i, so no two terms coincide.
+    """
+    terms = []
+    for i in range(deg + 1):
+        mult = (-1) ** i * (math.comb(k + i - 1, i) if k else int(i == 0))
+        if not mult:
+            continue
+        for s, q, m in cauchy[deg - i].terms():
+            terms.append(((s[0] - i, s[1] - i), q, mult * m, i, -s[0]))
+    terms.sort()
+    return terms
 
 
 def omega_p_class(params: ModelParams, deg):
@@ -56,14 +76,11 @@ def omega_p_class(params: ModelParams, deg):
     the lambda-ring rule into Cauchy classes twisted by O(-i) with
     alternating multiplicities C(k+i-1, i), the coefficients of (1-t)^-k.
     """
-    n, k = params.n, params.k
-    terms = {}
-    for i in range(deg + 1):
-        mult = (-1) ** i * (math.comb(k + i - 1, i) if k else int(i == 0))
-        for s, q, m in cauchy_exterior_cotangent(n, deg - i).terms():
-            key = ((s[0] - i, s[1] - i), q)
-            terms[key] = terms.get(key, 0) + mult * m
-    return KClass(n, terms)
+    n = params.n
+    cauchy = [cauchy_exterior_cotangent(n, m) for m in range(deg + 1)]
+    return KClass(
+        n, {(s, q): mult for s, q, mult, _, _ in _omega_p_terms(params.k, deg, cauchy)}
+    )
 
 
 @dataclass(frozen=True)
@@ -78,31 +95,20 @@ class SectionHodge:
     audit: tuple  # per p, the surviving Bott outcomes behind chi^p
 
 
-def _audit_row(k, tables):
-    """The non-vanishing terms of the Koszul tables, signed as in chi."""
-    return [
-        {
-            "s_weight": list(rec.s_weight),
-            "q_weight": list(rec.q_weight),
-            "multiplicity": rec.multiplicity * (-1) ** a * math.comb(k, a),
-            "twist": -a,
-            "degree": rec.result.degree,
-            "dimension": rec.result.dimension,
-        }
-        for a, table in enumerate(tables)
-        for rec in table.terms
-        if not rec.result.vanishes
-    ]
-
-
 def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     """Full Hodge diamond of the linear section of Gr(2, n).
 
     Rows away from the middle come from the ambient Grassmannian
     (Lefschetz below the middle, duality above); the middle row is solved
-    from the exact Euler characteristics chi^p.  The audit trail lists,
-    for each p, the surviving Bott outcomes of the same tables that chi^p
-    sums.  A negative middle entry means an upstream bug and raises.
+    from the exact Euler characteristics chi^p.  The Cauchy class of
+    Wedge^m Omega_Gr is built once per m.  Term (j, m) of Omega^p enters
+    with twist O(-i), i = p - m, and the Koszul twist O(-a) adds to it, so
+    its Bott outcome depends on (j, m, t) with t = i + a only: each is
+    evaluated once, in closed form, and only at the twists where it
+    survives.  For each p the audit trail lists the surviving outcomes,
+    Koszul twist by Koszul twist and term by term in sorted order, signed
+    as in chi^p, which is their alternating sum.  A negative middle entry
+    means an upstream bug and raises.
     """
     n, k = params.n, params.k
     info = classify(params)
@@ -110,8 +116,35 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     if d < 0:
         raise ValueError(f"empty section: dim = {d} for (n,k)=({n},{k})")
     gp = grassmannian_poincare(n)
-    tables = [_koszul_tables(params, omega_p_class(params, p)) for p in range(d + 1)]
-    chi = [_koszul_euler(k, t) for t in tables]
+    cauchy = [cauchy_exterior_cotangent(n, m) for m in range(d + 1)]
+    koszul = [(-1) ** a * math.comb(k, a) for a in range(k + 1)]
+    outcomes = {}  # (j, m, t) -> (degree, dimension) of a surviving term
+    chi = []
+    audit = []
+    for p in range(d + 1):
+        rows = [[] for _ in koszul]  # by Koszul twist a
+        total = 0
+        for s, q, mult, i, j in _omega_p_terms(k, p, cauchy):
+            m = p - i
+            q_weight = list(q)
+            for t in _cauchy_twists(j, m, n, i, i + k):
+                key = (j, m, t)
+                if key not in outcomes:
+                    outcomes[key] = _bott_cauchy(j, m, t, n)
+                degree, dim = outcomes[key]
+                a = t - i
+                signed = mult * koszul[a]
+                total += (-1) ** degree * signed * dim
+                rows[a].append({
+                    "s_weight": [s[0] - a, s[1] - a],
+                    "q_weight": q_weight,
+                    "multiplicity": signed,
+                    "twist": -a,
+                    "degree": degree,
+                    "dimension": dim,
+                })
+        chi.append(total)
+        audit.append({"p": p, "terms": [row for bucket in rows for row in bucket]})
 
     middle = []
     for p in range(d + 1):
@@ -140,7 +173,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
         # Y is a complete intersection of sections of the ample O(1); the
         # gate stays explicit in case the parameter space ever widens.
         lefschetz_gate=True,
-        audit=tuple({"p": p, "terms": _audit_row(k, t)} for p, t in enumerate(tables)),
+        audit=tuple(audit),
     )
 
 

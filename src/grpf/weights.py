@@ -55,12 +55,6 @@ class GLWeight:
     def vector(self):
         return self.s_block + self.q_block
 
-    def twist(self, t):
-        """Tensor by O(t), the t-th power of det(S dual): shifts the s_block only."""
-        return GLWeight(
-            self.n, (self.s_block[0] + t, self.s_block[1] + t), self.q_block
-        )
-
     def dual(self):
         return GLWeight(
             self.n,

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import grpf.bwb as bwb
+import grpf.sections as sections
 from grpf.cli import run
 from grpf.geometry import ModelParams
 from grpf.pfaffian import AMap
@@ -356,24 +357,34 @@ def test_grass_section_audit_trail(capsys):
 
 
 def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
-    # chi^p, the audit trail and the Koszul pages read the same Bott tables,
-    # so each term of Omega^p, T and O(1)^k is run once per Koszul twist
+    # the Koszul pages of T and O(1)^k run the general Bott algorithm once
+    # per term and Koszul twist; the terms of Omega^p take the closed form,
+    # once per surviving (Cauchy term, total twist): 133 outcomes behind the
+    # 293 audit rows, out of 193 x 6 (term, Koszul twist) pairs
     calls = []
-    bott = bwb._bott
+    outcomes = []
+    bott, bott_cauchy = bwb._bott, sections._bott_cauchy
 
     def counted(weight, n):
         calls.append(weight)
         return bott(weight, n)
 
+    def counted_cauchy(j, m, t, n):
+        outcomes.append((j, m, t))
+        return bott_cauchy(j, m, t, n)
+
     monkeypatch.setattr(bwb, "_bott", counted)
-    assert run(["hodge", "grass-section", "--n", "10", "--k", "5"]) == 0
-    capsys.readouterr()
+    monkeypatch.setattr(sections, "_bott_cauchy", counted_cauchy)
+    assert run(["hodge", "grass-section", "--n", "10", "--k", "5", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
     params = ModelParams(10, 5)
     omega_terms = sum(len(list(omega_p_class(params, p).terms())) for p in range(12))
     tangent_terms = len(list(KClass.tangent(10).terms()))
     normal_terms = len(list(KClass.line(10, 1).scale(5).terms()))
     assert (omega_terms, tangent_terms, normal_terms) == (193, 1, 1)
-    assert len(calls) == 6 * (193 + 1 + 1) == 1170
+    assert len(calls) == 6 * (1 + 1) == 12
+    assert len(outcomes) == len(set(outcomes)) == 133
+    assert sum(len(row["terms"]) for row in report["result"]["audit"]) == 293
 
 
 def test_closed_pipe_ends_quietly():

@@ -42,6 +42,9 @@ COMMANDS = [
     "lemma check --n 40",
     "collection verify --n 24 --set S",
     "hodge grass-section --n 22 --k 11",
+    "hodge grass-section --n 30 --k 15",
+    "hodge grass-section --n 11 --k 2",
+    "hodge grass-section --n 9 --k 9",
 ]
 
 

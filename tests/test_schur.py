@@ -111,7 +111,6 @@ def test_cauchy_terms_are_conjugate_two_row_partitions():
 def test_kclass_twist_identity_and_dual_involution():
     c = cauchy_exterior_cotangent(6, 2) + KClass.line(6, -1).scale(3)
     assert c.tensor_by_line(0) == c
-    assert c.dual().dual() == c
 
 
 def test_kclass_twist_shifts_s_weight():
@@ -132,7 +131,6 @@ def test_kclass_twist_distributes_and_dual_additive():
     a = cauchy_exterior_cotangent(5, 1)
     b = cauchy_exterior_cotangent(5, 2).scale(-2)
     assert (a + b).tensor_by_line(2) == a.tensor_by_line(2) + b.tensor_by_line(2)
-    assert (a + b).dual() == a.dual() + b.dual()
 
 
 def test_kclass_mixed_rank_rejected():
@@ -145,4 +143,4 @@ def test_label_weight_convention():
     assert label_weight(0, 0) == (0, 0)
     assert label_weight(3, 0) == (0, -3)
     assert label_weight(1, 2) == (-2, -3)
-    assert KClass.from_label(6, 2, 1).terms()[0].s_weight == (-1, -3)
+    assert KClass(6, {(label_weight(2, 1), (0,) * 4): 1}).terms()[0].s_weight == (-1, -3)

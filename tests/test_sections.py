@@ -72,6 +72,19 @@ def test_omega_p_class_equals_the_folded_sum():
     assert cases == sum((2 * m + 1) * (2 * m + 2) // 2 for m in range(1, 11))
 
 
+def test_chi_p_matches_the_koszul_tables_of_omega_p_class():
+    # the closed-form path of hodge_diamond_y1 against the general one:
+    # termwise Bott tables of the K-class of Omega^p, one per Koszul twist
+    for n in range(3, 13):
+        for k in range(2 * (n - 2) + 1):
+            params = ModelParams(n, k)
+            chi_p = hodge_diamond_y1(params).chi_p
+            assert list(chi_p) == [
+                restricted_euler(params, omega_p_class(params, p))
+                for p in range(len(chi_p))
+            ], (n, k)
+
+
 def test_omega_zero_is_trivial():
     assert omega_p_class(ModelParams(10, 5), 0) == KClass.trivial(10)
 
@@ -185,6 +198,45 @@ def test_hodge_diamond_grid(n, k):
         assert dia.h[(0, 0)] == catalan(n - 2)
     if dia.dim == 1:
         assert 2 * dia.h[(1, 0)] - 2 == (k - n) * catalan(n - 2)
+
+
+@pytest.mark.parametrize("n, k", [(10, 5), (12, 0), (9, 9), (5, 5)])
+def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, n, k):
+    # the Cauchy class of Wedge^m Omega_Gr is built once per m, and the Bott
+    # outcome of term (j, m) under total twist t once per (j, m, t); the
+    # tables are local to the call, so the next call builds them again
+    cauchy, bott = sections.cauchy_exterior_cotangent, sections._bott_cauchy
+    built = []
+    evaluated = []
+
+    def counted_cauchy(n, m):
+        built.append(m)
+        return cauchy(n, m)
+
+    def counted_bott(j, m, t, n):
+        evaluated.append((j, m, t))
+        res = bott(j, m, t, n)
+        assert res is not None, "only surviving twists are evaluated"
+        return res
+
+    monkeypatch.setattr(sections, "cauchy_exterior_cotangent", counted_cauchy)
+    monkeypatch.setattr(sections, "_bott_cauchy", counted_bott)
+    d = 2 * (n - 2) - k
+    for _ in range(2):
+        built.clear()
+        evaluated.clear()
+        res = hodge_diamond_y1(ModelParams(n, k))
+        assert built == list(range(d + 1))
+        assert len(evaluated) == len(set(evaluated)) > 0
+        # every audit row reads one evaluated outcome, and every outcome
+        # backs a row: q = (2^j, 1^(m-2j), 0...) and s_1 = -j - t
+        rows = {
+            (q.count(2), 2 * q.count(2) + q.count(1), -row["s_weight"][0] - q.count(2))
+            for entry in res.audit
+            for row in entry["terms"]
+            for q in [row["q_weight"]]
+        }
+        assert rows == set(evaluated)
 
 
 # --- tangent cohomology --------------------------------------------------------

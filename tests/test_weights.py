@@ -126,8 +126,6 @@ def test_poincare_polynomial_rejects_non_palindromic():
 def test_glweight_validation():
     w = GLWeight(5, (2, -1), (1, 0, -3))
     assert w.vector() == (2, -1, 1, 0, -3)
-    assert w.twist(2).s_block == (4, 1)
-    assert w.twist(2).q_block == (1, 0, -3)
     assert w.dual().vector() == (1, -2, 3, 0, -1)
     with pytest.raises(DominanceError):
         GLWeight(5, (-1, 2), (0, 0, 0))

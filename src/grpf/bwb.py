@@ -8,11 +8,12 @@ the dual of the standard one, matching the dual-bundle convention of
 :mod:`grpf.weights`).  On Gr(2, n) the shifted q-block is already
 strictly decreasing, so the sort is the insertion of two entries.
 
-Two families of weights get a closed form that builds no length-n
-tuple: a zero q-block (:func:`_bott_zero_tail`, the Hom summands of the
-window verifiers) and the terms of the Cauchy classes of Wedge^m of the
-cotangent bundle under a twist (:func:`_bott_cauchy`, the Hodge numbers
-of sections), whose shifted q-block is 1..n with two gaps.
+Weights over a Cauchy q-block (2^j, 1^(m-2j), 0^rest), the q-block of
+term j of the Cauchy class of Wedge^m of the cotangent bundle, get a
+closed form that builds no length-n tuple (:func:`_bott_cauchy`): their
+shifted q-block is 1..n with two gaps.  It serves the Hodge numbers of
+sections (twisted Cauchy terms) and the Hom summands of the window
+verifiers (the zero q-block, j = m = 0).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add, neg, sub
-from typing import NamedTuple
 
 from .errors import IntegrityError
 from .schur import KClass
@@ -41,13 +41,6 @@ class BwbResult:
     dimension: int = 0
 
 
-class TermCohomology(NamedTuple):
-    s_weight: tuple[int, int]
-    q_weight: tuple[int, ...]
-    multiplicity: int
-    result: BwbResult
-
-
 @dataclass(frozen=True)
 class KClassCohomology:
     """Cohomology of a K-class, positive and negative parts kept apart.
@@ -58,7 +51,6 @@ class KClassCohomology:
 
     positive: dict
     negative: dict
-    terms: tuple[TermCohomology, ...]
 
     def euler_characteristic(self):
         """Alternating sum of the table: sum of (-1)^d (positive[d] - negative[d])."""
@@ -93,31 +85,6 @@ def _bott(weight, n):
     return BwbResult(False, degree, rep, weyl_dimension(rep, n))
 
 
-def _bott_zero_tail(a1, a2, n):
-    """(degree, dimension) of the Bott outcome of (a1, a2, 0, ..., 0), or None.
-
-    The shifted tail is (n-2, ..., 1), so the weight vanishes when a1 + n
-    or a2 + n - 1 falls in 1..n-2; otherwise each entry sits above the
-    whole tail or below it, the degree is 0, n - 2 or 2(n - 2), and the
-    sorted weight minus rho has three runs, read off without building it.
-    """
-    m = n - 2
-    u1 = a1 + n
-    u2 = a2 + n - 1
-    if 1 <= u1 <= m or 1 <= u2 <= m:
-        return None
-    if u2 > m:
-        runs = ((a1, 1), (a2, 1), (0, m))
-        degree = 0
-    elif u1 > m:
-        runs = ((a1, 1), (-1, m), (a2 + m, 1))
-        degree = m
-    else:
-        runs = ((-2, m), (a1 + m, 1), (a2 + m, 1))
-        degree = 2 * m
-    return degree, weyl_dimension_of_runs(runs)
-
-
 def _cauchy_gaps(j, m, n):
     """The two entries g1 > g2 of 1..n missing from the shifted Cauchy q-block.
 
@@ -128,56 +95,62 @@ def _cauchy_gaps(j, m, n):
     return n - j, n - m + j - 1
 
 
-def _bott_cauchy(j, m, t, n):
-    """(degree, dimension) of the Bott outcome of a twisted Cauchy term, or None.
+def _bott_cauchy(a1, a2, j, m, n):
+    """(degree, dimension) of the Bott outcome of (a1, a2 | Cauchy q-block), or None.
 
-    The term is Cauchy term j of Wedge^m of the cotangent bundle tensored
-    by O(-t): s-block (-j - t, j - m - t) and the q-block of
-    :func:`_cauchy_gaps`, whose shifted tail is 1..n without g1 > g2.  A
-    shifted s-entry u vanishes the weight when it is a tail entry;
+    The q-block is that of Cauchy term j of Wedge^m of the cotangent
+    bundle (:func:`_cauchy_gaps`); its shifted tail is 1..n without the
+    gaps g1 > g2.  The zero q-block is j = m = 0, with gaps n and n - 1.
+    The s-block is any a1 >= a2, shifted to u1 = a1 + n > u2 = a2 + n - 1.
+    A shifted s-entry u vanishes the weight when it is a tail entry;
     otherwise it lies above n (no tail entry above it), below 1 (all n - 2
     above it) or in a gap g (n - g entries of 1..n above it, one of them
     the gap g1 when g = g2).  The sorted shifted weight is then at most
-    five blocks of consecutive integers (entries above n, the pieces of
-    1..n between unfilled gaps, entries below 1), and each block is one run
-    of the sorted weight minus rho.
+    five blocks of consecutive integers: entries above n, the pieces of
+    1..n between unfilled gaps, entries below 1.  Each block is one run of
+    the sorted weight minus rho: an entry above n keeps its a, the pieces
+    of 1..n step down by one per unfilled gap from the number of entries
+    above n, and an entry below 1 becomes a + n - 2.
     """
     g1, g2 = _cauchy_gaps(j, m, n)
-    u1 = n - j - t
-    u2 = n - 1 - m + j - t
+    u1 = a1 + n
+    u2 = a2 + n - 1
+    if (0 < u1 <= n and u1 != g1 and u1 != g2) or (0 < u2 <= n and u2 != g1 and u2 != g2):
+        return None
+    runs = []
+    below = []
     degree = 0
-    for u in (u1, u2):
-        if u < 1:
+    for a, u in ((a1, u1), (a2, u2)):
+        if u > n:
+            runs.append((a, 1))
+        elif u < 1:
+            below.append((a + n - 2, 1))
             degree += n - 2
-        elif u <= n:
-            if u != g1 and u != g2:
-                return None
+        else:
             degree += n - u - (u == g2)
     if degree > 2 * (n - 2):
-        raise IntegrityError(f"degree {degree} exceeds dim Gr(2, {n}) for term {(j, m, t)}")
-    blocks = [(u, u) for u in (u1, u2) if u > n]
+        raise IntegrityError(
+            f"degree {degree} exceeds dim Gr(2, {n}) for {(a1, a2)} over term {(j, m)}"
+        )
+    value = len(runs)
     top = n
     for g in (g1, g2):
         if g != u1 and g != u2:
             if top > g:
-                blocks.append((top, g + 1))
+                runs.append((value, top - g))
+            value -= 1
             top = g - 1
-    if top >= 1:
-        blocks.append((top, 1))
-    blocks += [(u, u) for u in (u1, u2) if u < 1]
-    runs = []
-    placed = 0
-    for hi, lo in blocks:
-        # the block starts at position placed + 1, where rho is n - placed
-        runs.append((hi - n + placed, hi - lo + 1))
-        placed += hi - lo + 1
-    return degree, weyl_dimension_of_runs(runs)
+    if top > 0:
+        runs.append((value, top))
+    return degree, weyl_dimension_of_runs(runs + below)
 
 
 def _cauchy_twists(j, m, n, lo, hi):
-    """The twists t in lo..hi, ascending, at which :func:`_bott_cauchy` is not None.
+    """The twists t in lo..hi, ascending, at which Cauchy term j of Wedge^m survives.
 
-    The shifted s-entries are g1 - t and g2 - t.  Both lie above n for
+    Twisted by O(-t) the term has s-block (-j - t, j - m - t), whose
+    outcome is ``_bott_cauchy(-j - t, j - m - t, j, m, n)``; its shifted
+    s-entries are g1 - t and g2 - t.  Both lie above n for
     t <= g2 - n - 1, both lie below 1 from t = g1 on, and both fill the
     gaps at t = 0.  Otherwise one entry must fill a gap while the other
     leaves 1..n: only t = g2 - g1 (when g1 + (g1 - g2) > n) and
@@ -210,19 +183,16 @@ def cohomology_of_kclass(c: KClass, twist=0) -> KClassCohomology:
     """Termwise Bott cohomology of ``c`` twisted by O(twist).
 
     Dimensions attached to positive and negative multiplicities are
-    accumulated in separate tables; per-term outcomes are kept for audit.
-    Their :meth:`KClassCohomology.euler_characteristic` is chi(c(twist)).
+    accumulated in separate tables, one general Bott run per term.  Their
+    :meth:`KClassCohomology.euler_characteristic` is chi(c(twist)).
     """
     positive = {}
     negative = {}
-    records = []
     for s, q, mult in c.terms():
-        s = (s[0] + twist, s[1] + twist)
-        res = _bott(s + q, c.n)
-        records.append(TermCohomology(s, q, mult, res))
+        res = _bott((s[0] + twist, s[1] + twist) + q, c.n)
         if res.vanishes:
             continue
         table = positive if mult > 0 else negative
         table[res.degree] = table.get(res.degree, 0) + abs(mult) * res.dimension
-    return KClassCohomology(positive, negative, tuple(records))
+    return KClassCohomology(positive, negative)
 

@@ -211,7 +211,6 @@ def _cmd_lemma_check(args):
         "all_vanish": rep.all_vanish,
         "pairs": rep.pair_count,
         "summands": rep.summand_count,
-        "residual_twists_checked": rep.residual_checked,
         "counterexamples": [
             {
                 "source": list(e),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bwb import _bott_cauchy, _bott_zero_tail, _cauchy_twists, cohomology_of_kclass
+from .bwb import _bott_cauchy, _cauchy_twists, cohomology_of_kclass
 from .diamond import HodgeDiamond
 from .errors import IntegrityError
 from .geometry import (
@@ -130,7 +130,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
             for t in _cauchy_twists(j, m, n, i, i + k):
                 key = (j, m, t)
                 if key not in outcomes:
-                    outcomes[key] = _bott_cauchy(j, m, t, n)
+                    outcomes[key] = _bott_cauchy(-j - t, j - m - t, j, m, n)
                 degree, dim = outcomes[key]
                 a = t - i
                 signed = mult * koszul[a]
@@ -368,7 +368,7 @@ def rhom_dimensions(e, f, n, t=0):
     """Map degree -> dim Ext^degree(E, F(t)) by summing Bott outcomes."""
     table = {}
     for a1, a2 in hom_s_blocks(e, f, t):
-        res = _bott_zero_tail(a1, a2, n)
+        res = _bott_cauchy(a1, a2, 0, 0, n)
         if res is not None:
             degree, dim = res
             table[degree] = table.get(degree, 0) + dim
@@ -447,32 +447,30 @@ def verify_strong_exceptional(n, window: WindowSet) -> ExceptionalReport:
 class PairVerdict:
     vanishes_for_all_t: bool
     counterexample: tuple | None  # (summand index, t, degree, dimension)
-    residual_ts: tuple[int, ...]
 
 
 def pair_twisted_vanishing(n, e, f) -> PairVerdict:
     """Decide Ext^{>0}(E, F(t)) = 0 for every integer t >= 0 at once.
 
-    Each Clebsch-Gordan summand has s_block entries affine-linear in t of
-    slope one, so three regimes cover all but finitely many t: dominant
-    (t >= -a2, only degree 0 survives), or one of the two entry windows
-    where the shifted weight has a repeat (everything vanishes).  The
-    first window ends just below the dominant regime, so the residual
-    twists are [0, 2 - n - a2) minus the window [1 - n - a1, -2 - a1];
-    they are decided by running the Bott algorithm directly.
+    Each Clebsch-Gordan summand (a1, a2) has s_block entries affine-linear
+    in t of slope one.  Its shifted entries are u1 = a1 + t + n and
+    u2 = a2 + t + n - 1 over the tail 1..n-2.  From t = 2 - n - a2 on, u2
+    is a tail entry or above the tail, so the weight has a repeat or only
+    degree 0 survives.  Below that, u2 < 1 and the weight vanishes exactly
+    on the window [1 - n - a1, -2 - a1] where u1 is a tail entry; anywhere
+    else Bott puts it in degree n - 2 or 2(n - 2).  So the summand passes
+    when [0, 2 - n - a2) lies inside the window, and otherwise the first
+    twist outside it is a counterexample: Bott runs only there, for its
+    degree and dimension.
     """
-    residual = set()
     for i, (a1, a2) in enumerate(hom_s_blocks(e, f)):
         hi = 2 - n - a2
         if hi <= 0:
-            break  # a2 grows with i, so no later summand has residual twists
-        for ts in (range(min(hi, 1 - n - a1)), range(max(0, -1 - a1), hi)):
-            residual.update(ts)
-            for t in ts:
-                res = _bott_zero_tail(a1 + t, a2 + t, n)
-                if res is not None and res[0] > 0:
-                    return PairVerdict(False, (i, t) + res, ())
-    return PairVerdict(True, None, tuple(sorted(residual)))
+            break  # a2 grows with i, so every later summand passes too
+        t = 0 if a1 < 1 - n else max(0, -1 - a1)
+        if t < hi:
+            return PairVerdict(False, (i, t) + _bott_cauchy(a1 + t, a2 + t, 0, 0, n))
+    return PairVerdict(True, None)
 
 
 @dataclass(frozen=True)
@@ -480,7 +478,6 @@ class VanishingReport:
     n: int
     pair_count: int
     summand_count: int
-    residual_checked: int
     counterexamples: tuple
 
     @property
@@ -506,7 +503,6 @@ def twisted_ext_vanishing(n) -> VanishingReport:
             raise IntegrityError(f"row l={l} of the window is not contiguous")
         rows[l] = (first, size + 1)
     summands = 0
-    residual = 0
     verdicts = {}
     for l, (m0, size) in rows.items():
         for lp, (mp0, size_p) in rows.items():
@@ -519,7 +515,6 @@ def twisted_ext_vanishing(n) -> VanishingReport:
                 verdict = pair_twisted_vanishing(n, e, f)
                 verdicts[(l, lp, e[1] - f[1])] = verdict
                 summands += pairs * (min(l, lp) + 1)
-                residual += pairs * len(verdict.residual_ts)
     counterexamples = []
     if not all(v.vanishes_for_all_t for v in verdicts.values()):
         for e in labels:
@@ -531,6 +526,5 @@ def twisted_ext_vanishing(n) -> VanishingReport:
         n=n,
         pair_count=len(labels) ** 2,
         summand_count=summands,
-        residual_checked=residual,
         counterexamples=tuple(counterexamples),
     )

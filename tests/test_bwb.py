@@ -7,7 +7,6 @@ import grpf.bwb as bwb
 from grpf.bwb import (
     _bott,
     _bott_cauchy,
-    _bott_zero_tail,
     _cauchy_twists,
     bwb_cohomology,
     cohomology_of_kclass,
@@ -120,7 +119,7 @@ def test_zero_tail_bott_matches_bott():
             for a2 in range(-3 * n, a1 + 1):
                 res = _bott((a1, a2) + (0,) * (n - 2), n)
                 expected = None if res.vanishes else (res.degree, res.dimension)
-                assert _bott_zero_tail(a1, a2, n) == expected, (n, a1, a2)
+                assert _bott_cauchy(a1, a2, 0, 0, n) == expected, (n, a1, a2)
 
 
 def cauchy_term_mismatches(ns):
@@ -139,7 +138,7 @@ def cauchy_term_mismatches(ns):
                 for t in range(-3 * n, 3 * n + 1):
                     res = _bott((s[0] - t, s[1] - t) + q, n)
                     expected = None if res.vanishes else (res.degree, res.dimension)
-                    if _bott_cauchy(j, m, t, n) != expected:
+                    if _bott_cauchy(s[0] - t, s[1] - t, j, m, n) != expected:
                         bad.append((n, m, j, t))
                     if expected is not None:
                         survivors.append(t)
@@ -235,11 +234,3 @@ def test_euler_characteristic_additive():
     a = cauchy_exterior_cotangent(6, 2)
     b = KClass.line(6, 2).scale(3) - KClass.tangent(6)
     assert euler_characteristic(a + b) == euler_characteristic(a) + euler_characteristic(b)
-
-
-def test_cohomology_table_has_term_provenance():
-    table = cohomology_of_kclass(cauchy_exterior_cotangent(5, 1), twist=1)
-    assert len(table.terms) == 1
-    rec = table.terms[0]
-    assert rec.s_weight == (1, 0)
-    assert rec.multiplicity == 1

@@ -369,9 +369,9 @@ def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
         calls.append(weight)
         return bott(weight, n)
 
-    def counted_cauchy(j, m, t, n):
-        outcomes.append((j, m, t))
-        return bott_cauchy(j, m, t, n)
+    def counted_cauchy(a1, a2, j, m, n):
+        outcomes.append((a1, a2, j, m))
+        return bott_cauchy(a1, a2, j, m, n)
 
     monkeypatch.setattr(bwb, "_bott", counted)
     monkeypatch.setattr(sections, "_bott_cauchy", counted_cauchy)

@@ -5,7 +5,10 @@ No linter ships with the project, so these are the checks:
 * every module-level import is used in its own module (``__init__.py`` is
   exempt: its imports are the package's re-exports);
 * every module-level def and class is mentioned somewhere in ``src/grpf``
-  outside its own body.
+  outside its own body;
+* every method of a module-level class in ``src/grpf`` (dunders exempt) is
+  mentioned somewhere in ``src/grpf``, ``tests`` or ``demos`` outside its
+  own body: test oracles and public API may be used only there.
 """
 
 import ast
@@ -14,7 +17,8 @@ from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "grpf"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "grpf"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -89,3 +93,55 @@ def test_dead_definition_detector():
 def test_every_definition_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert dead_definitions(sources) == []
+
+
+def dead_methods(sources, owners):
+    """Methods of module-level classes in ``owners`` that no code mentions.
+
+    ``sources`` maps a module name to its source text and ``owners`` names
+    the modules whose classes are checked; a method counts as used when
+    any module mentions its name outside the method's own body.  Dunders
+    are called by the language, so they are exempt.  The result lists
+    (module, "Class.method") pairs.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    counts = Counter(ref for tree in trees.values() for ref in _references(tree))
+    dead = []
+    for module in owners:
+        for cls in trees[module].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                inside = sum(ref == node.name for ref in _references(node))
+                if counts[node.name] == inside:
+                    dead.append((module, f"{cls.name}.{node.name}"))
+    return sorted(dead)
+
+
+def test_dead_method_detector():
+    sources = {
+        "a": (
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.x = self.used_here()\n"
+            "    def used_here(self):\n"
+            "        return 1\n"
+            "    def oracle(self):\n"
+            "        return 2\n"
+            "    def dead(self):\n"
+            "        return self.dead()\n"
+        ),
+        "test_a": "from a import Box\n\nassert Box().oracle() == 2\n",
+    }
+    assert dead_methods(sources, ["a"]) == [("a", "Box.dead")]
+
+
+def test_every_method_is_referenced():
+    paths = [*SRC.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")]
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    owners = [str(p.relative_to(ROOT)) for p in SRC.glob("*.py")]
+    assert dead_methods(sources, owners) == []

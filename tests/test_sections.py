@@ -213,9 +213,9 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
         built.append(m)
         return cauchy(n, m)
 
-    def counted_bott(j, m, t, n):
-        evaluated.append((j, m, t))
-        res = bott(j, m, t, n)
+    def counted_bott(a1, a2, j, m, n):
+        evaluated.append((j, m, -j - a1))
+        res = bott(a1, a2, j, m, n)
         assert res is not None, "only surviving twists are evaluated"
         return res
 
@@ -374,18 +374,16 @@ def test_twisted_vanishing_even_cases():
 
 def covered_set_verdict(n, e, f):
     """The all-t verdict from explicit sets of covered twists per summand."""
-    residual_all = set()
     for i, (a1, a2) in enumerate(hom_s_blocks(e, f)):
         covered = set(range(max(0, 2 - n - a2), -a2))
         covered.update(range(max(0, 1 - n - a1), -1 - a1))
         for t in range(max(0, -a2)):
             if t in covered:
                 continue
-            residual_all.add(t)
             res = bwb_cohomology(GLWeight(n, (a1 + t, a2 + t), (0,) * (n - 2)))
             if not res.vanishes and res.degree > 0:
-                return PairVerdict(False, (i, t, res.degree, res.dimension), ())
-    return PairVerdict(True, None, tuple(sorted(residual_all)))
+                return PairVerdict(False, (i, t, res.degree, res.dimension))
+    return PairVerdict(True, None)
 
 
 def test_pair_verdict_residual_twists_in_closed_form():
@@ -397,17 +395,17 @@ def test_pair_verdict_residual_twists_in_closed_form():
                     e, f = (l, d), (lp, 0)
                     verdict = pair_twisted_vanishing(n, e, f)
                     assert verdict == covered_set_verdict(n, e, f), (n, e, f)
-                    verdicts.add((verdict.vanishes_for_all_t, verdict.residual_ts))
-    # a residual twist is neither dominant nor a repeat, so Bott puts it in
-    # positive degree: the first one found is a counterexample
-    assert verdicts == {(True, ()), (False, ())}
+                    verdicts.add(verdict.vanishes_for_all_t)
+    # a residual twist (neither dominant nor a repeat) is in positive
+    # degree, so the oracle's first one is the closed form's counterexample
+    assert verdicts == {True, False}
 
 
 def brute_twisted_ext_vanishing(n):
     """The lemma's counts and counterexamples, walking every label pair."""
     labels = grassmannian_window(n).sorted_labels()
     verdicts = {}
-    summands = residual = 0
+    summands = 0
     counterexamples = []
     for e in labels:
         for f in labels:
@@ -416,16 +414,15 @@ def brute_twisted_ext_vanishing(n):
                 verdicts[key] = sections.pair_twisted_vanishing(n, e, f)
             verdict = verdicts[key]
             summands += min(e[0], f[0]) + 1
-            residual += len(verdict.residual_ts)
             if not verdict.vanishes_for_all_t:
                 counterexamples.append((e, f) + verdict.counterexample)
-    return len(labels) ** 2, summands, residual, tuple(counterexamples)
+    return len(labels) ** 2, summands, tuple(counterexamples)
 
 
 @pytest.mark.parametrize("n", range(4, 31, 2))
 def test_twisted_vanishing_counts_match_every_pair(n):
     rep = twisted_ext_vanishing(n)
-    counts = (rep.pair_count, rep.summand_count, rep.residual_checked, rep.counterexamples)
+    counts = (rep.pair_count, rep.summand_count, rep.counterexamples)
     assert counts == brute_twisted_ext_vanishing(n)
     assert rep.all_vanish
 
@@ -438,15 +435,15 @@ def test_twisted_vanishing_counterexamples_keep_pair_order(monkeypatch, n, bad_k
 
     def failing_on_one_key(n, e, f):
         if (e[0], f[0], e[1] - f[1]) == bad_key:
-            return PairVerdict(False, (0, 7, 1, 3), ())
+            return PairVerdict(False, (0, 7, 1, 3))
         return pair(n, e, f)
 
     monkeypatch.setattr(sections, "pair_twisted_vanishing", failing_on_one_key)
     rep = twisted_ext_vanishing(n)
-    pairs, summands, residual, counterexamples = brute_twisted_ext_vanishing(n)
+    pairs, summands, counterexamples = brute_twisted_ext_vanishing(n)
     assert len(counterexamples) > 1
     assert rep.counterexamples == counterexamples
-    assert (rep.pair_count, rep.summand_count, rep.residual_checked) == (pairs, summands, residual)
+    assert (rep.pair_count, rep.summand_count) == (pairs, summands)
 
 
 def test_twisted_vanishing_requires_even_n():
@@ -455,8 +452,8 @@ def test_twisted_vanishing_requires_even_n():
 
 
 def test_twisted_vanishing_negative_control():
-    # a target outside the window produces a concrete failing twist, found
-    # by scanning the finitely many undecided values
+    # a target outside the window produces a concrete failing twist: the
+    # first twist below the dominant regime that no repeat window covers
     verdict = pair_twisted_vanishing(10, (4, 0), (5, 9))
     assert not verdict.vanishes_for_all_t
     i, t, degree, dim = verdict.counterexample

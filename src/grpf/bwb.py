@@ -5,26 +5,24 @@ entry, otherwise sort to dominant order counting inversions; the number
 of inversions is the unique cohomological degree and the sorted weight
 minus ``rho`` labels the resulting GL(n) representation (with respect to
 the dual of the standard one, matching the dual-bundle convention of
-:mod:`grpf.weights`).  On Gr(2, n) the shifted q-block is already
-strictly decreasing, so the sort is the insertion of two entries.
-
-Weights over a Cauchy q-block (2^j, 1^(m-2j), 0^rest), the q-block of
-term j of the Cauchy class of Wedge^m of the cotangent bundle, get a
-closed form that builds no length-n tuple (:func:`_bott_cauchy`): their
-shifted q-block is 1..n with two gaps.  It serves the Hodge numbers of
-sections (twisted Cauchy terms) and the Hom summands of the window
-verifiers (the zero q-block, j = m = 0).
+:mod:`grpf.weights`).  On Gr(2, n) the shifted q-block is strictly
+decreasing, one block of consecutive integers per run of equal entries,
+so the sort inserts the two shifted s-entries between blocks.
+:func:`_bott_runs` does that on the runs of the q-block and hands the
+runs of the result to the Weyl product; no length-n tuple is built.
+Every Bott outcome goes through it: general weights (:func:`_bott`) and
+the Cauchy q-blocks (2^j, 1^(m-2j), 0^rest) of the Hodge terms and Hom
+summands (:func:`_bott_cauchy`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, neg, sub
+from itertools import groupby
 
 from .errors import IntegrityError
 from .schur import KClass
-from .weights import GLWeight, rho, weyl_dimension, weyl_dimension_of_runs
+from .weights import GLWeight, weyl_dimension_of_runs
 
 
 @dataclass(frozen=True)
@@ -59,30 +57,68 @@ class KClassCohomology:
         )
 
 
-def _bott(weight, n):
-    """The Bott algorithm on a Levi-dominant weight tuple, unvalidated.
+def _bott_runs(a1, a2, q_runs, n):
+    """(degree, dimension, runs) of the Bott outcome of (a1, a2 | q-block), or None.
 
-    After the shift the tail q + rho[2:] is strictly decreasing, so the
-    shifted weight is that tail with the two shifted s-entries u1 > u2
-    inserted: it has a repeat when u1 or u2 is a tail entry, and its
-    inversions are the tail entries above u1 plus those above u2, two
-    bisections of the tail.
+    ``runs`` is the resulting GL(n) weight as (value, length) runs.  The
+    q-block is given the same way, weakly decreasing runs of total length
+    n - 2; empty runs are skipped.  Adding rho[2:] turns a run (b, r) into
+    a block of r consecutive integers, blocks at least one apart, so a
+    shifted s-entry (u1 = a1 + n > u2 = a2 + n - 1) either falls inside a
+    block, a repeat that vanishes the weight, or lands between blocks and
+    splits none.  The sorted weight minus rho is then a merge from the
+    top: with ``above`` tail entries and 2 - c s-entries placed, the next
+    s-entry a would become a + above and the next run (b, r) would become
+    r entries b - c.  The s-entry comes first, adding ``above``
+    inversions, when a + above > b - c; it falls inside the block when
+    b - c - r < a + above <= b - c.  Equal neighbouring runs are merged
+    before the Weyl product.
     """
-    shift = rho(n)
-    u1 = weight[0] + shift[0]
-    u2 = weight[1] + shift[1]
-    tail = list(map(add, weight[2:], shift[2:]))
-    p1 = bisect_left(tail, -u1, key=neg)
-    p2 = bisect_left(tail, -u2, key=neg)
-    if (p1 < len(tail) and tail[p1] == u1) or (p2 < len(tail) and tail[p2] == u2):
-        return BwbResult(vanishes=True)
-    degree = p1 + p2
+    pending = [a2, a1]  # s-entries not yet placed, the next one last
+    runs = []
+    above = degree = 0
+    for b, r in q_runs:
+        if not r:
+            continue
+        value = b - len(pending)
+        while pending and pending[-1] + above > value:
+            a = pending.pop() + above
+            if runs and runs[-1][0] == a:
+                runs[-1] = (a, runs[-1][1] + 1)
+            else:
+                runs.append((a, 1))
+            degree += above
+            value += 1
+        if pending and pending[-1] + above > value - r:
+            return None
+        if runs and runs[-1][0] == value:
+            runs[-1] = (value, runs[-1][1] + r)
+        else:
+            runs.append((value, r))
+        above += r
+    for a in reversed(pending):
+        a += above
+        if runs[-1][0] == a:
+            runs[-1] = (a, runs[-1][1] + 1)
+        else:
+            runs.append((a, 1))
+        degree += above
     if degree > 2 * (n - 2):
-        raise IntegrityError(f"degree {degree} exceeds dim Gr(2, {n}) for {weight}")
-    tail.insert(p2, u2)
-    tail.insert(p1, u1)
-    rep = tuple(map(sub, tail, shift))
-    return BwbResult(False, degree, rep, weyl_dimension(rep, n))
+        raise IntegrityError(
+            f"degree {degree} exceeds dim Gr(2, {n}) for {(a1, a2)} over {q_runs}"
+        )
+    return degree, weyl_dimension_of_runs(runs), runs
+
+
+def _bott(weight, n):
+    """The Bott outcome of a Levi-dominant weight tuple, unvalidated."""
+    q_runs = [(b, len(list(group))) for b, group in groupby(weight[2:])]
+    res = _bott_runs(weight[0], weight[1], q_runs, n)
+    if res is None:
+        return BwbResult(vanishes=True)
+    degree, dimension, runs = res
+    rep = tuple(x for x, r in runs for _ in range(r))
+    return BwbResult(False, degree, rep, dimension)
 
 
 def _cauchy_gaps(j, m, n):
@@ -96,53 +132,13 @@ def _cauchy_gaps(j, m, n):
 
 
 def _bott_cauchy(a1, a2, j, m, n):
-    """(degree, dimension) of the Bott outcome of (a1, a2 | Cauchy q-block), or None.
+    """(degree, dimension) of Bott on (a1, a2) over Cauchy term j of Wedge^m, or None.
 
-    The q-block is that of Cauchy term j of Wedge^m of the cotangent
-    bundle (:func:`_cauchy_gaps`); its shifted tail is 1..n without the
-    gaps g1 > g2.  The zero q-block is j = m = 0, with gaps n and n - 1.
-    The s-block is any a1 >= a2, shifted to u1 = a1 + n > u2 = a2 + n - 1.
-    A shifted s-entry u vanishes the weight when it is a tail entry;
-    otherwise it lies above n (no tail entry above it), below 1 (all n - 2
-    above it) or in a gap g (n - g entries of 1..n above it, one of them
-    the gap g1 when g = g2).  The sorted shifted weight is then at most
-    five blocks of consecutive integers: entries above n, the pieces of
-    1..n between unfilled gaps, entries below 1.  Each block is one run of
-    the sorted weight minus rho: an entry above n keeps its a, the pieces
-    of 1..n step down by one per unfilled gap from the number of entries
-    above n, and an entry below 1 becomes a + n - 2.
+    The q-block of Cauchy term j of Wedge^m of the cotangent bundle is
+    (2^j, 1^(m-2j), 0^(n-2-m+j)); the zero q-block is j = m = 0.
     """
-    g1, g2 = _cauchy_gaps(j, m, n)
-    u1 = a1 + n
-    u2 = a2 + n - 1
-    if (0 < u1 <= n and u1 != g1 and u1 != g2) or (0 < u2 <= n and u2 != g1 and u2 != g2):
-        return None
-    runs = []
-    below = []
-    degree = 0
-    for a, u in ((a1, u1), (a2, u2)):
-        if u > n:
-            runs.append((a, 1))
-        elif u < 1:
-            below.append((a + n - 2, 1))
-            degree += n - 2
-        else:
-            degree += n - u - (u == g2)
-    if degree > 2 * (n - 2):
-        raise IntegrityError(
-            f"degree {degree} exceeds dim Gr(2, {n}) for {(a1, a2)} over term {(j, m)}"
-        )
-    value = len(runs)
-    top = n
-    for g in (g1, g2):
-        if g != u1 and g != u2:
-            if top > g:
-                runs.append((value, top - g))
-            value -= 1
-            top = g - 1
-    if top > 0:
-        runs.append((value, top))
-    return degree, weyl_dimension_of_runs(runs + below)
+    res = _bott_runs(a1, a2, ((2, j), (1, m - 2 * j), (0, n - 2 - m + j)), n)
+    return res and res[:2]
 
 
 def _cauchy_twists(j, m, n, lo, hi):

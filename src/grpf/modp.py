@@ -13,19 +13,29 @@ def inv_mod(a, p):
 
 
 def _rref(rows, field):
-    """RREF over the ``poly`` field of the entries; (rank, matrix, pivot columns)."""
+    """RREF over the ``poly`` field of the entries; (rank, matrix, pivot columns, det).
+
+    ``det``, the product of the pivots before scaling with its sign flipped
+    on each row swap, is the determinant of the pivot columns when the rank
+    equals the number of rows.
+    """
     p = getattr(field, "p", None)
     m = list(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
     pivots = []
+    det = 1
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = field.inv(m[rank][col])
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        pivot = m[rank][col]
+        det = det * pivot % p if p else det * pivot
+        inv = field.inv(pivot)
         m[rank] = [x * inv % p for x in m[rank]] if p else [x * inv for x in m[rank]]
         for r in range(nrows):
             if r != rank and m[r][col]:
@@ -36,7 +46,7 @@ def _rref(rows, field):
         rank += 1
         if rank == nrows:
             break
-    return rank, m, pivots
+    return rank, m, pivots, det
 
 
 def rank_mod(rows, p):
@@ -48,7 +58,7 @@ def nullspace_mod(rows, p):
     if not rows:
         return []
     ncols = len(rows[0])
-    rank, m, pivots = _rref([[x % p for x in row] for row in rows], PrimeField(p))
+    _, m, pivots, _ = _rref([[x % p for x in row] for row in rows], PrimeField(p))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -61,23 +71,8 @@ def nullspace_mod(rows, p):
 
 
 def det_mod(rows, p):
-    m = [[x % p for x in row] for row in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det % p
-        det = det * m[col][col] % p
-        inv = inv_mod(m[col][col], p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv % p
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[col])]
-    return det % p
+    rank, _, _, det = _rref([[x % p for x in row] for row in rows], PrimeField(p))
+    return det if rank == len(rows) else 0
 
 
 def pfaffian_mod(rows, p):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .diamond import HodgeDiamond
 from .errors import DegenerateFamilyError, ParityError
-from .modp import _rref, det_mod, nullspace_mod, pfaffian_mod, rank_mod
+from .modp import _rref, nullspace_mod, pfaffian_mod, rank_mod
 from .modp import roots_mod as _roots_mod  # the name perfbench traces
 from .poly import Poly, PrimeField, Rationals, is_prime
 
@@ -535,22 +535,25 @@ def _kernel_cofactor_vector(b, p):
     polynomial formula in the matrix entries, so sweeping a parameter
     keeps the result on a single polynomial curve (no elimination
     rescaling).  These cofactors span the kernel of R, so the vector is
-    one kernel vector of R times the scalar that one minor fixes: one
-    elimination for the kernel and one determinant, and the zero vector
-    when rank R < n - 1.
+    the RREF kernel vector of R (1 at the free column f, minus the RREF
+    entries of column f at the pivots) times (-1)^f det(R minus column f),
+    the determinant of the pivot columns that the same elimination
+    returns; it is the zero vector when rank R < n - 1.
     """
     n = len(b)
     rows = b[1:]
     if not rows:
         return [1]
-    kernel = nullspace_mod(rows, p)
-    if len(kernel) != 1:
+    rank, m, pivots, det = _rref([[x % p for x in row] for row in rows], PrimeField(p))
+    if rank < n - 1:
         return [0] * n
-    vec = kernel[0]
-    # RREF leaves the free column last among the nonzero entries, with a 1
-    free = max(i for i, x in enumerate(vec) if x)
-    scale = (-1) ** free * det_mod([row[:free] + row[free + 1:] for row in rows], p)
-    return [x * scale % p for x in vec]
+    free = next(c for c in range(n) if c not in pivots)
+    scale = (-1) ** free * det
+    vec = [0] * n
+    vec[free] = scale % p
+    for row, c in zip(m, pivots):
+        vec[c] = -row[free] * scale % p
+    return vec
 
 
 def _sample_odd_square(am, p, count, seed, max_lines):

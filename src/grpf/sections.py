@@ -5,10 +5,9 @@ section of O(1)^k, so its structure sheaf has the Koszul resolution by
 O(-a)^{C(k,a)} and every Euler characteristic on Y is an alternating
 binomial sum of Euler characteristics upstairs.  For Wedge^p Omega_Y
 every term is a Cauchy term of Wedge^m Omega_Gr twisted by O(-t), so
-:func:`hodge_diamond_y1` evaluates one closed-form Bott outcome per
-(term, total twist) and reads chi^p and the audit trail from that one
-table; other classes get one Bott table per Koszul twist
-(:func:`_koszul_tables`).  Middle Hodge numbers come from these exact
+:func:`hodge_diamond_y1` evaluates one Bott outcome per (term, total
+twist) and reads chi^p and the audit trail from that one table; other
+classes get one Bott table per Koszul twist (:func:`_koszul_tables`).  Middle Hodge numbers come from these exact
 Euler characteristics plus the Lefschetz hyperplane theorem;
 hypercohomology spectral sequences are resolved honestly (degrees that
 must vanish force their differentials) and anything genuinely ambiguous
@@ -29,7 +28,7 @@ from .geometry import (
     classify,
     grassmannian_window,
 )
-from .schur import KClass, cauchy_exterior_cotangent
+from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2
 from .weights import grassmannian_poincare
 
 
@@ -37,7 +36,8 @@ def _koszul_tables(params: ModelParams, c: KClass):
     """Bott tables of c(-a) for the Koszul twists a = 0..k, in order of a.
 
     They serve :func:`restricted_euler` and the first Koszul page; the
-    Hodge numbers of the section take the closed-form path instead.
+    Hodge numbers of the section take one Bott outcome per Cauchy term
+    and total twist instead.
     """
     return [cohomology_of_kclass(c, twist=-a) for a in range(params.k + 1)]
 
@@ -104,11 +104,11 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     Wedge^m Omega_Gr is built once per m.  Term (j, m) of Omega^p enters
     with twist O(-i), i = p - m, and the Koszul twist O(-a) adds to it, so
     its Bott outcome depends on (j, m, t) with t = i + a only: each is
-    evaluated once, in closed form, and only at the twists where it
-    survives.  For each p the audit trail lists the surviving outcomes,
-    Koszul twist by Koszul twist and term by term in sorted order, signed
-    as in chi^p, which is their alternating sum.  A negative middle entry
-    means an upstream bug and raises.
+    evaluated once, and only at the twists where it survives.  For each p
+    the audit trail lists the surviving outcomes, Koszul twist by Koszul
+    twist and term by term in sorted order, signed as in chi^p, which is
+    their alternating sum.  A negative middle entry means an upstream bug
+    and raises.
     """
     n, k = params.n, params.k
     info = classify(params)
@@ -355,13 +355,15 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
 def hom_s_blocks(e, f, t=0):
     """s_blocks of the Clebsch-Gordan summands of Hom(E, F(t)) on Gr(2, n).
 
-    E = Sym^l S (det S)^m and F = Sym^l' S (det S)^m'; with d = m - m' + t
-    the summand labelled i has s_block (d + l - i, d - l' + i) and a zero
-    q_block.
+    E = Sym^l S (det S)^m and F = Sym^l' S (det S)^m'; with d = m - m' + t,
+    S = S dual x det S gives Hom(E, F(t)) = Sym^l x Sym^l' of S dual, times
+    (det S dual)^(d - l').  The summand (x, i) of
+    :func:`~grpf.schur.clebsch_gordan_rank2` then has s_block
+    (d - l' + x + i, d - l' + i) and a zero q_block.
     """
     (l, m), (lp, mp) = e, f
-    d = m - mp + t
-    return [(d + l - i, d - lp + i) for i in range(min(l, lp) + 1)]
+    c = m - mp + t - lp
+    return [(c + x + i, c + i) for x, i in clebsch_gordan_rank2(l, lp)]
 
 
 def rhom_dimensions(e, f, n, t=0):

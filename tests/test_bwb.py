@@ -96,12 +96,21 @@ def sorted_bott(weight, n):
 
 
 def test_bott_insertion_matches_sorting_reference():
+    # random weights, and every twisted Cauchy q-block for n <= 12 (those
+    # also through the Cauchy entry point)
     rng = random.Random(45)
-    outcomes = {True: 0, False: 0}
+    cases = []
     for _ in range(4000):
         n = rng.randrange(3, 31)
         w = random_levi_dominant(rng, n, span=rng.choice((2, n, 3 * n)))
-        weight = w.vector()
+        cases.append((w.vector(), n, None))
+    for n in range(3, 13):
+        for m in range(2 * (n - 2) + 1):
+            for s, q, _ in cauchy_exterior_cotangent(n, m).terms():
+                for t in range(-3 * n, 3 * n + 1):
+                    cases.append(((s[0] - t, s[1] - t) + q, n, (-s[0], m)))
+    outcomes = {True: 0, False: 0}
+    for weight, n, term in cases:
         res = _bott(weight, n)
         expected = sorted_bott(weight, n)
         outcomes[res.vanishes] += 1
@@ -110,6 +119,9 @@ def test_bott_insertion_matches_sorting_reference():
         else:
             assert (res.degree, res.rep) == expected, weight
             assert res.dimension == weyl_dimension(res.rep, n)
+        if term is not None:
+            cauchy = None if expected is None else (expected[0], res.dimension)
+            assert _bott_cauchy(weight[0], weight[1], *term, n) == cauchy, (weight, term)
     assert min(outcomes.values()) > 500
 
 
@@ -123,7 +135,7 @@ def test_zero_tail_bott_matches_bott():
 
 
 def cauchy_term_mismatches(ns):
-    """Twisted Cauchy terms where the closed form disagrees with ``_bott``.
+    """Twisted Cauchy terms where ``_bott_cauchy`` disagrees with ``_bott``.
 
     Covers every m in 0..2(n-2), every term j of its Cauchy class and every
     total twist t in [-3n, 3n]; compares vanishing, degree and dimension,
@@ -161,24 +173,13 @@ def test_cauchy_term_oracle_catches_an_off_by_one_gap(monkeypatch, gaps):
     assert cauchy_term_mismatches(range(3, 9))
 
 
-def test_constant_shift_of_rho_is_harmless(monkeypatch):
-    # the algorithm only sees gaps, so (n-1, ..., 0) is the same convention
-    import grpf.bwb as bwb_mod
-
-    rng = random.Random(44)
-    weights = [random_levi_dominant(rng, rng.randrange(5, 9)) for _ in range(100)]
-    expected = [bwb_cohomology(w) for w in weights]
-    monkeypatch.setattr(bwb_mod, "rho", lambda n: tuple(range(n - 1, -1, -1)))
-    assert [bwb_mod.bwb_cohomology(w) for w in weights] == expected
-
-
 def test_perturbed_shift_entry_breaks_serre_duality(monkeypatch):
-    # mutation check: bumping a single entry of the shift must make the
-    # duality invariant fail somewhere (possibly as a hard error)
-    import grpf.bwb as bwb_mod
-
+    # mutation check: an off-by-one in the shift of the first s-entry
+    # (u1 = a1 + n + 1) must make the duality invariant fail somewhere
+    # (possibly as a hard error)
+    bott_runs = bwb._bott_runs
     monkeypatch.setattr(
-        bwb_mod, "rho", lambda n: (n + 1,) + tuple(range(n - 1, 0, -1))
+        bwb, "_bott_runs", lambda a1, a2, q_runs, n: bott_runs(a1 + 1, a2, q_runs, n)
     )
     broken = []
     rng = random.Random(44)
@@ -186,8 +187,8 @@ def test_perturbed_shift_entry_breaks_serre_duality(monkeypatch):
         n = rng.randrange(5, 9)
         w = random_levi_dominant(rng, n)
         try:
-            a = bwb_mod.bwb_cohomology(w)
-            b = bwb_mod.bwb_cohomology(serre_dual_weight(w))
+            a = bwb_cohomology(w)
+            b = bwb_cohomology(serre_dual_weight(w))
         except (ValueError, IntegrityError):
             broken.append(w)
             continue

@@ -358,7 +358,7 @@ def test_grass_section_audit_trail(capsys):
 
 def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
     # the Koszul pages of T and O(1)^k run the general Bott algorithm once
-    # per term and Koszul twist; the terms of Omega^p take the closed form,
+    # per term and Koszul twist; the terms of Omega^p take the Cauchy entry,
     # once per surviving (Cauchy term, total twist): 133 outcomes behind the
     # 293 audit rows, out of 193 x 6 (term, Koszul twist) pairs
     calls = []

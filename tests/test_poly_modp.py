@@ -102,11 +102,13 @@ def test_rref_over_q_and_fp():
     # det = 7: full rank over Q, rank 1 over F_7
     m = [[1, 2], [3, 13]]
     q = [[Fraction(x) for x in row] for row in m]
-    assert _rref(q, Rationals()) == (2, [[1, 0], [0, 1]], [0, 1])
-    assert _rref(m, PrimeField(7)) == (1, [[1, 2], [0, 0]], [0])
+    assert _rref(q, Rationals()) == (2, [[1, 0], [0, 1]], [0, 1], 7)
+    assert _rref(m, PrimeField(7)) == (1, [[1, 2], [0, 0]], [0], 1)
     assert rank_mod(m, 7) == 1 and rank_mod(m, 11) == 2
     half = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    assert _rref(half, Rationals()) == (1, [[1, Fraction(2, 3)], [0, 0]], [0])
+    assert _rref(half, Rationals()) == (1, [[1, Fraction(2, 3)], [0, 0]], [0], Fraction(1, 2))
+    # a row swap flips the sign of the pivot product
+    assert _rref([[0, 2], [3, 5]], PrimeField(7))[3] == -6 % 7
 
 
 # --- roots of univariate polynomials over F_p --------------------------------

@@ -73,7 +73,7 @@ def test_omega_p_class_equals_the_folded_sum():
 
 
 def test_chi_p_matches_the_koszul_tables_of_omega_p_class():
-    # the closed-form path of hodge_diamond_y1 against the general one:
+    # the Cauchy-term path of hodge_diamond_y1 against the general one:
     # termwise Bott tables of the K-class of Omega^p, one per Koszul twist
     for n in range(3, 13):
         for k in range(2 * (n - 2) + 1):

@@ -7,12 +7,15 @@ u1..uk, whose rank-drop locus inside P(U) is the Pfaffian-side variety:
 the vanishing of the Pfaffian itself for even n, of all principal
 submaximal Pfaffians for odd n.
 
-Point sampling works over F_p: random lines are swept and the restricted
-locus is solved by interpolation plus exact root finding for any odd p,
-which avoids Groebner machinery entirely.  Smoothness at a sample point u is
-the tangent-space test of a rank locus (no symbolic Pfaffian): with K
-the kernel of M_u and c = 2 (even n) or 3 (odd n), u is smooth iff
-dim K = c and the pairings k_a^T M_r k_b on K have rank C(c, 2).
+Point sampling works over F_p.  The even, odd square and odd sliced paths
+differ only in how they draw a line; one sweep solves the restricted locus
+by interpolation plus exact root finding for any odd p below 3.3e24, which
+avoids Groebner machinery entirely, and decides each candidate once on the
+full family.  Odd n with k < n falls back to trials.  Smoothness at a
+sample point u is the tangent-space test of a rank locus (no symbolic
+Pfaffian): with K the kernel of M_u and c = 2 (even n) or 3 (odd n), u
+is smooth iff dim K = c and the pairings k_a^T M_r k_b on K have rank
+C(c, 2).
 """
 
 from __future__ import annotations
@@ -460,25 +463,51 @@ def _point_at(forms, u, p):
     return SamplePoint(tuple(u), n - len(kernel), len(kernel), smooth)
 
 
-def _add_points(forms, vectors, p, found, count):
-    """Add the locus points among ``vectors`` to ``found``, up to ``count``."""
-    for u in vectors:
-        u = _normalize_projective(u, p)
-        if u is None or u in found:
-            continue
-        point = _point_at(forms, u, p)
-        if point is not None:
-            found[u] = point
-            if len(found) >= count:
-                return
+def _sweep_lines(forms, p, count, stream, max_lines, dim, deg, draw_line):
+    """Sweep random lines for points of the locus; returns (found, lines).
+
+    Line i draws from ``f"{stream}:{i}"``.  ``draw_line(rng)`` returns
+    u(x), the family member at the line parameter x, and a function giving
+    the values at x = 0..deg of a polynomial whose roots hold the locus
+    points of the line, or None when all vanish (the line is resampled).
+    For p <= deg those nodes collide mod p, and every x in F_p is a
+    candidate instead.  Each distinct candidate is decided once on
+    ``forms``; a line yields at most deg, which bounds the misses kept.
+    It stops at ``count`` points, at ``max_lines`` lines, or once every
+    point of P^(dim-1)(F_p) has been drawn.
+    """
+    found, missed = {}, set()
+    space = (p**dim - 1) // (p - 1)
+    line = 0
+    while len(found) < count and line < max_lines and len(found) + len(missed) < space:
+        u_at, node_values = draw_line(random.Random(f"{stream}:{line}"))
+        line += 1
+        if p > deg:
+            ys = node_values()
+            if ys is None:
+                continue
+            candidates = _roots_mod(_lagrange_mod(list(range(deg + 1)), ys, p), p)
+        else:
+            candidates = range(p)
+        for x in candidates:
+            u = _normalize_projective(u_at(x), p)
+            if u is None or u in found or u in missed:
+                continue
+            point = _point_at(forms, u, p)
+            if point is None:
+                missed.add(u)
+            else:
+                found[u] = point
+                if len(found) >= count:
+                    break
+    return found, line
 
 
 def _sample_even(am, p, count, seed, max_lines):
     """Sampling for even n: the Pfaffian, of degree d = n/2, on random lines.
 
-    M(p0 + x p1) = M(p0) + x M(p1), so a line combines the forms twice;
-    for p <= d the d + 1 nodes collide mod p and every x in F_p is tried,
-    and the search ends once every point of P^{k-1}(F_p) has been drawn.
+    M(p0 + x p1) = M(p0) + x M(p1), so a line combines the forms twice
+    and takes one mod-p Pfaffian per node.
     """
     n, k = am.n, am.k
     forms = am.basis_forms()
@@ -487,45 +516,21 @@ def _sample_even(am, p, count, seed, max_lines):
         # P(U) is a single point; no lines to sweep.
         point = _point_at(forms, (1,), p)
         return ({(1,): point} if point else {}), 1
-    found = {}
-    off_locus = set()  # filled only for p <= d, where every x is tried
-    space = (p**k - 1) // (p - 1)
-    line = 0
-    while len(found) < count and line < max_lines and len(found) + len(off_locus) < space:
-        rng = random.Random(f"{seed}:even:{line}")
-        line += 1
+
+    def draw_line(rng):
         p0 = [rng.randrange(p) for _ in range(k)]
         p1 = [rng.randrange(p) for _ in range(k)]
-        if p > deg:
+
+        def node_values():
             m0, m1 = _combine_forms(forms, p0, p), _combine_forms(forms, p1, p)
-            xs = list(range(deg + 1))
-            ys = [
-                pfaffian_mod(
-                    [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(m0, m1)],
-                    p,
-                )
-                for x in xs
-            ]
-            if all(y == 0 for y in ys):
-                continue  # line inside the hypersurface or junk; resample
-            candidates = _roots_mod(_lagrange_mod(xs, ys, p), p)
-            _add_points(forms, ([(a + x * b) % p for a, b in zip(p0, p1)]
-                                for x in candidates), p, found, count)
-            continue
-        # P^{k-1}(F_p) is small here: misses are remembered, so the search
-        # stops once every point has been drawn
-        for x in range(p):
-            u = _normalize_projective([(a + x * b) % p for a, b in zip(p0, p1)], p)
-            if u is None or u in found or u in off_locus:
-                continue
-            point = _point_at(forms, u, p)
-            if point is None:
-                off_locus.add(u)
-            else:
-                found[u] = point
-                if len(found) >= count:
-                    break
-    return found, line
+            ys = [pfaffian_mod([[(a + x * b) % p for a, b in zip(r0, r1)]
+                                for r0, r1 in zip(m0, m1)], p)
+                  for x in range(deg + 1)]
+            return ys if any(ys) else None  # all zero: inside the hypersurface, or junk
+
+        return (lambda x: [(a + x * b) % p for a, b in zip(p0, p1)]), node_values
+
+    return _sweep_lines(forms, p, count, f"{seed}:even", max_lines, k, deg, draw_line)
 
 
 def _kernel_cofactor_vector(b, p):
@@ -556,47 +561,43 @@ def _kernel_cofactor_vector(b, p):
     return vec
 
 
-def _sample_odd_square(am, p, count, seed, max_lines):
-    """Sampling for odd n with k = n via the kernel-incidence line trick.
+def _kernel_line_drawer(square, p, deg, emb=None):
+    """``draw_line`` for odd n on the n forms of a square family.
 
-    For v in V the matrix B_v = [M_1 v | ... | M_n v] is square and
-    singular (its columns pair to zero against v), and its kernel vector
-    u(v) is generically the unique family member with v in its kernel.
-    The locus where u(v) lands on the degeneracy variety is a hypersurface
-    in P(V), so random lines in P(V) meet it; along a line the relevant
-    submaximal Pfaffian of M(u(v)) is a polynomial in the line parameter
-    of degree d = (n-1)^2/2.  B_v is linear in v, so each line builds its
-    two endpoint matrices once and each node takes one elimination for
-    u(v); for p > d the polynomial is interpolated from d + 1 nodes in
-    O(d^2) and solved for its roots, and for p <= d, where the nodes
-    would collide mod p, every x in F_p is a candidate.
+    This is the kernel-incidence line trick.  For v in V the matrix
+    B_v = [M_1 v | ... | M_n v] is square and singular (its columns pair
+    to zero against v), and its kernel vector u(v) is generically the
+    unique family member with v in its kernel.  The locus where u(v)
+    lands on the degeneracy variety is a hypersurface in P(V), so random
+    lines in P(V) meet it; along a line the first submaximal Pfaffian of
+    M(u(v)) that does not vanish identically is a polynomial in the line
+    parameter of degree (n-1)^2/2.  B_v is linear in v, so each line
+    builds its two endpoint matrices once and each node takes one
+    elimination for u(v).  A slice's member u(v) is lifted to the full
+    family as emb u(v), which has the same skew matrix.
     """
-    n = am.n
-    forms = am.basis_forms()
-    gdeg = (n - 1) * (n - 1) // 2  # deg u(v) = n-1 per entry, times (n-1)/2
-    found = {}
-    line = 0
+    n = len(square)
 
     def b_of(v):
         return [
-            [sum(form[i][j] * v[j] for j in range(n)) % p for form in forms]
+            [sum(form[i][j] * v[j] for j in range(n)) % p for form in square]
             for i in range(n)
         ]
 
-    while len(found) < count and line < max_lines:
-        rng = random.Random(f"{seed}:odd:{line}")
-        line += 1
+    def draw_line(rng):
         b0 = b_of([rng.randrange(p) for _ in range(n)])
         b1 = b_of([rng.randrange(p) for _ in range(n)])
 
-        def u_at(x):
+        def member(x):
             bmat = [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(b0, b1)]
             return _kernel_cofactor_vector(bmat, p)
 
-        if p > gdeg:
-            xs = list(range(gdeg + 1))
-            mats = [_combine_forms(forms, u_at(x), p) for x in xs]
-            candidates = None
+        def u_at(x):
+            u = member(x)
+            return u if emb is None else [sum(e * y for e, y in zip(row, u)) % p for row in emb]
+
+        def node_values():
+            mats = [_combine_forms(square, member(x), p) for x in range(deg + 1)]
             for s in range(n):
                 idx = tuple(j for j in range(n) if j != s)
                 ys = [
@@ -604,30 +605,27 @@ def _sample_odd_square(am, p, count, seed, max_lines):
                     for mat in mats
                 ]
                 if any(ys):
-                    candidates = _roots_mod(_lagrange_mod(xs, ys, p), p)
-                    break
-            if candidates is None:
-                continue
-        else:
-            candidates = range(p)
-        _add_points(forms, (u_at(x) for x in candidates), p, found, count)
-    return found, line
+                    return ys
+            return None
+
+        return u_at, node_values
+
+    return draw_line
 
 
 def _sample_odd(am, p, count, seed, max_lines):
+    """Sampling for odd n: kernel-incidence lines for k >= n, trials for k < n."""
     n, k = am.n, am.k
-    if k == n:
-        return _sample_odd_square(am, p, count, seed, max_lines)
     forms = am.basis_forms()
+    deg = (n - 1) * (n - 1) // 2  # deg u(v) = n-1 per entry, times (n-1)/2
+    if k == n:
+        return _sweep_lines(forms, p, count, f"{seed}:odd", max_lines, n, deg,
+                            _kernel_line_drawer(forms, p, deg))
     if k > n:
-        # Slice the parameter space down to an n-dimensional subfamily;
-        # points of the sliced locus are points of the full one.
-        found = {}
-        lines = 0
-        attempt = 0
-        while len(found) < count and lines < max_lines:
-            rng = random.Random(f"{seed}:slice:{attempt}")
-            attempt += 1
+        # Pick a slice: an n-dimensional subfamily of full rank, swept with
+        # its members lifted to the full family, where each point is decided.
+        for a in itertools.count(1):
+            rng = random.Random(f"{seed}:slice:{a - 1}")
             emb = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
             sliced_rows = [
                 [sum(emb[s][r] * am.matrix[s][c] for s in range(k)) % p
@@ -638,19 +636,8 @@ def _sample_odd(am, p, count, seed, max_lines):
                 sliced = AMap(n, n, PrimeField(p), sliced_rows)
             except DegenerateFamilyError:
                 continue
-            sub, sub_lines = _sample_odd_square(
-                sliced, p, count - len(found), f"{seed}:{attempt}",
-                max_lines - lines,
-            )
-            lines += sub_lines
-            for uprime in sub:
-                u = _normalize_projective(
-                    [sum(e * x for e, x in zip(row, uprime)) % p for row in emb], p
-                )
-                if u is None or u in found:
-                    continue
-                found[u] = _point_at(forms, u, p)
-        return found, lines
+            return _sweep_lines(forms, p, count, f"{seed}:{a}:odd", max_lines, n, deg,
+                                _kernel_line_drawer(sliced.basis_forms(), p, deg, emb))
     # k < n leaves no linear handle on the kernel; honest trial search.
     # When the budget could cover all of P^{k-1}(F_p), off-locus draws are
     # remembered and the search stops once every point has been drawn.
@@ -683,9 +670,14 @@ def sample_y2(a: AMap, p, count, seed, max_lines=None) -> SampleResult:
     Returns up to ``count`` distinct projective points with their rank,
     kernel dimension and the tangent-space smoothness verdict.  Running
     out of budget yields an exhausted report, not an exception.  Every
-    random draw comes from a stream derived from (seed, line index), so
-    results are reproducible and independent of how lines would be
-    scheduled.  Any odd prime works; memory does not grow with p.
+    random draw comes from a stream named by the seed: line i of the
+    even path from ``"{seed}:even:{i}"``, of the odd square path from
+    ``"{seed}:odd:{i}"``; the odd sliced path draws slice a from
+    ``"{seed}:slice:{a}"`` until one has full rank, then line i from
+    ``"{seed}:{a + 1}:odd:{i}"``; the trial path (odd n, k < n) draws
+    every point from ``"{seed}:trials"``.  So results are reproducible
+    and independent of how lines would be scheduled.  Any odd prime below
+    3.3e24 works; memory does not grow with p.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")

@@ -14,17 +14,20 @@ from fractions import Fraction
 
 @functools.lru_cache(maxsize=64)  # every rank_mod call builds a PrimeField
 def is_prime(p):
-    """Deterministic Miller-Rabin for the word-sized inputs used here."""
+    """Miller-Rabin to the prime bases up to 41, exact below their least
+    strong pseudoprime 3317044064679887385961981; larger p raise ValueError."""
+    if p >= 3317044064679887385961981:
+        raise ValueError(f"primality is decided only below 3317044064679887385961981, got {p}")
     if p < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if p % q == 0:
             return p == q
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         x = pow(a, d, p)
         if x in (1, p - 1):
             continue

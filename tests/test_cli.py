@@ -219,6 +219,29 @@ sys.exit(run(["pfaffian", "sample", "--in", {str(tmp_path / "a.json")!r},
     assert json.loads(proc.stdout)["result"]["found"] == 5
 
 
+def test_pfaffian_sample_pseudoprime_exit_2(tmp_path):
+    # 318665857834031151167461 passes Miller-Rabin to bases 2..37; taken for
+    # a prime it kept root finding busy for minutes
+    psi_12 = 318665857834031151167461
+    AMap.random(6, 3, seed=2).save(tmp_path / "a.json")
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"field": {"p": psi_12}, "k": 1, "matrix": [[1, 0, 0]], "n": 3}))
+    script = f"""
+import sys
+from grpf.cli import run
+sys.exit(max(
+    run(["pfaffian", "sample", "--in", {str(tmp_path / "a.json")!r},
+         "--prime", "{psi_12}"]),
+    run(["pfaffian", "build", "--in", {str(tmp_path / "b.json")!r}]),
+))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("need an odd prime") == 2
+
+
 def test_pfaffian_sample_bad_file_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

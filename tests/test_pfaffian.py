@@ -523,6 +523,10 @@ def test_sampling_validates_prime():
     am = AMap.random(6, 3, seed=2)
     with pytest.raises(ValueError):
         sample_y2(am, 10006, 5, seed=1)
+    # a strong pseudoprime to bases 2..37, once taken for a prime: root
+    # finding then never finished its split
+    with pytest.raises(ValueError, match="odd prime"):
+        sample_y2(am, 399165290221 * 798330580441, 5, seed=1)
 
 
 @pytest.mark.parametrize("p", [3037000507, 2**61 - 1])
@@ -542,7 +546,9 @@ def test_sampling_at_large_primes(p):
 
 # Digests of repr(sample_y2(AMap.random(n, k, s), p, count, seed)), frozen
 # from the sampler that computed each cofactor vector as n separate minors
-# and interpolated by Lagrange basis polynomials.
+# and interpolated by Lagrange basis polynomials.  The last three pin the
+# line paths at p <= d, where every x in F_p is a candidate; they were
+# frozen from the sampler that swept each path in a loop of its own.
 FROZEN_SAMPLES = {
     (7, 7, 1, 10007, 20, 1): "7c02c0e5ff488c69a69b25096ae439e1e2f723cf8dd6e90f73ffd4b582955bb3",
     (7, 8, 1, 10007, 10, 1): "6df86cacebd0023c966630704641e0d8d2e09b5ec5fc43b104194525ffda3051",
@@ -550,6 +556,9 @@ FROZEN_SAMPLES = {
     (10, 5, 1, 10007, 20, 1): "34239219ea3544c70ba06ee89077aab4ed6aacc9d0ef60624fe4a3c9a4353754",
     (8, 4, 1, 2**61 - 1, 10, 1): "4a09f388cb20a1700c2fe960ec715019631077190039f8ef2285169e410ec422",
     (11, 12, 1, 10007, 3, 1): "14387d3ffa8e86c21313294e285ff05cddc54e765c60ed2997e42a164b175749",
+    (5, 5, 1, 5, 6, 1): "af35ecacf370b722b2e0bbd0c76b4fbf80210f1136714da290d5de411eb74001",
+    (7, 8, 1, 5, 5, 1): "6d49e23d026a6976ecc8b096170d8d12f49cb9081524e38c26d35e9ee7e16290",
+    (10, 5, 1, 3, 60, 1): "40f3d8765373b5a74587d688439f9686302e6d34c7ad65a4d428404af713c7fa",
 }
 
 
@@ -596,11 +605,14 @@ def test_lagrange_mod_recovers_polynomials(p):
 
 
 def test_one_determinant_per_cofactor_vector(monkeypatch):
-    # the scale of each cofactor vector comes out of its own elimination
+    # the scale of each cofactor vector comes out of its own elimination.
+    # The per-layer tracer swaps the sampler's layers in grpf.pfaffian, so
+    # each line path must reach them there, not through a captured alias.
     import grpf.modp as modp_mod
     import grpf.pfaffian as pf_mod
 
-    calls = {"det": 0, "cofactor": 0}
+    layers = ["_kernel_cofactor_vector", "_combine_forms", "_lagrange_mod", "_roots_mod"]
+    calls = dict.fromkeys(["det"] + layers, 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -611,11 +623,38 @@ def test_one_determinant_per_cofactor_vector(monkeypatch):
     for module in (modp_mod, pf_mod):
         monkeypatch.setattr(module, "det_mod", counted("det", modp_mod.det_mod),
                             raising=False)
-    monkeypatch.setattr(pf_mod, "_kernel_cofactor_vector",
-                        counted("cofactor", pf_mod._kernel_cofactor_vector))
+    for name in layers:
+        monkeypatch.setattr(pf_mod, name, counted(name, getattr(pf_mod, name)))
     sample_y2(AMap.random(7, 7, seed=42, p=10007), 10007, 10, 42)
-    assert calls["cofactor"] > 0
     assert calls["det"] == 0
+    assert all(calls[name] > 0 for name in layers), calls
+    for n, k in ((7, 8), (8, 4)):  # the odd sliced and the even path
+        used = layers if n % 2 else layers[1:]
+        calls.update(dict.fromkeys(used, 0))
+        sample_y2(AMap.random(n, k, seed=1), 10007, 3, 1)
+        assert all(calls[name] > 0 for name in used), (n, k, calls)
+
+
+@pytest.mark.parametrize(
+    "n, k, p, count", [(5, 5, 5, 6), (7, 8, 10007, 20)]
+)
+def test_line_paths_decide_each_candidate_once(monkeypatch, n, k, p, count):
+    # misses are remembered, and a sliced candidate is decided on the full
+    # family only, not first on its slice
+    import grpf.pfaffian as pf_mod
+
+    seen = []
+    point_at = pf_mod._point_at
+
+    def counted(forms, u, q):
+        seen.append((len(forms), tuple(u)))
+        return point_at(forms, u, q)
+
+    monkeypatch.setattr(pf_mod, "_point_at", counted)
+    sample_y2(AMap.random(n, k, 1), p, count, 1)
+    assert seen
+    assert {len_forms for len_forms, _ in seen} == {k}
+    assert len(seen) == len(set(seen))
 
 
 @pytest.mark.parametrize(

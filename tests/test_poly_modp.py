@@ -25,6 +25,20 @@ def test_is_prime_small():
         assert not is_prime(c)
 
 
+def test_is_prime_deterministic_range():
+    psi_12 = 399165290221 * 798330580441  # strong pseudoprime to bases 2..37
+    psi_13 = 3317044064679887385961981  # ... and to 2..41
+    assert not is_prime(psi_12)
+    assert is_prime(10**24 + 7)
+    with pytest.raises(ValueError, match="odd prime"):
+        PrimeField(psi_12)
+    for big in (psi_13, psi_13 + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match=str(psi_13)):
+            is_prime(big)
+        with pytest.raises(ValueError, match=str(psi_13)):
+            PrimeField(big)
+
+
 def test_prime_field_ops():
     f = PrimeField(13)
     assert f.add(7, 9) == 3

@@ -7,6 +7,10 @@ verify-all.  Every command accepts --json for a canonical JSON report
 inputs) and --out to write that report to a file.  Output is plain text;
 NO_COLOR is honoured trivially since nothing is ever colourised.
 
+The parser is built once, at import; each leaf subparser carries its
+handler as the ``handler`` default, which returns ``(code, params,
+result, provenance)``, plus the per-item timings for verify-all.
+
 Exit codes: 0 success, 1 mathematical verification failure (the report
 carries the counterexample), 2 usage or parameter error.  A reader that
 closes the pipe early (``| head``) ends the script by SIGPIPE, never 1.
@@ -61,25 +65,26 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def leaf(p, handler):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", metavar="PATH", help="also write the JSON report to PATH")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("bwb", help="cohomology of one irreducible homogeneous bundle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=_int_list, required=True, metavar="a1,a2")
     p.add_argument("--q", type=_int_list, default=None, metavar="b1,...")
-    common(p)
+    leaf(p, _cmd_bwb)
 
     p = sub.add_parser("classify", help="dimensions and types of the two sections")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    leaf(p, _cmd_classify)
 
     p = sub.add_parser("windows", help="window label sets and their inclusion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    leaf(p, _cmd_windows)
 
     p = sub.add_parser("collection", help="exceptional collection checks")
     csub = p.add_subparsers(dest="subcommand", required=True)
@@ -88,40 +93,40 @@ def _build_parser():
     pv.add_argument("--set", dest="which", choices=("S", "T"), default="S",
                     help="S: Grassmannian-side window; T: Pfaffian-side (needs --k)")
     pv.add_argument("--k", type=int, default=None)
-    common(pv)
+    leaf(pv, _cmd_collection_verify)
 
     p = sub.add_parser("lemma", help="twisted Ext vanishing for all twists")
     lsub = p.add_subparsers(dest="subcommand", required=True)
     lc = lsub.add_parser("check", help="decide vanishing for every t >= 0")
     lc.add_argument("--n", type=int, required=True)
-    common(lc)
+    leaf(lc, _cmd_lemma_check)
 
     p = sub.add_parser("hodge", help="Hodge diamonds")
     hsub = p.add_subparsers(dest="subcommand", required=True)
     hg = hsub.add_parser("grass-section", help="linear section of Gr(2,n)")
     hg.add_argument("--n", type=int, required=True)
     hg.add_argument("--k", type=int, required=True)
-    common(hg)
+    leaf(hg, _cmd_hodge_grass_section)
     hh = hsub.add_parser("hypersurface", help="smooth hypersurface in projective space")
     hh.add_argument("--dim", type=int, required=True, help="ambient projective dimension")
     hh.add_argument("--degree", type=int, required=True)
-    common(hh)
+    leaf(hh, _cmd_hodge_hypersurface)
 
     p = sub.add_parser("pfaffian", help="skew families and point sampling")
     psub = p.add_subparsers(dest="subcommand", required=True)
     pb = psub.add_parser("build", help="build the skew matrix of linear forms")
     pb.add_argument("--in", dest="infile", required=True, metavar="a.json")
-    common(pb)
+    leaf(pb, _cmd_pfaffian_build)
     ps = psub.add_parser("sample", help="sample points of the degeneracy locus")
     ps.add_argument("--in", dest="infile", required=True, metavar="a.json")
     ps.add_argument("--prime", type=int, default=10007)
     ps.add_argument("--points", type=int, default=100)
     ps.add_argument("--seed", type=int, default=42)
-    common(ps)
+    leaf(ps, _cmd_pfaffian_sample)
 
     p = sub.add_parser("verify-all", help="run the whole verification suite")
     p.add_argument("--profile", choices=("fast", "full"), default="fast")
-    common(p)
+    leaf(p, _cmd_verify_all)
     return parser
 
 
@@ -371,43 +376,27 @@ def _human_render(command, result, timings=None):
     return json.dumps(result, indent=2, sort_keys=True)
 
 
-_HANDLERS = {
-    ("bwb", None): _cmd_bwb,
-    ("classify", None): _cmd_classify,
-    ("windows", None): _cmd_windows,
-    ("collection", "verify"): _cmd_collection_verify,
-    ("lemma", "check"): _cmd_lemma_check,
-    ("hodge", "grass-section"): _cmd_hodge_grass_section,
-    ("hodge", "hypersurface"): _cmd_hodge_hypersurface,
-    ("pfaffian", "build"): _cmd_pfaffian_build,
-    ("pfaffian", "sample"): _cmd_pfaffian_sample,
-    ("verify-all", None): _cmd_verify_all,
-}
+_PARSER = _build_parser()
 
 
 def run(argv):
     """Parse argv, dispatch, print the report; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    key = (args.command, getattr(args, "subcommand", None))
-    handler = _HANDLERS[key]
-    timings = None
     try:
-        out = handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        out = args.handler(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 1
-    if len(out) == 5:
-        code, params, result, provenance, timings = out
-    else:
-        code, params, result, provenance = out
-    command = key[0] if key[1] is None else f"{key[0]} {key[1]}"
+    code, params, result, provenance, *timings = out
+    command = args.command
+    if getattr(args, "subcommand", None):
+        command += " " + args.subcommand
     report = {
         "command": command,
         "params": params,
@@ -421,7 +410,7 @@ def run(argv):
     if args.json:
         print(rendered)
     else:
-        print(_human_render(command, result, timings))
+        print(_human_render(command, result, *timings))
     return code
 
 

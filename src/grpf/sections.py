@@ -454,25 +454,30 @@ class PairVerdict:
 def pair_twisted_vanishing(n, e, f) -> PairVerdict:
     """Decide Ext^{>0}(E, F(t)) = 0 for every integer t >= 0 at once.
 
-    Each Clebsch-Gordan summand (a1, a2) has s_block entries affine-linear
-    in t of slope one.  Its shifted entries are u1 = a1 + t + n and
-    u2 = a2 + t + n - 1 over the tail 1..n-2.  From t = 2 - n - a2 on, u2
-    is a tail entry or above the tail, so the weight has a repeat or only
-    degree 0 survives.  Below that, u2 < 1 and the weight vanishes exactly
-    on the window [1 - n - a1, -2 - a1] where u1 is a tail entry; anywhere
-    else Bott puts it in degree n - 2 or 2(n - 2).  So the summand passes
-    when [0, 2 - n - a2) lies inside the window, and otherwise the first
-    twist outside it is a counterexample: Bott runs only there, for its
-    degree and dimension.
+    With c = m - m' - l', summand i of :func:`hom_s_blocks` has s_block
+    (a1, a2) = (c + l + l' - i, c + i), affine-linear in t of slope one.
+    Its shifted entries are u1 = a1 + t + n and u2 = a2 + t + n - 1 over
+    the tail 1..n-2.  From t = 2 - n - a2 on, u2 is a tail entry or above
+    the tail, so the weight has a repeat or only degree 0 survives: only
+    the summands i <= top = min(l, l', 1 - n - c) can fail.  Below that,
+    u2 < 1 and the weight vanishes exactly on the window
+    [1 - n - a1, -2 - a1] where u1 is a tail entry; anywhere else Bott
+    puts it in degree n - 2 or 2(n - 2).  So summand i fails when
+    [0, 2 - n - a2) leaves the window: at its bottom when
+    i >= c + l + l' + n, at its top when 2i < l + l' + 3 - n.  The first
+    failing candidate is i = 0 when l + l' > n - 3 and
+    max(0, c + l + l' + n) otherwise; the key fails iff it is <= top.
+    Bott runs only at that summand's first twist outside the window, for
+    its degree and dimension.
     """
-    for i, (a1, a2) in enumerate(hom_s_blocks(e, f)):
-        hi = 2 - n - a2
-        if hi <= 0:
-            break  # a2 grows with i, so every later summand passes too
-        t = 0 if a1 < 1 - n else max(0, -1 - a1)
-        if t < hi:
-            return PairVerdict(False, (i, t) + _bott_cauchy(a1 + t, a2 + t, 0, 0, n))
-    return PairVerdict(True, None)
+    (l, m), (lp, mp) = e, f
+    c = m - mp - lp
+    i = 0 if l + lp > n - 3 else max(0, c + l + lp + n)
+    if i > min(l, lp, 1 - n - c):
+        return PairVerdict(True, None)
+    a1, a2 = c + l + lp - i, c + i
+    t = 0 if a1 < 1 - n else max(0, -1 - a1)
+    return PairVerdict(False, (i, t) + _bott_cauchy(a1 + t, a2 + t, 0, 0, n))
 
 
 @dataclass(frozen=True)

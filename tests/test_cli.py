@@ -1,12 +1,15 @@
+import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import grpf.bwb as bwb
+import grpf.cli as cli
 import grpf.sections as sections
 from grpf.cli import run
 from grpf.geometry import ModelParams
@@ -436,3 +439,81 @@ def test_sample_reports_byte_identical(tmp_path, capsys):
     first = capsys.readouterr().out
     run(argv)
     assert capsys.readouterr().out == first
+
+
+def test_verify_all_human_output(capsys):
+    # one "PASS name: detail [x.xxs]" line per item of the JSON report,
+    # then the verdict line
+    code, report = run_json(capsys, ["verify-all", "--profile", "fast"])
+    assert code == 0
+    assert run(["verify-all", "--profile", "fast"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    items = report["result"]["items"]
+    assert len(lines) == len(items) + 1
+    for line, item in zip(lines, items):
+        head = f"PASS {item['name']}: {item['detail']} ["
+        assert line.startswith(head), line
+        assert re.fullmatch(r"\d+\.\d\ds\]", line[len(head):]), line
+    assert lines[-1] == "all passed"
+
+
+def test_hodge_grass_section_human_output(capsys):
+    code, report = run_json(capsys, ["hodge", "grass-section", "--n", "10", "--k", "5"])
+    assert code == 0
+    assert run(["hodge", "grass-section", "--n", "10", "--k", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = report["result"]["rows"]
+    assert lines[:-2] == [" ".join(str(v) for v in row) for row in rows]
+    assert lines[-2:] == [
+        "middle row: [0, 0, 0, 0, 1, 101, 101, 1, 0, 0, 0, 0]",
+        "tangent h1: 101 (exact-generic)",
+    ]
+
+
+def test_run_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["classify", "--n", "10", "--k", "5", "--json"]) == 0
+    assert run(["hodge", "hypersurface", "--dim", "4", "--degree", "5"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def leaf_parsers(parser):
+    """The parsers of the command tree that have no subcommands."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [parser]
+    return [leaf for child in groups[0].choices.values() for leaf in leaf_parsers(child)]
+
+
+def test_every_leaf_parser_carries_its_handler():
+    leaves = leaf_parsers(cli._PARSER)
+    assert len(leaves) == 10
+    assert all(callable(leaf.get_default("handler")) for leaf in leaves)
+    assert len({leaf.get_default("handler") for leaf in leaves}) == 10
+
+
+def test_lemma_check_builds_no_summand_list(monkeypatch, capsys):
+    # the lemma decides each key in closed form; hom_s_blocks stays the
+    # collection's summand list and the lemma tests' oracle
+    calls = []
+    hom_s_blocks = sections.hom_s_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return hom_s_blocks(*args)
+
+    monkeypatch.setattr(sections, "hom_s_blocks", counted)
+    assert run(["lemma", "check", "--n", "10", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["all_vanish"] is True
+    assert calls == []
+    assert run(["collection", "verify", "--n", "6", "--json"]) == 0
+    capsys.readouterr()
+    assert calls

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -48,6 +49,8 @@ COMMANDS = [
     "bwb --n 8 --s=-1,-4 --q 3,3,1,1,0,-2",
     "bwb --n 8 --s 2,-3 --q 3,3,1,1,0,-2",
     "bwb --n 8 --s=-12,-13 --q 3,3,1,1,0,-2",
+    "collection verify --n 6",
+    "collection verify --n 6 --set T --k 3",
 ]
 
 
@@ -63,6 +66,21 @@ def report_digest(command):
 def test_report_matches_golden(command):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert report_digest(command) == golden[command]
+
+
+def test_reports_in_one_process_in_reverse_order():
+    # the CLI keeps one parser for every run: no run, failed or not, may
+    # leave anything behind for the next (the plain collection verify
+    # comes right after one with --set T --k 3)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    small = [
+        c for c in reversed(COMMANDS) if all(int(n) <= 16 for n in re.findall(r"--n (\d+)", c))
+    ]
+    assert small[:2] == ["collection verify --n 6 --set T --k 3", "collection verify --n 6"]
+    for i, command in enumerate(small):
+        if i == len(small) // 2:
+            assert report_digest("classify --n 10")["exit"] == 2  # missing --k
+        assert report_digest(command) == golden[command], command
 
 
 def test_golden_file_covers_exactly_the_commands():

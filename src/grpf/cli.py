@@ -289,7 +289,7 @@ def _cmd_pfaffian_build(args):
     result = {
         "n": am.n,
         "k": am.k,
-        "field": "Q" if am.field.name == "Q" else {"p": am.field.p},
+        "field": "Q" if am.p is None else {"p": am.p},
         "entries": [[str(e) for e in row] for row in slm.entries],
     }
     if am.n % 2 == 0:

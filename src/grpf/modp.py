@@ -1,8 +1,9 @@
-"""Exact F_p arithmetic: int-list matrices (row reduction also over Q), polynomial roots."""
+"""Exact F_p arithmetic on int lists: matrices, Pfaffians, polynomial roots.
+
+The field is named by its modulus, an odd prime p; :func:`_rref` also takes
+p = None for Q."""
 
 from __future__ import annotations
-
-from .poly import PrimeField
 
 
 def inv_mod(a, p):
@@ -12,14 +13,14 @@ def inv_mod(a, p):
     return pow(a, p - 2, p)
 
 
-def _rref(rows, field):
-    """RREF over the ``poly`` field of the entries; (rank, matrix, pivot columns, det).
+def _rref(rows, p):
+    """RREF over F_p, or over Q when p is None; (rank, matrix, pivot columns, det).
 
-    ``det``, the product of the pivots before scaling with its sign flipped
-    on each row swap, is the determinant of the pivot columns when the rank
-    equals the number of rows.
+    Entries are ints in [0, p) over F_p, Fractions over Q.  ``det``, the
+    product of the pivots before scaling with its sign flipped on each row
+    swap, is the determinant of the pivot columns when the rank equals the
+    number of rows.
     """
-    p = getattr(field, "p", None)
     m = list(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -35,7 +36,7 @@ def _rref(rows, field):
             det = -det
         pivot = m[rank][col]
         det = det * pivot % p if p else det * pivot
-        inv = field.inv(pivot)
+        inv = inv_mod(pivot, p) if p else 1 / pivot
         m[rank] = [x * inv % p for x in m[rank]] if p else [x * inv for x in m[rank]]
         for r in range(nrows):
             if r != rank and m[r][col]:
@@ -50,7 +51,7 @@ def _rref(rows, field):
 
 
 def rank_mod(rows, p):
-    return _rref([[x % p for x in row] for row in rows], PrimeField(p))[0]
+    return _rref([[x % p for x in row] for row in rows], p)[0]
 
 
 def nullspace_mod(rows, p):
@@ -58,7 +59,7 @@ def nullspace_mod(rows, p):
     if not rows:
         return []
     ncols = len(rows[0])
-    _, m, pivots, _ = _rref([[x % p for x in row] for row in rows], PrimeField(p))
+    _, m, pivots, _ = _rref([[x % p for x in row] for row in rows], p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -71,7 +72,7 @@ def nullspace_mod(rows, p):
 
 
 def det_mod(rows, p):
-    rank, _, _, det = _rref([[x % p for x in row] for row in rows], PrimeField(p))
+    rank, _, _, det = _rref([[x % p for x in row] for row in rows], p)
     return det if rank == len(rows) else 0
 
 

@@ -1,6 +1,7 @@
 """Exact Pfaffian-side geometry: skew families, point sampling, Hodge data.
 
-A family is a k x C(n,2) matrix over an exact field: row r holds the
+A family is a k x C(n,2) matrix over Q or F_p, the field named by its
+modulus as in :mod:`grpf.poly` (``None`` for Q): row r holds the
 coefficients of the r-th skew 2-form on V in lexicographic (i < j)
 coordinates.  From it we build the n x n skew matrix of linear forms in
 u1..uk, whose rank-drop locus inside P(U) is the Pfaffian-side variety:
@@ -30,9 +31,9 @@ from fractions import Fraction
 
 from .diamond import HodgeDiamond
 from .errors import DegenerateFamilyError, ParityError
-from .modp import _rref, nullspace_mod, pfaffian_mod, rank_mod
+from .modp import _rref, inv_mod, nullspace_mod, pfaffian_mod, rank_mod
 from .modp import roots_mod as _roots_mod  # the name perfbench traces
-from .poly import Poly, PrimeField, Rationals, is_prime
+from .poly import Poly, check_prime, coerce
 
 
 def pair_index(n, i, j):
@@ -57,9 +58,9 @@ def _json_int(name, x):
     return x
 
 
-def _json_entry(x, field):
+def _json_entry(x, p):
     """A family entry: an integer, or over Q an "a/b" string."""
-    if isinstance(x, str) and isinstance(field, Rationals):
+    if isinstance(x, str) and p is None:
         m = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", x)
         if m and int(m[2]):
             return Fraction(int(m[1]), int(m[2]))
@@ -75,9 +76,10 @@ class AMap:
     :class:`DegenerateFamilyError`.
     """
 
-    __slots__ = ("n", "k", "field", "matrix")
+    __slots__ = ("n", "k", "p", "matrix")
 
-    def __init__(self, n, k, field, matrix):
+    def __init__(self, n, k, p, matrix):
+        self.p = p if p is None else check_prime(p)
         self.n = int(n)
         self.k = int(k)
         if self.n < 2:
@@ -85,17 +87,16 @@ class AMap:
         ncols = math.comb(self.n, 2)
         if not 1 <= self.k <= ncols:
             raise ValueError(f"need 1 <= k <= C(n,2)={ncols}, got k={k}")
-        self.field = field
         rows = []
         for row in matrix:
-            row = tuple(field.coerce(x) for x in row)
+            row = tuple(coerce(x, p) for x in row)
             if len(row) != ncols:
                 raise ValueError(f"row length {len(row)} != C(n,2) = {ncols}")
             rows.append(row)
         if len(rows) != self.k:
             raise ValueError(f"{len(rows)} rows != k = {self.k}")
         self.matrix = tuple(rows)
-        if _rref(self.matrix, field)[0] < self.k:
+        if _rref(self.matrix, p)[0] < self.k:
             raise DegenerateFamilyError(
                 f"family matrix has rank < k = {self.k}"
             )
@@ -104,33 +105,30 @@ class AMap:
         """The k skew n x n coefficient matrices, one per row."""
         forms = []
         for row in self.matrix:
-            m = [[self.field.zero] * self.n for _ in range(self.n)]
+            m = [[coerce(0, self.p)] * self.n for _ in range(self.n)]
             for idx, c in enumerate(row):
                 i, j = pair_of_index(self.n, idx)
                 m[i][j] = c
-                m[j][i] = self.field.neg(c)
+                m[j][i] = coerce(-c, self.p)
             forms.append(m)
         return forms
 
     def reduce_mod(self, p):
-        if isinstance(self.field, PrimeField):
-            if self.field.p != p:
-                raise ValueError(
-                    f"family is over F_{self.field.p}, cannot reduce mod {p}"
-                )
+        if self.p is not None:
+            if self.p != p:
+                raise ValueError(f"family is over F_{self.p}, cannot reduce mod {p}")
             return self
-        fp = PrimeField(p)
+        check_prime(p)
         try:
-            rows = [[fp.coerce(x) for x in row] for row in self.matrix]
+            rows = [[coerce(x, p) for x in row] for row in self.matrix]
         except ZeroDivisionError as exc:
             raise ValueError(f"cannot reduce family mod {p}: {exc}") from None
-        return AMap(self.n, self.k, fp, rows)
+        return AMap(self.n, self.k, p, rows)
 
     @classmethod
     def random(cls, n, k, seed, p=None):
-        """A random family with full rank, reproducible from the seed."""
+        """A random family with full rank, reproducible from the seed; p None or 0 is Q."""
         rng = random.Random(f"amap:{n}:{k}:{seed}:{p}")
-        field = PrimeField(p) if p else Rationals()
         ncols = math.comb(n, 2)
         for _ in range(64):
             if p:
@@ -138,18 +136,20 @@ class AMap:
             else:
                 rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(k)]
             try:
-                return cls(n, k, field, rows)
+                return cls(n, k, p or None, rows)
             except DegenerateFamilyError:
                 continue
         raise DegenerateFamilyError("could not draw a full-rank family")
 
     def to_json_dict(self):
-        field = "Q" if isinstance(self.field, Rationals) else {"p": self.field.p}
         return {
             "n": self.n,
             "k": self.k,
-            "field": field,
-            "matrix": [[self.field.to_json(x) for x in row] for row in self.matrix],
+            "field": "Q" if self.p is None else {"p": self.p},
+            "matrix": [
+                [int(x) if x.denominator == 1 else str(x) for x in row]
+                for row in self.matrix
+            ],
         }
 
     @classmethod
@@ -166,16 +166,16 @@ class AMap:
             raise ValueError(f"family has no {', '.join(missing)}")
         field = data["field"]
         if field == "Q":
-            f = Rationals()
+            p = None
         elif isinstance(field, dict) and "p" in field:
-            f = PrimeField(_json_int("p", field["p"]))
+            p = check_prime(_json_int("p", field["p"]))
         else:
             raise ValueError(f"bad field descriptor {field!r}")
         matrix = data["matrix"]
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise ValueError("matrix must be a list of rows")
-        rows = [[_json_entry(x, f) for x in row] for row in matrix]
-        return cls(_json_int("n", data["n"]), _json_int("k", data["k"]), f, rows)
+        rows = [[_json_entry(x, p) for x in row] for row in matrix]
+        return cls(_json_int("n", data["n"]), _json_int("k", data["k"]), p, rows)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -188,24 +188,24 @@ class AMap:
             return cls.from_json_dict(json.load(fh))
 
     def __repr__(self):
-        return f"AMap(n={self.n}, k={self.k}, {self.field.name})"
+        return f"AMap(n={self.n}, k={self.k}, p={self.p})"
 
 
 class SkewLinearMatrix:
-    """n x n skew matrix of linear forms in u1..uk over an exact field.
+    """n x n skew matrix of linear forms in u1..uk over Q (p None) or F_p.
 
     Every entry must be a homogeneous linear form or zero; the Pfaffian
     expansion packs its monomials on that bound of the exponents.
     """
 
-    __slots__ = ("n", "k", "field", "entries")
+    __slots__ = ("n", "k", "p", "entries")
 
-    def __init__(self, n, k, field, entries):
+    def __init__(self, n, k, p, entries):
         self.n = int(n)
         self.k = int(k)
-        self.field = field
+        self.p = p
         self.entries = tuple(tuple(row) for row in entries)
-        zero = Poly.zero(field, k)
+        zero = Poly.zero(p, k)
         for i in range(self.n):
             if self.entries[i][i] != zero:
                 raise ValueError(f"nonzero diagonal entry at {i}")
@@ -226,13 +226,12 @@ class SkewLinearMatrix:
         ]
 
     def __repr__(self):
-        return f"SkewLinearMatrix(n={self.n}, k={self.k}, {self.field.name})"
+        return f"SkewLinearMatrix(n={self.n}, k={self.k}, p={self.p})"
 
 
 def build_skew_matrix(a: AMap) -> SkewLinearMatrix:
     """The skew matrix whose (i, j) entry is sum_r matrix[r][(i,j)] u_r."""
-    f = a.field
-    zero = Poly.zero(f, a.k)
+    zero = Poly.zero(a.p, a.k)
     rows = [[zero for _ in range(a.n)] for _ in range(a.n)]
     for i in range(a.n):
         for j in range(i + 1, a.n):
@@ -240,13 +239,13 @@ def build_skew_matrix(a: AMap) -> SkewLinearMatrix:
             terms = {}
             for r in range(a.k):
                 c = a.matrix[r][idx]
-                if not f.is_zero(c):
+                if c:
                     exps = tuple(1 if s == r else 0 for s in range(a.k))
                     terms[exps] = c
-            entry = Poly(f, a.k, terms)
+            entry = Poly(a.p, a.k, terms)
             rows[i][j] = entry
             rows[j][i] = -entry
-    return SkewLinearMatrix(a.n, a.k, f, rows)
+    return SkewLinearMatrix(a.n, a.k, a.p, rows)
 
 
 def _principal_pfaffians(m, index_sets):
@@ -262,7 +261,7 @@ def _principal_pfaffians(m, index_sets):
     expansion runs on the integer matrix D m, D the common denominator,
     and a Pfaffian of size 2d is divided by D^d at the end.
     """
-    f, k, n = m.field, m.k, m.n
+    p, k, n = m.p, m.k, m.n
     base = n // 2 + 1
     weights = [base**r for r in range(k)]
     forms = {
@@ -273,7 +272,6 @@ def _principal_pfaffians(m, index_sets):
         for i in range(n)
         for j in range(i + 1, n)
     }
-    p = f.p if isinstance(f, PrimeField) else None
     den = 1
     if p is None:
         den = math.lcm(*(c.denominator for form in forms.values() for _, c in form))
@@ -310,15 +308,15 @@ def _principal_pfaffians(m, index_sets):
     out = []
     for idx in index_sets:
         idx = tuple(idx)
-        scale = f.inv(f.coerce(den ** (len(idx) // 2)))
+        scale = coerce(Fraction(1, den ** (len(idx) // 2)), p)
         terms = {}
         for mono, c in pf(idx).items():
             exps = []
             for _ in range(k):
                 mono, e = divmod(mono, base)
                 exps.append(e)
-            terms[tuple(exps)] = f.mul(f.coerce(c), scale)
-        out.append(Poly(f, k, terms))
+            terms[tuple(exps)] = c * scale
+        out.append(Poly(p, k, terms))
     return out
 
 
@@ -338,14 +336,13 @@ def pfaffian_polynomial(m):
                 f"n = {m.n} is odd; use submaximal_pfaffians instead"
             )
         return _principal_pfaffians(m, [range(m.n)])[0]
-    f = Rationals()
     rows = [list(r) for r in m]
     n = len(rows)
     if n % 2:
         raise ParityError(f"n = {n} is odd; use submaximal_pfaffians instead")
-    entries = [[Poly.variable(f, 1, 0, x) for x in row] for row in rows]
-    pf = _principal_pfaffians(SkewLinearMatrix(n, 1, f, entries), [range(n)])[0]
-    return pf.terms.get((n // 2,), f.zero)
+    entries = [[Poly.variable(None, 1, 0, x) for x in row] for row in rows]
+    pf = _principal_pfaffians(SkewLinearMatrix(n, 1, None, entries), [range(n)])[0]
+    return pf.terms.get((n // 2,), Fraction(0))
 
 
 def submaximal_pfaffians(m: SkewLinearMatrix):
@@ -397,7 +394,7 @@ def _normalize_projective(u, p):
     lead = next((x for x in u if x), None)
     if lead is None:
         return None
-    inv = pow(lead, p - 2, p)
+    inv = inv_mod(lead, p)
     return tuple(x * inv % p for x in u)
 
 
@@ -411,7 +408,7 @@ def _lagrange_mod(xs, ys, p):
     c = [y % p for y in ys]
     for j in range(1, npts):
         for i in range(npts - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * pow(xs[i] - xs[i - j], p - 2, p) % p
+            c[i] = (c[i] - c[i - 1]) * inv_mod(xs[i] - xs[i - j], p) % p
     coeffs = [0] * npts
     for i in range(npts - 1, -1, -1):
         # coeffs <- coeffs * (x - xs[i]) + c[i]
@@ -549,7 +546,7 @@ def _kernel_cofactor_vector(b, p):
     rows = b[1:]
     if not rows:
         return [1]
-    rank, m, pivots, det = _rref([[x % p for x in row] for row in rows], PrimeField(p))
+    rank, m, pivots, det = _rref([[x % p for x in row] for row in rows], p)
     if rank < n - 1:
         return [0] * n
     free = next(c for c in range(n) if c not in pivots)
@@ -633,7 +630,7 @@ def _sample_odd(am, p, count, seed, max_lines):
                 for r in range(n)
             ]
             try:
-                sliced = AMap(n, n, PrimeField(p), sliced_rows)
+                sliced = AMap(n, n, p, sliced_rows)
             except DegenerateFamilyError:
                 continue
             return _sweep_lines(forms, p, count, f"{seed}:{a}:odd", max_lines, n, deg,
@@ -679,8 +676,7 @@ def sample_y2(a: AMap, p, count, seed, max_lines=None) -> SampleResult:
     and independent of how lines would be scheduled.  Any odd prime below
     3.3e24 works; memory does not grow with p.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"need an odd prime, got {p}")
+    check_prime(p)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     am = a.reduce_mod(p)

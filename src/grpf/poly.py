@@ -1,18 +1,21 @@
-"""Exact scalar fields and dense multivariate polynomials.
+"""Dense multivariate polynomials over Q or F_p, and the primes that name F_p.
 
-Two coefficient fields are supported: the rationals (elements are
-``fractions.Fraction``) and prime fields (elements are ints in [0, p)).
+A coefficient field is named by its modulus: ``None`` for Q, whose
+elements are ``fractions.Fraction``, or an odd prime p for F_p, whose
+elements are ints in [0, p).  The prime is checked once, where it enters
+(:func:`check_prime`); inside, arithmetic is plain ``+`` and ``*``, and a
+polynomial reduces its coefficients mod p once, when it is built.
 Polynomials are dicts mapping exponent tuples to nonzero coefficients;
 the instance sizes here are tiny, so clarity beats sparsity tricks.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
+from .modp import inv_mod
 
-@functools.lru_cache(maxsize=64)  # every rank_mod call builds a PrimeField
+
 def is_prime(p):
     """Miller-Rabin to the prime bases up to 41, exact below their least
     strong pseudoprime 3317044064679887385961981; larger p raise ValueError."""
@@ -40,135 +43,55 @@ def is_prime(p):
     return True
 
 
-class Rationals:
-    """The field Q; elements are Fractions."""
+def check_prime(p):
+    """The modulus p of F_p, once it is known to be an odd prime; else ValueError."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
+    return p
 
-    name = "Q"
 
-    def coerce(self, x):
+def coerce(x, p):
+    """The int or Fraction x as an element of Q (p None) or of F_p."""
+    if p is None:
         return Fraction(x)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def to_json(self, a):
-        return int(a) if a.denominator == 1 else str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Rationals()"
-
-
-class PrimeField:
-    """The field F_p for an odd prime p; elements are ints in [0, p)."""
-
-    def __init__(self, p):
-        p = int(p)
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"need an odd prime, got {p}")
-        self.p = p
-        self.name = f"F{p}"
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
-        return int(x) % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def to_json(self, a):
-        return int(a)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+        return x.numerator * inv_mod(x.denominator, p) % p
+    return int(x) % p
 
 
 class Poly:
-    """Polynomial in ``nvars`` variables u1..u_nvars over a fixed field."""
+    """Polynomial in ``nvars`` variables u1..u_nvars over Q (p None) or F_p."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("p", "nvars", "terms")
 
-    def __init__(self, field, nvars, terms=None):
-        self.field = field
+    def __init__(self, p, nvars, terms=None):
+        self.p = p
         self.nvars = int(nvars)
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps}")
-            if not field.is_zero(coeff):
+            if p is not None:
+                coeff %= p
+            if coeff:
                 clean[exps] = coeff
         self.terms = clean
 
     @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars)
+    def zero(cls, p, nvars):
+        return cls(p, nvars)
 
     @classmethod
-    def const(cls, field, nvars, value):
-        return cls(field, nvars, {(0,) * nvars: field.coerce(value)})
+    def const(cls, p, nvars, value):
+        return cls(p, nvars, {(0,) * nvars: coerce(value, p)})
 
     @classmethod
-    def variable(cls, field, nvars, index, coeff=1):
+    def variable(cls, p, nvars, index, coeff=1):
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(field, nvars, {exps: field.coerce(coeff)})
+        return cls(p, nvars, {exps: coerce(coeff, p)})
 
     def is_zero(self):
         return not self.terms
@@ -182,75 +105,67 @@ class Poly:
     def _check(self, other):
         if not isinstance(other, Poly):
             raise TypeError(f"not a Poly: {other!r}")
-        if other.field != self.field or other.nvars != self.nvars:
+        if other.p != self.p or other.nvars != self.nvars:
             raise ValueError("polynomial rings differ")
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = f.add(out.get(e, f.zero), c)
-        return Poly(f, self.nvars, out)
+            out[e] = out.get(e, 0) + c
+        return Poly(self.p, self.nvars, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        f = self.field
-        return Poly(f, self.nvars, {e: f.neg(c) for e, c in self.terms.items()})
+        return Poly(self.p, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
-        f = self.field
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                prod = f.mul(c1, c2)
-                out[e] = f.add(out.get(e, f.zero), prod)
-        return Poly(f, self.nvars, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly(self.p, self.nvars, out)
 
     def scale(self, value):
-        f = self.field
-        v = f.coerce(value)
-        return Poly(f, self.nvars, {e: f.mul(c, v) for e, c in self.terms.items()})
+        v = coerce(value, self.p)
+        return Poly(self.p, self.nvars, {e: c * v for e, c in self.terms.items()})
 
     def partial(self, index):
-        f = self.field
         out = {}
         for e, c in self.terms.items():
             if e[index] == 0:
                 continue
             de = tuple(x - 1 if i == index else x for i, x in enumerate(e))
-            out[de] = f.add(out.get(de, f.zero), f.mul(c, f.coerce(e[index])))
-        return Poly(f, self.nvars, out)
+            out[de] = out.get(de, 0) + c * e[index]
+        return Poly(self.p, self.nvars, out)
 
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
-        f = self.field
-        point = [f.coerce(x) for x in point]
-        total = f.zero
+        p = self.p
+        point = [coerce(x, p) for x in point]
+        total = coerce(0, p)
         for e, c in self.terms.items():
-            val = c
             for x, exp in zip(point, e):
-                for _ in range(exp):
-                    val = f.mul(val, x)
-            total = f.add(total, val)
-        return total
+                c *= x**exp
+            total += c
+        return total if p is None else total % p
 
     def __eq__(self, other):
         if isinstance(other, Poly):
             return (
-                self.field == other.field
+                self.p == other.p
                 and self.nvars == other.nvars
                 and self.terms == other.terms
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.nvars, tuple(sorted(self.terms.items(), key=repr))))
+        return hash((self.p, self.nvars, tuple(sorted(self.terms.items(), key=repr))))
 
     def __str__(self):
         if not self.terms:
@@ -266,11 +181,11 @@ class Poly:
             )
             if not mono:
                 bits.append(str(c))
-            elif c == self.field.one:
+            elif c == 1:
                 bits.append(mono)
             else:
                 bits.append(f"{c}*{mono}")
         return " + ".join(bits)
 
     def __repr__(self):
-        return f"Poly({self.field.name}, {self.nvars} vars, {len(self.terms)} terms)"
+        return f"Poly(p={self.p}, {self.nvars} vars, {len(self.terms)} terms)"

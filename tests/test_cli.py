@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -319,6 +320,63 @@ def test_saved_family_round_trips_byte_for_byte(tmp_path, capsys, doc):
     assert (tmp_path / "b.json").read_bytes() == first.read_bytes()
     assert run(["pfaffian", "build", "--in", str(first), "--json"]) == 0
     capsys.readouterr()
+
+
+def _run_family(tmp_path, monkeypatch, capsys, doc, argv):
+    """Run a pfaffian command on ``doc`` saved as a.json, from tmp_path with a
+    relative --in so that the params of the report do not depend on tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    sub, *rest = argv
+    code = run(["pfaffian", sub, "--in", "a.json", *rest, "--json"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "doc, argv, digest",
+    [
+        (GOOD_Q, ["build"],
+         "076eec3afd26ebd4a7a533952788714cb0b4761a62d92f1800e3cd65183e0886"),
+        (GOOD_Q, ["sample", "--points", "3"],
+         "71afdd2b79a3ced270946af12a05d1c4c6e285fd630250639a1aaa2e512aa3c1"),
+        (GOOD_P, ["build"],
+         "c5ecfde5ef88cceefef733feec01c264569974fe7bb2c4d9a3364919f0f60b11"),
+        (GOOD_P, ["sample", "--prime", "7", "--points", "3"],
+         "865ea226831244a776a63523dcafe85fae06d65d73b31973913744be1225d9a6"),
+    ],
+    ids=["Q-build", "Q-sample", "Fp-build", "Fp-sample"],
+)
+def test_pfaffian_reports_frozen(tmp_path, monkeypatch, capsys, doc, argv, digest):
+    code, out, err = _run_family(tmp_path, monkeypatch, capsys, doc, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+PSI_12 = "318665857834031151167461"  # strong pseudoprime to bases 2..37
+
+
+@pytest.mark.parametrize(
+    "doc, argv, err",
+    [
+        (GOOD_Q, ["sample", "--prime", "12"], "need an odd prime, got 12"),
+        (GOOD_Q, ["sample", "--prime", "2"], "need an odd prime, got 2"),
+        (GOOD_Q, ["sample", "--prime", PSI_12], f"need an odd prime, got {PSI_12}"),
+        (_with(GOOD_Q, matrix=[[1, 0, 0, 0, 0, "1/7"], [0, 1, 0, 0, 3, 0]]),
+         ["sample", "--prime", "7"],
+         "cannot reduce family mod 7: denominator of 1/7 vanishes mod 7"),
+        (_with(GOOD_Q, field={"p": 9}), ["build"], "need an odd prime, got 9"),
+        (_with(GOOD_Q, field={"p": 9}), ["sample"], "need an odd prime, got 9"),
+        (_with(GOOD_P, field={"p": 9}, matrix=5), ["build"], "need an odd prime, got 9"),
+        (_with(GOOD_P, field={"p": 9}, matrix=5), ["sample"], "need an odd prime, got 9"),
+    ],
+    ids=["prime-12", "prime-2", "prime-psi12", "q-denominator-7",
+         "p9-half-build", "p9-half-sample", "p9-matrix-int-build",
+         "p9-matrix-int-sample"],
+)
+def test_pfaffian_errors_frozen(tmp_path, monkeypatch, capsys, doc, argv, err):
+    # the prime is checked before the entries, so a bad prime is the first error
+    assert _run_family(tmp_path, monkeypatch, capsys, doc, argv) == (2, "", f"error: {err}\n")
 
 
 def test_out_flag_writes_report(tmp_path, capsys):

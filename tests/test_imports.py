@@ -8,7 +8,10 @@ No linter ships with the project, so these are the checks:
   outside its own body;
 * every method of a module-level class in ``src/grpf`` (dunders exempt) is
   mentioned somewhere in ``src/grpf``, ``tests`` or ``demos`` outside its
-  own body: test oracles and public API may be used only there.
+  own body: test oracles and public API may be used only there;
+* the package keeps no module state beyond the version, the verify items
+  and the CLI parser: no module-level assignment else, and no
+  ``functools`` cache on any function.
 """
 
 import ast
@@ -145,3 +148,51 @@ def test_every_method_is_referenced():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
     owners = [str(p.relative_to(ROOT)) for p in SRC.glob("*.py")]
     assert dead_methods(sources, owners) == []
+
+
+def module_state(sources):
+    """Module-level assignments and functools-cached functions, as (module, name)."""
+    state = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                state += [(module, ast.unparse(t)) for t in targets]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    head = deco.func if isinstance(deco, ast.Call) else deco
+                    if ast.unparse(head).split(".")[-1] in ("cache", "lru_cache", "cached_property"):
+                        state.append((module, f"{node.name} (cached)"))
+    return sorted(state)
+
+
+def test_module_state_detector():
+    sources = {
+        "a": (
+            "import functools\n"
+            "from functools import cache\n"
+            "X = 1\n"
+            "y: int = 2\n"
+            "@functools.lru_cache(maxsize=8)\n"
+            "def f(n):\n"
+            "    local = n\n"
+            "    return local\n"
+            "class K:\n"
+            "    attr = 3\n"
+            "    @cache\n"
+            "    def g(self):\n"
+            "        return 1\n"
+        ),
+    }
+    assert module_state(sources) == [
+        ("a", "X"), ("a", "f (cached)"), ("a", "g (cached)"), ("a", "y"),
+    ]
+
+
+def test_only_module_state_is_version_items_and_parser():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert module_state(sources) == [
+        ("__init__.py", "__version__"), ("cli.py", "_PARSER"), ("verify.py", "ITEMS"),
+    ]

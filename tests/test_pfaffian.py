@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import grpf.pfaffian
+import grpf.poly
 from grpf.errors import DegenerateFamilyError, ParityError
 from grpf.modp import det_mod, pfaffian_mod, rank_mod
 from grpf.pfaffian import (
@@ -27,7 +29,9 @@ from grpf.pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
-from grpf.poly import Poly, PrimeField, Rationals
+from grpf.poly import Poly, coerce
+
+Q = None  # the modulus that names the rationals
 
 
 # --- column indexing and family construction ----------------------------------
@@ -41,9 +45,9 @@ def test_pair_index_roundtrip():
 
 
 def test_build_skew_matrix_minimal():
-    am = AMap(2, 1, Rationals(), [[1]])
+    am = AMap(2, 1, Q, [[1]])
     slm = build_skew_matrix(am)
-    u1 = Poly.variable(Rationals(), 1, 0)
+    u1 = Poly.variable(Q, 1, 0)
     assert slm.entries[0][1] == u1
     assert slm.entries[1][0] == -u1
     assert slm.entries[0][0].is_zero()
@@ -65,7 +69,7 @@ def test_build_skew_matrix_basis_evaluation():
 
 def test_degenerate_family_rejected():
     with pytest.raises(DegenerateFamilyError):
-        AMap(4, 2, Rationals(), [[1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0]])
+        AMap(4, 2, Q, [[1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0]])
 
 
 def test_amap_json_roundtrip(tmp_path):
@@ -98,29 +102,28 @@ def test_pfaffian_2x2_and_4x4():
 
 def test_pfaffian_squares_to_det_symbolic():
     # fully generic skew matrices with one variable per upper entry
-    f = Rationals()
     for n in (2, 4, 6):
         nv = n * (n - 1) // 2
-        mat = [[Poly.zero(f, nv) for _ in range(n)] for _ in range(n)]
+        mat = [[Poly.zero(Q, nv) for _ in range(n)] for _ in range(n)]
         idx = 0
         for i in range(n):
             for j in range(i + 1, n):
-                v = Poly.variable(f, nv, idx)
+                v = Poly.variable(Q, nv, idx)
                 idx += 1
                 mat[i][j] = v
                 mat[j][i] = -v
         # symbolic determinant by cofactor expansion along the first column
         def det(rows, cols):
             if not rows:
-                return Poly.const(f, nv, 1)
-            out = Poly.zero(f, nv)
+                return Poly.const(Q, nv, 1)
+            out = Poly.zero(Q, nv)
             r0 = rows[0]
             for t, c in enumerate(cols):
                 term = mat[r0][c] * det(rows[1:], cols[:t] + cols[t + 1 :])
                 out = out + term if t % 2 == 0 else out - term
             return out
 
-        slm = SkewLinearMatrix(n, nv, f, mat)
+        slm = SkewLinearMatrix(n, nv, Q, mat)
         pf = pfaffian_polynomial(slm)
         assert pf * pf == det(tuple(range(n)), tuple(range(n)))
 
@@ -145,14 +148,13 @@ def test_symbolic_family_pfaffian_degree():
 
 
 def test_submaximal_pfaffians_n3():
-    f = Rationals()
-    am = AMap(3, 3, f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    am = AMap(3, 3, Q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     slm = build_skew_matrix(am)
     subs = submaximal_pfaffians(slm)
     # deleting row/column i leaves the single entry m_{jk}
     assert [str(s) for s in subs] == ["u3", "u2", "u1"]
     with pytest.raises(ParityError):
-        submaximal_pfaffians(build_skew_matrix(AMap(4, 1, f, [[1, 0, 0, 0, 0, 0]])))
+        submaximal_pfaffians(build_skew_matrix(AMap(4, 1, Q, [[1, 0, 0, 0, 0, 0]])))
 
 
 def test_submaximal_vanishing_matches_rank_drop():
@@ -241,7 +243,7 @@ def _delete(slm, i):
     """The principal submatrix of slm without row and column i."""
     keep = [j for j in range(slm.n) if j != i]
     rows = [[slm.entries[a][b] for b in keep] for a in keep]
-    return SkewLinearMatrix(slm.n - 1, slm.k, slm.field, rows)
+    return SkewLinearMatrix(slm.n - 1, slm.k, slm.p, rows)
 
 
 @pytest.mark.parametrize("n, k, seed, p", [(7, 7, 42, 10007), (9, 5, 1, None)])
@@ -271,7 +273,6 @@ def test_pfaffians_over_q_with_denominators():
     # over Q the expansion runs on the integer matrix D m and divides by
     # D^d at the end; check against the numeric Pfaffian mod p
     p = 10007
-    fp = PrimeField(p)
     rng = random.Random(5)
     for n, k in ((8, 4), (7, 3)):
         rows = [
@@ -279,18 +280,18 @@ def test_pfaffians_over_q_with_denominators():
              for _ in range(math.comb(n, 2))]
             for _ in range(k)
         ]
-        slm = build_skew_matrix(AMap(n, k, Rationals(), rows))
+        slm = build_skew_matrix(AMap(n, k, Q, rows))
         if n % 2 == 0:
             polys, deleted = [pfaffian_polynomial(slm)], [None]
         else:
             polys, deleted = submaximal_pfaffians(slm), range(n)
         for _ in range(5):
             u = [rng.randint(-20, 20) for _ in range(k)]
-            mat = [[fp.coerce(x) for x in row] for row in slm.evaluate(u)]
+            mat = [[coerce(x, p) for x in row] for row in slm.evaluate(u)]
             for poly, i in zip(polys, deleted):
                 keep = [j for j in range(n) if j != i]
                 minor = [[mat[a][b] for b in keep] for a in keep]
-                assert fp.coerce(poly.evaluate(u)) == pfaffian_mod(minor, p)
+                assert coerce(poly.evaluate(u), p) == pfaffian_mod(minor, p)
     a = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4),
          Fraction(4, 5), Fraction(5, 6), Fraction(-6, 7)]
     m = [[0, a[0], a[1], a[2]], [-a[0], 0, a[3], a[4]],
@@ -299,14 +300,13 @@ def test_pfaffians_over_q_with_denominators():
 
 
 def test_skew_linear_matrix_rejects_nonlinear_entries():
-    f = Rationals()
-    u1 = Poly.variable(f, 2, 0)
-    one = Poly.const(f, 2, 1)
-    zero = Poly.zero(f, 2)
-    SkewLinearMatrix(2, 2, f, [[zero, zero], [zero, zero]])  # zero entries are fine
+    u1 = Poly.variable(Q, 2, 0)
+    one = Poly.const(Q, 2, 1)
+    zero = Poly.zero(Q, 2)
+    SkewLinearMatrix(2, 2, Q, [[zero, zero], [zero, zero]])  # zero entries are fine
     for bad in (one, u1 * u1):
         with pytest.raises(ValueError, match="not a linear form"):
-            SkewLinearMatrix(2, 2, f, [[zero, bad], [-bad, zero]])
+            SkewLinearMatrix(2, 2, Q, [[zero, bad], [-bad, zero]])
 
 
 # --- sampling -------------------------------------------------------------------
@@ -349,13 +349,30 @@ def test_sampling_rational_family_reduces_mod_p():
         assert q.kernel_dim in (2, 4)
 
 
+def test_prime_is_checked_only_at_the_boundary(monkeypatch):
+    # the modulus is checked where it enters (sample_y2, reduce_mod, AMap),
+    # not once per elimination
+    calls = []
+    is_prime = grpf.poly.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return is_prime(p)
+
+    for module in (grpf.poly, grpf.pfaffian):
+        if hasattr(module, "is_prime"):
+            monkeypatch.setattr(module, "is_prime", counted)
+    res = sample_y2(AMap.random(7, 7, 1), 10007, 20, 1)
+    assert len(res.points) == 20
+    assert 1 <= len(calls) <= 3
+
+
 def test_sampling_forced_singular_point():
     # plant a rank-4 form as a family member: that point of the quartic
     # surface lies on the deeper stratum and must be flagged singular
     p = 10007
     n, k = 8, 4
     rng = random.Random(13)
-    f = PrimeField(p)
     while True:
         rows = [[rng.randrange(p) for _ in range(math.comb(n, 2))] for _ in range(k)]
         # first member: a rank-4 skew form supported on coordinates 0..3
@@ -364,7 +381,7 @@ def test_sampling_forced_singular_point():
             row0[pair_index(n, i, j)] = v
         rows[0] = row0
         try:
-            am = AMap(n, k, f, rows)
+            am = AMap(n, k, p, rows)
             break
         except DegenerateFamilyError:
             continue
@@ -388,7 +405,7 @@ def symbolic_jacobian_test(am):
     else:
         polys, codim = submaximal_pfaffians(slm), 3
     partials = [[poly.partial(r) for r in range(am.k)] for poly in polys]
-    p = am.field.p
+    p = am.p
     return lambda u: rank_mod([[d.evaluate(u) for d in row] for row in partials], p) == codim
 
 
@@ -435,7 +452,7 @@ def planted_family(n, k, p, seed, support, vanishing=()):
             for i, j in vanishing:
                 row[pair_index(n, i, j)] = 0
         try:
-            return AMap(n, k, PrimeField(p), rows)
+            return AMap(n, k, p, rows)
         except DegenerateFamilyError:
             continue
 

@@ -14,7 +14,10 @@ from grpf.modp import (
     rank_mod,
     roots_mod,
 )
-from grpf.poly import Poly, PrimeField, Rationals, is_prime
+from grpf.pfaffian import AMap
+from grpf.poly import Poly, check_prime, coerce, is_prime
+
+Q = None  # the modulus that names the rationals
 
 
 def test_is_prime_small():
@@ -31,38 +34,46 @@ def test_is_prime_deterministic_range():
     assert not is_prime(psi_12)
     assert is_prime(10**24 + 7)
     with pytest.raises(ValueError, match="odd prime"):
-        PrimeField(psi_12)
+        check_prime(psi_12)
     for big in (psi_13, psi_13 + 2, 2**127 - 1):
         with pytest.raises(ValueError, match=str(psi_13)):
             is_prime(big)
         with pytest.raises(ValueError, match=str(psi_13)):
-            PrimeField(big)
+            check_prime(big)
 
 
 def test_prime_field_ops():
-    f = PrimeField(13)
-    assert f.add(7, 9) == 3
-    assert f.mul(5, 8) == 1
-    assert f.inv(5) == 8
-    assert f.coerce(-1) == 12
-    assert f.coerce(Fraction(1, 2)) == 7
-    with pytest.raises(ValueError):
-        PrimeField(12)
-    with pytest.raises(ValueError):
-        PrimeField(2)
+    # F_13 is named by 13: Poly reduces sums and products, coerce maps into it
+    c = Poly.const
+    assert c(13, 1, 7) + c(13, 1, 9) == c(13, 1, 3)
+    assert c(13, 1, 5) * c(13, 1, 8) == c(13, 1, 1)
+    assert inv_mod(5, 13) == 8
+    assert coerce(-1, 13) == 12
+    assert coerce(Fraction(1, 2), 13) == 7
+    assert AMap(2, 1, Q, [[-1]]).reduce_mod(13).matrix == ((12,),)
+    assert AMap(2, 1, Q, [[Fraction(1, 2)]]).reduce_mod(13).matrix == ((7,),)
+    with pytest.raises(ZeroDivisionError, match="vanishes mod 13"):
+        coerce(Fraction(1, 26), 13)
+    for bad in (12, 2):
+        with pytest.raises(ValueError, match=f"need an odd prime, got {bad}"):
+            check_prime(bad)
+        with pytest.raises(ValueError, match=f"need an odd prime, got {bad}"):
+            AMap(2, 1, bad, [[1]])
 
 
-def test_rationals_ops():
-    f = Rationals()
-    assert f.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert f.to_json(Fraction(4, 2)) == 2
-    assert f.to_json(Fraction(1, 3)) == "1/3"
+def test_rationals_ops(tmp_path):
+    # Q is named by None; its elements are Fractions, written as ints when whole
+    assert type(coerce(3, Q)) is Fraction
+    assert _rref([[Fraction(2, 3), 1]], Q)[1] == [[1, Fraction(3, 2)]]
+    am = AMap(3, 1, Q, [[Fraction(4, 2), Fraction(1, 3), -1]])
+    assert am.to_json_dict()["matrix"] == [[2, "1/3", -1]]
+    am.save(tmp_path / "a.json")
+    assert AMap.load(tmp_path / "a.json").matrix == am.matrix
 
 
 def test_poly_arithmetic_and_eval():
-    f = Rationals()
-    u1 = Poly.variable(f, 2, 0)
-    u2 = Poly.variable(f, 2, 1)
+    u1 = Poly.variable(Q, 2, 0)
+    u2 = Poly.variable(Q, 2, 1)
     p = (u1 + u2) * (u1 - u2)
     q = u1 * u1 - u2 * u2
     assert p == q
@@ -73,20 +84,18 @@ def test_poly_arithmetic_and_eval():
 
 
 def test_poly_partial_derivatives():
-    f = PrimeField(101)
-    u1 = Poly.variable(f, 2, 0)
-    u2 = Poly.variable(f, 2, 1)
+    u1 = Poly.variable(101, 2, 0)
+    u2 = Poly.variable(101, 2, 1)
     p = u1 * u1 * u2 + u2.scale(3)
     assert p.partial(0) == (u1 * u2).scale(2)
-    assert p.partial(1) == u1 * u1 + Poly.const(f, 2, 3)
+    assert p.partial(1) == u1 * u1 + Poly.const(101, 2, 3)
 
 
 def test_poly_str_readable():
-    f = Rationals()
-    u1 = Poly.variable(f, 2, 0)
-    u2 = Poly.variable(f, 2, 1)
+    u1 = Poly.variable(Q, 2, 0)
+    u2 = Poly.variable(Q, 2, 1)
     assert str(u1 * u1 + u2.scale(2)) == "u1^2 + 2*u2"
-    assert str(Poly.zero(f, 2)) == "0"
+    assert str(Poly.zero(Q, 2)) == "0"
 
 
 def test_inv_and_rank_and_det():
@@ -116,13 +125,13 @@ def test_rref_over_q_and_fp():
     # det = 7: full rank over Q, rank 1 over F_7
     m = [[1, 2], [3, 13]]
     q = [[Fraction(x) for x in row] for row in m]
-    assert _rref(q, Rationals()) == (2, [[1, 0], [0, 1]], [0, 1], 7)
-    assert _rref(m, PrimeField(7)) == (1, [[1, 2], [0, 0]], [0], 1)
+    assert _rref(q, Q) == (2, [[1, 0], [0, 1]], [0, 1], 7)
+    assert _rref(m, 7) == (1, [[1, 2], [0, 0]], [0], 1)
     assert rank_mod(m, 7) == 1 and rank_mod(m, 11) == 2
     half = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    assert _rref(half, Rationals()) == (1, [[1, Fraction(2, 3)], [0, 0]], [0], Fraction(1, 2))
+    assert _rref(half, Q) == (1, [[1, Fraction(2, 3)], [0, 0]], [0], Fraction(1, 2))
     # a row swap flips the sign of the pivot product
-    assert _rref([[0, 2], [3, 5]], PrimeField(7))[3] == -6 % 7
+    assert _rref([[0, 2], [3, 5]], 7)[3] == -6 % 7
 
 
 # --- roots of univariate polynomials over F_p --------------------------------

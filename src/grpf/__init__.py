@@ -7,7 +7,8 @@ What lives where:
 * :mod:`grpf.schur`     Clebsch-Gordan, the Cauchy identity, and the
   K-theory carrier :class:`~grpf.schur.KClass`
 * :mod:`grpf.bwb`       the Borel-Weil-Bott engine
-* :mod:`grpf.geometry`  parameter classification, window sets, strata
+* :mod:`grpf.geometry`  parameter classification, windows as frozensets
+  of labels, strata
 * :mod:`grpf.sections`  Hodge diamonds and deformations of linear sections,
   exceptional-collection and twisted-vanishing verifiers
 * :mod:`grpf.pfaffian`  skew families of 2-forms, exact Pfaffians,
@@ -20,7 +21,6 @@ from .diamond import HodgeDiamond
 from .geometry import (
     Classification,
     ModelParams,
-    WindowSet,
     classify,
     grassmannian_window,
     orthogonal_rectangle,

@@ -169,11 +169,11 @@ def _cmd_windows(args):
     s, t, inclusion = window_sets(params_obj)
     rect = orthogonal_rectangle(params_obj)
     result = {
-        "grassmannian_side": [list(x) for x in s.sorted_labels()],
-        "pfaffian_side": [list(x) for x in t.sorted_labels()],
+        "grassmannian_side": [list(x) for x in sorted(s)],
+        "pfaffian_side": [list(x) for x in sorted(t)],
         "sizes": {"grassmannian_side": len(s), "pfaffian_side": len(t)},
         "inclusion": inclusion,
-        "orthogonal_rectangle": [list(x) for x in rect.sorted_labels()],
+        "orthogonal_rectangle": [list(x) for x in sorted(rect)],
     }
     params = {"n": args.n, "k": args.k}
     return 0, params, result, ["window-set-enumeration", "subset-test"]

@@ -5,7 +5,7 @@ A model is a pair (n, k): V of dimension n, a k-dimensional space U of
 section of Gr(2, n) and the degeneracy locus of the family of 2-forms
 inside P(U), which is a linear section of the Pfaffian variety.
 
-The window sets are the finite label sets {(l, m)} naming the bundles
+A window is a frozenset of labels (l, m) naming the bundles
 Sym^l S (det S)^m used by the restriction functors: a large one adapted
 to the Grassmannian side and a smaller one adapted to the Pfaffian side.
 """
@@ -130,45 +130,6 @@ def pfaffian_stratum_codim(n, r):
     return math.comb(n - r, 2)
 
 
-class WindowSet:
-    """An explicit finite set of (l, m) labels for bundles Sym^l S (det S)^m."""
-
-    __slots__ = ("labels",)
-
-    def __init__(self, labels):
-        labels = frozenset((int(l), int(m)) for l, m in labels)
-        for l, _ in labels:
-            if l < 0:
-                raise ValueError(f"negative symmetric power in {sorted(labels)}")
-        self.labels = labels
-
-    def sorted_labels(self):
-        return sorted(self.labels)
-
-    def issubset(self, other):
-        return self.labels <= other.labels
-
-    def __contains__(self, label):
-        return tuple(label) in self.labels
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.sorted_labels())
-
-    def __eq__(self, other):
-        if isinstance(other, WindowSet):
-            return self.labels == other.labels
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.labels)
-
-    def __repr__(self):
-        return f"WindowSet({len(self.labels)} labels)"
-
-
 def grassmannian_window(n):
     """The window adapted to the Grassmannian side.
 
@@ -177,16 +138,16 @@ def grassmannian_window(n):
     """
     L = half_rank(n)
     if n % 2 == 1:
-        return WindowSet((l, m) for l in range(L) for m in range(n))
+        return frozenset((l, m) for l in range(L) for m in range(n))
     labels = [(l, m) for l in range(L - 1) for m in range(n)]
     labels += [(L - 1, m) for m in range(n // 2)]
-    return WindowSet(labels)
+    return frozenset(labels)
 
 
 def pfaffian_window(n, k):
     """The window adapted to the Pfaffian side: l < L and m < k."""
     L = half_rank(n)
-    return WindowSet((l, m) for l in range(L) for m in range(k))
+    return frozenset((l, m) for l in range(L) for m in range(k))
 
 
 def window_sets(params: ModelParams):
@@ -197,7 +158,7 @@ def window_sets(params: ModelParams):
     """
     s = grassmannian_window(params.n)
     t = pfaffian_window(params.n, params.k)
-    literal = t.issubset(s)
+    literal = t <= s
     closed = window_inclusion_closed_form(params.n, params.k)
     if literal != closed:
         raise IntegrityError(
@@ -207,16 +168,13 @@ def window_sets(params: ModelParams):
     return s, t, literal
 
 
-def orthogonal_rectangle(params: ModelParams) -> WindowSet:
+def orthogonal_rectangle(params: ModelParams) -> frozenset:
     """Labels (l, m) whose whole twist range (l, m..m+k) stays in the window.
 
     These are the bundles orthogonal to the Pfaffian-side subcategory; the
     set is computed by the literal membership test.
     """
     s = grassmannian_window(params.n)
-    keep = [
-        (l, m)
-        for (l, m) in s.sorted_labels()
-        if all((l, m + t) in s for t in range(params.k + 1))
-    ]
-    return WindowSet(keep)
+    return frozenset(
+        (l, m) for (l, m) in s if all((l, m + t) in s for t in range(params.k + 1))
+    )

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from .bwb import _bott_cauchy, _cauchy_twists, cohomology_of_kclass
 from .diamond import HodgeDiamond
 from .errors import IntegrityError
-from .geometry import (
-    ModelParams,
-    WindowSet,
-    classify,
-    grassmannian_window,
-)
+from .geometry import ModelParams, classify, grassmannian_window
 from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2
 from .weights import grassmannian_poincare
 
@@ -403,7 +398,7 @@ class ExceptionalReport:
         return len(self.order) ** 2
 
 
-def verify_strong_exceptional(n, window: WindowSet) -> ExceptionalReport:
+def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
     """Check that a window's bundles form a strong exceptional collection.
 
     For every ordered pair all positive-degree Ext groups must vanish; in
@@ -411,7 +406,7 @@ def verify_strong_exceptional(n, window: WindowSet) -> ExceptionalReport:
     twist" every Hom must flow forward; each bundle must be simple.
     Failures are collected, not raised.
     """
-    order = sorted(window.sorted_labels(), key=lambda lm: (-lm[1], -lm[0]))
+    order = sorted(window, key=lambda lm: (-lm[1], -lm[0]))
     size = len(order)
     hom = [[0] * size for _ in range(size)]
     ext_failures = []
@@ -495,40 +490,36 @@ class VanishingReport:
 def twisted_ext_vanishing(n) -> VanishingReport:
     """Run the all-t vanishing decision over the full Grassmannian window.
 
-    The verdict depends only on the key (l, l', m - m'), and each row of
-    the window (fixed l) is a contiguous run of m, so the number of label
-    pairs behind a key is a count, not a walk.  Label pairs are walked
-    only to list counterexamples, in the order of the sorted labels.
+    The verdict depends only on the key (l, l', m - m').  In
+    :func:`pair_twisted_vanishing` the first failing candidate never
+    decreases as m - m' grows and the last summand that can fail never
+    increases, so the failing keys of a row pair (l, l') form a down-set
+    {m - m' <= D}: one call at the row pair's least m - m', (l, min m)
+    against (l', max m'), decides all of it.  Label pairs are walked, in
+    the order of the sorted labels, only to list the counterexamples of
+    failing row pairs.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError(f"the all-t decision is for even n >= 4, got {n}")
-    labels = grassmannian_window(n).sorted_labels()
-    rows = {}  # l -> (first m, number of m)
+    labels = sorted(grassmannian_window(n))
+    rows = {}  # l -> the m of row l, ascending
     for l, m in labels:
-        first, size = rows.get(l, (m, 0))
-        if m != first + size:
-            raise IntegrityError(f"row l={l} of the window is not contiguous")
-        rows[l] = (first, size + 1)
+        rows.setdefault(l, []).append(m)
     summands = 0
-    verdicts = {}
-    for l, (m0, size) in rows.items():
-        for lp, (mp0, size_p) in rows.items():
-            # the pairs with (m - m0) - (m' - mp0) = c have m - m0 in
-            # [max(0, c), min(size, size_p + c))
-            for c in range(1 - size_p, size):
-                pairs = min(size, size_p + c) - max(0, c)
-                m = m0 + max(0, c)
-                e, f = (l, m), (lp, m - c - m0 + mp0)
-                verdict = pair_twisted_vanishing(n, e, f)
-                verdicts[(l, lp, e[1] - f[1])] = verdict
-                summands += pairs * (min(l, lp) + 1)
+    failing = set()
+    for l, ms in rows.items():
+        for lp, mps in rows.items():
+            summands += len(ms) * len(mps) * (min(l, lp) + 1)
+            if not pair_twisted_vanishing(n, (l, ms[0]), (lp, mps[-1])).vanishes_for_all_t:
+                failing.add((l, lp))
     counterexamples = []
-    if not all(v.vanishes_for_all_t for v in verdicts.values()):
+    if failing:
         for e in labels:
             for f in labels:
-                verdict = verdicts[(e[0], f[0], e[1] - f[1])]
-                if not verdict.vanishes_for_all_t:
-                    counterexamples.append((e, f) + verdict.counterexample)
+                if (e[0], f[0]) in failing:
+                    verdict = pair_twisted_vanishing(n, e, f)
+                    if not verdict.vanishes_for_all_t:
+                        counterexamples.append((e, f) + verdict.counterexample)
     return VanishingReport(
         n=n,
         pair_count=len(labels) ** 2,

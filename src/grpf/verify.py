@@ -79,7 +79,7 @@ def _check_window_grid():
 def _check_rectangle():
     rect = orthogonal_rectangle(ModelParams(10, 5))
     expected = {(l, m) for l in range(4) for m in range(5)}
-    ok = rect.labels == frozenset(expected)
+    ok = rect == expected
     return ok, f"{len(rect)} labels"
 
 

@@ -114,9 +114,7 @@ def test_criterion_07_orthogonal_rectangle():
     with Criterion(7, 1.0):
         rect = orthogonal_rectangle(ModelParams(10, 5))
         assert len(rect) == 20
-        assert rect.labels == frozenset(
-            (l, m) for l in range(4) for m in range(5)
-        )
+        assert rect == {(l, m) for l in range(4) for m in range(5)}
 
 
 @pytest.mark.parametrize("n,k", [(10, 5), (7, 7), (8, 4)])

@@ -128,21 +128,23 @@ def test_window_inclusion_grid_matches_closed_form():
 
 def test_orthogonal_rectangle_quintic_case():
     rect = orthogonal_rectangle(ModelParams(10, 5))
-    assert rect.labels == frozenset((l, m) for l in range(4) for m in range(5))
+    assert rect == {(l, m) for l in range(4) for m in range(5)}
     assert len(rect) == 20
 
 
 def test_orthogonal_rectangle_literal_odd():
-    # for odd n the literal computation gives m + k <= n - 1
-    for n in (7, 9):
+    # for odd n the literal computation gives m + k <= n - 1; for even n
+    # the same on every row but the top one, where it gives m + k < n/2
+    for n in (7, 9, *range(4, 15, 2)):
+        L = half_rank(n)
         for k in range(1, n + 3):
             rect = orthogonal_rectangle(ModelParams(n, k))
             expected = {
                 (l, m)
-                for l in range(half_rank(n))
-                for m in range(n - k) if m + k <= n - 1
+                for l in range(L)
+                for m in range((n // 2 if n % 2 == 0 and l == L - 1 else n) - k)
             }
-            assert rect.labels == frozenset(expected)
+            assert rect == expected
             assert (len(rect) > 0) == (k <= n - 1)
 
 
@@ -156,9 +158,9 @@ def test_orthogonal_rectangle_monotone_in_k():
         sizes = [len(orthogonal_rectangle(ModelParams(n, k))) for k in range(1, 12)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         for k in range(1, 12):
-            assert orthogonal_rectangle(ModelParams(n, k)).issubset(grassmannian_window(n))
+            assert orthogonal_rectangle(ModelParams(n, k)) <= grassmannian_window(n)
 
 
 def test_pfaffian_window_shape():
     t = pfaffian_window(10, 5)
-    assert t.labels == frozenset((l, m) for l in range(5) for m in range(5))
+    assert t == {(l, m) for l in range(5) for m in range(5)}

@@ -49,6 +49,9 @@ COMMANDS = [
     "bwb --n 8 --s=-1,-4 --q 3,3,1,1,0,-2",
     "bwb --n 8 --s 2,-3 --q 3,3,1,1,0,-2",
     "bwb --n 8 --s=-12,-13 --q 3,3,1,1,0,-2",
+    "lemma check --n 100",
+    "lemma check --n 200",
+    "windows --n 9 --k 7",
     "collection verify --n 6",
     "collection verify --n 6 --set T --k 3",
 ]

@@ -326,10 +326,21 @@ def test_collection_failure_is_detected():
     assert rep.ext_failures
 
 
+def least_row_pair_keys(n):
+    """(l, min m) against (l', max m') for every row pair of the window."""
+    rows = {}
+    for l, m in grassmannian_window(n):
+        rows.setdefault(l, []).append(m)
+    return sorted(
+        ((l, min(ms)), (lp, max(mps))) for l, ms in rows.items() for lp, mps in rows.items()
+    )
+
+
 def test_verifiers_compute_each_hom_key_once_per_call(monkeypatch):
-    # Hom(E, F) and the all-t verdict depend only on (l, l', m - m'); each
-    # verifier call computes every key once, and the next call computes it
-    # again, because the table is local to the call
+    # Hom(E, F) depends only on (l, l', m - m'); each collection check
+    # computes every key once, and the next call computes it again,
+    # because the table is local to the call.  The lemma decides each row
+    # pair (l, l') by one verdict at its least m - m', on every call
     import grpf.sections as sections
 
     rhom, pair = sections.rhom_dimensions, sections.pair_twisted_vanishing
@@ -343,23 +354,26 @@ def test_verifiers_compute_each_hom_key_once_per_call(monkeypatch):
         return rhom(e, f, n)
 
     def counted_pair(n, e, f):
-        computed.append(key(e, f))
+        computed.append((e, f))
         return pair(n, e, f)
 
     monkeypatch.setattr(sections, "rhom_dimensions", counted_rhom)
     monkeypatch.setattr(sections, "pair_twisted_vanishing", counted_pair)
     window = grassmannian_window(8)
-    labels = window.sorted_labels()
+    labels = sorted(window)
     keys = sorted({key(e, f) for e in labels for f in labels})
     assert len(keys) < len(labels) ** 2
     for _ in range(2):
-        for check in (
-            lambda: verify_strong_exceptional(8, window),
-            lambda: twisted_ext_vanishing(8),
-        ):
-            computed.clear()
-            check()
-            assert sorted(computed) == keys
+        computed.clear()
+        verify_strong_exceptional(8, window)
+        assert sorted(computed) == keys
+        computed.clear()
+        twisted_ext_vanishing(8)
+        assert sorted(computed) == least_row_pair_keys(8)
+    computed.clear()
+    twisted_ext_vanishing(200)
+    assert len(computed) == 100 * 100
+    assert sorted(computed) == least_row_pair_keys(200)
 
 
 # --- twisted vanishing for all t -----------------------------------------------
@@ -391,11 +405,15 @@ def test_pair_verdict_residual_twists_in_closed_form():
     for n in range(4, 15):
         for l in range(n):
             for lp in range(n):
+                passed = False
                 for d in range(-3 * n, 2 * n):
                     e, f = (l, d), (lp, 0)
                     verdict = pair_twisted_vanishing(n, e, f)
                     assert verdict == covered_set_verdict(n, e, f), (n, e, f)
                     verdicts.add(verdict.vanishes_for_all_t)
+                    # the failing m - m' of a row pair form a down-set
+                    assert verdict.vanishes_for_all_t or not passed, (n, e, f)
+                    passed = verdict.vanishes_for_all_t
     # a residual twist (neither dominant nor a repeat) is in positive
     # degree, so the oracle's first one is the closed form's counterexample
     assert verdicts == {True, False}
@@ -403,7 +421,7 @@ def test_pair_verdict_residual_twists_in_closed_form():
 
 def brute_twisted_ext_vanishing(n):
     """The lemma's counts and counterexamples, walking every label pair."""
-    labels = grassmannian_window(n).sorted_labels()
+    labels = sorted(grassmannian_window(n))
     verdicts = {}
     summands = 0
     counterexamples = []
@@ -429,16 +447,19 @@ def test_twisted_vanishing_counts_match_every_pair(n):
 
 @pytest.mark.parametrize("n, bad_key", [(8, (1, 2, -3)), (12, (0, 0, 0)), (12, (5, 3, 4))])
 def test_twisted_vanishing_counterexamples_keep_pair_order(monkeypatch, n, bad_key):
-    # a verdict that fails on one key must be listed for every label pair
-    # with that key, in the order of the label walk
+    # bad_key = (l, l', d0): a verdict that fails on every key of the row
+    # pair (l, l') with m - m' <= d0, a down-set like every real failure,
+    # must be listed for every label pair with such a key, in the order of
+    # the label walk
     pair = sections.pair_twisted_vanishing
+    l, lp, d0 = bad_key
 
-    def failing_on_one_key(n, e, f):
-        if (e[0], f[0], e[1] - f[1]) == bad_key:
+    def failing_below_d0(n, e, f):
+        if (e[0], f[0]) == (l, lp) and e[1] - f[1] <= d0:
             return PairVerdict(False, (0, 7, 1, 3))
         return pair(n, e, f)
 
-    monkeypatch.setattr(sections, "pair_twisted_vanishing", failing_on_one_key)
+    monkeypatch.setattr(sections, "pair_twisted_vanishing", failing_below_d0)
     rep = twisted_ext_vanishing(n)
     pairs, summands, counterexamples = brute_twisted_ext_vanishing(n)
     assert len(counterexamples) > 1
@@ -464,7 +485,7 @@ def test_twisted_vanishing_negative_control():
 
 
 def test_twisted_vanishing_pair_level_inside_window():
-    window = grassmannian_window(8).sorted_labels()
+    window = sorted(grassmannian_window(8))
     for e in window:
         for f in window:
             assert pair_twisted_vanishing(8, e, f).vanishes_for_all_t
@@ -473,7 +494,7 @@ def test_twisted_vanishing_pair_level_inside_window():
 def test_enumerative_matches_symbolic_at_small_twists():
     # if Ext^{>0}(E, F(t)) vanishes for all t, the direct computation at
     # t = 0..k must agree
-    labels = grassmannian_window(10).sorted_labels()
+    labels = sorted(grassmannian_window(10))
     sample = labels[:: 9]
     for e in sample:
         for f in sample:
@@ -515,7 +536,7 @@ def test_hom_dimensions_match_symbolic_regimes():
     from grpf.weights import weyl_dimension
 
     n = 10
-    labels = grassmannian_window(n).sorted_labels()[::7]
+    labels = sorted(grassmannian_window(n))[::7]
     for e in labels:
         for f in labels:
             for t in range(0, 7):

@@ -259,6 +259,16 @@ GOOD_Q = {"n": 4, "k": 2, "field": "Q",
           "matrix": [[1, 0, 0, 0, 0, "1/2"], [0, 1, 0, 0, 3, 0]]}
 GOOD_P = {"n": 4, "k": 2, "field": {"p": 7},
           "matrix": [[1, 0, 0, 0, 0, 4], [0, 1, 0, 0, 3, 0]]}
+# odd n, so the report lists submaximal Pfaffians; entries in three or four variables
+ODD_Q = {"n": 5, "k": 3, "field": "Q",
+         "matrix": [[1, 0, "-2/3", 0, 5, 0, 0, -4, 0, 1],
+                    [0, "7/2", 0, 1, 0, -1, 0, 0, 3, 0],
+                    [2, 0, 0, -3, 0, 0, "1/5", 0, 0, -6]]}
+ODD_P = {"n": 5, "k": 4, "field": {"p": 7},
+         "matrix": [[1, 0, 6, 0, 2, 0, 0, 3, 0, 5],
+                    [0, 4, 0, 1, 0, 6, 0, 0, 2, 0],
+                    [3, 0, 0, 5, 0, 0, 1, 0, 0, 4],
+                    [0, 2, 1, 0, 0, 3, 0, 6, 1, 0]]}
 
 
 def _with(doc, **changes):
@@ -344,8 +354,12 @@ def _run_family(tmp_path, monkeypatch, capsys, doc, argv):
          "c5ecfde5ef88cceefef733feec01c264569974fe7bb2c4d9a3364919f0f60b11"),
         (GOOD_P, ["sample", "--prime", "7", "--points", "3"],
          "865ea226831244a776a63523dcafe85fae06d65d73b31973913744be1225d9a6"),
+        (ODD_Q, ["build"],
+         "2942a69a4b4a07a0c19203fc953d174029fc952090148948ee2d84132305f113"),
+        (ODD_P, ["build"],
+         "613d40ed862e4ac63daa17df260989f38ff96fd4fd73edcac3c51cbc356cd57b"),
     ],
-    ids=["Q-build", "Q-sample", "Fp-build", "Fp-sample"],
+    ids=["Q-build", "Q-sample", "Fp-build", "Fp-sample", "Q-odd-build", "Fp-odd-build"],
 )
 def test_pfaffian_reports_frozen(tmp_path, monkeypatch, capsys, doc, argv, digest):
     code, out, err = _run_family(tmp_path, monkeypatch, capsys, doc, argv)

@@ -5,17 +5,17 @@ A random 5-dimensional family of 2-forms on a 10-dimensional space cuts
 a quintic threefold out of projective 4-space; its points over F_p have
 2-dimensional kernels, and smoothness at each is the tangent-space test
 of the rank locus: the pairings k_a^T M_r k_b on the kernel have full rank.
+A family is its own skew matrix of linear forms, so the symbolic
+Pfaffians take the family itself.
 """
 
-from grpf import AMap, build_skew_matrix, pfaffian_polynomial, sample_y2
-from grpf.pfaffian import submaximal_pfaffians
+from grpf import AMap, pfaffian_polynomial, sample_y2, submaximal_pfaffians
 
 p = 10007
 
 print("== the (10, 5) family ==")
 am = AMap.random(10, 5, seed=42, p=p)
-slm = build_skew_matrix(am)
-pf = pfaffian_polynomial(slm)
+pf = pfaffian_polynomial(am)
 print(f"symbolic Pfaffian: degree {pf.total_degree()}, {len(pf.terms)} monomials")
 
 res = sample_y2(am, p, 200, seed=42)
@@ -25,8 +25,7 @@ print(f"kernel dimensions {kernels}, smooth fraction {res.smooth_fraction:.3f}")
 
 print("\n== the (7, 7) family: odd case ==")
 am77 = AMap.random(7, 7, seed=42, p=p)
-slm77 = build_skew_matrix(am77)
-subs = submaximal_pfaffians(slm77)
+subs = submaximal_pfaffians(am77)
 print(f"{len(subs)} submaximal Pfaffians of degree {subs[0].total_degree()}",
       "cut the locus")
 res77 = sample_y2(am77, p, 200, seed=42)

@@ -11,7 +11,8 @@ What lives where:
   of labels, strata
 * :mod:`grpf.sections`  Hodge diamonds and deformations of linear sections,
   exceptional-collection and twisted-vanishing verifiers
-* :mod:`grpf.pfaffian`  skew families of 2-forms, exact Pfaffians,
+* :mod:`grpf.pfaffian`  skew families of 2-forms (:class:`~grpf.pfaffian.AMap`,
+  which is the skew matrix of linear forms), their exact Pfaffians,
   finite-field point sampling, hypersurface Hodge numbers
 * :mod:`grpf.cli`       the ``grpf`` command line tool
 """
@@ -31,8 +32,6 @@ from .geometry import (
 from .pfaffian import (
     AMap,
     SamplePoint,
-    SkewLinearMatrix,
-    build_skew_matrix,
     hypersurface_hodge,
     lg_ext_profile,
     lg_hom_shift,

@@ -35,12 +35,12 @@ from .geometry import (
 )
 from .pfaffian import (
     AMap,
-    build_skew_matrix,
     hypersurface_hodge,
     pfaffian_polynomial,
     sample_y2,
     submaximal_pfaffians,
 )
+from .poly import Poly
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,
@@ -285,21 +285,27 @@ def _cmd_hodge_hypersurface(args):
 
 def _cmd_pfaffian_build(args):
     am = AMap.load(args.infile)
-    slm = build_skew_matrix(am)
+    # entry (i, j) is the linear form sum_r forms[r][i][j] u_r
+    forms = am.basis_forms()
+    units = [tuple(int(s == r) for s in range(am.k)) for r in range(am.k)]
     result = {
         "n": am.n,
         "k": am.k,
         "field": "Q" if am.p is None else {"p": am.p},
-        "entries": [[str(e) for e in row] for row in slm.entries],
+        "entries": [
+            [str(Poly(am.p, am.k, {e: f[i][j] for e, f in zip(units, forms)}))
+             for j in range(am.n)]
+            for i in range(am.n)
+        ],
     }
     if am.n % 2 == 0:
-        pf = pfaffian_polynomial(slm)
+        pf = pfaffian_polynomial(am)
         result["pfaffian"] = {
             "degree": pf.total_degree(),
             "terms": len(pf.terms),
         }
     else:
-        subs = submaximal_pfaffians(slm)
+        subs = submaximal_pfaffians(am)
         result["submaximal_pfaffians"] = {
             "count": len(subs),
             "degrees": [s.total_degree() for s in subs],

@@ -2,11 +2,14 @@
 
 A family is a k x C(n,2) matrix over Q or F_p, the field named by its
 modulus as in :mod:`grpf.poly` (``None`` for Q): row r holds the
-coefficients of the r-th skew 2-form on V in lexicographic (i < j)
-coordinates.  From it we build the n x n skew matrix of linear forms in
-u1..uk, whose rank-drop locus inside P(U) is the Pfaffian-side variety:
-the vanishing of the Pfaffian itself for even n, of all principal
-submaximal Pfaffians for odd n.
+coefficients of the r-th skew 2-form M_r on V in lexicographic (i < j)
+coordinates, the order :func:`pair_index` numbers.  The family is the
+n x n skew matrix of linear forms sum_r u_r M_r in u1..uk, and its
+rank-drop locus inside P(U) is the Pfaffian-side variety: the vanishing
+of the Pfaffian itself for even n, of all principal submaximal
+Pfaffians for odd n.  Both expand straight from the family's
+coefficients, and a member at a point u is the numeric matrix
+:func:`_combine_forms` builds from :meth:`AMap.basis_forms`.
 
 Point sampling works over F_p.  The even, odd square and odd sliced paths
 differ only in how they draw a line; one sweep solves the restricted locus
@@ -41,15 +44,6 @@ def pair_index(n, i, j):
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
-def pair_of_index(n, idx):
-    for i in range(n - 1):
-        width = n - 1 - i
-        if idx < width:
-            return (i, i + 1 + idx)
-        idx -= width
-    raise ValueError("index out of range")
 
 
 def _json_int(name, x):
@@ -106,8 +100,7 @@ class AMap:
         forms = []
         for row in self.matrix:
             m = [[coerce(0, self.p)] * self.n for _ in range(self.n)]
-            for idx, c in enumerate(row):
-                i, j = pair_of_index(self.n, idx)
+            for (i, j), c in zip(itertools.combinations(range(self.n), 2), row):
                 m[i][j] = c
                 m[j][i] = coerce(-c, self.p)
             forms.append(m)
@@ -191,94 +184,31 @@ class AMap:
         return f"AMap(n={self.n}, k={self.k}, p={self.p})"
 
 
-class SkewLinearMatrix:
-    """n x n skew matrix of linear forms in u1..uk over Q (p None) or F_p.
-
-    Every entry must be a homogeneous linear form or zero; the Pfaffian
-    expansion packs its monomials on that bound of the exponents.
-    """
-
-    __slots__ = ("n", "k", "p", "entries")
-
-    def __init__(self, n, k, p, entries):
-        self.n = int(n)
-        self.k = int(k)
-        self.p = p
-        self.entries = tuple(tuple(row) for row in entries)
-        zero = Poly.zero(p, k)
-        for i in range(self.n):
-            if self.entries[i][i] != zero:
-                raise ValueError(f"nonzero diagonal entry at {i}")
-            for j in range(i + 1, self.n):
-                e = self.entries[i][j]
-                if e.nvars != self.k or any(sum(x) != 1 for x in e.terms):
-                    raise ValueError(
-                        f"entry ({i},{j}) is not a linear form in u1..u{self.k}"
-                    )
-                if e != -self.entries[j][i]:
-                    raise ValueError(f"matrix not skew at ({i},{j})")
-
-    def evaluate(self, u):
-        """Numeric skew matrix at the point u of the parameter space."""
-        return [
-            [e.evaluate(u) for e in row]
-            for row in self.entries
-        ]
-
-    def __repr__(self):
-        return f"SkewLinearMatrix(n={self.n}, k={self.k}, p={self.p})"
-
-
-def build_skew_matrix(a: AMap) -> SkewLinearMatrix:
-    """The skew matrix whose (i, j) entry is sum_r matrix[r][(i,j)] u_r."""
-    zero = Poly.zero(a.p, a.k)
-    rows = [[zero for _ in range(a.n)] for _ in range(a.n)]
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            idx = pair_index(a.n, i, j)
-            terms = {}
-            for r in range(a.k):
-                c = a.matrix[r][idx]
-                if c:
-                    exps = tuple(1 if s == r else 0 for s in range(a.k))
-                    terms[exps] = c
-            entry = Poly(a.p, a.k, terms)
-            rows[i][j] = entry
-            rows[j][i] = -entry
-    return SkewLinearMatrix(a.n, a.k, a.p, rows)
-
-
-def _principal_pfaffians(m, index_sets):
-    """The Pfaffians of the principal submatrices of ``m`` on ``index_sets``.
+def _principal_pfaffians(am, index_sets):
+    """The Pfaffians of the principal submatrices on ``index_sets`` of the
+    skew matrix of linear forms sum_r u_r M_r of the family ``am``.
 
     Expansion along the first row, memoized by index tuple in one memo that
     all the index sets share for the length of the call, so the n
     submaximal Pfaffians of an odd matrix reuse each other's minors.  A
     monomial u^e is packed as the int sum_r e_r b^r with b = n // 2 + 1:
     the entries are linear forms, so no exponent of a Pfaffian reaches b,
-    and multiplying by a term of an entry is one int add.  Coefficients
-    are plain ints, reduced once per memo node over F_p; over Q the
-    expansion runs on the integer matrix D m, D the common denominator,
-    and a Pfaffian of size 2d is divided by D^d at the end.
+    and the term c u_r of entry (i, j), c = am.matrix[r][pair_index(n, i, j)],
+    is the pair (b^r, c): multiplying by it is one int add.
+    Coefficients are plain ints, reduced once per memo node over F_p; over
+    Q the expansion runs on the integer matrix D m, D the common
+    denominator of the family's entries, and a Pfaffian of size 2d is
+    divided by D^d at the end.
     """
-    p, k, n = m.p, m.k, m.n
+    p, k, n = am.p, am.k, am.n
     base = n // 2 + 1
-    weights = [base**r for r in range(k)]
-    forms = {
-        (i, j): [
-            (sum(e * w for e, w in zip(exps, weights)), c)
-            for exps, c in m.entries[i][j].terms.items()
-        ]
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
     den = 1
     if p is None:
-        den = math.lcm(*(c.denominator for form in forms.values() for _, c in form))
-        forms = {
-            key: [(shift, int(c * den)) for shift, c in form]
-            for key, form in forms.items()
-        }
+        den = math.lcm(*(c.denominator for row in am.matrix for c in row))
+    forms = {}
+    for i, j in itertools.combinations(range(n), 2):
+        column = [row[pair_index(n, i, j)] for row in am.matrix]
+        forms[i, j] = [(base**r, int(c * den)) for r, c in enumerate(column) if c]
     memo = {(): {0: 1}}
 
     def pf(idx):
@@ -320,43 +250,36 @@ def _principal_pfaffians(m, index_sets):
     return out
 
 
-def pfaffian_polynomial(m):
-    """Pfaffian of a skew matrix with linear-form or exact numeric entries.
+def pfaffian_polynomial(am: AMap):
+    """The Pfaffian of the family's skew matrix of linear forms in u1..uk.
 
-    Squares to the determinant identically.  Even size only; odd sizes
-    have all submaximal Pfaffians instead.  Like
-    :func:`submaximal_pfaffians`, it expands along the first row over one
-    memo of principal index sets, with monomials packed into ints;
-    (14, 7) takes about 1 s.  A numeric matrix A is expanded as the
-    one-variable family A u1, whose Pfaffian is Pf(A) u1^(n/2).
+    Squares to the determinant identically.  Even n only; odd n has all
+    submaximal Pfaffians instead.  Like :func:`submaximal_pfaffians`, it
+    expands along the first row over one memo of principal index sets,
+    with monomials packed into ints; ``pfaffian build`` at (14, 7) over Q
+    takes about 0.6 s (Python 3.11, one core of a shared 2-core host).  A
+    numeric skew matrix A is the one-variable family with A's upper
+    triangle as its row, whose Pfaffian is Pf(A) u1^(n/2); modulo p,
+    :func:`grpf.modp.pfaffian_mod` takes A directly.
     """
-    if isinstance(m, SkewLinearMatrix):
-        if m.n % 2:
-            raise ParityError(
-                f"n = {m.n} is odd; use submaximal_pfaffians instead"
-            )
-        return _principal_pfaffians(m, [range(m.n)])[0]
-    rows = [list(r) for r in m]
-    n = len(rows)
-    if n % 2:
-        raise ParityError(f"n = {n} is odd; use submaximal_pfaffians instead")
-    entries = [[Poly.variable(None, 1, 0, x) for x in row] for row in rows]
-    pf = _principal_pfaffians(SkewLinearMatrix(n, 1, None, entries), [range(n)])[0]
-    return pf.terms.get((n // 2,), Fraction(0))
+    if am.n % 2:
+        raise ParityError(f"n = {am.n} is odd; use submaximal_pfaffians instead")
+    return _principal_pfaffians(am, [range(am.n)])[0]
 
 
-def submaximal_pfaffians(m: SkewLinearMatrix):
+def submaximal_pfaffians(am: AMap):
     """The n principal Pfaffians deleting row and column i, for odd n.
 
     Their common zero locus is the rank <= n-3 locus of the family.  The
     n first-row expansions share one memo of principal index sets, so
     they reuse each other's minors ((9, 9) needs 88 memo nodes in all),
-    and monomials are packed into ints; (11, 11) takes about 1 s.
+    and monomials are packed into ints; ``pfaffian build`` at (11, 11) over
+    F_10007 takes about 0.8 s on the same host.
     """
-    if m.n % 2 == 0:
-        raise ParityError(f"n = {m.n} is even; use pfaffian_polynomial instead")
+    if am.n % 2 == 0:
+        raise ParityError(f"n = {am.n} is even; use pfaffian_polynomial instead")
     return _principal_pfaffians(
-        m, [[j for j in range(m.n) if j != i] for i in range(m.n)]
+        am, [[j for j in range(am.n) if j != i] for i in range(am.n)]
     )
 
 

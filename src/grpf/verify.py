@@ -20,7 +20,7 @@ from .geometry import (
     window_sets,
 )
 from .modp import det_mod, pfaffian_mod, random_skew_mod
-from .pfaffian import AMap, build_skew_matrix, hypersurface_hodge, pfaffian_polynomial, sample_y2
+from .pfaffian import AMap, hypersurface_hodge, pfaffian_polynomial, sample_y2
 from .schur import cauchy_exterior_cotangent, clebsch_gordan_rank2
 from .sections import (
     h1_tangent_y1,
@@ -85,7 +85,7 @@ def _check_rectangle():
 
 def _check_pfaffian_degree():
     am = AMap.random(10, 5, seed=42, p=10007)
-    pf = pfaffian_polynomial(build_skew_matrix(am))
+    pf = pfaffian_polynomial(am)
     ok = pf.total_degree() == 5
     return ok, f"degree {pf.total_degree()}, {len(pf.terms)} terms"
 

@@ -14,17 +14,15 @@ from grpf.errors import DegenerateFamilyError, ParityError
 from grpf.modp import det_mod, pfaffian_mod, rank_mod
 from grpf.pfaffian import (
     AMap,
-    SkewLinearMatrix,
+    _combine_forms,
     _kernel_cofactor_vector,
     _lagrange_mod,
     _point_at,
-    build_skew_matrix,
     hypersurface_hodge,
     jacobian_ring_dimension,
     lg_ext_profile,
     lg_hom_shift,
     pair_index,
-    pair_of_index,
     pfaffian_polynomial,
     sample_y2,
     submaximal_pfaffians,
@@ -39,28 +37,26 @@ Q = None  # the modulus that names the rationals
 def test_pair_index_roundtrip():
     for n in (3, 5, 8):
         cols = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # the column order of AMap.basis_forms and of the Pfaffian expansion
+        assert list(itertools.combinations(range(n), 2)) == cols
         for idx, (i, j) in enumerate(cols):
             assert pair_index(n, i, j) == idx
-            assert pair_of_index(n, idx) == (i, j)
 
 
-def test_build_skew_matrix_minimal():
+def test_family_skew_matrix_minimal():
     am = AMap(2, 1, Q, [[1]])
-    slm = build_skew_matrix(am)
-    u1 = Poly.variable(Q, 1, 0)
-    assert slm.entries[0][1] == u1
-    assert slm.entries[1][0] == -u1
-    assert slm.entries[0][0].is_zero()
+    assert am.basis_forms() == [[[0, 1], [-1, 0]]]
+    assert pfaffian_polynomial(am) == Poly.variable(Q, 1, 0)
 
 
-def test_build_skew_matrix_basis_evaluation():
+def test_family_basis_evaluation():
     # evaluating at a standard basis vector recovers the corresponding row
     am = AMap.random(6, 4, seed=3, p=10007)
-    slm = build_skew_matrix(am)
+    forms = am.basis_forms()
     for r in range(4):
         e = [0] * 4
         e[r] = 1
-        mat = slm.evaluate(e)
+        mat = _combine_forms(forms, e, 10007)
         for i in range(6):
             for j in range(i + 1, 6):
                 assert mat[i][j] == am.matrix[r][pair_index(6, i, j)]
@@ -93,15 +89,25 @@ def test_amap_json_rational_field(tmp_path):
 
 # --- Pfaffians ------------------------------------------------------------------
 
+def _numeric_pfaffian(m):
+    """Pf(A) of a numeric skew A: the one-variable family whose row is A's
+    upper triangle has Pfaffian Pf(A) u1^(n/2)."""
+    n = len(m)
+    row = [m[i][j] for i, j in itertools.combinations(range(n), 2)]
+    pf = pfaffian_polynomial(AMap(n, 1, Q, [row]))
+    assert set(pf.terms) <= {(n // 2,)}
+    return pf.terms.get((n // 2,), 0)
+
+
 def test_pfaffian_2x2_and_4x4():
-    assert pfaffian_polynomial([[0, 7], [-7, 0]]) == 7
+    assert _numeric_pfaffian([[0, 7], [-7, 0]]) == 7
     m = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
     # a12 a34 - a13 a24 + a14 a23
-    assert pfaffian_polynomial(m) == 1 * 6 - 2 * 5 + 3 * 4
+    assert _numeric_pfaffian(m) == 1 * 6 - 2 * 5 + 3 * 4
 
 
 def test_pfaffian_squares_to_det_symbolic():
-    # fully generic skew matrices with one variable per upper entry
+    # fully generic families: one variable per upper entry
     for n in (2, 4, 6):
         nv = n * (n - 1) // 2
         mat = [[Poly.zero(Q, nv) for _ in range(n)] for _ in range(n)]
@@ -123,56 +129,53 @@ def test_pfaffian_squares_to_det_symbolic():
                 out = out + term if t % 2 == 0 else out - term
             return out
 
-        slm = SkewLinearMatrix(n, nv, Q, mat)
-        pf = pfaffian_polynomial(slm)
+        identity = [[int(r == c) for c in range(nv)] for r in range(nv)]
+        pf = pfaffian_polynomial(AMap(n, nv, Q, identity))
         assert pf * pf == det(tuple(range(n)), tuple(range(n)))
 
 
-def test_pfaffian_rejects_odd_and_nonskew():
+def test_pfaffian_rejects_odd_n():
     with pytest.raises(ParityError):
-        pfaffian_polynomial([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
-    with pytest.raises(ValueError):
-        pfaffian_polynomial([[0, 1], [1, 0]])
+        pfaffian_polynomial(AMap(3, 1, Q, [[1, 1, 1]]))
 
 
 def test_symbolic_family_pfaffian_degree():
     am = AMap.random(10, 5, seed=42, p=10007)
-    pf = pfaffian_polynomial(build_skew_matrix(am))
+    pf = pfaffian_polynomial(am)
     assert pf.total_degree() == 5
     # interior sanity: evaluating the polynomial agrees with the numeric route
-    slm = build_skew_matrix(am)
+    forms = am.basis_forms()
     rng = random.Random(0)
     for _ in range(20):
         u = [rng.randrange(10007) for _ in range(5)]
-        assert pf.evaluate(u) == pfaffian_mod(slm.evaluate(u), 10007)
+        assert pf.evaluate(u) == pfaffian_mod(_combine_forms(forms, u, 10007), 10007)
 
 
 def test_submaximal_pfaffians_n3():
     am = AMap(3, 3, Q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    slm = build_skew_matrix(am)
-    subs = submaximal_pfaffians(slm)
+    subs = submaximal_pfaffians(am)
     # deleting row/column i leaves the single entry m_{jk}
     assert [str(s) for s in subs] == ["u3", "u2", "u1"]
     with pytest.raises(ParityError):
-        submaximal_pfaffians(build_skew_matrix(AMap(4, 1, Q, [[1, 0, 0, 0, 0, 0]])))
+        submaximal_pfaffians(AMap(4, 1, Q, [[1, 0, 0, 0, 0, 0]]))
 
 
 def test_submaximal_vanishing_matches_rank_drop():
     # a point annihilates every submaximal Pfaffian iff the rank drops to n-3
     am = AMap.random(7, 7, seed=5, p=10007)
-    slm = build_skew_matrix(am)
-    subs = submaximal_pfaffians(slm)
+    forms = am.basis_forms()
+    subs = submaximal_pfaffians(am)
     res = sample_y2(am, 10007, 5, seed=7)
     assert res.points
     for q in res.points:
-        mat = slm.evaluate(q.coordinates)
+        mat = _combine_forms(forms, q.coordinates, 10007)
         assert rank_mod(mat, 10007) <= 4
         assert all(s.evaluate(q.coordinates) == 0 for s in subs)
     rng = random.Random(8)
     hits = 0
     for _ in range(30):
         u = [rng.randrange(10007) for _ in range(7)]
-        mat = slm.evaluate(u)
+        mat = _combine_forms(forms, u, 10007)
         vanishes = all(s.evaluate(u) == 0 for s in subs)
         assert vanishes == (rank_mod(mat, 10007) <= 4)
         hits += vanishes
@@ -227,42 +230,46 @@ FROZEN_SUBMAXIMAL = {
 
 @pytest.mark.parametrize("n, k, seed, p", list(FROZEN_PFAFFIANS))
 def test_pfaffian_terms_frozen(n, k, seed, p):
-    slm = build_skew_matrix(AMap.random(n, k, seed=seed, p=p))
+    am = AMap.random(n, k, seed=seed, p=p)
     expected = FROZEN_PFAFFIANS[n, k, seed, p]
-    assert _terms_digest(pfaffian_polynomial(slm)) == expected
+    assert _terms_digest(pfaffian_polynomial(am)) == expected
 
 
 @pytest.mark.parametrize("n, k, seed, p", list(FROZEN_SUBMAXIMAL))
 def test_submaximal_terms_frozen(n, k, seed, p):
-    slm = build_skew_matrix(AMap.random(n, k, seed=seed, p=p))
-    digests = [_terms_digest(s) for s in submaximal_pfaffians(slm)]
+    am = AMap.random(n, k, seed=seed, p=p)
+    digests = [_terms_digest(s) for s in submaximal_pfaffians(am)]
     assert digests == FROZEN_SUBMAXIMAL[n, k, seed, p]
 
 
-def _delete(slm, i):
-    """The principal submatrix of slm without row and column i."""
-    keep = [j for j in range(slm.n) if j != i]
-    rows = [[slm.entries[a][b] for b in keep] for a in keep]
-    return SkewLinearMatrix(slm.n - 1, slm.k, slm.p, rows)
+def _delete(am, i):
+    """The principal sub-family of am without row and column i."""
+    keep = [j for j in range(am.n) if j != i]
+    rows = [
+        [row[pair_index(am.n, a, b)] for a, b in itertools.combinations(keep, 2)]
+        for row in am.matrix
+    ]
+    return AMap(am.n - 1, am.k, am.p, rows)
 
 
 @pytest.mark.parametrize("n, k, seed, p", [(7, 7, 42, 10007), (9, 5, 1, None)])
 def test_submaximal_equals_pfaffian_of_each_deletion(n, k, seed, p):
     # the memo shared across index sets must not leak one minor into another
-    slm = build_skew_matrix(AMap.random(n, k, seed=seed, p=p))
-    subs = submaximal_pfaffians(slm)
+    am = AMap.random(n, k, seed=seed, p=p)
+    subs = submaximal_pfaffians(am)
     for i in range(n):
-        assert subs[i] == pfaffian_polynomial(_delete(slm, i))
+        assert subs[i] == pfaffian_polynomial(_delete(am, i))
 
 
 def test_submaximal_pfaffians_agree_with_numeric_pfaffian():
     p = 10007
-    slm = build_skew_matrix(AMap.random(9, 9, seed=1, p=p))
-    subs = submaximal_pfaffians(slm)
+    am = AMap.random(9, 9, seed=1, p=p)
+    forms = am.basis_forms()
+    subs = submaximal_pfaffians(am)
     rng = random.Random(11)
     for _ in range(20):
         u = [rng.randrange(p) for _ in range(9)]
-        mat = slm.evaluate(u)
+        mat = _combine_forms(forms, u, p)
         for i, s in enumerate(subs):
             keep = [j for j in range(9) if j != i]
             minor = [[mat[a][b] for b in keep] for a in keep]
@@ -280,14 +287,15 @@ def test_pfaffians_over_q_with_denominators():
              for _ in range(math.comb(n, 2))]
             for _ in range(k)
         ]
-        slm = build_skew_matrix(AMap(n, k, Q, rows))
+        am = AMap(n, k, Q, rows)
         if n % 2 == 0:
-            polys, deleted = [pfaffian_polynomial(slm)], [None]
+            polys, deleted = [pfaffian_polynomial(am)], [None]
         else:
-            polys, deleted = submaximal_pfaffians(slm), range(n)
+            polys, deleted = submaximal_pfaffians(am), range(n)
+        forms = am.reduce_mod(p).basis_forms()
         for _ in range(5):
             u = [rng.randint(-20, 20) for _ in range(k)]
-            mat = [[coerce(x, p) for x in row] for row in slm.evaluate(u)]
+            mat = _combine_forms(forms, u, p)
             for poly, i in zip(polys, deleted):
                 keep = [j for j in range(n) if j != i]
                 minor = [[mat[a][b] for b in keep] for a in keep]
@@ -296,17 +304,7 @@ def test_pfaffians_over_q_with_denominators():
          Fraction(4, 5), Fraction(5, 6), Fraction(-6, 7)]
     m = [[0, a[0], a[1], a[2]], [-a[0], 0, a[3], a[4]],
          [-a[1], -a[3], 0, a[5]], [-a[2], -a[4], -a[5], 0]]
-    assert pfaffian_polynomial(m) == a[0] * a[5] - a[1] * a[4] + a[2] * a[3]
-
-
-def test_skew_linear_matrix_rejects_nonlinear_entries():
-    u1 = Poly.variable(Q, 2, 0)
-    one = Poly.const(Q, 2, 1)
-    zero = Poly.zero(Q, 2)
-    SkewLinearMatrix(2, 2, Q, [[zero, zero], [zero, zero]])  # zero entries are fine
-    for bad in (one, u1 * u1):
-        with pytest.raises(ValueError, match="not a linear form"):
-            SkewLinearMatrix(2, 2, Q, [[zero, bad], [-bad, zero]])
+    assert _numeric_pfaffian(m) == a[0] * a[5] - a[1] * a[4] + a[2] * a[3]
 
 
 # --- sampling -------------------------------------------------------------------
@@ -385,10 +383,9 @@ def test_sampling_forced_singular_point():
             break
         except DegenerateFamilyError:
             continue
-    slm = build_skew_matrix(am)
     e0 = (1, 0, 0, 0)
-    assert rank_mod(slm.evaluate(e0), p) == 4
-    pf = pfaffian_polynomial(slm)
+    assert rank_mod(_combine_forms(am.basis_forms(), e0, p), p) == 4
+    pf = pfaffian_polynomial(am)
     assert pf.evaluate(e0) == 0
     grads = [pf.partial(r).evaluate(e0) for r in range(k)]
     assert all(g == 0 for g in grads)  # Jacobian criterion fails there
@@ -399,11 +396,10 @@ def test_sampling_forced_singular_point():
 def symbolic_jacobian_test(am):
     """Reference verdict u -> bool: the Jacobian criterion on the symbolic
     Pfaffian (even n, codimension 1) or submaximal Pfaffians (odd n, 3)."""
-    slm = build_skew_matrix(am)
     if am.n % 2 == 0:
-        polys, codim = [pfaffian_polynomial(slm)], 1
+        polys, codim = [pfaffian_polynomial(am)], 1
     else:
-        polys, codim = submaximal_pfaffians(slm), 3
+        polys, codim = submaximal_pfaffians(am), 3
     partials = [[poly.partial(r) for r in range(am.k)] for poly in polys]
     p = am.p
     return lambda u: rank_mod([[d.evaluate(u) for d in row] for row in partials], p) == codim
@@ -552,9 +548,9 @@ def test_sampling_at_large_primes(p):
     am = AMap.random(6, 3, seed=2)
     res = sample_y2(am, p, 5, seed=1)
     assert len(res.points) == 5 and not res.exhausted
-    slm = build_skew_matrix(am.reduce_mod(p))
+    forms = am.reduce_mod(p).basis_forms()
     for q in res.points:
-        assert rank_mod(slm.evaluate(q.coordinates), p) == q.rank == 4
+        assert rank_mod(_combine_forms(forms, q.coordinates, p), p) == q.rank == 4
     with pytest.raises(ValueError, match="count"):
         sample_y2(am, p, 0, seed=1)
     with pytest.raises(ValueError, match="odd prime"):
@@ -902,13 +898,13 @@ def test_generic_rank_census_of_family_members():
     rng = random.Random(6)
     for n, k in ((6, 3), (7, 4)):
         am = AMap.random(n, k, seed=14, p=p)
-        slm = build_skew_matrix(am)
+        forms = am.basis_forms()
         expected = n if n % 2 == 0 else n - 1
         hits = 0
         trials = 1000
         for _ in range(trials):
             u = [rng.randrange(p) for _ in range(k)]
-            if rank_mod(slm.evaluate(u), p) == expected:
+            if rank_mod(_combine_forms(forms, u, p), p) == expected:
                 hits += 1
         assert hits >= trials * 99 // 100, (n, k, hits)
 
@@ -916,5 +912,5 @@ def test_generic_rank_census_of_family_members():
 def test_symbolic_family_degree_across_seeds():
     for seed in (1, 7, 42):
         am = AMap.random(10, 5, seed=seed, p=10007)
-        pf = pfaffian_polynomial(build_skew_matrix(am))
+        pf = pfaffian_polynomial(am)
         assert pf.total_degree() == 5

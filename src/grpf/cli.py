@@ -19,6 +19,7 @@ closes the pipe early (``| head``) ends the script by SIGPIPE, never 1.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import signal
 import sys
@@ -285,18 +286,19 @@ def _cmd_hodge_hypersurface(args):
 
 def _cmd_pfaffian_build(args):
     am = AMap.load(args.infile)
-    # entry (i, j) is the linear form sum_r forms[r][i][j] u_r
-    forms = am.basis_forms()
+    # entry (i, j), i < j, is the linear form with the family's column (i, j)
+    # as coefficients; below the diagonal it is negated
     units = [tuple(int(s == r) for s in range(am.k)) for r in range(am.k)]
+    table = [[(0,) * am.k] * am.n for _ in range(am.n)]
+    for (i, j), column in zip(itertools.combinations(range(am.n), 2), zip(*am.matrix)):
+        table[i][j] = column
+        table[j][i] = [-c for c in column]
     result = {
         "n": am.n,
         "k": am.k,
         "field": "Q" if am.p is None else {"p": am.p},
-        "entries": [
-            [str(Poly(am.p, am.k, {e: f[i][j] for e, f in zip(units, forms)}))
-             for j in range(am.n)]
-            for i in range(am.n)
-        ],
+        "entries": [[str(Poly(am.p, am.k, dict(zip(units, column)))) for column in row]
+                    for row in table],
     }
     if am.n % 2 == 0:
         pf = pfaffian_polynomial(am)

@@ -9,7 +9,8 @@ rank-drop locus inside P(U) is the Pfaffian-side variety: the vanishing
 of the Pfaffian itself for even n, of all principal submaximal
 Pfaffians for odd n.  Both expand straight from the family's
 coefficients, and a member at a point u is the numeric matrix
-:func:`_combine_forms` builds from :meth:`AMap.basis_forms`.
+:func:`_combine_forms` builds from the family's columns, one dot product
+with u per coordinate (i, j).
 
 Point sampling works over F_p.  The even, odd square and odd sliced paths
 differ only in how they draw a line; one sweep solves the restricted locus
@@ -31,6 +32,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .diamond import HodgeDiamond
 from .errors import DegenerateFamilyError, ParityError
@@ -94,17 +96,6 @@ class AMap:
             raise DegenerateFamilyError(
                 f"family matrix has rank < k = {self.k}"
             )
-
-    def basis_forms(self):
-        """The k skew n x n coefficient matrices, one per row."""
-        forms = []
-        for row in self.matrix:
-            m = [[coerce(0, self.p)] * self.n for _ in range(self.n)]
-            for (i, j), c in zip(itertools.combinations(range(self.n), 2), row):
-                m[i][j] = c
-                m[j][i] = coerce(-c, self.p)
-            forms.append(m)
-        return forms
 
     def reduce_mod(self, p):
         if self.p is not None:
@@ -325,13 +316,18 @@ def _lagrange_mod(xs, ys, p):
     """Interpolating polynomial (ascending coefficients) through the points.
 
     Newton divided differences, then a Horner expansion of the Newton
-    form: O(d^2) for d + 1 points with distinct xs mod p.
+    form: O(d^2) for d + 1 points with distinct xs mod p, and one inverse
+    per distinct node difference (d of them for the nodes 0..d).
     """
     npts = len(xs)
+    inverses = {
+        d: inv_mod(d, p)
+        for d in {(b - a) % p for a, b in itertools.combinations(xs, 2)}
+    }
     c = [y % p for y in ys]
     for j in range(1, npts):
         for i in range(npts - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inv_mod(xs[i] - xs[i - j], p) % p
+            c[i] = (c[i] - c[i - 1]) * inverses[(xs[i] - xs[i - j]) % p] % p
     coeffs = [0] * npts
     for i in range(npts - 1, -1, -1):
         # coeffs <- coeffs * (x - xs[i]) + c[i]
@@ -341,49 +337,45 @@ def _lagrange_mod(xs, ys, p):
     return coeffs
 
 
-def _combine_forms(forms, u, p):
-    """The numeric skew matrix sum_r u_r * forms[r] over F_p."""
-    n = len(forms[0])
+def _combine_forms(am, u, p):
+    """The numeric skew matrix sum_r u_r M_r of the family ``am`` over F_p.
+
+    ``am`` is reduced mod p; entry (i, j), i < j, is u dotted with the
+    family's column (i, j).
+    """
+    n = am.n
     out = [[0] * n for _ in range(n)]
-    for coeff, form in zip(u, forms):
-        if not coeff:
-            continue
-        for i in range(n):
-            row = form[i]
-            orow = out[i]
-            for j in range(i + 1, n):
-                if row[j]:
-                    orow[j] = (orow[j] + coeff * row[j]) % p
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[j][i] = -out[i][j] % p
+    for (i, j), column in zip(itertools.combinations(range(n), 2), zip(*am.matrix)):
+        c = sum(map(mul, u, column)) % p
+        out[i][j] = c
+        out[j][i] = -c % p
     return out
 
 
-def _point_at(forms, u, p):
+def _point_at(am, u, p):
     """The sample point at u, or None when M_u lies off the degeneracy locus.
 
     This is the Jacobian criterion: at corank 2 the gradient of Pf is a
     nonzero multiple of (k1^T M_r k2)_r, at corank 3 the Jacobian of the
     submaximal Pfaffians is contraction with k1 ^ k2 ^ k3, and at any
-    larger corank both vanish.
+    larger corank both vanish.  The pairing k_a^T M_r k_b is row r of the
+    family (``am`` reduced mod p) dotted with the Pluecker coordinates
+    a_i b_j - a_j b_i, i < j, of the kernel vectors k_a and k_b.
     """
-    n = len(forms[0])
+    n = am.n
     corank = 2 if n % 2 == 0 else 3
-    kernel = nullspace_mod(_combine_forms(forms, u, p), p)
+    kernel = nullspace_mod(_combine_forms(am, u, p), p)
     if len(kernel) < corank:
         return None
     pairs = list(itertools.combinations(kernel, 2))
-    pairings = [
-        [sum(x * f * y for x, row in zip(a, form) for f, y in zip(row, b)) % p
-         for a, b in pairs]
-        for form in forms
-    ]
+    coordinates = list(itertools.combinations(range(n), 2))
+    plucker = [[a[i] * b[j] - a[j] * b[i] for i, j in coordinates] for a, b in pairs]
+    pairings = [[sum(map(mul, row, w)) % p for w in plucker] for row in am.matrix]
     smooth = len(kernel) == corank and rank_mod(pairings, p) == len(pairs)
     return SamplePoint(tuple(u), n - len(kernel), len(kernel), smooth)
 
 
-def _sweep_lines(forms, p, count, stream, max_lines, dim, deg, draw_line):
+def _sweep_lines(am, p, count, stream, max_lines, dim, deg, draw_line):
     """Sweep random lines for points of the locus; returns (found, lines).
 
     Line i draws from ``f"{stream}:{i}"``.  ``draw_line(rng)`` returns
@@ -391,8 +383,8 @@ def _sweep_lines(forms, p, count, stream, max_lines, dim, deg, draw_line):
     the values at x = 0..deg of a polynomial whose roots hold the locus
     points of the line, or None when all vanish (the line is resampled).
     For p <= deg those nodes collide mod p, and every x in F_p is a
-    candidate instead.  Each distinct candidate is decided once on
-    ``forms``; a line yields at most deg, which bounds the misses kept.
+    candidate instead.  Each distinct candidate is decided once on the
+    family ``am``; a line yields at most deg, which bounds the misses kept.
     It stops at ``count`` points, at ``max_lines`` lines, or once every
     point of P^(dim-1)(F_p) has been drawn.
     """
@@ -413,7 +405,7 @@ def _sweep_lines(forms, p, count, stream, max_lines, dim, deg, draw_line):
             u = _normalize_projective(u_at(x), p)
             if u is None or u in found or u in missed:
                 continue
-            point = _point_at(forms, u, p)
+            point = _point_at(am, u, p)
             if point is None:
                 missed.add(u)
             else:
@@ -426,15 +418,14 @@ def _sweep_lines(forms, p, count, stream, max_lines, dim, deg, draw_line):
 def _sample_even(am, p, count, seed, max_lines):
     """Sampling for even n: the Pfaffian, of degree d = n/2, on random lines.
 
-    M(p0 + x p1) = M(p0) + x M(p1), so a line combines the forms twice
+    M(p0 + x p1) = M(p0) + x M(p1), so a line combines the family twice
     and takes one mod-p Pfaffian per node.
     """
     n, k = am.n, am.k
-    forms = am.basis_forms()
     deg = n // 2
     if k == 1:
         # P(U) is a single point; no lines to sweep.
-        point = _point_at(forms, (1,), p)
+        point = _point_at(am, (1,), p)
         return ({(1,): point} if point else {}), 1
 
     def draw_line(rng):
@@ -442,7 +433,7 @@ def _sample_even(am, p, count, seed, max_lines):
         p1 = [rng.randrange(p) for _ in range(k)]
 
         def node_values():
-            m0, m1 = _combine_forms(forms, p0, p), _combine_forms(forms, p1, p)
+            m0, m1 = _combine_forms(am, p0, p), _combine_forms(am, p1, p)
             ys = [pfaffian_mod([[(a + x * b) % p for a, b in zip(r0, r1)]
                                 for r0, r1 in zip(m0, m1)], p)
                   for x in range(deg + 1)]
@@ -450,7 +441,7 @@ def _sample_even(am, p, count, seed, max_lines):
 
         return (lambda x: [(a + x * b) % p for a, b in zip(p0, p1)]), node_values
 
-    return _sweep_lines(forms, p, count, f"{seed}:even", max_lines, k, deg, draw_line)
+    return _sweep_lines(am, p, count, f"{seed}:even", max_lines, k, deg, draw_line)
 
 
 def _kernel_cofactor_vector(b, p):
@@ -482,7 +473,7 @@ def _kernel_cofactor_vector(b, p):
 
 
 def _kernel_line_drawer(square, p, deg, emb=None):
-    """``draw_line`` for odd n on the n forms of a square family.
+    """``draw_line`` for odd n on a square family (n forms, reduced mod p).
 
     This is the kernel-incidence line trick.  For v in V the matrix
     B_v = [M_1 v | ... | M_n v] is square and singular (its columns pair
@@ -492,17 +483,26 @@ def _kernel_line_drawer(square, p, deg, emb=None):
     lines in P(V) meet it; along a line the first submaximal Pfaffian of
     M(u(v)) that does not vanish identically is a polynomial in the line
     parameter of degree (n-1)^2/2.  B_v is linear in v, so each line
-    builds its two endpoint matrices once and each node takes one
-    elimination for u(v).  A slice's member u(v) is lifted to the full
+    builds its two endpoint matrices once.  The entries of u(v) are
+    (n-1)-minors of B_v, polynomials of degree <= n-1 in the line
+    parameter x, so their n-th finite difference vanishes: the nodes
+    x = 0..n-1 take one elimination each, and every later node is
+    u(x) = sum_{i=1..n} (-1)^(i+1) C(n, i) u(x - i) mod p.  A candidate
+    takes one elimination.  A slice's member u(v) is lifted to the full
     family as emb u(v), which has the same skew matrix.
     """
-    n = len(square)
+    n = square.n
+    coordinates = list(itertools.combinations(range(n), 2))
+    steps = [(-1) ** (n - t + 1) * math.comb(n, t) for t in range(n)]  # of u(x - n + t)
 
     def b_of(v):
-        return [
-            [sum(form[i][j] * v[j] for j in range(n)) % p for form in square]
-            for i in range(n)
-        ]
+        # (M_r v)_i = sum_{j>i} m_r,ij v_j - sum_{j<i} m_r,ji v_j
+        b = [[0] * n for _ in range(n)]
+        for r, row in enumerate(square.matrix):
+            for (i, j), c in zip(coordinates, row):
+                b[i][r] += c * v[j]
+                b[j][r] -= c * v[i]
+        return [[x % p for x in row] for row in b]
 
     def draw_line(rng):
         b0 = b_of([rng.randrange(p) for _ in range(n)])
@@ -517,7 +517,10 @@ def _kernel_line_drawer(square, p, deg, emb=None):
             return u if emb is None else [sum(e * y for e, y in zip(row, u)) % p for row in emb]
 
         def node_values():
-            mats = [_combine_forms(square, member(x), p) for x in range(deg + 1)]
+            us = [member(x) for x in range(n)]
+            for x in range(n, deg + 1):
+                us.append([sum(map(mul, steps, column)) % p for column in zip(*us[x - n:x])])
+            mats = [_combine_forms(square, u, p) for u in us]
             for s in range(n):
                 idx = tuple(j for j in range(n) if j != s)
                 ys = [
@@ -536,11 +539,10 @@ def _kernel_line_drawer(square, p, deg, emb=None):
 def _sample_odd(am, p, count, seed, max_lines):
     """Sampling for odd n: kernel-incidence lines for k >= n, trials for k < n."""
     n, k = am.n, am.k
-    forms = am.basis_forms()
     deg = (n - 1) * (n - 1) // 2  # deg u(v) = n-1 per entry, times (n-1)/2
     if k == n:
-        return _sweep_lines(forms, p, count, f"{seed}:odd", max_lines, n, deg,
-                            _kernel_line_drawer(forms, p, deg))
+        return _sweep_lines(am, p, count, f"{seed}:odd", max_lines, n, deg,
+                            _kernel_line_drawer(am, p, deg))
     if k > n:
         # Pick a slice: an n-dimensional subfamily of full rank, swept with
         # its members lifted to the full family, where each point is decided.
@@ -556,8 +558,8 @@ def _sample_odd(am, p, count, seed, max_lines):
                 sliced = AMap(n, n, p, sliced_rows)
             except DegenerateFamilyError:
                 continue
-            return _sweep_lines(forms, p, count, f"{seed}:{a}:odd", max_lines, n, deg,
-                                _kernel_line_drawer(sliced.basis_forms(), p, deg, emb))
+            return _sweep_lines(am, p, count, f"{seed}:{a}:odd", max_lines, n, deg,
+                                _kernel_line_drawer(sliced, p, deg, emb))
     # k < n leaves no linear handle on the kernel; honest trial search.
     # When the budget could cover all of P^{k-1}(F_p), off-locus draws are
     # remembered and the search stops once every point has been drawn.
@@ -576,7 +578,7 @@ def _sample_odd(am, p, count, seed, max_lines):
         u = _normalize_projective([rng.randrange(p) for _ in range(k)], p)
         if u is None or u in found or u in off_locus:
             continue
-        point = _point_at(forms, u, p)
+        point = _point_at(am, u, p)
         if point is not None:
             found[u] = point
         elif space <= budget:

@@ -37,7 +37,7 @@ Q = None  # the modulus that names the rationals
 def test_pair_index_roundtrip():
     for n in (3, 5, 8):
         cols = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        # the column order of AMap.basis_forms and of the Pfaffian expansion
+        # the column order of AMap.matrix and of the Pfaffian expansion
         assert list(itertools.combinations(range(n), 2)) == cols
         for idx, (i, j) in enumerate(cols):
             assert pair_index(n, i, j) == idx
@@ -45,18 +45,18 @@ def test_pair_index_roundtrip():
 
 def test_family_skew_matrix_minimal():
     am = AMap(2, 1, Q, [[1]])
-    assert am.basis_forms() == [[[0, 1], [-1, 0]]]
+    assert _combine_forms(am.reduce_mod(5), [1], 5) == [[0, 1], [4, 0]]
     assert pfaffian_polynomial(am) == Poly.variable(Q, 1, 0)
 
 
 def test_family_basis_evaluation():
     # evaluating at a standard basis vector recovers the corresponding row
     am = AMap.random(6, 4, seed=3, p=10007)
-    forms = am.basis_forms()
+    fam = am.reduce_mod(10007)
     for r in range(4):
         e = [0] * 4
         e[r] = 1
-        mat = _combine_forms(forms, e, 10007)
+        mat = _combine_forms(fam, e, 10007)
         for i in range(6):
             for j in range(i + 1, 6):
                 assert mat[i][j] == am.matrix[r][pair_index(6, i, j)]
@@ -144,11 +144,11 @@ def test_symbolic_family_pfaffian_degree():
     pf = pfaffian_polynomial(am)
     assert pf.total_degree() == 5
     # interior sanity: evaluating the polynomial agrees with the numeric route
-    forms = am.basis_forms()
+    fam = am.reduce_mod(10007)
     rng = random.Random(0)
     for _ in range(20):
         u = [rng.randrange(10007) for _ in range(5)]
-        assert pf.evaluate(u) == pfaffian_mod(_combine_forms(forms, u, 10007), 10007)
+        assert pf.evaluate(u) == pfaffian_mod(_combine_forms(fam, u, 10007), 10007)
 
 
 def test_submaximal_pfaffians_n3():
@@ -163,19 +163,19 @@ def test_submaximal_pfaffians_n3():
 def test_submaximal_vanishing_matches_rank_drop():
     # a point annihilates every submaximal Pfaffian iff the rank drops to n-3
     am = AMap.random(7, 7, seed=5, p=10007)
-    forms = am.basis_forms()
+    fam = am.reduce_mod(10007)
     subs = submaximal_pfaffians(am)
     res = sample_y2(am, 10007, 5, seed=7)
     assert res.points
     for q in res.points:
-        mat = _combine_forms(forms, q.coordinates, 10007)
+        mat = _combine_forms(fam, q.coordinates, 10007)
         assert rank_mod(mat, 10007) <= 4
         assert all(s.evaluate(q.coordinates) == 0 for s in subs)
     rng = random.Random(8)
     hits = 0
     for _ in range(30):
         u = [rng.randrange(10007) for _ in range(7)]
-        mat = _combine_forms(forms, u, 10007)
+        mat = _combine_forms(fam, u, 10007)
         vanishes = all(s.evaluate(u) == 0 for s in subs)
         assert vanishes == (rank_mod(mat, 10007) <= 4)
         hits += vanishes
@@ -264,12 +264,12 @@ def test_submaximal_equals_pfaffian_of_each_deletion(n, k, seed, p):
 def test_submaximal_pfaffians_agree_with_numeric_pfaffian():
     p = 10007
     am = AMap.random(9, 9, seed=1, p=p)
-    forms = am.basis_forms()
+    fam = am.reduce_mod(p)
     subs = submaximal_pfaffians(am)
     rng = random.Random(11)
     for _ in range(20):
         u = [rng.randrange(p) for _ in range(9)]
-        mat = _combine_forms(forms, u, p)
+        mat = _combine_forms(fam, u, p)
         for i, s in enumerate(subs):
             keep = [j for j in range(9) if j != i]
             minor = [[mat[a][b] for b in keep] for a in keep]
@@ -292,10 +292,10 @@ def test_pfaffians_over_q_with_denominators():
             polys, deleted = [pfaffian_polynomial(am)], [None]
         else:
             polys, deleted = submaximal_pfaffians(am), range(n)
-        forms = am.reduce_mod(p).basis_forms()
+        fam = am.reduce_mod(p)
         for _ in range(5):
             u = [rng.randint(-20, 20) for _ in range(k)]
-            mat = _combine_forms(forms, u, p)
+            mat = _combine_forms(fam, u, p)
             for poly, i in zip(polys, deleted):
                 keep = [j for j in range(n) if j != i]
                 minor = [[mat[a][b] for b in keep] for a in keep]
@@ -384,12 +384,12 @@ def test_sampling_forced_singular_point():
         except DegenerateFamilyError:
             continue
     e0 = (1, 0, 0, 0)
-    assert rank_mod(_combine_forms(am.basis_forms(), e0, p), p) == 4
+    assert rank_mod(_combine_forms(am.reduce_mod(p), e0, p), p) == 4
     pf = pfaffian_polynomial(am)
     assert pf.evaluate(e0) == 0
     grads = [pf.partial(r).evaluate(e0) for r in range(k)]
     assert all(g == 0 for g in grads)  # Jacobian criterion fails there
-    point = _point_at(am.basis_forms(), e0, p)
+    point = _point_at(am.reduce_mod(p), e0, p)
     assert (point.rank, point.kernel_dim, point.smooth_at) == (4, 4, False)
 
 
@@ -427,7 +427,7 @@ def test_point_verdict_matches_symbolic_jacobian(n, k, p, seeds, count, max_line
         reference = symbolic_jacobian_test(am)
         res = sample_y2(am, p, count, seed=seed, max_lines=max_lines)
         for q in res.points:
-            assert q == _point_at(am.basis_forms(), q.coordinates, p)
+            assert q == _point_at(am.reduce_mod(p), q.coordinates, p)
             assert q.smooth_at == reference(q.coordinates), q
             seen.add(q.smooth_at)
     assert seen == verdicts
@@ -460,7 +460,7 @@ def test_planted_odd_corank_three_points():
     e0 = (1, 0, 0, 0)
     for vanishing, smooth in ((((4, 5),), False), ((), True)):
         am = planted_family(7, 4, p, 31, ((0, 1), (2, 3)), vanishing)
-        point = _point_at(am.basis_forms(), e0, p)
+        point = _point_at(am.reduce_mod(p), e0, p)
         assert (point.rank, point.kernel_dim) == (4, 3)
         assert point.smooth_at is smooth
         assert symbolic_jacobian_test(am)(e0) is smooth
@@ -473,7 +473,7 @@ def test_planted_deep_corank_points_are_singular():
     for n, k in ((6, 7), (7, 11)):
         am = planted_family(n, k, p, 32, ((0, 1),))
         e0 = (1,) + (0,) * (k - 1)
-        point = _point_at(am.basis_forms(), e0, p)
+        point = _point_at(am.reduce_mod(p), e0, p)
         assert (point.rank, point.kernel_dim, point.smooth_at) == (2, n - 2, False)
         assert symbolic_jacobian_test(am)(e0) is False
 
@@ -523,7 +523,7 @@ def test_trial_search_stops_when_every_point_is_drawn():
     sizes = set()
     for seed in (1, 2, 10):
         am = AMap.random(5, 3, seed=seed, p=p)
-        scan = [_point_at(am.basis_forms(), u, p) for u in plane]
+        scan = [_point_at(am.reduce_mod(p), u, p) for u in plane]
         res = sample_y2(am, p, 13, seed=seed)
         assert res.points == tuple(q for q in scan if q is not None)
         assert res.exhausted
@@ -548,9 +548,9 @@ def test_sampling_at_large_primes(p):
     am = AMap.random(6, 3, seed=2)
     res = sample_y2(am, p, 5, seed=1)
     assert len(res.points) == 5 and not res.exhausted
-    forms = am.reduce_mod(p).basis_forms()
+    fam = am.reduce_mod(p)
     for q in res.points:
-        assert rank_mod(_combine_forms(forms, q.coordinates, p), p) == q.rank == 4
+        assert rank_mod(_combine_forms(fam, q.coordinates, p), p) == q.rank == 4
     with pytest.raises(ValueError, match="count"):
         sample_y2(am, p, 0, seed=1)
     with pytest.raises(ValueError, match="odd prime"):
@@ -572,6 +572,12 @@ FROZEN_SAMPLES = {
     (5, 5, 1, 5, 6, 1): "af35ecacf370b722b2e0bbd0c76b4fbf80210f1136714da290d5de411eb74001",
     (7, 8, 1, 5, 5, 1): "6d49e23d026a6976ecc8b096170d8d12f49cb9081524e38c26d35e9ee7e16290",
     (10, 5, 1, 3, 60, 1): "40f3d8765373b5a74587d688439f9686302e6d34c7ad65a4d428404af713c7fa",
+    # p > d on the odd paths with the nodes 0..d nearly filling F_p, frozen
+    # from the sampler that eliminated once per interpolation node
+    (7, 7, 1, 19, 5, 1): "8991a7e15e6a69b7f10040e71bc8813b83c25760426b711655af22da61faacd7",
+    (7, 8, 1, 23, 5, 1): "21b7337d902a031637fb953b1fafa3ef1fd39fe590cf549c412ff56d84cbe682",
+    (9, 9, 1, 37, 3, 1): "83ec3dfe0127777dd7697bff6b7fcaf6d4332734b4e0d4ac230849e1f87b0e59",
+    (5, 5, 1, 11, 5, 1): "219395bc54dba43e0b78b10d74dc161b775c525427e2e573cbdf54ee3babcb98",
 }
 
 
@@ -605,6 +611,74 @@ def test_kernel_cofactor_vector_equals_minors(p):
                 assert _kernel_cofactor_vector(b, p) == minors, (n, b)
                 ranks.add(rank_mod(b[1:], p) if n > 1 else 0)
         assert n == 1 or {n - 1, n - 2} <= ranks
+
+
+def _product(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("p", [11, 19, 10007])
+def test_cofactor_vector_has_vanishing_nth_difference(p):
+    # along a line B0 + x B1 the first-row cofactors are (n-1)-minors of a
+    # matrix linear in x, of degree <= n - 1, so their n-th finite difference
+    # vanishes at every x >= n; the odd line sweep takes its nodes n..d from
+    # that identity.  It also holds through the zero vector returned where
+    # B minus row 0 has rank < n - 1, at one x or all along the line.
+    rng = random.Random(f"difference:{p}")
+    for n in (3, 5, 7, 9):
+        deg = (n - 1) ** 2 // 2
+        top = max(deg, 2 * n)
+        b1 = _matrix_of_rank(n, n, p, rng)
+        low = _matrix_of_rank(n, n - 3, p, rng)
+        drops = {x0: [[(a - x0 * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(low, b1)]
+                 for x0 in (1, deg)}
+        f = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 2)]
+        a0, a1 = ([[rng.randrange(p) for _ in range(n - 2)] for _ in range(n)]
+                  for _ in range(2))
+        lines = [(None, _matrix_of_rank(n, n, p, rng), b1)]
+        lines += [(x0, b0, b1) for x0, b0 in drops.items()]
+        lines.append(("all", _product(a0, f, p), _product(a1, f, p)))
+        for drop, b0, b1_ in lines:
+            us = [
+                _kernel_cofactor_vector(
+                    [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(b0, b1_)], p)
+                for x in range(top + 1)
+            ]
+            for x in range(n, top + 1):
+                assert us[x] == [
+                    sum((-1) ** (i + 1) * math.comb(n, i) * us[x - i][e]
+                        for i in range(1, n + 1)) % p
+                    for e in range(n)
+                ], (n, drop, x)
+            zeros = {x for x, u in enumerate(us) if not any(u)}
+            if drop == "all":
+                assert zeros == set(range(top + 1))
+            elif drop is not None:
+                assert drop in zeros and len(zeros) < n, (n, drop, zeros)
+
+
+def test_odd_line_eliminates_at_n_nodes_and_each_candidate(monkeypatch):
+    # an odd line eliminates at x = 0..n-1 only and takes its later nodes
+    # from the vanishing n-th difference; each candidate takes one more.
+    # One elimination per node made 43 * 19 + 82 = 899 calls here.
+    import grpf.pfaffian as pf_mod
+
+    calls = {"elim": 0, "candidates": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pf_mod, "_kernel_cofactor_vector",
+                        counted("elim", pf_mod._kernel_cofactor_vector))
+    monkeypatch.setattr(pf_mod, "_normalize_projective",
+                        counted("candidates", pf_mod._normalize_projective))
+    res = sample_y2(AMap.random(7, 7, 1), 10007, 40, 1)
+    assert len(res.points) == 40
+    assert calls["elim"] == 7 * res.attempts + calls["candidates"]
+    assert (calls["elim"], res.attempts, calls["candidates"]) == (383, 43, 82)
 
 
 @pytest.mark.parametrize("p", [10007, 2**61 - 1])
@@ -659,14 +733,14 @@ def test_line_paths_decide_each_candidate_once(monkeypatch, n, k, p, count):
     seen = []
     point_at = pf_mod._point_at
 
-    def counted(forms, u, q):
-        seen.append((len(forms), tuple(u)))
-        return point_at(forms, u, q)
+    def counted(fam, u, q):
+        seen.append((fam.k, tuple(u)))
+        return point_at(fam, u, q)
 
     monkeypatch.setattr(pf_mod, "_point_at", counted)
     sample_y2(AMap.random(n, k, 1), p, count, 1)
     assert seen
-    assert {len_forms for len_forms, _ in seen} == {k}
+    assert {fam_k for fam_k, _ in seen} == {k}
     assert len(seen) == len(set(seen))
 
 
@@ -680,10 +754,10 @@ def test_small_prime_sampling_equals_exhaustive_scan(n, k, p):
     # kernel in v_0 = 0, where the first-row cofactor vector u(v) vanishes,
     # so the odd square path cannot reach it at any p.
     am = AMap.random(n, k, 1)
-    forms = am.reduce_mod(p).basis_forms()
+    fam = am.reduce_mod(p)
     space = [u for u in itertools.product(range(p), repeat=k)
              if any(u) and next(x for x in u if x) == 1]
-    scan = [q for q in (_point_at(forms, u, p) for u in space) if q is not None]
+    scan = [q for q in (_point_at(fam, u, p) for u in space) if q is not None]
     assert scan
     res = sample_y2(am, p, len(scan) + 1, seed=1, max_lines=400)
     assert res.points == tuple(scan)
@@ -695,10 +769,10 @@ def test_small_prime_even_search_stops_when_every_point_is_drawn(n, k, p):
     # budget (50 * count + 500 lines); the misses are remembered, so the
     # search ends once all of P^(k-1)(F_p) has been drawn
     am = AMap.random(n, k, 1)
-    forms = am.reduce_mod(p).basis_forms()
+    fam = am.reduce_mod(p)
     space = [u for u in itertools.product(range(p), repeat=k)
              if any(u) and next(x for x in u if x) == 1]
-    scan = tuple(q for q in (_point_at(forms, u, p) for u in space) if q is not None)
+    scan = tuple(q for q in (_point_at(fam, u, p) for u in space) if q is not None)
     res = sample_y2(am, p, len(scan) + 1, seed=1)
     assert res.points == scan and res.exhausted
     assert res.attempts < 1000
@@ -711,9 +785,9 @@ def test_small_prime_odd_square_finds_points(n, k, p):
     am = AMap.random(n, k, 1)
     res = sample_y2(am, p, 5, seed=1)
     assert len(res.points) == 5 and not res.exhausted
-    forms = am.reduce_mod(p).basis_forms()
+    fam = am.reduce_mod(p)
     for q in res.points:
-        assert q == _point_at(forms, q.coordinates, p)
+        assert q == _point_at(fam, q.coordinates, p)
 
 
 # --- rank census over finite fields ----------------------------------------------
@@ -898,13 +972,13 @@ def test_generic_rank_census_of_family_members():
     rng = random.Random(6)
     for n, k in ((6, 3), (7, 4)):
         am = AMap.random(n, k, seed=14, p=p)
-        forms = am.basis_forms()
+        fam = am.reduce_mod(p)
         expected = n if n % 2 == 0 else n - 1
         hits = 0
         trials = 1000
         for _ in range(trials):
             u = [rng.randrange(p) for _ in range(k)]
-            if rank_mod(_combine_forms(forms, u, p), p) == expected:
+            if rank_mod(_combine_forms(fam, u, p), p) == expected:
                 hits += 1
         assert hits >= trials * 99 // 100, (n, k, hits)
 

@@ -139,24 +139,55 @@ def _gcd(a, b, p):
 
 
 def _powmod(a, e, f, p):
-    """(x + a)^e mod the monic f of degree d >= 1.  Polynomials are packed into
-    integers with w-byte slots (Kronecker substitution); no slot reaches 2 d p^3."""
+    """(x + a)^e mod the monic f of degree d >= 1, by square and multiply on one
+    packed integer.
+
+    The remainder stays packed, coefficient i in bits [i w, (i + 1) w)
+    (Kronecker substitution), so a step squares with one multiplication;
+    only the result is unpacked.  Slots hold residues lazily in [0, 3p),
+    and two reductions keep every slot below 2^t, t the bit length of
+    9 d p^2 (1 + a mod p):
+
+    - mod p, slot-parallel Barrett: each slot z becomes
+      z - floor(floor(z / 2^(k-1)) m / 2^s) p, in [0, 3p), with k the bit
+      length of p, s = t - k + 1 and m = floor(2^t / p).  Both factors of
+      that product are below 2^s, so w = 2s bits hold it.
+    - mod f, the exact polynomial Barrett quotient
+      q = floor(floor(X / x^d) mu / x^d), mu = floor(x^(2d) / f), of an X
+      of degree < 2d.  X mod f is then the low d slots of X plus those of
+      q g, g = -f mod p, so no slot borrows from another.
+
+    2^t bounds a square times x + a, its top d slots times mu, and that
+    sum.  So w is about 2k + 2 log2(9d) + 2 bits at a = 0, for any odd p
+    and any d.
+    """
     d = len(f) - 1
-    w = (3 * p.bit_length() + d.bit_length() + 9) // 8
+    a %= p
+    k = p.bit_length()
+    t = (9 * d * p * p * (1 + a)).bit_length()
+    s = t - k + 1
+    w = 2 * s
+    m = (1 << t) // p
+
     def pack(coeffs):
-        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
-    def unpack(x, lo, hi):
-        b = x.to_bytes(hi * w, "little")
-        return [int.from_bytes(b[i * w:i * w + w], "little") % p for i in range(lo, hi)]
-    row, table = [-c % p for c in f[:d]], []  # x^d, ..., x^(2d-1) mod f
-    for _ in range(d):
-        table.append(pack(row))
-        row = [(lo - row[-1] * c) % p for lo, c in zip([0] + row, f[:d])]
-    low, shift, r = (1 << 8 * w * d) - 1, (1 << 8 * w) + a % p, [1]
+        x = 0
+        for c in reversed(coeffs):
+            x = x << w | c
+        return x
+
+    low_bits, low, slot = pack([(1 << s) - 1] * 2 * d), (1 << w * d) - 1, (1 << w) - 1
+
+    def reduce(z):
+        return z - (((z >> k - 1 & low_bits) * m >> s) & low_bits) * p
+
+    mu = pack(_divmod([0] * 2 * d + [1], f, p)[0])
+    g, shift = pack([-c % p for c in f[:d]]), (1 << w) + a
+    r = 1
     for bit in bin(e)[2:]:
-        x = pack(r) ** 2 * (shift if bit == "1" else 1)
-        r = unpack((x & low) + sum(h * t for h, t in zip(unpack(x, d, 2 * d), table)), 0, d)
-    return r
+        x = reduce(r * r * shift if bit == "1" else r * r)
+        q = reduce((x >> w * d) * mu) >> w * d
+        r = reduce((x & low) + (q * g & low))
+    return [(r >> w * i & slot) % p for i in range(d)]
 
 
 def roots_mod(coeffs, p):

@@ -16,11 +16,13 @@ Point sampling works over F_p.  The even, odd square and odd sliced paths
 differ only in how they draw a line; one sweep solves the restricted locus
 by interpolation plus exact root finding for any odd p below 3.3e24, which
 avoids Groebner machinery entirely, and decides each candidate once on the
-full family.  Odd n with k < n falls back to trials.  Smoothness at a
-sample point u is the tangent-space test of a rank locus (no symbolic
-Pfaffian): with K the kernel of M_u and c = 2 (even n) or 3 (odd n), u
-is smooth iff dim K = c and the pairings k_a^T M_r k_b on K have rank
-C(c, 2).
+full family.  An odd line divides its first submaximal Pfaffian, of degree
+(n-1)^2/2, by a factor v_0^((n+1)/2) known in advance and solves the
+quotient, of degree n(n-3)/2.  Odd n with k < n falls back to trials.
+Smoothness at a sample point u is the tangent-space test of a rank locus
+(no symbolic Pfaffian): with K the kernel of M_u and c = 2 (even n) or
+3 (odd n), u is smooth iff dim K = c and the pairings k_a^T M_r k_b on K
+have rank C(c, 2).
 """
 
 from __future__ import annotations
@@ -92,6 +94,14 @@ class AMap:
         if len(rows) != self.k:
             raise ValueError(f"{len(rows)} rows != k = {self.k}")
         self.matrix = tuple(rows)
+        # Rank only drops modulo a prime, so over Q full rank of the rows
+        # cleared of denominators modulo 2^61 - 1 proves it without Fractions.
+        if p is None:
+            dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
+            ints = [[x.numerator * (d // x.denominator) for x in row]
+                    for row, d in zip(rows, dens)]
+            if rank_mod(ints, 2**61 - 1) == self.k:
+                return
         if _rref(self.matrix, p)[0] < self.k:
             raise DegenerateFamilyError(
                 f"family matrix has rank < k = {self.k}"
@@ -226,18 +236,21 @@ def _principal_pfaffians(am, index_sets):
         memo[idx] = node
         return node
 
-    out = []
+    def decode(mono):
+        exps = []
+        for _ in range(k):
+            mono, e = divmod(mono, base)
+            exps.append(e)
+        return tuple(exps)
+
+    out, exponents = [], {}  # each distinct monomial is decoded once
     for idx in index_sets:
         idx = tuple(idx)
         scale = coerce(Fraction(1, den ** (len(idx) // 2)), p)
-        terms = {}
-        for mono, c in pf(idx).items():
-            exps = []
-            for _ in range(k):
-                mono, e = divmod(mono, base)
-                exps.append(e)
-            terms[tuple(exps)] = c * scale
-        out.append(Poly(p, k, terms))
+        node = pf(idx)
+        for mono in node.keys() - exponents.keys():
+            exponents[mono] = decode(mono)
+        out.append(Poly(p, k, {exponents[mono]: c * scale for mono, c in node.items()}))
     return out
 
 
@@ -380,13 +393,14 @@ def _sweep_lines(am, p, count, stream, max_lines, dim, deg, draw_line):
 
     Line i draws from ``f"{stream}:{i}"``.  ``draw_line(rng)`` returns
     u(x), the family member at the line parameter x, and a function giving
-    the values at x = 0..deg of a polynomial whose roots hold the locus
-    points of the line, or None when all vanish (the line is resampled).
-    For p <= deg those nodes collide mod p, and every x in F_p is a
-    candidate instead.  Each distinct candidate is decided once on the
-    family ``am``; a line yields at most deg, which bounds the misses kept.
-    It stops at ``count`` points, at ``max_lines`` lines, or once every
-    point of P^(dim-1)(F_p) has been drawn.
+    distinct nodes and the values there of a polynomial of degree at most
+    deg whose roots hold the locus points of the line, or None when it
+    vanishes identically (the line is resampled).  Interpolation needs
+    p > deg, and for p <= deg every x in F_p is a candidate instead.  Each
+    distinct candidate is decided once on the family ``am``; a line yields
+    at most deg, which bounds the misses kept.  It stops at ``count``
+    points, at ``max_lines`` lines, or once every point of P^(dim-1)(F_p)
+    has been drawn.
     """
     found, missed = {}, set()
     space = (p**dim - 1) // (p - 1)
@@ -395,10 +409,10 @@ def _sweep_lines(am, p, count, stream, max_lines, dim, deg, draw_line):
         u_at, node_values = draw_line(random.Random(f"{stream}:{line}"))
         line += 1
         if p > deg:
-            ys = node_values()
-            if ys is None:
+            nodes = node_values()
+            if nodes is None:
                 continue
-            candidates = _roots_mod(_lagrange_mod(list(range(deg + 1)), ys, p), p)
+            candidates = _roots_mod(_lagrange_mod(*nodes, p), p)
         else:
             candidates = range(p)
         for x in candidates:
@@ -437,7 +451,8 @@ def _sample_even(am, p, count, seed, max_lines):
             ys = [pfaffian_mod([[(a + x * b) % p for a, b in zip(r0, r1)]
                                 for r0, r1 in zip(m0, m1)], p)
                   for x in range(deg + 1)]
-            return ys if any(ys) else None  # all zero: inside the hypersurface, or junk
+            # all zero: inside the hypersurface, or junk
+            return (list(range(deg + 1)), ys) if any(ys) else None
 
         return (lambda x: [(a + x * b) % p for a, b in zip(p0, p1)]), node_values
 
@@ -472,7 +487,7 @@ def _kernel_cofactor_vector(b, p):
     return vec
 
 
-def _kernel_line_drawer(square, p, deg, emb=None):
+def _kernel_line_drawer(square, p, emb=None):
     """``draw_line`` for odd n on a square family (n forms, reduced mod p).
 
     This is the kernel-incidence line trick.  For v in V the matrix
@@ -480,18 +495,28 @@ def _kernel_line_drawer(square, p, deg, emb=None):
     to zero against v), and its kernel vector u(v) is generically the
     unique family member with v in its kernel.  The locus where u(v)
     lands on the degeneracy variety is a hypersurface in P(V), so random
-    lines in P(V) meet it; along a line the first submaximal Pfaffian of
-    M(u(v)) that does not vanish identically is a polynomial in the line
-    parameter of degree (n-1)^2/2.  B_v is linear in v, so each line
-    builds its two endpoint matrices once.  The entries of u(v) are
-    (n-1)-minors of B_v, polynomials of degree <= n-1 in the line
-    parameter x, so their n-th finite difference vanishes: the nodes
-    x = 0..n-1 take one elimination each, and every later node is
+    lines in P(V) meet it.  B_v is linear in v, so each line builds its
+    two endpoint matrices once.  The entries of u(v) are (n-1)-minors of
+    B_v, polynomials of degree <= n-1 in the line parameter x, so their
+    n-th finite difference vanishes: the nodes x = 0..n-1 take one
+    elimination each, and every later node is
     u(x) = sum_{i=1..n} (-1)^(i+1) C(n, i) u(x - i) mod p.  A candidate
     takes one elimination.  A slice's member u(v) is lifted to the full
     family as emb u(v), which has the same skew matrix.
+
+    Along the line v(x) = v0 + x v1, the first submaximal Pfaffian Pf_0 of
+    M(u(v)) has degree (n-1)^2/2, and a known factor.  u(v) vanishes where
+    v_0 = 0, since v^T B_v = 0 then makes rows 1..n-1 of B_v, whose minors
+    u(v) are, dependent.  And the signed submaximal Pfaffians of M(u) are
+    lambda(x) v(x), since v spans the kernel of M(u) wherever its rank is
+    n-1.  So Pf_0 = v_0^((n+1)/2) h with deg h <= n(n-3)/2, and the line's
+    polynomial is h, from Pf_0 at the first n(n-3)/2 + 1 nodes with
+    v_0 != 0; the root it drops is the x where u(v) = 0.  If h vanishes
+    identically, so does lambda or u, and with them every Pf_s; so does a
+    line with v0_0 = v1_0 = 0, on which u(v) = 0.
     """
     n = square.n
+    half, need = (n + 1) // 2, n * (n - 3) // 2 + 1
     coordinates = list(itertools.combinations(range(n), 2))
     steps = [(-1) ** (n - t + 1) * math.comb(n, t) for t in range(n)]  # of u(x - n + t)
 
@@ -505,8 +530,9 @@ def _kernel_line_drawer(square, p, deg, emb=None):
         return [[x % p for x in row] for row in b]
 
     def draw_line(rng):
-        b0 = b_of([rng.randrange(p) for _ in range(n)])
-        b1 = b_of([rng.randrange(p) for _ in range(n)])
+        v0 = [rng.randrange(p) for _ in range(n)]
+        v1 = [rng.randrange(p) for _ in range(n)]
+        b0, b1 = b_of(v0), b_of(v1)
 
         def member(x):
             bmat = [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(b0, b1)]
@@ -517,19 +543,18 @@ def _kernel_line_drawer(square, p, deg, emb=None):
             return u if emb is None else [sum(e * y for e, y in zip(row, u)) % p for row in emb]
 
         def node_values():
-            us = [member(x) for x in range(n)]
-            for x in range(n, deg + 1):
+            if not (v0[0] or v1[0]):
+                return None
+            xs = [x for x in range(need + 1) if (v0[0] + x * v1[0]) % p][:need]
+            us = [member(x) for x in range(min(n, xs[-1] + 1))]
+            for x in range(n, xs[-1] + 1):
                 us.append([sum(map(mul, steps, column)) % p for column in zip(*us[x - n:x])])
-            mats = [_combine_forms(square, u, p) for u in us]
-            for s in range(n):
-                idx = tuple(j for j in range(n) if j != s)
-                ys = [
-                    pfaffian_mod([[mat[a][b] for b in idx] for a in idx], p)
-                    for mat in mats
-                ]
-                if any(ys):
-                    return ys
-            return None
+            ys = []
+            for x in xs:
+                mat = _combine_forms(square, us[x], p)
+                pf = pfaffian_mod([row[1:] for row in mat[1:]], p)
+                ys.append(pf * pow(v0[0] + x * v1[0], -half, p) % p)
+            return (xs, ys) if any(ys) else None
 
         return u_at, node_values
 
@@ -542,7 +567,7 @@ def _sample_odd(am, p, count, seed, max_lines):
     deg = (n - 1) * (n - 1) // 2  # deg u(v) = n-1 per entry, times (n-1)/2
     if k == n:
         return _sweep_lines(am, p, count, f"{seed}:odd", max_lines, n, deg,
-                            _kernel_line_drawer(am, p, deg))
+                            _kernel_line_drawer(am, p))
     if k > n:
         # Pick a slice: an n-dimensional subfamily of full rank, swept with
         # its members lifted to the full family, where each point is decided.
@@ -559,7 +584,7 @@ def _sample_odd(am, p, count, seed, max_lines):
             except DegenerateFamilyError:
                 continue
             return _sweep_lines(am, p, count, f"{seed}:{a}:odd", max_lines, n, deg,
-                                _kernel_line_drawer(sliced, p, deg, emb))
+                                _kernel_line_drawer(sliced, p, emb))
     # k < n leaves no linear handle on the kernel; honest trial search.
     # When the budget could cover all of P^{k-1}(F_p), off-locus draws are
     # remembered and the search stops once every point has been drawn.

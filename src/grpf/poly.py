@@ -71,8 +71,8 @@ class Poly:
         self.nvars = int(nvars)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
+            exps = tuple(map(int, exps))
+            if len(exps) != self.nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent tuple {exps}")
             if p is not None:
                 coeff %= p

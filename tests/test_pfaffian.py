@@ -11,7 +11,7 @@ import pytest
 import grpf.pfaffian
 import grpf.poly
 from grpf.errors import DegenerateFamilyError, ParityError
-from grpf.modp import det_mod, pfaffian_mod, rank_mod
+from grpf.modp import _divmod, _trim, det_mod, pfaffian_mod, rank_mod, roots_mod
 from grpf.pfaffian import (
     AMap,
     _combine_forms,
@@ -66,6 +66,20 @@ def test_family_basis_evaluation():
 def test_degenerate_family_rejected():
     with pytest.raises(DegenerateFamilyError):
         AMap(4, 2, Q, [[1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0]])
+
+
+def test_q_family_rank_is_not_decided_modulo_one_prime():
+    # over Q full rank is first checked modulo 2^61 - 1, where rank can only
+    # drop; a short rank there falls back to exact elimination over Q
+    prime = 2**61 - 1
+    am = AMap(3, 2, Q, [[1, 0, 0], [0, prime, 0]])
+    assert am.matrix[1][1] == prime
+    assert AMap(3, 2, Q, [[Fraction(1, prime), 0, 0], [0, Fraction(prime, 3), 0]]).k == 2
+    for rows in ([[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)]],
+                 [[prime, 0, 0], [1, 0, 0]],
+                 [[1, 1, 0], [2, 2, 0], [0, 0, 5]]):
+        with pytest.raises(DegenerateFamilyError):
+            AMap(3, len(rows), Q, rows)
 
 
 def test_amap_json_roundtrip(tmp_path):
@@ -660,7 +674,8 @@ def test_cofactor_vector_has_vanishing_nth_difference(p):
 def test_odd_line_eliminates_at_n_nodes_and_each_candidate(monkeypatch):
     # an odd line eliminates at x = 0..n-1 only and takes its later nodes
     # from the vanishing n-th difference; each candidate takes one more.
-    # One elimination per node made 43 * 19 + 82 = 899 calls here.
+    # One elimination per node made 43 * 19 + 82 = 899 calls here, and
+    # solving Pf_0 itself, with its root where u(x) = 0, 43 * 7 + 82 = 383.
     import grpf.pfaffian as pf_mod
 
     calls = {"elim": 0, "candidates": 0}
@@ -678,7 +693,112 @@ def test_odd_line_eliminates_at_n_nodes_and_each_candidate(monkeypatch):
     res = sample_y2(AMap.random(7, 7, 1), 10007, 40, 1)
     assert len(res.points) == 40
     assert calls["elim"] == 7 * res.attempts + calls["candidates"]
-    assert (calls["elim"], res.attempts, calls["candidates"]) == (383, 43, 82)
+    assert (calls["elim"], res.attempts, calls["candidates"]) == (341, 43, 40)
+
+
+class _Draws:
+    """An rng stand-in whose randrange returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randrange(self, p):
+        return next(self.values)
+
+
+def _polynomial_pfaffians(mat, p):
+    """The n submaximal Pfaffians of an odd skew matrix of polynomials in x
+    over F_p (ascending coefficient lists), by first-row expansion."""
+    memo = {(): [1]}
+
+    def pf(idx):
+        if idx not in memo:
+            acc = [0]
+            for t in range(1, len(idx)):
+                term = _trim(_mul_poly(mat[idx[0]][idx[t]], pf(idx[1:t] + idx[t + 1:]), p), p)
+                sign = -1 if t % 2 == 0 else 1
+                acc = [a + sign * b for a, b in itertools.zip_longest(acc, term, fillvalue=0)]
+            memo[idx] = _trim(acc, p)
+        return memo[idx]
+
+    n = len(mat)
+    return [pf(tuple(j for j in range(n) if j != s)) for s in range(n)]
+
+
+def _evaluate(poly, x, p):
+    return sum(c * pow(x, e, p) for e, c in enumerate(poly)) % p
+
+
+def _mul_poly(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [19, 37, 10007])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_odd_line_pfaffian_has_the_known_v0_factor(n, p):
+    # on the odd line v(x) = v0 + x v1 the member u(x) vanishes where v_0 = 0,
+    # and the signed submaximal Pfaffians of M(u) are lambda(x) v(x), so
+    # Pf_0 = v_0^((n+1)/2) h with deg h <= n(n-3)/2; Pf_0 = 0 forces every
+    # Pf_s = 0.  The Pfaffians are expanded exactly as polynomials in x, so
+    # p need not exceed their degree (n-1)^2/2; where it does, the sampler's
+    # nodes interpolate h.
+    from grpf.pfaffian import _kernel_line_drawer
+
+    fam = AMap.random(n, n, 1, p=p)
+    deg, half = (n - 1) ** 2 // 2, (n + 1) // 2
+    rng = random.Random(f"v0-factor:{n}:{p}")
+    rank_drops = 0
+    for line in range(12):
+        v0, v1 = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
+        if line == 0:
+            v0[0] = v1[0] = 0
+        elif line == 1:
+            v1[0] = 0
+        elif line == 2:
+            v1 = [c * 3 % p for c in v0]  # v(x) = (1 + 3x) v0
+        u_at, node_values = _kernel_line_drawer(fam, p)(_Draws(v0 + v1))
+        members = [u_at(x) for x in range(n)]
+        u = [_lagrange_mod(list(range(n)), [m[r] for m in members], p) for r in range(n)]
+        mat = [[[0] for _ in range(n)] for _ in range(n)]
+        for (i, j), column in zip(itertools.combinations(range(n), 2), zip(*fam.matrix)):
+            entry = [sum(c * ur[e] for c, ur in zip(column, u)) % p for e in range(n)]
+            mat[i][j], mat[j][i] = entry, [-c % p for c in entry]
+        pfs = _polynomial_pfaffians(mat, p)
+        v_0, v = [v0[0], v1[0]], [[a, b] for a, b in zip(v0, v1)]
+        for s in range(n):
+            lhs = _mul_poly([(-1) ** s * c for c in pfs[s]], v_0, p)
+            assert _trim(lhs, p) == _trim(_mul_poly(pfs[0], v[s], p), p), (n, line, s)
+        if not pfs[0]:
+            assert not any(pfs), (n, line)
+        # pointwise too: Pf_s = lambda v_s off v_0 = 0, and u = 0 on it
+        for x in range(p) if p < 100 else roots_mod(pfs[0], p):
+            if _evaluate(pfs[0], x, p) == 0:
+                assert all(_evaluate(pf, x, p) == 0 for pf in pfs), (n, line, x)
+                rank_drops += (v0[0] + x * v1[0]) % p != 0
+        if not any(v_0):
+            assert not pfs[0]
+            h = []
+        else:
+            factor = _trim(v_0, p)
+            for _ in range(half - 1):
+                factor = _mul_poly(factor, _trim(v_0, p), p)
+            h, rem = _divmod(pfs[0], factor, p) if pfs[0] else ([], [])
+            assert not _trim(rem, p) and len(_trim(h, p)) <= n * (n - 3) // 2 + 1, (n, line)
+            assert len(pfs[0]) <= deg + 1
+        if p > deg:
+            nodes = node_values()
+            if not _trim(h, p):
+                assert nodes is None, (n, line)
+            else:
+                xs, ys = nodes
+                assert len(xs) == n * (n - 3) // 2 + 1
+                assert all((v0[0] + x * v1[0]) % p for x in xs)
+                assert _trim(_lagrange_mod(xs, ys, p), p) == _trim(h, p), (n, line)
+    assert rank_drops >= (n > 3)  # the (3, 3) locus is empty
 
 
 @pytest.mark.parametrize("p", [10007, 2**61 - 1])

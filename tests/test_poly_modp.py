@@ -172,27 +172,42 @@ def test_roots_mod_matches_brute_force(p):
 
 
 def test_powmod_matches_naive_product():
-    # shifts a close to p give the largest packed slots
+    # shifts a close to p give the largest packed slots; 3.3e24 - 1 is the
+    # largest prime below 3.3e24, and d = 65 is the odd line's degree at n = 13
     def mulmod(u, v, f, p):
         prod = [0] * (len(u) + len(v) - 1)
         for i, x in enumerate(u):
             for j, y in enumerate(v):
                 prod[i + j] += x * y
         for k in range(len(prod) - 1, len(f) - 2, -1):  # f is monic
-            c = prod[k]
+            c = prod[k] % p
             for i, y in enumerate(f):
                 prod[k - len(f) + 1 + i] -= c * y
-        return [x % p for x in prod[: len(f) - 1]]
+        return ([x % p for x in prod[: len(f) - 1]] + [0] * len(f))[: len(f) - 1]
 
+    def powmod(a, e, f, p):  # right-to-left square and multiply
+        out, base = mulmod([1], [1], f, p), mulmod([a, 1], [1], f, p)
+        while e:
+            if e & 1:
+                out = mulmod(out, base, f, p)
+            base, e = mulmod(base, base, f, p), e >> 1
+        return out
+
+    big = 3299999999999999999999999
+    assert big == 33 * 10**23 - 1 and is_prime(big)
     rng = random.Random(4)
-    for p in (3, 101, 10007, 2**61 - 1):
-        for d in (1, 2, 5, 18):
+    for p in (3, 101, 10007, 2**61 - 1, big):
+        for d in (1, 2, 5, 18, 65):
             f = [rng.randrange(p) for _ in range(d)] + [1]
             a = p - 1 - rng.randrange(2)
             expected = [1]
             for e in range(40):
                 assert _powmod(a, e, f, p) == (expected + [0] * d)[:d]
                 expected = mulmod(expected, [a, 1], f, p)
+            # the exponents that roots_mod takes, x^p and (x + a)^((p-1)/2)
+            assert _powmod(0, p, f, p) == powmod(0, p, f, p), (p, d)
+            for shift in (1, a):
+                assert _powmod(shift, (p - 1) // 2, f, p) == powmod(shift, (p - 1) // 2, f, p)
 
 
 def test_roots_mod_large_primes():

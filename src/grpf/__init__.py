@@ -33,8 +33,6 @@ from .pfaffian import (
     AMap,
     SamplePoint,
     hypersurface_hodge,
-    lg_ext_profile,
-    lg_hom_shift,
     pfaffian_polynomial,
     sample_y2,
     submaximal_pfaffians,

@@ -10,13 +10,15 @@ decreasing, one block of consecutive integers per run of equal entries,
 so the sort inserts the two shifted s-entries between blocks.
 :func:`_bott_runs` does that on the runs of the q-block and hands the
 runs of the result to the Weyl product; no length-n tuple is built.
-Every Bott outcome goes through it: general weights (:func:`_bott`) and
-the Cauchy q-blocks (2^j, 1^(m-2j), 0^rest) of the Hodge terms and Hom
-summands (:func:`_bott_cauchy`).
+General weights (:func:`_bott`) and the Cauchy q-blocks
+(2^j, 1^(m-2j), 0^rest) of the Hodge terms (:func:`_bott_cauchy`) go
+through it.  The Hom and Ext summands have a zero q-block, whose
+outcome is one of five closed forms (:func:`_bott_zero_tail`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -135,10 +137,43 @@ def _bott_cauchy(a1, a2, j, m, n):
     """(degree, dimension) of Bott on (a1, a2) over Cauchy term j of Wedge^m, or None.
 
     The q-block of Cauchy term j of Wedge^m of the cotangent bundle is
-    (2^j, 1^(m-2j), 0^(n-2-m+j)); the zero q-block is j = m = 0.
+    (2^j, 1^(m-2j), 0^(n-2-m+j)).
     """
     res = _bott_runs(a1, a2, ((2, j), (1, m - 2 * j), (0, n - 2 - m + j)), n)
     return res and res[:2]
+
+
+def _two_row_dimension(a, b, n):
+    """Weyl dimension of (a, b, 0^(n-2)) for GL(n), a >= b >= 0."""
+    return (a - b + 1) * math.comb(a + n - 1, a) * math.comb(b + n - 2, b) // (a + 1)
+
+
+def _bott_zero_tail(a1, a2, n):
+    """(degree, dimension) of Bott on (a1, a2 | 0^(n-2)), a1 >= a2, or None.
+
+    The shifted tail is n-2..1 and the shifted s-entries are
+    u1 = a1 + n > u2 = a2 + n - 1.  Both above the tail (a2 >= 0) gives
+    degree 0 and (a1, a2, 0...).  Either entry inside the tail vanishes
+    the weight.  u1 above and u2 below it (a1 >= -1, a2 <= 1 - n) gives
+    degree n - 2 and (alpha, 0..., -beta) with alpha = a1 + 1 and
+    beta = 1 - n - a2, of dimension dim Sym^alpha x Sym^beta of the dual
+    minus the same at alpha - 1, beta - 1.  Both below (a1 <= -n) gives
+    degree 2(n - 2) and the dual of (-a2 - n, -a1 - n, 0...) up to a
+    twist.
+    """
+    if a2 >= 0:
+        return 0, _two_row_dimension(a1, a2, n)
+    if a2 > 1 - n:
+        return None
+    if a1 >= -1:
+        alpha, beta = a1 + 1, 1 - n - a2
+        dim = math.comb(alpha + n - 1, alpha) * math.comb(beta + n - 1, beta)
+        if alpha and beta:
+            dim -= math.comb(alpha + n - 2, alpha - 1) * math.comb(beta + n - 2, beta - 1)
+        return n - 2, dim
+    if a1 > -n:
+        return None
+    return 2 * (n - 2), _two_row_dimension(-a2 - n, -a1 - n, n)
 
 
 def _cauchy_twists(j, m, n, lo, hi):

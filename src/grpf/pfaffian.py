@@ -695,36 +695,3 @@ def hypersurface_hodge(ambient_dim, degree) -> HodgeDiamond:
             prim += 1
         middle.append(prim)
     return HodgeDiamond.assemble(dim, lambda p: 1, middle)
-
-
-# ---------------------------------------------------------------------------
-# Numerical shadows of morphism sheaves between clean intersections
-
-
-def lg_ext_profile(dim_x, dim_a, dim_b, dim_ab):
-    """Degreewise ranks of the Ext sheaves between two clean intersections.
-
-    With codimension a = dim_x - dim_a and excess rank
-    r = dim_x - dim_a - dim_b + dim_ab, the profile is C(r, a - i) in
-    degrees a - r .. a; the total rank is 2^r.
-    """
-    for name, v in (("dim_x", dim_x), ("dim_a", dim_a), ("dim_b", dim_b),
-                    ("dim_ab", dim_ab)):
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative, got {v}")
-    if dim_a > dim_x or dim_b > dim_x:
-        raise ValueError("submanifold dimension exceeds ambient dimension")
-    if dim_ab > min(dim_a, dim_b):
-        raise ValueError("intersection larger than a factor")
-    a = dim_x - dim_a
-    r = dim_x - dim_a - dim_b + dim_ab
-    if r < 0:
-        raise ValueError(
-            f"inconsistent dimensions: excess rank {r} is negative"
-        )
-    return [(i, math.comb(r, a - i)) for i in range(a - r, a + 1)]
-
-
-def lg_hom_shift(dim_ab, dim_b):
-    """Homological shift of the surviving morphism sheaf: dim A∩B - dim B."""
-    return dim_ab - dim_b

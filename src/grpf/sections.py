@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby
 
-from .bwb import _bott_cauchy, _cauchy_twists, cohomology_of_kclass
+from .bwb import _bott_cauchy, _bott_zero_tail, _cauchy_twists, cohomology_of_kclass
 from .diamond import HodgeDiamond
 from .errors import IntegrityError
 from .geometry import ModelParams, classify, grassmannian_window
@@ -365,7 +366,7 @@ def rhom_dimensions(e, f, n, t=0):
     """Map degree -> dim Ext^degree(E, F(t)) by summing Bott outcomes."""
     table = {}
     for a1, a2 in hom_s_blocks(e, f, t):
-        res = _bott_cauchy(a1, a2, 0, 0, n)
+        res = _bott_zero_tail(a1, a2, n)
         if res is not None:
             degree, dim = res
             table[degree] = table.get(degree, 0) + dim
@@ -404,32 +405,73 @@ def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
     For every ordered pair all positive-degree Ext groups must vanish; in
     the order "larger twist first, larger symmetric power first within a
     twist" every Hom must flow forward; each bundle must be simple.
+    RHom(E, F) depends only on the key (l, l', m - m'), and each key is
+    computed once.  The labels of one twist m' are consecutive in the
+    order, so row (l, m) of the Hom matrix joins one block per twist, the
+    Hom dimensions over that twist's l' at m - m', and a block serves
+    every row and twist with the same l, m - m' and l'.  The verdict is
+    read off the keys: a key fails on a nonzero Ext^{>0}, on Hom != 1 at
+    (l, l, 0), and on a nonzero Hom at a backward key (m - m' < 0, or
+    m - m' = 0 with l < l').  Only when some key fails are the pairs
+    walked, reading the same table, to list the failures in pair order.
     Failures are collected, not raised.
     """
     order = sorted(window, key=lambda lm: (-lm[1], -lm[0]))
-    size = len(order)
-    hom = [[0] * size for _ in range(size)]
+    groups = []  # (m', index of its shape) for each twist, in order
+    index = {}  # shape: the l' of a twist, in order -> its index
+    for m, labels in groupby(order, key=lambda lm: lm[1]):
+        shape = tuple(l for l, _ in labels)
+        groups.append((m, index.setdefault(shape, len(index))))
+    shapes = list(index)
+    homs = {}  # (l, l', m - m') -> dim Hom(E, F)
+    exts = {}  # the same keys -> the nonzero (degree, dim Ext^degree), degree > 0
+    blocks = {}  # (l, m - m', shape index) -> Hom dimensions over the shape
+
+    def block(l, d, g):
+        dims = []
+        for lp in shapes[g]:
+            key = (l, lp, d)
+            if key not in homs:
+                table = rhom_dimensions((l, d), (lp, 0), n)
+                homs[key] = table.get(0, 0)
+                exts[key] = sorted(item for item in table.items() if item[0] > 0)
+            dims.append(homs[key])
+        blocks[l, d, g] = dims = tuple(dims)
+        return dims
+
+    hom = tuple(  # a block is never empty, so a stored one is never falsy
+        tuple(chain.from_iterable(
+            blocks.get((l, m - mp, g)) or block(l, m - mp, g) for mp, g in groups
+        ))
+        for l, m in order
+    )
+    failing = set()
+    for (l, lp, d), dim in homs.items():
+        if l == lp and d == 0:
+            bad = dim != 1
+        else:
+            bad = dim and (d < 0 or d == 0 and l < lp)
+        if bad or exts[l, lp, d]:
+            failing.add((l, lp, d))
     ext_failures = []
     diagonal_failures = []
     order_violations = []
-    tables = {}  # Hom(E, F) depends only on (l, l', m - m')
-    for i, e in enumerate(order):
-        for j, f in enumerate(order):
-            key = (e[0], f[0], e[1] - f[1])
-            if key not in tables:
-                table = rhom_dimensions(e, f, n)
-                tables[key] = table.get(0, 0), sorted(d for d in table.items() if d[0] > 0)
-            hom[i][j], exts = tables[key]
-            for degree, dim in exts:
-                ext_failures.append((e, f, degree, dim))
-            if i == j and hom[i][j] != 1:
-                diagonal_failures.append((e, hom[i][j]))
-            if i > j and hom[i][j] != 0:
-                order_violations.append((e, f, hom[i][j]))
+    if failing:
+        for i, e in enumerate(order):
+            for j, f in enumerate(order):
+                key = (e[0], f[0], e[1] - f[1])
+                if key not in failing:
+                    continue
+                for degree, dim in exts[key]:
+                    ext_failures.append((e, f, degree, dim))
+                if i == j and homs[key] != 1:
+                    diagonal_failures.append((e, homs[key]))
+                if i > j and homs[key] != 0:
+                    order_violations.append((e, f, homs[key]))
     return ExceptionalReport(
         n=n,
         order=tuple(order),
-        hom_matrix=tuple(tuple(row) for row in hom),
+        hom_matrix=hom,
         ext_failures=tuple(ext_failures),
         order_violations=tuple(order_violations),
         diagonal_failures=tuple(diagonal_failures),
@@ -472,7 +514,7 @@ def pair_twisted_vanishing(n, e, f) -> PairVerdict:
         return PairVerdict(True, None)
     a1, a2 = c + l + lp - i, c + i
     t = 0 if a1 < 1 - n else max(0, -1 - a1)
-    return PairVerdict(False, (i, t) + _bott_cauchy(a1 + t, a2 + t, 0, 0, n))
+    return PairVerdict(False, (i, t) + _bott_zero_tail(a1 + t, a2 + t, n))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import grpf.bwb as bwb
 from grpf.bwb import (
     _bott,
     _bott_cauchy,
+    _bott_zero_tail,
     _cauchy_twists,
     bwb_cohomology,
     cohomology_of_kclass,
@@ -126,12 +127,15 @@ def test_bott_insertion_matches_sorting_reference():
 
 
 def test_zero_tail_bott_matches_bott():
-    for n in range(3, 25):
-        for a1 in range(-3 * n, 2 * n):
+    # every Levi-dominant (a1, a2) in [-3n, 3n), through the generic run
+    # walk and through the closed form of the Hom and Ext summands
+    for n in range(3, 41):
+        for a1 in range(-3 * n, 3 * n):
             for a2 in range(-3 * n, a1 + 1):
                 res = _bott((a1, a2) + (0,) * (n - 2), n)
                 expected = None if res.vanishes else (res.degree, res.dimension)
                 assert _bott_cauchy(a1, a2, 0, 0, n) == expected, (n, a1, a2)
+                assert _bott_zero_tail(a1, a2, n) == expected, (n, a1, a2)
 
 
 def cauchy_term_mismatches(ns):

@@ -52,6 +52,8 @@ COMMANDS = [
     "lemma check --n 100",
     "lemma check --n 200",
     "windows --n 9 --k 7",
+    "collection verify --n 11",
+    "collection verify --n 15 --set S",
     "collection verify --n 6",
     "collection verify --n 6 --set T --k 3",
 ]

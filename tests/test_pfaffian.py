@@ -20,8 +20,6 @@ from grpf.pfaffian import (
     _point_at,
     hypersurface_hodge,
     jacobian_ring_dimension,
-    lg_ext_profile,
-    lg_hom_shift,
     pair_index,
     pfaffian_polynomial,
     sample_y2,
@@ -1035,54 +1033,6 @@ def test_hypersurface_validation():
         hypersurface_hodge(1, 3)
     with pytest.raises(ValueError):
         hypersurface_hodge(4, 0)
-
-
-# --- morphism-sheaf shadows -------------------------------------------------------
-
-def test_lg_ext_profile_transverse():
-    assert lg_ext_profile(10, 7, 3, 0) == [(3, 1)]
-
-
-def test_lg_ext_profile_self_intersection_limit():
-    # B inside A (here A = B): codimension equals excess rank and the
-    # profile is a full binomial row in degrees 0..a, total 2^a
-    profile = lg_ext_profile(10, 6, 6, 6)
-    assert profile == [(i, math.comb(4, 4 - i)) for i in range(5)]
-    assert sum(rank for _, rank in profile) == 2**4
-
-
-def test_lg_ext_profile_total_rank():
-    rng = random.Random(17)
-    for _ in range(200):
-        dim_x = rng.randrange(2, 12)
-        dim_a = rng.randrange(0, dim_x + 1)
-        dim_b = rng.randrange(0, dim_x + 1)
-        lo = max(0, dim_a + dim_b - dim_x)
-        dim_ab = rng.randrange(lo, min(dim_a, dim_b) + 1)
-        profile = lg_ext_profile(dim_x, dim_a, dim_b, dim_ab)
-        r = dim_x - dim_a - dim_b + dim_ab
-        assert sum(rank for _, rank in profile) == 2**r
-        degrees = [i for i, _ in profile]
-        assert degrees == list(range(dim_x - dim_a - r, dim_x - dim_a + 1))
-
-
-def test_lg_ext_profile_errors():
-    with pytest.raises(ValueError):
-        lg_ext_profile(10, 8, 8, 0)  # excess rank would be -6
-    with pytest.raises(ValueError):
-        lg_ext_profile(10, 4, 4, 5)  # intersection bigger than a factor
-
-
-def test_lg_hom_shift():
-    assert lg_hom_shift(3, 7) == -4
-    assert lg_hom_shift(5, 5) == 0
-    # the rank-2 bundle pairing: shift equals minus half the big rank
-    for rk_v in (4, 10, 14):
-        lgr_dim = 1
-        dim_ab = lgr_dim + rk_v // 2
-        dim_b = lgr_dim + rk_v
-        assert lg_hom_shift(dim_ab, dim_b) == -rk_v // 2
-        assert lg_hom_shift(dim_ab, dim_b) == -(2 * rk_v) // 4
 
 
 def test_generic_rank_census_of_family_members():

@@ -326,6 +326,99 @@ def test_collection_failure_is_detected():
     assert rep.ext_failures
 
 
+def pair_walk_failures(n, window):
+    """Ext failures, order violations and diagonal failures, pair by pair.
+
+    One ``rhom_dimensions`` call per ordered pair of the window, in the
+    verifier's order, with no table shared between pairs.
+    """
+    order = sorted(window, key=lambda lm: (-lm[1], -lm[0]))
+    ext, violations, diagonal = [], [], []
+    for i, e in enumerate(order):
+        for j, f in enumerate(order):
+            table = sections.rhom_dimensions(e, f, n)
+            ext += [(e, f, d, v) for d, v in sorted(table.items()) if d > 0]
+            hom = table.get(0, 0)
+            if i == j and hom != 1:
+                diagonal.append((e, hom))
+            if i > j and hom != 0:
+                violations.append((e, f, hom))
+    return tuple(ext), tuple(violations), tuple(diagonal)
+
+
+def report_failures(rep):
+    return rep.ext_failures, rep.order_violations, rep.diagonal_failures
+
+
+def test_failure_lists_match_a_pair_walk_on_failing_windows():
+    # every failing Pfaffian-side window with n <= 12 and k <= 2n (95 of
+    # them, both parities of n); the natural ones fail on Ext only
+    failing = 0
+    for n in range(3, 13):
+        for k in range(1, 2 * n + 1):
+            window = pfaffian_window(n, k)
+            rep = verify_strong_exceptional(n, window)
+            if rep.passed:
+                assert report_failures(rep) == ((), (), ())
+                continue
+            failing += 1
+            assert rep.ext_failures
+            assert report_failures(rep) == pair_walk_failures(n, window), (n, k)
+    assert failing == 95
+
+
+@pytest.mark.parametrize(
+    "planted, kind",
+    [
+        ({(1, 0, -1): 2}, "order"),  # Hom against the twist order
+        ({(0, 2, 0): 1}, "order"),  # same twist, smaller l first
+        ({(1, 1, 0): 2}, "diagonal"),  # a bundle that is not simple
+        ({(0, 0, 0): 0}, "diagonal"),
+        ({(2, 0, 0): 3, (0, 1, -2): 1, (2, 2, 0): 4}, "both"),
+    ],
+)
+def test_failure_lists_match_a_pair_walk_on_planted_homs(monkeypatch, planted, kind):
+    # no natural window with n <= 14 has an order violation or a diagonal
+    # failure, so plant them: dim Hom at the given keys (l, l', m - m')
+    rhom = sections.rhom_dimensions
+
+    def planted_rhom(e, f, n):
+        table = dict(rhom(e, f, n))
+        dim = planted.get((e[0], f[0], e[1] - f[1]))
+        if dim is not None:
+            table[0] = dim
+        return table
+
+    monkeypatch.setattr(sections, "rhom_dimensions", planted_rhom)
+    for n, window, has_ext in ((7, grassmannian_window(7), False),
+                               (8, grassmannian_window(8), False),
+                               (8, pfaffian_window(8, 7), True)):
+        rep = verify_strong_exceptional(n, window)
+        assert not rep.passed
+        ext, violations, diagonal = pair_walk_failures(n, window)
+        assert report_failures(rep) == (ext, violations, diagonal)
+        assert bool(violations) == (kind in ("order", "both"))
+        assert bool(diagonal) == (kind in ("diagonal", "both"))
+        assert bool(ext) == has_ext
+        index = {label: i for i, label in enumerate(rep.order)}
+        for e, f, dim in violations:
+            assert rep.hom_matrix[index[e]][index[f]] == dim
+
+
+def test_hom_summands_never_reach_the_run_walk(monkeypatch):
+    # the zero q-block of every Hom and Ext summand has a closed form
+    import grpf.bwb as bwb
+
+    def refuse(*args):
+        raise AssertionError(f"_bott_runs{args}")
+
+    monkeypatch.setattr(bwb, "_bott_runs", refuse)
+    assert verify_strong_exceptional(10, grassmannian_window(10)).passed
+    assert not verify_strong_exceptional(6, pfaffian_window(6, 9)).passed
+    assert twisted_ext_vanishing(12).all_vanish
+    assert not pair_twisted_vanishing(5, (2, 0), (2, 3)).vanishes_for_all_t
+
+
 def least_row_pair_keys(n):
     """(l, min m) against (l', max m') for every row pair of the window."""
     rows = {}

@@ -47,7 +47,7 @@ for p in range(2 * (n - 2) + 1):
     table = cohomology_of_kclass(cauchy_exterior_cotangent(n, p))
     diag.append(table.positive.get(p, 0))
 print("from Bott cohomology:  ", diag)
-print("from Gaussian binomial:", list(gp.coefficients))
+print("from Gaussian binomial:", list(gp))
 
 # A virtual class keeps its positive and negative contributions apart;
 # only genuinely effective classes produce honest cohomology tables.

@@ -2,8 +2,8 @@
 
 What lives where:
 
-* :mod:`grpf.weights`   parabolic weights, Weyl dimensions, Poincare
-  polynomials of Grassmannians
+* :mod:`grpf.weights`   parabolic weights, Weyl dimensions, Gaussian
+  binomials and the Poincare polynomial of Gr(2, n) as coefficient tuples
 * :mod:`grpf.schur`     Clebsch-Gordan, the Cauchy identity, and the
   K-theory carrier :class:`~grpf.schur.KClass`
 * :mod:`grpf.bwb`       the Borel-Weil-Bott engine
@@ -37,7 +37,7 @@ from .pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
-from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2, label_weight
+from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,
@@ -45,6 +45,6 @@ from .sections import (
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
-from .weights import GLWeight, PoincarePolynomial, grassmannian_poincare, rho, weyl_dimension
+from .weights import GLWeight, grassmannian_poincare, weyl_dimension
 
 __version__ = "0.1.0"

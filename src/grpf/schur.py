@@ -10,7 +10,7 @@ The two decompositions needed downstream:
 :class:`KClass` carries formal integer combinations of irreducible
 homogeneous bundles; each term is keyed by the pair of dominant blocks of
 :class:`~grpf.weights.GLWeight` (weights with respect to the dual
-tautological bundles; ``label_weight`` converts a Sym^l S (det S)^m label).
+tautological bundles).
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ class SchurTerm(NamedTuple):
     s_weight: tuple[int, int]
     q_weight: tuple[int, ...]
     multiplicity: int
-
-
-def label_weight(l, m):
-    """s_block of the bundle Sym^l S (det S)^m, recorded against the dual of S."""
-    if l < 0:
-        raise ValueError(f"need l >= 0, got {l}")
-    return (-m, -l - m)
 
 
 class KClass:

@@ -2,7 +2,8 @@
 
 Conventions fixed here and shared by every other module:
 
-* ``rho(n)`` is the strictly decreasing vector ``(n, n-1, ..., 1)``.
+* The Bott algorithm shifts by rho = ``(n, n-1, ..., 1)``, the strictly
+  decreasing vector of length n.
 * A :class:`GLWeight` records the weight of an irreducible homogeneous
   bundle on Gr(2, V), dim V = n, as a pair of dominant blocks for the Levi
   subgroup GL(2) x GL(n-2).  Both blocks are taken with respect to the
@@ -11,6 +12,7 @@ Conventions fixed here and shared by every other module:
   and the bundle Sym^l S (det S)^m to ``s_block = (-m, -l-m)``.
 * Entries may be negative (duals and twists produce them); only dominance
   within each block is enforced.  All arithmetic is exact.
+* A polynomial in q is the tuple of its coefficients, indexed by degree.
 """
 
 from __future__ import annotations
@@ -61,52 +63,6 @@ class GLWeight:
             (-self.s_block[1], -self.s_block[0]),
             tuple(-x for x in reversed(self.q_block)),
         )
-
-
-class PoincarePolynomial:
-    """Non-negative palindromic coefficient list, indexed by degree."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        coefficients = tuple(int(c) for c in coefficients)
-        if not coefficients:
-            raise ValueError("empty coefficient list")
-        if any(c < 0 for c in coefficients):
-            raise ValueError(f"negative coefficient: {coefficients}")
-        if coefficients != coefficients[::-1]:
-            raise ValueError(f"coefficients not palindromic: {coefficients}")
-        self.coefficients = coefficients
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, i):
-        if 0 <= i <= self.degree:
-            return self.coefficients[i]
-        return 0
-
-    def total(self):
-        return sum(self.coefficients)
-
-    def __eq__(self, other):
-        if isinstance(other, PoincarePolynomial):
-            return self.coefficients == other.coefficients
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __repr__(self):
-        return f"PoincarePolynomial{self.coefficients}"
-
-
-def rho(n):
-    """Half-sum-of-positive-roots shift, normalized to (n, n-1, ..., 1)."""
-    if n < 3:
-        raise InvalidRankError(f"need n >= 3, got n={n}")
-    return tuple(range(n, 0, -1))
 
 
 def weyl_dimension(w, n):
@@ -161,37 +117,29 @@ def gaussian_binomial(n, k):
     """Coefficient tuple of the Gaussian binomial [n choose k]_q."""
     if not 0 <= k <= n:
         return (0,)
-    # q-Pascal recursion [n k] = [n-1 k-1] + q^k [n-1 k]
-    memo = {}
-
-    def gb(a, b):
-        if b == 0 or b == a:
-            return (1,)
-        if (a, b) in memo:
-            return memo[(a, b)]
-        left = gb(a - 1, b - 1)
-        right = gb(a - 1, b)
-        out = [0] * (b * (a - b) + 1)
-        for i, c in enumerate(left):
-            out[i] += c
-        for i, c in enumerate(right):
-            out[i + b] += c
-        memo[(a, b)] = tuple(out)
-        return memo[(a, b)]
-
-    return gb(n, k)
+    # row[j] = [a choose j]_q, stepped from a = 0 to n by the q-Pascal rule
+    # [a j] = [a-1 j-1] + q^j [a-1 j]; j runs down so row[j-1] is still a-1
+    row = [(1,)] + [()] * k
+    for a in range(1, n + 1):
+        for j in range(min(a, k), 0, -1):
+            out = list(row[j - 1]) + [0] * (j * (a - j) + 1 - len(row[j - 1]))
+            for i, c in enumerate(row[j]):
+                out[i + j] += c
+            row[j] = tuple(out)
+    return row[k]
 
 
 def grassmannian_poincare(n):
-    """Poincare polynomial of Gr(2, n): coefficient of q^p is h^{p,p}.
+    """Poincare polynomial of Gr(2, n) as a tuple: coefficient p is h^{p,p}.
 
     All off-diagonal Hodge numbers of the Grassmannian are zero; consumers
     rely on that convention.
     """
     if n < 3:
         raise InvalidRankError(f"need n >= 3, got n={n}")
-    coeffs = gaussian_binomial(n, 2)
-    poly = PoincarePolynomial(coeffs)
-    if poly.total() != math.comb(n, 2):
+    poly = gaussian_binomial(n, 2)
+    if sum(poly) != math.comb(n, 2):
         raise IntegrityError(f"Schubert cell count failed for n={n}")
+    if poly != poly[::-1]:
+        raise IntegrityError(f"Poincare polynomial not palindromic for n={n}: {poly}")
     return poly

@@ -60,6 +60,18 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_unwritable_out_path_exit_2(capsys, tmp_path):
+    # a directory, and a file under a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "x.json"):
+        code = run(["classify", "--n", "10", "--k", "5", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 def test_bwb_report(capsys):
     code, report = run_json(capsys, ["bwb", "--n", "10", "--s", "1,1"])
     assert code == 0
@@ -103,7 +115,7 @@ def test_hodge_grass_section_edge_cases_exit_0(capsys):
     code, report = run_json(capsys, ["hodge", "grass-section", "--n", "10", "--k", "0"])
     assert code == 0
     rows = report["result"]["rows"]
-    assert [sum(row) for row in rows[::2]] == list(grassmannian_poincare(10).coefficients)
+    assert [sum(row) for row in rows[::2]] == list(grassmannian_poincare(10))
     assert not any(any(row) for row in rows[1::2])
     for n, k, points in ((4, 4, 2), (5, 6, 5)):
         code, report = run_json(

@@ -46,6 +46,8 @@ COMMANDS = [
     "hodge grass-section --n 30 --k 15",
     "hodge grass-section --n 11 --k 2",
     "hodge grass-section --n 9 --k 9",
+    "hodge grass-section --n 3 --k 0",
+    "hodge grass-section --n 4 --k 2",
     "bwb --n 8 --s=-1,-4 --q 3,3,1,1,0,-2",
     "bwb --n 8 --s 2,-3 --q 3,3,1,1,0,-2",
     "bwb --n 8 --s=-12,-13 --q 3,3,1,1,0,-2",

@@ -8,7 +8,6 @@ from grpf.schur import (
     KClass,
     cauchy_exterior_cotangent,
     clebsch_gordan_rank2,
-    label_weight,
 )
 
 
@@ -137,10 +136,3 @@ def test_kclass_mixed_rank_rejected():
     with pytest.raises(RankMismatchError):
         KClass.trivial(5) + KClass.trivial(6)
 
-
-def test_label_weight_convention():
-    # Sym^l S (det S)^m recorded against the dual of S
-    assert label_weight(0, 0) == (0, 0)
-    assert label_weight(3, 0) == (0, -3)
-    assert label_weight(1, 2) == (-2, -3)
-    assert KClass(6, {(label_weight(2, 1), (0,) * 4): 1}).terms()[0].s_weight == (-1, -3)

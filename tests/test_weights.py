@@ -3,34 +3,14 @@ import random
 
 import pytest
 
-from grpf.errors import DominanceError, InvalidRankError
+from grpf.errors import DominanceError
 from grpf.weights import (
     GLWeight,
-    PoincarePolynomial,
     gaussian_binomial,
     grassmannian_poincare,
-    rho,
     weyl_dimension,
     weyl_dimension_of_runs,
 )
-
-
-def test_rho_values():
-    assert rho(4) == (4, 3, 2, 1)
-    assert rho(3) == (3, 2, 1)
-    assert rho(10) == (10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
-
-
-def test_rho_shape():
-    for n in range(3, 20):
-        r = rho(n)
-        assert r[0] == n and r[-1] == 1
-        assert all(a > b for a, b in zip(r, r[1:]))
-
-
-def test_rho_rejects_small_rank():
-    with pytest.raises(InvalidRankError):
-        rho(2)
 
 
 def test_weyl_dimension_trivial_and_standard():
@@ -105,22 +85,52 @@ def test_gaussian_binomial_hand_expansions():
     assert gaussian_binomial(5, 2) == (1, 1, 2, 2, 2, 1, 1)
 
 
+def evaluate(poly, q):
+    return sum(c * q**i for i, c in enumerate(poly))
+
+
+def test_gaussian_binomial_counts_subspaces_over_finite_fields():
+    # [n choose k]_q at a prime power q is the number of k-dimensional
+    # subspaces of F_q^n, prod_{i<k} (q^n - q^i) / (q^k - q^i)
+    for q in (2, 3):
+        for n in range(21):
+            for k in range(n + 1):
+                num = math.prod(q**n - q**i for i in range(k))
+                den = math.prod(q**k - q**i for i in range(k))
+                assert num % den == 0
+                assert evaluate(gaussian_binomial(n, k), q) == num // den, (q, n, k)
+
+
+def test_gaussian_binomial_at_one_symmetry_and_palindrome():
+    for n in range(21):
+        for k in range(n + 1):
+            poly = gaussian_binomial(n, k)
+            assert sum(poly) == math.comb(n, k)
+            assert poly == gaussian_binomial(n, n - k)
+            assert poly == poly[::-1]
+            assert len(poly) == k * (n - k) + 1
+
+
+def test_grassmannian_poincare_counts_partitions_in_a_box():
+    # h^{p,p} of Gr(2, n) counts partitions of p in a 2 x (n - 2) box
+    for n in range(3, 41):
+        top = 2 * (n - 2)
+        poly = grassmannian_poincare(n)
+        assert poly == gaussian_binomial(n, 2)
+        assert list(poly) == [min(p, top - p) // 2 + 1 for p in range(top + 1)]
+
+
 def test_grassmannian_poincare_shapes():
-    assert grassmannian_poincare(4).coefficients == (1, 1, 2, 1, 1)
-    assert grassmannian_poincare(3).coefficients == (1, 1, 1)
+    assert grassmannian_poincare(4) == (1, 1, 2, 1, 1)
+    assert grassmannian_poincare(3) == (1, 1, 1)
 
 
 def test_grassmannian_poincare_cell_count_and_palindrome():
     for n in range(3, 21):
         poly = grassmannian_poincare(n)
-        assert poly.total() == math.comb(n, 2)
-        assert poly.coefficients == poly.coefficients[::-1]
-        assert poly.degree == 2 * (n - 2)
-
-
-def test_poincare_polynomial_rejects_non_palindromic():
-    with pytest.raises(ValueError):
-        PoincarePolynomial((1, 2, 3))
+        assert sum(poly) == math.comb(n, 2)
+        assert poly == poly[::-1]
+        assert len(poly) - 1 == 2 * (n - 2)
 
 
 def test_glweight_validation():

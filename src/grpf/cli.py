@@ -262,7 +262,7 @@ def _cmd_hodge_grass_section(args):
             "tangent_page": page(tangent.tangent_restricted),
             "normal_page": page(tangent.normal_restricted),
         },
-        "audit": list(res.audit),
+        "audit": res.audit,
     }
     params = {"n": args.n, "k": args.k}
     return 0, params, result, [

@@ -88,7 +88,9 @@ class SectionHodge:
     chi_p: tuple[int, ...]
     theorem_range: bool
     lefschetz_gate: bool
-    audit: tuple  # per p, the surviving Bott outcomes behind chi^p
+    # "outcomes": the surviving Bott outcomes (j, m, t, degree, dimension),
+    # sorted; "rows": per p, the (i, j, a) behind chi^p, each reading (j, p - i, i + a)
+    audit: dict
 
 
 def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
@@ -100,11 +102,13 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     Wedge^m Omega_Gr is built once per m.  Term (j, m) of Omega^p enters
     with twist O(-i), i = p - m, and the Koszul twist O(-a) adds to it, so
     its Bott outcome depends on (j, m, t) with t = i + a only: each is
-    evaluated once, and only at the twists where it survives.  For each p
-    the audit trail lists the surviving outcomes, Koszul twist by Koszul
-    twist and term by term in sorted order, signed as in chi^p, which is
-    their alternating sum.  A negative middle entry means an upstream bug
-    and raises.
+    evaluated once, and only at the twists where it survives.  The audit
+    trail lists each outcome once, and for each p, Koszul twist by Koszul
+    twist and term by term in sorted order, the row (i, j, a) that reads
+    outcome (j, p - i, i + a) with sign (-1)^i C(k+i-1, i) (-1)^a C(k, a)
+    (a Cauchy term has multiplicity one), as in chi^p, which is their
+    alternating sum.  A negative middle entry means an upstream bug and
+    raises.
     """
     n, k = params.n, params.k
     info = classify(params)
@@ -116,31 +120,22 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     koszul = [(-1) ** a * math.comb(k, a) for a in range(k + 1)]
     outcomes = {}  # (j, m, t) -> (degree, dimension) of a surviving term
     chi = []
-    audit = []
+    audit_rows = []
     for p in range(d + 1):
         rows = [[] for _ in koszul]  # by Koszul twist a
         total = 0
-        for s, q, mult, i, j in _omega_p_terms(k, p, cauchy):
+        for _, _, mult, i, j in _omega_p_terms(k, p, cauchy):
             m = p - i
-            q_weight = list(q)
             for t in _cauchy_twists(j, m, n, i, i + k):
                 key = (j, m, t)
                 if key not in outcomes:
                     outcomes[key] = _bott_cauchy(-j - t, j - m - t, j, m, n)
                 degree, dim = outcomes[key]
                 a = t - i
-                signed = mult * koszul[a]
-                total += (-1) ** degree * signed * dim
-                rows[a].append({
-                    "s_weight": [s[0] - a, s[1] - a],
-                    "q_weight": q_weight,
-                    "multiplicity": signed,
-                    "twist": -a,
-                    "degree": degree,
-                    "dimension": dim,
-                })
+                total += (-1) ** degree * mult * koszul[a] * dim
+                rows[a].append((i, j, a))
         chi.append(total)
-        audit.append({"p": p, "terms": [row for bucket in rows for row in bucket]})
+        audit_rows.append(list(chain.from_iterable(rows)))
 
     middle = []
     for p in range(d + 1):
@@ -169,7 +164,10 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
         # Y is a complete intersection of sections of the ample O(1); the
         # gate stays explicit in case the parameter space ever widens.
         lefschetz_gate=True,
-        audit=tuple(audit),
+        audit={
+            "outcomes": sorted(key + value for key, value in outcomes.items()),
+            "rows": audit_rows,
+        },
     )
 
 

@@ -86,8 +86,11 @@ def weyl_dimension_of_runs(runs):
 
     A pair of equal entries contributes 1.  A run of length r starting at a
     with value x and a later run of length s starting at b with value y
-    contribute prod_{i=a}^{a+r-1} perm(x - y + b + s - 1 - i, s) /
-    perm(b + s - 1 - i, s); the product runs over the shorter of the two.
+    contribute prod_{i<r, j<s} (c + h + 1 + i + j) / (h + 1 + i + j), with
+    c = x - y and h = b - a - r entries between them.  That is
+    prod_{i<r, j<s, l<c} (h + 2 + i + j + l) / (h + 1 + i + j + l),
+    symmetric in r, s and c; with lo <= mid <= hi those three sorted, it is
+    prod perm(v + hi, mid) / perm(v, mid) over h + mid <= v < h + mid + lo.
     Values must be weakly decreasing; runs may be empty.
     """
     num = 1
@@ -96,15 +99,11 @@ def weyl_dimension_of_runs(runs):
     for p, (x, r) in enumerate(runs):
         b = a + r
         for y, s in runs[p + 1:]:
-            c = x - y
-            if r <= s:
-                for i in range(a, a + r):
-                    num *= math.perm(c + b + s - 1 - i, s)
-                    den *= math.perm(b + s - 1 - i, s)
-            else:
-                for j in range(b, b + s):
-                    num *= math.perm(c + j - a, r)
-                    den *= math.perm(j - a, r)
+            lo, mid, hi = sorted((r, s, x - y))
+            h = b - a - r
+            for v in range(h + mid, h + mid + lo):
+                num *= math.perm(v + hi, mid)
+                den *= math.perm(v, mid)
             b += s
         a += r
     dim, rem = divmod(num, den)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -453,13 +454,15 @@ def test_grass_section_audit_trail(capsys):
     code, report = run_json(capsys, ["hodge", "grass-section", "--n", "7", "--k", "7"])
     assert code == 0
     audit = report["result"]["audit"]
-    assert len(audit) == 4  # one entry per exterior degree p
-    # the surviving terms reproduce each chi^p by signed dimension sums
-    for p, block in enumerate(audit):
-        chi = sum(
-            t["multiplicity"] * (-1) ** t["degree"] * t["dimension"]
-            for t in block["terms"]
-        )
+    assert len(audit["rows"]) == 4  # one list of rows per exterior degree p
+    # the rows reproduce each chi^p by signed dimension sums: row [i, j, a]
+    # reads outcome (j, p - i, i + a), signed (-1)^i C(k+i-1, i) (-1)^a C(k, a)
+    outcomes = {(j, m, t): (degree, dim) for j, m, t, degree, dim in audit["outcomes"]}
+    for p, rows in enumerate(audit["rows"]):
+        chi = 0
+        for i, j, a in rows:
+            degree, dim = outcomes[j, p - i, i + a]
+            chi += (-1) ** (i + a + degree) * math.comb(6 + i, i) * math.comb(7, a) * dim
         assert chi == report["result"]["chi_p"][p]
     pages = report["result"]["tangent_h1"]
     assert pages["tangent_page"] == [[0, 0, 48], [7, 9, 1]]
@@ -469,8 +472,8 @@ def test_grass_section_audit_trail(capsys):
 def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
     # the Koszul pages of T and O(1)^k run the general Bott algorithm once
     # per term and Koszul twist; the terms of Omega^p take the Cauchy entry,
-    # once per surviving (Cauchy term, total twist): 133 outcomes behind the
-    # 293 audit rows, out of 193 x 6 (term, Koszul twist) pairs
+    # once per surviving (Cauchy term, total twist): the 133 outcomes of the
+    # audit table behind its 293 rows, out of 193 x 6 (term, Koszul twist) pairs
     calls = []
     outcomes = []
     bott, bott_cauchy = bwb._bott, sections._bott_cauchy
@@ -494,7 +497,9 @@ def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
     assert (omega_terms, tangent_terms, normal_terms) == (193, 1, 1)
     assert len(calls) == 6 * (1 + 1) == 12
     assert len(outcomes) == len(set(outcomes)) == 133
-    assert sum(len(row["terms"]) for row in report["result"]["audit"]) == 293
+    audit = report["result"]["audit"]
+    assert len(audit["outcomes"]) == 133
+    assert sum(len(rows) for rows in audit["rows"]) == 293
 
 
 def test_closed_pipe_ends_quietly():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import grpf.sections as sections
-from grpf.bwb import bwb_cohomology, cohomology_of_kclass
+from grpf.bwb import _bott, bwb_cohomology, cohomology_of_kclass
 from grpf.geometry import ModelParams, grassmannian_window, pfaffian_window
 from grpf.schur import KClass, cauchy_exterior_cotangent
 from grpf.weights import GLWeight
@@ -229,14 +229,71 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
         assert built == list(range(d + 1))
         assert len(evaluated) == len(set(evaluated)) > 0
         # every audit row reads one evaluated outcome, and every outcome
-        # backs a row: q = (2^j, 1^(m-2j), 0...) and s_1 = -j - t
+        # backs a row: row (i, j, a) of degree p reads (j, p - i, i + a)
         rows = {
-            (q.count(2), 2 * q.count(2) + q.count(1), -row["s_weight"][0] - q.count(2))
-            for entry in res.audit
-            for row in entry["terms"]
-            for q in [row["q_weight"]]
+            (j, p - i, i + a)
+            for p, entries in enumerate(res.audit["rows"])
+            for i, j, a in entries
         }
         assert rows == set(evaluated)
+        assert [tuple(o[:3]) for o in res.audit["outcomes"]] == sorted(evaluated)
+
+
+SECTIONS = [(n, k) for n in range(3, 13) for k in range(2 * (n - 2) + 1)]
+
+
+def audit_sign(k, i, a):
+    """Sign of audit row (i, j, a): (-1)^i C(k+i-1, i) (-1)^a C(k, a)."""
+    return (-1) ** (i + a) * math.comb(k + i - 1, i) * math.comb(k, a) if k else 1
+
+
+def resum_audit(res, k, sign):
+    """chi^p re-summed from the audit rows, each signed by ``sign(k, i, a)``."""
+    outcomes = {(j, m, t): (degree, dim) for j, m, t, degree, dim in res.audit["outcomes"]}
+    chi = []
+    for p, rows in enumerate(res.audit["rows"]):
+        total = 0
+        for i, j, a in rows:
+            degree, dim = outcomes[j, p - i, i + a]
+            total += (-1) ** degree * sign(k, i, a) * dim
+        chi.append(total)
+    return chi
+
+
+def test_audit_outcome_table_is_bott_and_resums_chi_p():
+    # each [j, m, t, degree, dimension] is Bott on the explicit weight
+    # (-j - t, j - m - t | 2^j, 1^(m-2j), 0^(n-2-m+j)); the rows read exactly
+    # the table, and re-summed with the documented sign they give chi^p
+    for n, k in SECTIONS:
+        res = hodge_diamond_y1(ModelParams(n, k))
+        table = res.audit["outcomes"]
+        keys = [(j, m, t) for j, m, t, _, _ in table]
+        assert keys == sorted(set(keys)), (n, k)
+        for j, m, t, degree, dim in table:
+            weight = (-j - t, j - m - t) + (2,) * j + (1,) * (m - 2 * j) + (0,) * (n - 2 - m + j)
+            bott = _bott(weight, n)
+            assert (bott.vanishes, bott.degree, bott.dimension) == (False, degree, dim), (n, k)
+        read = [(j, p - i, i + a) for p, rows in enumerate(res.audit["rows"]) for i, j, a in rows]
+        assert set(read) == set(keys), (n, k)
+        if k == 0:
+            assert all(i == a == 0 for rows in res.audit["rows"] for i, _, a in rows)
+        assert resum_audit(res, k, audit_sign) == list(res.chi_p), (n, k)
+
+
+def test_audit_resum_fails_without_the_koszul_sign():
+    # dropping (-1)^a from the row sign must break the re-sum; it survives
+    # only where the odd-a rows cancel anyway (k = 0, and some k <= 4)
+    def no_koszul_sign(k, i, a):
+        return (-1) ** a * audit_sign(k, i, a)
+
+    broken = {
+        (n, k)
+        for n, k in SECTIONS
+        for res in [hodge_diamond_y1(ModelParams(n, k))]
+        if resum_audit(res, k, no_koszul_sign) != list(res.chi_p)
+    }
+    assert {(10, 5), (7, 7), (12, 6)} <= broken
+    assert len(broken) > 3 * len(SECTIONS) // 4
 
 
 # --- tangent cohomology --------------------------------------------------------

@@ -8,7 +8,7 @@ tail, and Sym^l S (det S)^m is (-m, -l-m).
 
 from grpf import GLWeight, bwb_cohomology, grassmannian_poincare
 from grpf.bwb import cohomology_of_kclass, serre_dual_weight
-from grpf.schur import KClass, cauchy_exterior_cotangent
+from grpf.schur import cauchy_exterior_cotangent
 
 n = 10
 zeros = (0,) * (n - 2)
@@ -44,14 +44,15 @@ print("\n== Hodge diagonal of Gr(2, 10) two ways ==")
 gp = grassmannian_poincare(n)
 diag = []
 for p in range(2 * (n - 2) + 1):
-    table = cohomology_of_kclass(cauchy_exterior_cotangent(n, p))
-    diag.append(table.positive.get(p, 0))
+    positive, _ = cohomology_of_kclass(cauchy_exterior_cotangent(n, p))
+    diag.append(positive.get(p, 0))
 print("from Bott cohomology:  ", diag)
 print("from Gaussian binomial:", list(gp))
 
-# A virtual class keeps its positive and negative contributions apart;
-# only genuinely effective classes produce honest cohomology tables.
+# A class of bundles is a dict {(s_weight, q_weight): multiplicity}.  A
+# virtual class keeps its positive and negative contributions apart; only
+# genuinely effective classes produce honest cohomology tables.
 print("\n== virtual classes stay two-sided ==")
-virt = KClass.line(n, 1) - KClass.trivial(n).scale(2)
-table = cohomology_of_kclass(virt)
-print("positive part:", table.positive, " negative part:", table.negative)
+virt = {((1, 1), zeros): 1, ((0, 0), zeros): -2}  # O(1) - 2 O
+positive, negative = cohomology_of_kclass(virt)
+print("positive part:", positive, " negative part:", negative)

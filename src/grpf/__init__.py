@@ -4,9 +4,10 @@ What lives where:
 
 * :mod:`grpf.weights`   parabolic weights, Weyl dimensions, Gaussian
   binomials and the Poincare polynomial of Gr(2, n) as coefficient tuples
-* :mod:`grpf.schur`     Clebsch-Gordan, the Cauchy identity, and the
-  K-theory carrier :class:`~grpf.schur.KClass`
-* :mod:`grpf.bwb`       the Borel-Weil-Bott engine
+* :mod:`grpf.schur`     Clebsch-Gordan, the Cauchy identity; a class of
+  bundles is the dict {(s_weight, q_weight): multiplicity}
+* :mod:`grpf.bwb`       the Borel-Weil-Bott engine, cohomology tables of
+  classes and their Euler characteristics
 * :mod:`grpf.geometry`  parameter classification, windows as frozensets
   of labels, strata
 * :mod:`grpf.sections`  Hodge diamonds and deformations of linear sections,
@@ -37,7 +38,7 @@ from .pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
-from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2
+from .schur import cauchy_exterior_cotangent, clebsch_gordan_rank2
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,

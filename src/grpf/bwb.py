@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import IntegrityError
-from .schur import KClass
 from .weights import GLWeight, weyl_dimension_of_runs
 
 
@@ -39,24 +38,6 @@ class BwbResult:
     degree: int | None = None
     rep: tuple[int, ...] | None = None
     dimension: int = 0
-
-
-@dataclass(frozen=True)
-class KClassCohomology:
-    """Cohomology of a K-class, positive and negative parts kept apart.
-
-    A signed table would be meaningless as cohomology; consumers that
-    need actual dimensions must certify that ``negative`` is empty.
-    """
-
-    positive: dict
-    negative: dict
-
-    def euler_characteristic(self):
-        """Alternating sum of the table: sum of (-1)^d (positive[d] - negative[d])."""
-        return sum((-1) ** d * v for d, v in self.positive.items()) - sum(
-            (-1) ** d * v for d, v in self.negative.items()
-        )
 
 
 def _bott_runs(a1, a2, q_runs, n):
@@ -210,20 +191,31 @@ def serre_dual_weight(w: GLWeight) -> GLWeight:
     )
 
 
-def cohomology_of_kclass(c: KClass, twist=0) -> KClassCohomology:
-    """Termwise Bott cohomology of ``c`` twisted by O(twist).
+def cohomology_of_kclass(c, twist=0):
+    """Termwise Bott cohomology of the class ``c`` twisted by O(twist).
 
-    Dimensions attached to positive and negative multiplicities are
-    accumulated in separate tables, one general Bott run per term.  Their
-    :meth:`KClassCohomology.euler_characteristic` is chi(c(twist)).
+    ``c`` is a class {(s_weight, q_weight): multiplicity} as in
+    :mod:`grpf.schur`.  Dimensions attached to positive and negative
+    multiplicities are accumulated in separate tables, one general Bott
+    run per term, and returned as the pair (positive, negative): a signed
+    table would be meaningless as cohomology, so consumers that need
+    actual dimensions must certify that ``negative`` is empty.  Their
+    :func:`euler_characteristic` is chi(c(twist)).
     """
     positive = {}
     negative = {}
-    for s, q, mult in c.terms():
-        res = _bott((s[0] + twist, s[1] + twist) + q, c.n)
+    for (s, q), mult in c.items():
+        res = _bott((s[0] + twist, s[1] + twist) + q, len(q) + 2)
         if res.vanishes:
             continue
         table = positive if mult > 0 else negative
         table[res.degree] = table.get(res.degree, 0) + abs(mult) * res.dimension
-    return KClassCohomology(positive, negative)
+    return positive, negative
 
+
+def euler_characteristic(tables):
+    """Alternating sum of a (positive, negative) pair of cohomology tables."""
+    positive, negative = tables
+    return sum((-1) ** d * v for d, v in positive.items()) - sum(
+        (-1) ** d * v for d, v in negative.items()
+    )

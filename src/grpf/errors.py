@@ -15,10 +15,6 @@ class DominanceError(ValueError):
     """A weight vector is not weakly decreasing where it must be."""
 
 
-class RankMismatchError(ValueError):
-    """Arithmetic was attempted between classes on different Grassmannians."""
-
-
 class ParityError(ValueError):
     """A matrix-size parity requirement is violated."""
 

@@ -20,16 +20,25 @@ import math
 from dataclasses import dataclass
 from itertools import chain, groupby
 
-from .bwb import _bott_cauchy, _bott_zero_tail, _cauchy_twists, cohomology_of_kclass
+from .bwb import (
+    _bott_cauchy,
+    _bott_zero_tail,
+    _cauchy_twists,
+    cohomology_of_kclass,
+    euler_characteristic,
+)
 from .diamond import HodgeDiamond
 from .errors import IntegrityError
 from .geometry import ModelParams, classify, grassmannian_window
-from .schur import KClass, cauchy_exterior_cotangent, clebsch_gordan_rank2
+from .schur import cauchy_exterior_cotangent, clebsch_gordan_rank2
 from .weights import grassmannian_poincare
 
 
-def _koszul_tables(params: ModelParams, c: KClass):
-    """Bott tables of c(-a) for the Koszul twists a = 0..k, in order of a.
+def _koszul_tables(params: ModelParams, c):
+    """(positive, negative) Bott tables of c(-a) for the Koszul twists a = 0..k.
+
+    ``c`` is a class {(s_weight, q_weight): multiplicity} as in
+    :mod:`grpf.schur`; the tables come in order of a.
 
     They serve :func:`restricted_euler` and the first Koszul page; the
     Hodge numbers of the section take one Bott outcome per Cauchy term
@@ -38,11 +47,11 @@ def _koszul_tables(params: ModelParams, c: KClass):
     return [cohomology_of_kclass(c, twist=-a) for a in range(params.k + 1)]
 
 
-def restricted_euler(params: ModelParams, c: KClass):
+def restricted_euler(params: ModelParams, c):
     """chi(Y, c|_Y) via the Koszul resolution of the structure sheaf of Y."""
     return sum(
-        (-1) ** a * math.comb(params.k, a) * table.euler_characteristic()
-        for a, table in enumerate(_koszul_tables(params, c))
+        (-1) ** a * math.comb(params.k, a) * euler_characteristic(tables)
+        for a, tables in enumerate(_koszul_tables(params, c))
     )
 
 
@@ -58,25 +67,22 @@ def _omega_p_terms(k, deg, cauchy):
         mult = (-1) ** i * (math.comb(k + i - 1, i) if k else int(i == 0))
         if not mult:
             continue
-        for s, q, m in cauchy[deg - i].terms():
+        for (s, q), m in cauchy[deg - i].items():
             terms.append(((s[0] - i, s[1] - i), q, mult * m, i, -s[0]))
     terms.sort()
     return terms
 
 
 def omega_p_class(params: ModelParams, deg):
-    """K-class on the Grassmannian restricting to Wedge^deg of Omega_Y.
+    """Class on the Grassmannian restricting to Wedge^deg of Omega_Y.
 
     The conormal bundle of Y is O(-1)^k, so in K-theory
     Wedge^deg(Omega_Y) = lambda^deg([Omega_Gr] - [O(-1)^k]), expanded by
     the lambda-ring rule into Cauchy classes twisted by O(-i) with
     alternating multiplicities C(k+i-1, i), the coefficients of (1-t)^-k.
     """
-    n = params.n
-    cauchy = [cauchy_exterior_cotangent(n, m) for m in range(deg + 1)]
-    return KClass(
-        n, {(s, q): mult for s, q, mult, _, _ in _omega_p_terms(params.k, deg, cauchy)}
-    )
+    cauchy = [cauchy_exterior_cotangent(params.n, m) for m in range(deg + 1)]
+    return {(s, q): mult for s, q, mult, _, _ in _omega_p_terms(params.k, deg, cauchy)}
 
 
 @dataclass(frozen=True)
@@ -175,13 +181,13 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
 # Koszul hypercohomology with honest degeneration handling
 
 
-def _koszul_page(params: ModelParams, c: KClass):
+def _koszul_page(params: ModelParams, c):
     """First-page entries (a, b) -> dim H^b(c(-a))^{C(k,a)} of the Koszul complex."""
-    if not c.is_effective():
+    if not all(m > 0 for m in c.values()):
         raise ValueError("Koszul restriction needs an effective class")
     entries = {}
-    for a, table in enumerate(_koszul_tables(params, c)):
-        for b, dim in table.positive.items():
+    for a, (positive, _) in enumerate(_koszul_tables(params, c)):
+        for b, dim in positive.items():
             entries[(a, b)] = entries.get((a, b), 0) + math.comb(params.k, a) * dim
     return {e: v for e, v in entries.items() if v}
 
@@ -214,7 +220,7 @@ class RestrictedCohomology:
     page: dict
 
 
-def koszul_restricted_cohomology(params: ModelParams, c: KClass):
+def koszul_restricted_cohomology(params: ModelParams, c):
     """Resolve the Koszul spectral sequence for c|_Y as far as forced.
 
     Entries contributing to total degrees outside [0, dim Y] must die;
@@ -295,17 +301,17 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
     the two first Koszul pages.
     """
     n, k = params.n, params.k
+    zeros = (0,) * (n - 2)
+    tangent_class = {((1, 0), zeros[1:] + (-1,)): 1}  # Hom(S, Q)
     if k == 0:
-        table = cohomology_of_kclass(KClass.tangent(n)).positive
+        table, _ = cohomology_of_kclass(tangent_class)
         return TangentCohomology(
             "exact", table.get(1, 0), None, table.get(0, 0), None, None
         )
-    tangent = koszul_restricted_cohomology(params, KClass.tangent(n))
-    normal = koszul_restricted_cohomology(
-        params, KClass.line(n, 1).scale(k)
-    )
+    tangent = koszul_restricted_cohomology(params, tangent_class)
+    normal = koszul_restricted_cohomology(params, {((1, 1), zeros): k})  # O(1)^k
     if classify(params).dim_y1 == 1:
-        genus = 1 - restricted_euler(params, KClass.trivial(n))
+        genus = 1 - restricted_euler(params, {((0, 0), zeros): 1})
         h0 = 3 if genus == 0 else 1 if genus == 1 else 0
         chi = sum(
             sign * (-1) ** (a + b) * v
@@ -346,24 +352,25 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
 # Exceptional-collection verification
 
 
-def hom_s_blocks(e, f, t=0):
-    """s_blocks of the Clebsch-Gordan summands of Hom(E, F(t)) on Gr(2, n).
+def hom_s_blocks(e, f):
+    """s_blocks of the Clebsch-Gordan summands of Hom(E, F) on Gr(2, n).
 
-    E = Sym^l S (det S)^m and F = Sym^l' S (det S)^m'; with d = m - m' + t,
-    S = S dual x det S gives Hom(E, F(t)) = Sym^l x Sym^l' of S dual, times
+    E = Sym^l S (det S)^m and F = Sym^l' S (det S)^m'; with d = m - m',
+    S = S dual x det S gives Hom(E, F) = Sym^l x Sym^l' of S dual, times
     (det S dual)^(d - l').  The summand (x, i) of
     :func:`~grpf.schur.clebsch_gordan_rank2` then has s_block
-    (d - l' + x + i, d - l' + i) and a zero q_block.
+    (d - l' + x + i, d - l' + i) and a zero q_block.  The twist F(t) is
+    the label (l', m' - t).
     """
     (l, m), (lp, mp) = e, f
-    c = m - mp + t - lp
+    c = m - mp - lp
     return [(c + x + i, c + i) for x, i in clebsch_gordan_rank2(l, lp)]
 
 
-def rhom_dimensions(e, f, n, t=0):
-    """Map degree -> dim Ext^degree(E, F(t)) by summing Bott outcomes."""
+def rhom_dimensions(e, f, n):
+    """Map degree -> dim Ext^degree(E, F) by summing Bott outcomes."""
     table = {}
-    for a1, a2 in hom_s_blocks(e, f, t):
+    for a1, a2 in hom_s_blocks(e, f):
         res = _bott_zero_tail(a1, a2, n)
         if res is not None:
             degree, dim = res

@@ -6,7 +6,8 @@ a quintic threefold out of projective 4-space; its points over F_p have
 2-dimensional kernels, and smoothness at each is the tangent-space test
 of the rank locus: the pairings k_a^T M_r k_b on the kernel have full rank.
 A family is its own skew matrix of linear forms, so the symbolic
-Pfaffians take the family itself.
+Pfaffians take the family itself, and a polynomial in u1..uk is the dict
+{exponent tuple: nonzero coefficient}.
 """
 
 from grpf import AMap, pfaffian_polynomial, sample_y2, submaximal_pfaffians
@@ -16,7 +17,7 @@ p = 10007
 print("== the (10, 5) family ==")
 am = AMap.random(10, 5, seed=42, p=p)
 pf = pfaffian_polynomial(am)
-print(f"symbolic Pfaffian: degree {pf.total_degree()}, {len(pf.terms)} monomials")
+print(f"symbolic Pfaffian: degree {max(map(sum, pf))}, {len(pf)} monomials")
 
 res = sample_y2(am, p, 200, seed=42)
 kernels = sorted({q.kernel_dim for q in res.points})
@@ -26,7 +27,7 @@ print(f"kernel dimensions {kernels}, smooth fraction {res.smooth_fraction:.3f}")
 print("\n== the (7, 7) family: odd case ==")
 am77 = AMap.random(7, 7, seed=42, p=p)
 subs = submaximal_pfaffians(am77)
-print(f"{len(subs)} submaximal Pfaffians of degree {subs[0].total_degree()}",
+print(f"{len(subs)} submaximal Pfaffians of degree {max(map(sum, subs[0]))}",
       "cut the locus")
 res77 = sample_y2(am77, p, 200, seed=42)
 kernels = sorted({q.kernel_dim for q in res77.points})

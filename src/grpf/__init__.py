@@ -12,9 +12,14 @@ What lives where:
   of labels, strata
 * :mod:`grpf.sections`  Hodge diamonds and deformations of linear sections,
   exceptional-collection and twisted-vanishing verifiers
-* :mod:`grpf.pfaffian`  skew families of 2-forms (:class:`~grpf.pfaffian.AMap`,
-  which is the skew matrix of linear forms), their exact Pfaffians,
+* :mod:`grpf.diamond`   the Hodge diamond table
+* :mod:`grpf.modp`      a field named by its modulus (None for Q, an odd
+  prime p for F_p): row reduction, Pfaffians and roots mod p
+* :mod:`grpf.pfaffian`  skew families of 2-forms (:class:`~grpf.pfaffian.AMap`),
+  their exact Pfaffians as dicts {exponent tuple: nonzero coefficient},
   finite-field point sampling, hypersurface Hodge numbers
+* :mod:`grpf.verify`    the named checks behind ``grpf verify-all``
+* :mod:`grpf.errors`    the exception types
 * :mod:`grpf.cli`       the ``grpf`` command line tool
 """
 

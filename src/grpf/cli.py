@@ -41,7 +41,6 @@ from .pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
-from .poly import Poly
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,
@@ -286,31 +285,37 @@ def _cmd_hodge_hypersurface(args):
 
 def _cmd_pfaffian_build(args):
     am = AMap.load(args.infile)
+
+    def form(column):
+        # c_1 u1 + ... + c_k uk written from u_k down, c = 1 left out; "0" when all are 0
+        bits = [f"u{r}" if c == 1 else f"{c}*u{r}"
+                for r, c in reversed(list(enumerate(column, 1))) if c]
+        return " + ".join(bits) or "0"
+
     # entry (i, j), i < j, is the linear form with the family's column (i, j)
     # as coefficients; below the diagonal it is negated
-    units = [tuple(int(s == r) for s in range(am.k)) for r in range(am.k)]
-    table = [[(0,) * am.k] * am.n for _ in range(am.n)]
+    entries = [["0"] * am.n for _ in range(am.n)]
     for (i, j), column in zip(itertools.combinations(range(am.n), 2), zip(*am.matrix)):
-        table[i][j] = column
-        table[j][i] = [-c for c in column]
+        entries[i][j] = form(column)
+        entries[j][i] = form([-c if am.p is None else -c % am.p for c in column])
     result = {
         "n": am.n,
         "k": am.k,
         "field": "Q" if am.p is None else {"p": am.p},
-        "entries": [[str(Poly(am.p, am.k, dict(zip(units, column)))) for column in row]
-                    for row in table],
+        "entries": entries,
     }
+    # a polynomial is {exponent tuple: nonzero coefficient}; degree -1 when it is zero
     if am.n % 2 == 0:
         pf = pfaffian_polynomial(am)
         result["pfaffian"] = {
-            "degree": pf.total_degree(),
-            "terms": len(pf.terms),
+            "degree": max(map(sum, pf), default=-1),
+            "terms": len(pf),
         }
     else:
         subs = submaximal_pfaffians(am)
         result["submaximal_pfaffians"] = {
             "count": len(subs),
-            "degrees": [s.total_degree() for s in subs],
+            "degrees": [max(map(sum, s), default=-1) for s in subs],
         }
     params = {"in": args.infile}
     return 0, params, result, ["pfaffian-expansion"]

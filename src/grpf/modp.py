@@ -1,9 +1,46 @@
-"""Exact F_p arithmetic on int lists: matrices, Pfaffians, polynomial roots.
-
-The field is named by its modulus, an odd prime p; :func:`_rref` also takes
-p = None for Q."""
+"""Exact arithmetic in a field named by its modulus: ``None`` for Q, with
+``fractions.Fraction`` elements, or an odd prime p for F_p, with ints in
+[0, p).  The prime is checked once, where it enters (:func:`check_prime`).
+:func:`coerce` and :func:`_rref` take either field; the matrices, Pfaffians
+and polynomial roots below work over F_p on int lists."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+
+def is_prime(p):
+    """Miller-Rabin to the prime bases up to 41, exact below their least
+    strong pseudoprime 3317044064679887385961981; larger p raise ValueError."""
+    if p >= 3317044064679887385961981:
+        raise ValueError(f"primality is decided only below 3317044064679887385961981, got {p}")
+    if p < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(p):
+    """The modulus p of F_p, once it is known to be an odd prime; else ValueError."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
+    return p
 
 
 def inv_mod(a, p):
@@ -11,6 +48,17 @@ def inv_mod(a, p):
     if a == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {p}")
     return pow(a, p - 2, p)
+
+
+def coerce(x, p):
+    """The int or Fraction x as an element of Q (p None) or of F_p."""
+    if p is None:
+        return Fraction(x)
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+        return x.numerator * inv_mod(x.denominator, p) % p
+    return int(x) % p
 
 
 def _rref(rows, p):

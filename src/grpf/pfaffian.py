@@ -1,16 +1,16 @@
 """Exact Pfaffian-side geometry: skew families, point sampling, Hodge data.
 
 A family is a k x C(n,2) matrix over Q or F_p, the field named by its
-modulus as in :mod:`grpf.poly` (``None`` for Q): row r holds the
+modulus as in :mod:`grpf.modp` (``None`` for Q): row r holds the
 coefficients of the r-th skew 2-form M_r on V in lexicographic (i < j)
 coordinates, the order :func:`pair_index` numbers.  The family is the
 n x n skew matrix of linear forms sum_r u_r M_r in u1..uk, and its
 rank-drop locus inside P(U) is the Pfaffian-side variety: the vanishing
 of the Pfaffian itself for even n, of all principal submaximal
 Pfaffians for odd n.  Both expand straight from the family's
-coefficients, and a member at a point u is the numeric matrix
-:func:`_combine_forms` builds from the family's columns, one dot product
-with u per coordinate (i, j).
+coefficients into dicts {exponent tuple: nonzero coefficient}, and a
+member at a point u is the numeric matrix :func:`_combine_forms` builds
+from the family's columns, one dot product with u per coordinate (i, j).
 
 Point sampling works over F_p.  The even, odd square and odd sliced paths
 differ only in how they draw a line; one sweep solves the restricted locus
@@ -38,9 +38,8 @@ from operator import mul
 
 from .diamond import HodgeDiamond
 from .errors import DegenerateFamilyError, ParityError
-from .modp import _rref, inv_mod, nullspace_mod, pfaffian_mod, rank_mod
+from .modp import _rref, check_prime, coerce, inv_mod, nullspace_mod, pfaffian_mod, rank_mod
 from .modp import roots_mod as _roots_mod  # the name perfbench traces
-from .poly import Poly, check_prime, coerce
 
 
 def pair_index(n, i, j):
@@ -187,7 +186,8 @@ class AMap:
 
 def _principal_pfaffians(am, index_sets):
     """The Pfaffians of the principal submatrices on ``index_sets`` of the
-    skew matrix of linear forms sum_r u_r M_r of the family ``am``.
+    skew matrix of linear forms sum_r u_r M_r of the family ``am``, each
+    the dict {exponent tuple: nonzero coefficient}.
 
     Expansion along the first row, memoized by index tuple in one memo that
     all the index sets share for the length of the call, so the n
@@ -250,7 +250,8 @@ def _principal_pfaffians(am, index_sets):
         node = pf(idx)
         for mono in node.keys() - exponents.keys():
             exponents[mono] = decode(mono)
-        out.append(Poly(p, k, {exponents[mono]: c * scale for mono, c in node.items()}))
+        out.append({exponents[mono]: c * scale if p is None else c * scale % p
+                    for mono, c in node.items()})
     return out
 
 

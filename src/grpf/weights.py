@@ -18,10 +18,22 @@ Conventions fixed here and shared by every other module:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import DominanceError, IntegrityError, InvalidRankError
+
+
+def _integers(entries, what):
+    """The entries as ints; 1.5, Fraction(3, 2) or 2.0 raise ValueError, not truncate."""
+    out = []
+    for x in entries:
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise ValueError(f"{what} entry {x!r} is not an integer") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -40,8 +52,8 @@ class GLWeight:
     def __post_init__(self):
         if self.n < 3:
             raise InvalidRankError(f"need n >= 3, got n={self.n}")
-        object.__setattr__(self, "s_block", tuple(int(x) for x in self.s_block))
-        object.__setattr__(self, "q_block", tuple(int(x) for x in self.q_block))
+        object.__setattr__(self, "s_block", _integers(self.s_block, "s_block"))
+        object.__setattr__(self, "q_block", _integers(self.q_block, "q_block"))
         if len(self.s_block) != 2:
             raise ValueError(f"s_block must have length 2: {self.s_block}")
         if len(self.q_block) != self.n - 2:
@@ -72,7 +84,7 @@ def weyl_dimension(w, n):
     runs of equal entries (see :func:`weyl_dimension_of_runs`).  Invariant
     under adding a constant to every entry (determinant twists).
     """
-    w = tuple(map(int, w))
+    w = _integers(w, "weight")
     if len(w) != n:
         raise ValueError(f"weight length {len(w)} != n = {n}")
     runs = [(x, len(list(group))) for x, group in groupby(w)]

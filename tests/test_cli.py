@@ -281,6 +281,10 @@ ODD_P = {"n": 5, "k": 4, "field": {"p": 7},
                     [0, 4, 0, 1, 0, 6, 0, 0, 2, 0],
                     [3, 0, 0, 5, 0, 0, 1, 0, 0, 4],
                     [0, 2, 1, 0, 0, 3, 0, 6, 1, 0]]}
+# a Pfaffian that vanishes identically has degree -1 and no terms
+ZERO_PF_Q = {"n": 4, "k": 1, "field": "Q", "matrix": [[1, 1, 0, 0, 0, 0]]}
+# submaximal Pfaffians of mixed degrees: u1, 0, 0
+MIXED_ODD_Q = {"n": 3, "k": 1, "field": "Q", "matrix": [[0, 0, 1]]}
 
 
 def _with(doc, **changes):
@@ -370,8 +374,13 @@ def _run_family(tmp_path, monkeypatch, capsys, doc, argv):
          "2942a69a4b4a07a0c19203fc953d174029fc952090148948ee2d84132305f113"),
         (ODD_P, ["build"],
          "613d40ed862e4ac63daa17df260989f38ff96fd4fd73edcac3c51cbc356cd57b"),
+        (ZERO_PF_Q, ["build"],
+         "5b1cd36c1f85c44c9d7efec3345ad445ab982cb23ff0871a6916c2b98010386e"),
+        (MIXED_ODD_Q, ["build"],
+         "7cffac8161ec56a336a91b58b31b518e429ea3256cc7c2fdd2fe73db690f5c0e"),
     ],
-    ids=["Q-build", "Q-sample", "Fp-build", "Fp-sample", "Q-odd-build", "Fp-odd-build"],
+    ids=["Q-build", "Q-sample", "Fp-build", "Fp-sample", "Q-odd-build", "Fp-odd-build",
+         "Q-zero-pfaffian-build", "Q-mixed-degrees-build"],
 )
 def test_pfaffian_reports_frozen(tmp_path, monkeypatch, capsys, doc, argv, digest):
     code, out, err = _run_family(tmp_path, monkeypatch, capsys, doc, argv)

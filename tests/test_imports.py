@@ -11,11 +11,14 @@ No linter ships with the project, so these are the checks:
   own body: test oracles and public API may be used only there;
 * the package keeps no module state beyond the version, the verify items
   and the CLI parser: no module-level assignment else, and no
-  ``functools`` cache on any function.
+  ``functools`` cache on any function;
+* the README module map and the ``grpf`` package docstring name every
+  module (the dunder ones aside), and neither names a module that is gone.
 """
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -196,3 +199,31 @@ def test_only_module_state_is_version_items_and_parser():
     assert module_state(sources) == [
         ("__init__.py", "__version__"), ("cli.py", "_PARSER"), ("verify.py", "ITEMS"),
     ]
+
+
+def module_map(readme):
+    """The modules named in the first column of the README's module map."""
+    section = readme.split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    return sorted(name for row in rows for name in re.findall(r"`grpf\.(\w+)`", row))
+
+
+def test_module_map_detector():
+    readme = (
+        "# x\n\n## Module map\n\n| module | contents |\n| --- | --- |\n"
+        "| `grpf.a`, `grpf.b` | uses `grpf.c` |\n| `grpf.d` | d |\n\n"
+        "Prose naming `grpf.e`.\n\n## Next\n\n| `grpf.f` | f |\n"
+    )
+    assert module_map(readme) == ["a", "b", "d"]
+
+
+def test_docs_name_every_module():
+    modules = sorted(p.stem for p in MODULES if not p.stem.startswith("__"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert module_map(readme) == modules
+    # nowhere else in the README, and nowhere in the package docstring, is a
+    # module named that does not exist
+    assert set(re.findall(r"grpf\.(\w+)", readme)) <= set(modules)
+    package_doc = ast.get_docstring(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
+    assert sorted(set(re.findall(r":mod:`grpf\.(\w+)`", package_doc))) == modules
+    assert set(re.findall(r"grpf\.(\w+)", package_doc)) <= set(modules)

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import grpf.modp
 import grpf.pfaffian
-import grpf.poly
 from grpf.errors import DegenerateFamilyError, ParityError
-from grpf.modp import _divmod, _trim, det_mod, pfaffian_mod, rank_mod, roots_mod
+from grpf.modp import _divmod, _trim, coerce, det_mod, pfaffian_mod, rank_mod, roots_mod
 from grpf.pfaffian import (
     AMap,
     _combine_forms,
@@ -24,9 +24,44 @@ from grpf.pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
-from grpf.poly import Poly, coerce
 
 Q = None  # the modulus that names the rationals
+
+
+# A polynomial in u1..uk is the dict {exponent tuple: nonzero coefficient}.
+
+def _add(f, g, sign=1):
+    """f + sign * g over Q."""
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _mul(f, g):
+    """f * g over Q."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _value(f, u, p=None):
+    """f at the point u, exact over Q (p None), reduced mod p over F_p."""
+    total = sum(c * math.prod(x**a for x, a in zip(u, e)) for e, c in f.items())
+    return total if p is None else total % p
+
+
+def _partial(f, r, p):
+    """The derivative of f in u_(r+1), over Q (p None) or F_p."""
+    out = {}
+    for e, c in f.items():
+        c = c * e[r] if p is None else c * e[r] % p
+        if c:
+            out[e[:r] + (e[r] - 1,) + e[r + 1:]] = c
+    return out
 
 
 # --- column indexing and family construction ----------------------------------
@@ -43,7 +78,7 @@ def test_pair_index_roundtrip():
 def test_family_skew_matrix_minimal():
     am = AMap(2, 1, Q, [[1]])
     assert _combine_forms(am.reduce_mod(5), [1], 5) == [[0, 1], [4, 0]]
-    assert pfaffian_polynomial(am) == Poly.variable(Q, 1, 0)
+    assert pfaffian_polynomial(am) == {(1,): 1}
 
 
 def test_family_basis_evaluation():
@@ -106,8 +141,8 @@ def _numeric_pfaffian(m):
     n = len(m)
     row = [m[i][j] for i, j in itertools.combinations(range(n), 2)]
     pf = pfaffian_polynomial(AMap(n, 1, Q, [row]))
-    assert set(pf.terms) <= {(n // 2,)}
-    return pf.terms.get((n // 2,), 0)
+    assert set(pf) <= {(n // 2,)}
+    return pf.get((n // 2,), 0)
 
 
 def test_pfaffian_2x2_and_4x4():
@@ -121,28 +156,28 @@ def test_pfaffian_squares_to_det_symbolic():
     # fully generic families: one variable per upper entry
     for n in (2, 4, 6):
         nv = n * (n - 1) // 2
-        mat = [[Poly.zero(Q, nv) for _ in range(n)] for _ in range(n)]
+        mat = [[{} for _ in range(n)] for _ in range(n)]
         idx = 0
         for i in range(n):
             for j in range(i + 1, n):
-                v = Poly.variable(Q, nv, idx)
+                v = tuple(int(s == idx) for s in range(nv))
                 idx += 1
-                mat[i][j] = v
-                mat[j][i] = -v
+                mat[i][j] = {v: 1}
+                mat[j][i] = {v: -1}
         # symbolic determinant by cofactor expansion along the first column
         def det(rows, cols):
             if not rows:
-                return Poly.const(Q, nv, 1)
-            out = Poly.zero(Q, nv)
+                return {(0,) * nv: 1}
+            out = {}
             r0 = rows[0]
             for t, c in enumerate(cols):
-                term = mat[r0][c] * det(rows[1:], cols[:t] + cols[t + 1 :])
-                out = out + term if t % 2 == 0 else out - term
+                term = _mul(mat[r0][c], det(rows[1:], cols[:t] + cols[t + 1 :]))
+                out = _add(out, term, (-1) ** t)
             return out
 
         identity = [[int(r == c) for c in range(nv)] for r in range(nv)]
         pf = pfaffian_polynomial(AMap(n, nv, Q, identity))
-        assert pf * pf == det(tuple(range(n)), tuple(range(n)))
+        assert _mul(pf, pf) == det(tuple(range(n)), tuple(range(n)))
 
 
 def test_pfaffian_rejects_odd_n():
@@ -153,20 +188,20 @@ def test_pfaffian_rejects_odd_n():
 def test_symbolic_family_pfaffian_degree():
     am = AMap.random(10, 5, seed=42, p=10007)
     pf = pfaffian_polynomial(am)
-    assert pf.total_degree() == 5
+    assert max(map(sum, pf)) == 5
     # interior sanity: evaluating the polynomial agrees with the numeric route
     fam = am.reduce_mod(10007)
     rng = random.Random(0)
     for _ in range(20):
         u = [rng.randrange(10007) for _ in range(5)]
-        assert pf.evaluate(u) == pfaffian_mod(_combine_forms(fam, u, 10007), 10007)
+        assert _value(pf, u, 10007) == pfaffian_mod(_combine_forms(fam, u, 10007), 10007)
 
 
 def test_submaximal_pfaffians_n3():
     am = AMap(3, 3, Q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     subs = submaximal_pfaffians(am)
     # deleting row/column i leaves the single entry m_{jk}
-    assert [str(s) for s in subs] == ["u3", "u2", "u1"]
+    assert subs == [{(0, 0, 1): 1}, {(0, 1, 0): 1}, {(1, 0, 0): 1}]
     with pytest.raises(ParityError):
         submaximal_pfaffians(AMap(4, 1, Q, [[1, 0, 0, 0, 0, 0]]))
 
@@ -181,20 +216,20 @@ def test_submaximal_vanishing_matches_rank_drop():
     for q in res.points:
         mat = _combine_forms(fam, q.coordinates, 10007)
         assert rank_mod(mat, 10007) <= 4
-        assert all(s.evaluate(q.coordinates) == 0 for s in subs)
+        assert all(_value(s, q.coordinates, 10007) == 0 for s in subs)
     rng = random.Random(8)
     hits = 0
     for _ in range(30):
         u = [rng.randrange(10007) for _ in range(7)]
         mat = _combine_forms(fam, u, 10007)
-        vanishes = all(s.evaluate(u) == 0 for s in subs)
+        vanishes = all(_value(s, u, 10007) == 0 for s in subs)
         assert vanishes == (rank_mod(mat, 10007) <= 4)
         hits += vanishes
     assert hits == 0  # random points essentially never land on the locus
 
 
 def _terms_digest(poly):
-    return hashlib.sha256(repr(sorted(poly.terms.items())).encode()).hexdigest()
+    return hashlib.sha256(repr(sorted(poly.items())).encode()).hexdigest()
 
 
 # sha256 of the sorted (exponents, coeff) list of each Pfaffian, recorded
@@ -272,6 +307,22 @@ def test_submaximal_equals_pfaffian_of_each_deletion(n, k, seed, p):
         assert subs[i] == pfaffian_polynomial(_delete(am, i))
 
 
+def test_pfaffians_are_fresh_dicts():
+    # no memo outlives a call: mutating one result leaves the next call's alone
+    even, odd = AMap.random(6, 3, seed=1), AMap.random(5, 3, seed=1, p=10007)
+    first, expected = pfaffian_polynomial(even), pfaffian_polynomial(even)
+    assert first == expected and first is not expected
+    first.clear()
+    first[0, 0, 0] = 1
+    assert pfaffian_polynomial(even) == expected
+    subs, expected = submaximal_pfaffians(odd), submaximal_pfaffians(odd)
+    assert subs == expected and all(a is not b for a, b in zip(subs, expected))
+    for s in subs:
+        s.popitem()
+        s[9, 9, 9] = 5
+    assert submaximal_pfaffians(odd) == expected
+
+
 def test_submaximal_pfaffians_agree_with_numeric_pfaffian():
     p = 10007
     am = AMap.random(9, 9, seed=1, p=p)
@@ -284,7 +335,7 @@ def test_submaximal_pfaffians_agree_with_numeric_pfaffian():
         for i, s in enumerate(subs):
             keep = [j for j in range(9) if j != i]
             minor = [[mat[a][b] for b in keep] for a in keep]
-            assert s.evaluate(u) == pfaffian_mod(minor, p)
+            assert _value(s, u, p) == pfaffian_mod(minor, p)
 
 
 def test_pfaffians_over_q_with_denominators():
@@ -310,7 +361,7 @@ def test_pfaffians_over_q_with_denominators():
             for poly, i in zip(polys, deleted):
                 keep = [j for j in range(n) if j != i]
                 minor = [[mat[a][b] for b in keep] for a in keep]
-                assert coerce(poly.evaluate(u), p) == pfaffian_mod(minor, p)
+                assert coerce(_value(poly, u), p) == pfaffian_mod(minor, p)
     a = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4),
          Fraction(4, 5), Fraction(5, 6), Fraction(-6, 7)]
     m = [[0, a[0], a[1], a[2]], [-a[0], 0, a[3], a[4]],
@@ -362,13 +413,13 @@ def test_prime_is_checked_only_at_the_boundary(monkeypatch):
     # the modulus is checked where it enters (sample_y2, reduce_mod, AMap),
     # not once per elimination
     calls = []
-    is_prime = grpf.poly.is_prime
+    is_prime = grpf.modp.is_prime
 
     def counted(p):
         calls.append(p)
         return is_prime(p)
 
-    for module in (grpf.poly, grpf.pfaffian):
+    for module in (grpf.modp, grpf.pfaffian):
         if hasattr(module, "is_prime"):
             monkeypatch.setattr(module, "is_prime", counted)
     res = sample_y2(AMap.random(7, 7, 1), 10007, 20, 1)
@@ -397,8 +448,8 @@ def test_sampling_forced_singular_point():
     e0 = (1, 0, 0, 0)
     assert rank_mod(_combine_forms(am.reduce_mod(p), e0, p), p) == 4
     pf = pfaffian_polynomial(am)
-    assert pf.evaluate(e0) == 0
-    grads = [pf.partial(r).evaluate(e0) for r in range(k)]
+    assert _value(pf, e0, p) == 0
+    grads = [_value(_partial(pf, r, p), e0, p) for r in range(k)]
     assert all(g == 0 for g in grads)  # Jacobian criterion fails there
     point = _point_at(am.reduce_mod(p), e0, p)
     assert (point.rank, point.kernel_dim, point.smooth_at) == (4, 4, False)
@@ -411,9 +462,9 @@ def symbolic_jacobian_test(am):
         polys, codim = [pfaffian_polynomial(am)], 1
     else:
         polys, codim = submaximal_pfaffians(am), 3
-    partials = [[poly.partial(r) for r in range(am.k)] for poly in polys]
     p = am.p
-    return lambda u: rank_mod([[d.evaluate(u) for d in row] for row in partials], p) == codim
+    partials = [[_partial(poly, r, p) for r in range(am.k)] for poly in polys]
+    return lambda u: rank_mod([[_value(d, u, p) for d in row] for row in partials], p) == codim
 
 
 @pytest.mark.parametrize(
@@ -497,7 +548,6 @@ def test_sampler_builds_no_symbolic_pfaffian(monkeypatch):
 
     monkeypatch.setattr(pf_mod, "pfaffian_polynomial", forbidden)
     monkeypatch.setattr(pf_mod, "submaximal_pfaffians", forbidden)
-    monkeypatch.setattr(Poly, "partial", forbidden)
     for n, k, p in ((8, 4, 10007), (6, 1, 3), (7, 7, 10007), (7, 8, 10007), (7, 5, 5)):
         am = AMap.random(n, k, seed=2, p=p)
         sample_y2(am, p, 2, seed=2, max_lines=40)
@@ -1058,4 +1108,4 @@ def test_symbolic_family_degree_across_seeds():
     for seed in (1, 7, 42):
         am = AMap.random(10, 5, seed=seed, p=10007)
         pf = pfaffian_polynomial(am)
-        assert pf.total_degree() == 5
+        assert max(map(sum, pf)) == 5

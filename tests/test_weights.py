@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,14 @@ from grpf.weights import (
 def test_weyl_dimension_trivial_and_standard():
     assert weyl_dimension((0,) * 10, 10) == 1
     assert weyl_dimension((1,) + (0,) * 9, 10) == 10
+
+
+def test_weyl_dimension_rejects_non_integer_entries():
+    # int() used to truncate: (2.7, 0, 0) was read as (2, 0, 0), of dimension 6
+    for w, bad in (((2.7, 0, 0), "2.7"), ((Fraction(3, 2), 0, 0), "Fraction(3, 2)")):
+        with pytest.raises(ValueError, match=re.escape(f"weight entry {bad} is not an integer")):
+            weyl_dimension(w, 3)
+    assert weyl_dimension([2, 0, 0], 3) == 6
 
 
 def test_weyl_dimension_wedge_two():
@@ -143,3 +153,11 @@ def test_glweight_validation():
         GLWeight(5, (0, 0), (0, 1, 0))
     with pytest.raises(ValueError):
         GLWeight(5, (0, 0), (0, 0))
+    # entries are integers, never truncated: (1.5, 0) used to become (1, 0)
+    for s_block, q_block, bad in (
+        ((1.5, 0), (0, 0), "s_block entry 1.5"),
+        ((2, 0), (Fraction(3, 2), 0), "q_block entry Fraction(3, 2)"),
+        ((2.0, 0), (0, 0), "s_block entry 2.0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not an integer")):
+            GLWeight(4, s_block, q_block)

@@ -12,7 +12,7 @@ What lives where:
   of labels, strata
 * :mod:`grpf.sections`  Hodge diamonds and deformations of linear sections,
   exceptional-collection and twisted-vanishing verifiers
-* :mod:`grpf.diamond`   the Hodge diamond table
+* :mod:`grpf.diamond`   Hodge diamonds as dicts {(p, q): h}
 * :mod:`grpf.modp`      a field named by its modulus (None for Q, an odd
   prime p for F_p): row reduction, Pfaffians and roots mod p
 * :mod:`grpf.pfaffian`  skew families of 2-forms (:class:`~grpf.pfaffian.AMap`),
@@ -24,7 +24,6 @@ What lives where:
 """
 
 from .bwb import BwbResult, bwb_cohomology, cohomology_of_kclass
-from .diamond import HodgeDiamond
 from .geometry import (
     Classification,
     ModelParams,

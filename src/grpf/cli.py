@@ -25,6 +25,7 @@ import signal
 import sys
 
 from .bwb import bwb_cohomology
+from .diamond import diamond_rows
 from .errors import IntegrityError
 from .geometry import (
     ModelParams,
@@ -238,8 +239,11 @@ def _cmd_lemma_check(args):
 
 
 def _cmd_hodge_grass_section(args):
-    res = hodge_diamond_y1(ModelParams(args.n, args.k))
-    tangent = h1_tangent_y1(ModelParams(args.n, args.k))
+    params_obj = ModelParams(args.n, args.k)
+    info = classify(params_obj)
+    res = hodge_diamond_y1(params_obj)
+    tangent = h1_tangent_y1(params_obj)
+    d, h = info.dim_y1, res.diamond
 
     def page(restricted):
         if restricted is None:
@@ -247,13 +251,14 @@ def _cmd_hodge_grass_section(args):
         return [[a, b, v] for (a, b), v in sorted(restricted.page.items())]
 
     result = {
-        "dim": res.diamond.dim,
-        "middle_row": res.diamond.middle_row(),
-        "rows": res.diamond.to_rows(),
-        "h11": res.diamond.h.get((1, 1), 0),
+        "dim": d,
+        "middle_row": [h[p, d - p] for p in range(d + 1)],
+        "rows": diamond_rows(h),
+        "h11": h.get((1, 1), 0),
         "chi_p": list(res.chi_p),
-        "theorem_range": res.theorem_range,
-        "lefschetz_gate": res.lefschetz_gate,
+        "theorem_range": info.theorem_applies,
+        # Y1 is cut out by sections of the ample O(1), so Lefschetz always applies
+        "lefschetz_gate": True,
         "tangent_h1": {
             "mode": tangent.mode,
             "value": tangent.h1,
@@ -273,11 +278,12 @@ def _cmd_hodge_grass_section(args):
 
 
 def _cmd_hodge_hypersurface(args):
-    dia = hypersurface_hodge(args.dim, args.degree)
+    h = hypersurface_hodge(args.dim, args.degree)
+    d = args.dim - 1
     result = {
-        "dim": dia.dim,
-        "middle_row": dia.middle_row(),
-        "rows": dia.to_rows(),
+        "dim": d,
+        "middle_row": [h[p, d - p] for p in range(d + 1)],
+        "rows": diamond_rows(h),
     }
     params = {"dim": args.dim, "degree": args.degree}
     return 0, params, result, ["jacobian-ring", "lefschetz-hyperplane"]

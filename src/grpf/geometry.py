@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IntegrityError, ParityError
+from .weights import _integer
 
 
 class VarietyType(Enum):
@@ -37,6 +38,8 @@ class ModelParams:
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
         if not 0 <= self.k <= math.comb(self.n, 2):

@@ -36,10 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .diamond import HodgeDiamond
+from .diamond import hodge_diamond
 from .errors import DegenerateFamilyError, ParityError
 from .modp import _rref, check_prime, coerce, inv_mod, nullspace_mod, pfaffian_mod, rank_mod
 from .modp import roots_mod as _roots_mod  # the name perfbench traces
+from .weights import _integer
 
 
 def pair_index(n, i, j):
@@ -77,8 +78,8 @@ class AMap:
 
     def __init__(self, n, k, p, matrix):
         self.p = p if p is None else check_prime(p)
-        self.n = int(n)
-        self.k = int(k)
+        self.n = _integer(n, "n")
+        self.k = _integer(k, "k")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         ncols = math.comb(self.n, 2)
@@ -674,12 +675,12 @@ def jacobian_ring_dimension(ambient_dim, degree, m):
     return total
 
 
-def hypersurface_hodge(ambient_dim, degree) -> HodgeDiamond:
-    """Hodge diamond of a smooth hypersurface of given degree in P^ambient_dim.
+def hypersurface_hodge(ambient_dim, degree):
+    """Hodge diamond {(p, q): h^{p,q}} of a smooth degree hypersurface in P^ambient_dim.
 
     Primitive middle Hodge numbers are graded pieces of the Jacobian
     ring; everything off the middle row comes from the ambient projective
-    space.
+    space: 1 on the diagonal, 0 elsewhere.
     """
     if ambient_dim < 2:
         raise ValueError(f"need ambient dimension >= 2, got {ambient_dim}")
@@ -695,4 +696,4 @@ def hypersurface_hodge(ambient_dim, degree) -> HodgeDiamond:
         if dim % 2 == 0 and p == q:
             prim += 1
         middle.append(prim)
-    return HodgeDiamond.assemble(dim, lambda p: 1, middle)
+    return hodge_diamond((1,) * (dim + 1), middle)

@@ -27,7 +27,7 @@ from .bwb import (
     cohomology_of_kclass,
     euler_characteristic,
 )
-from .diamond import HodgeDiamond
+from .diamond import hodge_diamond
 from .errors import IntegrityError
 from .geometry import ModelParams, classify, grassmannian_window
 from .schur import cauchy_exterior_cotangent, clebsch_gordan_rank2
@@ -87,13 +87,14 @@ def omega_p_class(params: ModelParams, deg):
 
 @dataclass(frozen=True)
 class SectionHodge:
-    """Hodge data of a smooth codimension-k linear section of Gr(2, n)."""
+    """Hodge data of a smooth codimension-k linear section of Gr(2, n).
 
-    params: ModelParams
-    diamond: HodgeDiamond
+    ``diamond`` is the dict {(p, q): h^{p,q}} of :func:`grpf.diamond.hodge_diamond`
+    and ``chi_p[p]`` the exact Euler characteristic chi(Wedge^p Omega_Y).
+    """
+
+    diamond: dict
     chi_p: tuple[int, ...]
-    theorem_range: bool
-    lefschetz_gate: bool
     # "outcomes": the surviving Bott outcomes (j, m, t, degree, dimension),
     # sorted; "rows": per p, the (i, j, a) behind chi^p, each reading (j, p - i, i + a)
     audit: dict
@@ -113,12 +114,11 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     twist and term by term in sorted order, the row (i, j, a) that reads
     outcome (j, p - i, i + a) with sign (-1)^i C(k+i-1, i) (-1)^a C(k, a)
     (a Cauchy term has multiplicity one), as in chi^p, which is their
-    alternating sum.  A negative middle entry means an upstream bug and
-    raises.
+    alternating sum.  A negative or non-symmetric middle row means an
+    upstream bug, and :func:`grpf.diamond.hodge_diamond` raises on it.
     """
     n, k = params.n, params.k
-    info = classify(params)
-    d = info.dim_y1
+    d = classify(params).dim_y1
     if d < 0:
         raise ValueError(f"empty section: dim = {d} for (n,k)=({n},{k})")
     gp = grassmannian_poincare(n)
@@ -149,27 +149,15 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
             off = 0
         else:
             off = (-1) ** p * (gp[p] if 2 * p < d else gp[d - p])
-        value = (-1) ** (d - p) * (chi[p] - off)
-        if value < 0:
-            raise IntegrityError(
-                f"negative middle Hodge number {value} at p={p}, (n,k)=({n},{k})"
-            )
-        middle.append(value)
-    if middle != middle[::-1]:
-        raise IntegrityError(f"middle row not symmetric: {middle}")
+        middle.append((-1) ** (d - p) * (chi[p] - off))
 
-    dia = HodgeDiamond.assemble(d, lambda p: gp[p], middle)
+    h = hodge_diamond(gp, middle)
     for p in range(d + 1):
-        if dia.chi_p(p) != chi[p]:
+        if sum((-1) ** q * h[p, q] for q in range(d + 1)) != chi[p]:
             raise IntegrityError(f"chi^{p} mismatch in diamond assembly")
     return SectionHodge(
-        params=params,
-        diamond=dia,
+        diamond=h,
         chi_p=tuple(chi),
-        theorem_range=info.theorem_applies,
-        # Y is a complete intersection of sections of the ample O(1); the
-        # gate stays explicit in case the parameter space ever widens.
-        lefschetz_gate=True,
         audit={
             "outcomes": sorted(key + value for key, value in outcomes.items()),
             "rows": audit_rows,

@@ -32,17 +32,18 @@ from .weights import GLWeight
 
 
 def _check_hypersurface_quintic():
-    row = hypersurface_hodge(4, 5).middle_row()
+    h = hypersurface_hodge(4, 5)
+    row = [h[p, 3 - p] for p in range(4)]
     ok = row == [1, 101, 101, 1]
     return ok, f"middle row {row}"
 
 
 def _check_section_hodge_10_5():
-    res = hodge_diamond_y1(ModelParams(10, 5))
-    row = res.diamond.middle_row()
+    h = hodge_diamond_y1(ModelParams(10, 5)).diamond
+    row = [h[p, 11 - p] for p in range(12)]
     expected = [0] * 12
     expected[4:8] = [1, 101, 101, 1]
-    ok = row == expected and res.diamond.h[(1, 1)] == 1
+    ok = row == expected and h[1, 1] == 1
     return ok, f"middle row {row}"
 
 
@@ -143,10 +144,8 @@ def _check_diamond_integrity():
     cases = [(10, 5), (7, 7), (9, 9), (8, 4), (4, 1), (6, 3)]
     for n, k in cases:
         res = hodge_diamond_y1(ModelParams(n, k))
-        dia = res.diamond
-        dia.validate()
-        top = sum((-1) ** p * res.chi_p[p] for p in range(dia.dim + 1))
-        if dia.euler_characteristic() != top:
+        euler = sum((-1) ** (p + q) * v for (p, q), v in res.diamond.items())
+        if euler != sum((-1) ** p * chi for p, chi in enumerate(res.chi_p)):
             return False, f"Euler mismatch at ({n},{k})"
     return True, f"{len(cases)} diamonds"
 

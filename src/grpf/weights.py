@@ -25,15 +25,18 @@ from itertools import groupby
 from .errors import DominanceError, IntegrityError, InvalidRankError
 
 
+def _integer(x, what):
+    """x as an int; 1.5, Fraction(3, 2) or 2.0 raise ValueError, not truncate."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def _integers(entries, what):
-    """The entries as ints; 1.5, Fraction(3, 2) or 2.0 raise ValueError, not truncate."""
-    out = []
-    for x in entries:
-        try:
-            out.append(operator.index(x))
-        except TypeError:
-            raise ValueError(f"{what} entry {x!r} is not an integer") from None
-    return tuple(out)
+    """The entries as ints, each checked by :func:`_integer`."""
+    what += " entry"
+    return tuple(_integer(x, what) for x in entries)
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,7 @@ class GLWeight:
     q_block: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 3:
             raise InvalidRankError(f"need n >= 3, got n={self.n}")
         object.__setattr__(self, "s_block", _integers(self.s_block, "s_block"))
@@ -85,7 +89,7 @@ def weyl_dimension(w, n):
     under adding a constant to every entry (determinant twists).
     """
     w = _integers(w, "weight")
-    if len(w) != n:
+    if len(w) != _integer(n, "n"):
         raise ValueError(f"weight length {len(w)} != n = {n}")
     runs = [(x, len(list(group))) for x, group in groupby(w)]
     if any(x < y for (x, _), (y, _) in zip(runs, runs[1:])):

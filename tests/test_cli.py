@@ -126,10 +126,10 @@ def test_hodge_grass_section_edge_cases_exit_0(capsys):
 
 
 def test_hodge_hypersurface_human(capsys):
-    code = run(["hodge", "hypersurface", "--dim", "4", "--degree", "5"])
-    out = capsys.readouterr().out
+    # the quartic K3 surface: rows by p + q, then the middle row
+    code = run(["hodge", "hypersurface", "--dim", "3", "--degree", "4"])
     assert code == 0
-    assert "1 101 101 1" in out
+    assert capsys.readouterr().out == "1\n0 0\n1 20 1\n0 0\n1\nmiddle row: [1, 20, 1]\n"
 
 
 def test_hodge_grass_section_report(capsys):
@@ -557,6 +557,8 @@ def test_verify_all_human_output(capsys):
 def test_hodge_grass_section_human_output(capsys):
     code, report = run_json(capsys, ["hodge", "grass-section", "--n", "10", "--k", "5"])
     assert code == 0
+    assert report["result"]["theorem_range"] is True
+    assert report["result"]["lefschetz_gate"] is True
     assert run(["hodge", "grass-section", "--n", "10", "--k", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = report["result"]["rows"]

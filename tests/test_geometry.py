@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -78,6 +79,13 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(2, 1)
     ModelParams(10, 0)  # degenerate "no section" case is allowed
+
+
+def test_params_reject_non_integers():
+    # ModelParams(10, 5.0) used to be accepted with k = 5.0
+    for n, k, bad in ((10, 5.0, "k 5.0"), (10.0, 5, "n 10.0"), (10, 2.5, "k 2.5"), (10, None, "k None")):
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not an integer")):
+            ModelParams(n, k)
 
 
 def test_stratum_codims():

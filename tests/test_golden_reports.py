@@ -62,6 +62,12 @@ COMMANDS = [
     "windows --n 9 --k 7",
     "collection verify --n 11",
     "collection verify --n 15 --set S",
+    "hodge hypersurface --dim 2 --degree 3",
+    "hodge hypersurface --dim 3 --degree 4",
+    "hodge hypersurface --dim 5 --degree 3",
+    "hodge hypersurface --dim 4 --degree 1",
+    "hodge grass-section --n 4 --k 4",
+    "hodge grass-section --n 6 --k 8",
     "collection verify --n 6",
     "collection verify --n 6 --set T --k 3",
 ]

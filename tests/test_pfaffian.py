@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,15 @@ def test_amap_json_roundtrip(tmp_path):
     # canonical serialization is byte-stable
     am.save(tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_amap_rejects_non_integer_sizes():
+    # int() truncated these: AMap(4.7, 1.9, ...) became the family n = 4, k = 1
+    row = [[1, 0, 0, 0, 0, 1]]
+    for n, k, bad in ((4.7, 1.9, "n 4.7"), (4.0, 1, "n 4.0"), (4, 1.0, "k 1.0")):
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not an integer")):
+            AMap(n, k, None, row)
+    assert (AMap(4, 1, None, row).n, AMap(4, 1, None, row).k) == (4, 1)
 
 
 def test_amap_json_rational_field(tmp_path):
@@ -959,42 +970,36 @@ def test_small_prime_odd_square_finds_points(n, k, p):
 
 # --- rank census over finite fields ----------------------------------------------
 
-def matchings_with_sign(indices):
-    if not indices:
-        yield 1, []
-        return
-    i0 = indices[0]
-    for t in range(1, len(indices)):
-        rest = indices[1:t] + indices[t + 1 :]
-        sign = (-1) ** (t - 1)
-        for s, pairs in matchings_with_sign(rest):
-            yield sign * s, [(i0, indices[t])] + pairs
+def macwilliams_skew_count(n, s, q):
+    """The number of n x n skew matrices of rank 2s over F_q (MacWilliams, 1969)."""
+    num = q ** (s * (s - 1))
+    for i in range(2 * s):
+        num *= q ** (n - i) - 1
+    den = 1
+    for i in range(1, s + 1):
+        den *= q ** (2 * i) - 1
+    assert num % den == 0
+    return num // den
 
 
-def vector_pfaffians(n, batch, p, rng_seed):
-    """Vectorized Pfaffians of random skew matrices via perfect matchings."""
-    import numpy as np
-
-    rng = np.random.default_rng(rng_seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    entries = {pair: rng.integers(0, p, size=batch, dtype=np.int64) for pair in pairs}
-    total = np.zeros(batch, dtype=np.int64)
-    for sign, matching in matchings_with_sign(tuple(range(n))):
-        prod = np.full(batch, sign % p, dtype=np.int64)
-        for pair in matching:
-            prod = prod * entries[pair] % p
-        total = (total + prod) % p
-    return total
-
-
-def test_rank_census_codimension_one():
-    # {rank <= n-2} has codimension 1: the zero locus of the Pfaffian, so
-    # the hit frequency over F_p is about 1/p
-    p = 10007
-    for n, batch, seed in ((4, 300_000, 10), (6, 300_000, 11), (8, 200_000, 12)):
-        hits = int((vector_pfaffians(n, batch, p, seed) == 0).sum())
-        expected = batch / p
-        assert expected / 3 <= hits <= expected * 3, (n, hits, expected)
+@pytest.mark.parametrize("n, q", [(3, 3), (4, 3), (5, 3), (4, 5)])
+def test_skew_rank_counts_match_macwilliams(n, q):
+    # every n x n skew matrix over F_q, one per upper triangle: rank_mod
+    # must give rank 2s exactly as often as MacWilliams' closed form says,
+    # and for even n pfaffian_mod must vanish exactly on the rank < n ones
+    pairs = list(itertools.combinations(range(n), 2))
+    ranks = Counter()
+    pf_zero = 0
+    for upper in itertools.product(range(q), repeat=len(pairs)):
+        m = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(pairs, upper):
+            m[i][j], m[j][i] = x, -x % q
+        ranks[rank_mod(m, q)] += 1
+        if n % 2 == 0:
+            pf_zero += pfaffian_mod(m, q) == 0
+    assert ranks == {2 * s: macwilliams_skew_count(n, s, q) for s in range(n // 2 + 1)}
+    if n % 2 == 0:
+        assert pf_zero == q ** len(pairs) - ranks[n] == {(4, 3): 261, (4, 5): 3225}[n, q]
 
 
 def test_rank_census_codimension_three():
@@ -1042,26 +1047,36 @@ def test_jacobian_ring_dimensions_quintic():
     assert jacobian_ring_dimension(4, 5, -1) == 0
 
 
+def middle_row(h):
+    """The row h^{p,d-p} of a diamond {(p, q): h} keyed by 0 <= p, q <= d."""
+    d = math.isqrt(len(h)) - 1
+    return [h[p, d - p] for p in range(d + 1)]
+
+
+def euler(h):
+    return sum((-1) ** (p + q) * v for (p, q), v in h.items())
+
+
 def test_hypersurface_quintic_threefold():
     dia = hypersurface_hodge(4, 5)
-    assert dia.middle_row() == [1, 101, 101, 1]
-    assert dia.h[(1, 1)] == 1
-    assert dia.euler_characteristic() == -200
+    assert middle_row(dia) == [1, 101, 101, 1]
+    assert dia[1, 1] == 1
+    assert euler(dia) == -200
 
 
 def test_hypersurface_quartic_surface():
     dia = hypersurface_hodge(3, 4)
-    assert dia.h[(2, 0)] == 1
-    assert dia.h[(1, 1)] == 20
-    assert dia.euler_characteristic() == 24
+    assert dia[2, 0] == 1
+    assert dia[1, 1] == 20
+    assert euler(dia) == 24
 
 
 def test_hypersurface_plane_curves():
     # genus (d-1)(d-2)/2, with the elliptic curve at d = 3
     for d in range(1, 8):
         dia = hypersurface_hodge(2, d)
-        assert dia.h[(1, 0)] == (d - 1) * (d - 2) // 2
-    assert hypersurface_hodge(2, 3).h[(1, 0)] == 1
+        assert dia[1, 0] == (d - 1) * (d - 2) // 2
+    assert hypersurface_hodge(2, 3)[1, 0] == 1
 
 
 def test_hypersurface_low_degree_is_ambient():
@@ -1069,14 +1084,14 @@ def test_hypersurface_low_degree_is_ambient():
     dia = hypersurface_hodge(4, 1)
     for p in range(4):
         for q in range(4):
-            assert dia.h[(p, q)] == (1 if p == q else 0)
+            assert dia[p, q] == (1 if p == q else 0)
     # quadric surface has h^{1,1} = 2
-    assert hypersurface_hodge(3, 2).h[(1, 1)] == 2
+    assert hypersurface_hodge(3, 2)[1, 1] == 2
 
 
 def test_hypersurface_cubic_fourfold():
     dia = hypersurface_hodge(5, 3)
-    assert dia.middle_row() == [0, 1, 21, 1, 0]
+    assert middle_row(dia) == [0, 1, 21, 1, 0]
 
 
 def test_hypersurface_validation():

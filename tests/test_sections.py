@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 import grpf.sections as sections
 from grpf.bwb import _bott, bwb_cohomology, cohomology_of_kclass, euler_characteristic
-from grpf.geometry import ModelParams, grassmannian_window, pfaffian_window
+from grpf.geometry import ModelParams, classify, grassmannian_window, pfaffian_window
 from grpf.schur import cauchy_exterior_cotangent, virtual_rank
 from grpf.weights import GLWeight
 from grpf.sections import (
@@ -105,31 +106,52 @@ def test_omega_zero_is_trivial():
 
 # --- Hodge diamonds of sections -----------------------------------------------
 
+def dim(h):
+    """d of a diamond {(p, q): h} keyed by 0 <= p, q <= d."""
+    d = math.isqrt(len(h)) - 1
+    assert sorted(h) == [(p, q) for p in range(d + 1) for q in range(d + 1)]
+    return d
+
+
+def middle_row(h):
+    d = dim(h)
+    return [h[p, d - p] for p in range(d + 1)]
+
+
+def euler(h):
+    return sum((-1) ** (p + q) * v for (p, q), v in h.items())
+
+
 def test_hodge_diamond_quadric_threefold():
     # oracle: (n, k) = (4, 1) is a smooth quadric threefold, whose diamond
     # is diagonal with h^{p,p} = 1 and empty middle row
     res = hodge_diamond_y1(ModelParams(4, 1))
     dia = res.diamond
-    assert dia.dim == 3
-    assert dia.middle_row() == [0, 0, 0, 0]
+    assert dim(dia) == 3
+    assert middle_row(dia) == [0, 0, 0, 0]
     for p in range(4):
-        assert dia.h[(p, p)] == 1
-    assert dia.euler_characteristic() == 4
+        assert dia[p, p] == 1
+    assert euler(dia) == 4
 
 
 def test_hodge_diamond_elevenfold():
     res = hodge_diamond_y1(ModelParams(10, 5))
     dia = res.diamond
-    assert dia.dim == 11
-    row = dia.middle_row()
-    assert dia.h[(7, 4)] == 1 and dia.h[(4, 7)] == 1
-    assert dia.h[(6, 5)] == 101 and dia.h[(5, 6)] == 101
+    assert dim(dia) == 11
+    row = middle_row(dia)
+    assert dia[7, 4] == 1 and dia[4, 7] == 1
+    assert dia[6, 5] == 101 and dia[5, 6] == 101
     for p in range(12):
         if p not in (4, 5, 6, 7):
-            assert dia.h[(p, 11 - p)] == 0
+            assert dia[p, 11 - p] == 0
     assert row == [0, 0, 0, 0, 1, 101, 101, 1, 0, 0, 0, 0]
-    assert dia.h[(1, 1)] == 1
-    assert res.theorem_range and res.lefschetz_gate
+    assert dia[1, 1] == 1
+    assert classify(ModelParams(10, 5)).theorem_applies
+
+
+def test_section_hodge_holds_only_what_it_computes():
+    res = hodge_diamond_y1(ModelParams(7, 7))
+    assert [f.name for f in dataclasses.fields(res)] == ["diamond", "chi_p", "audit"]
 
 
 def test_hodge_diamond_lefschetz_rows_follow_ambient():
@@ -140,27 +162,27 @@ def test_hodge_diamond_lefschetz_rows_follow_ambient():
     for p in range(12):
         for q in range(12):
             if p + q < 11:
-                assert res.diamond.h[(p, q)] == (gp[p] if p == q else 0)
+                assert res.diamond[p, q] == (gp[p] if p == q else 0)
 
 
 def test_hodge_diamond_threefold_pair():
     # the pipeline's own output, pinned and cross-checked against the
     # deformation computation below
     res = hodge_diamond_y1(ModelParams(7, 7))
-    assert res.diamond.middle_row() == [1, 50, 50, 1]
+    assert middle_row(res.diamond) == [1, 50, 50, 1]
     tan = h1_tangent_y1(ModelParams(7, 7))
-    assert tan.h1 == res.diamond.h[(1, 2)]
+    assert tan.h1 == res.diamond[1, 2]
 
 
 def test_hodge_diamond_k3_type_section():
     res = hodge_diamond_y1(ModelParams(8, 4))
     dia = res.diamond
-    assert dia.dim == 8
-    assert dia.h[(0, 0)] == 1
-    # integrity invariants are re-validated on construction; also check
-    # topological consistency explicitly
-    assert dia.euler_characteristic() == sum(
-        (-1) ** p * res.chi_p[p] for p in range(dia.dim + 1)
+    assert dim(dia) == 8
+    assert dia[0, 0] == 1
+    # integrity invariants are checked where the diamond is built; also
+    # check topological consistency explicitly
+    assert euler(dia) == sum(
+        (-1) ** p * res.chi_p[p] for p in range(dim(dia) + 1)
     )
 
 
@@ -171,10 +193,10 @@ def test_hodge_diamond_no_section_is_grassmannian():
 
     dia = hodge_diamond_y1(ModelParams(10, 0)).diamond
     gp = grassmannian_poincare(10)
-    assert dia.dim == len(gp) - 1 == 16
+    assert dim(dia) == len(gp) - 1 == 16
     for p in range(17):
         for q in range(17):
-            assert dia.h[(p, q)] == (gp[p] if p == q else 0)
+            assert dia[p, q] == (gp[p] if p == q else 0)
 
 
 def test_hodge_diamond_zero_dimensional_sections():
@@ -182,7 +204,7 @@ def test_hodge_diamond_zero_dimensional_sections():
     for n, k, points in ((4, 4, 2), (5, 6, 5)):
         assert points == math.comb(2 * (n - 2), n - 2) // (n - 1)
         dia = hodge_diamond_y1(ModelParams(n, k)).diamond
-        assert (dia.dim, dia.h) == (0, {(0, 0): points})
+        assert dia == {(0, 0): points}
 
 
 def test_hodge_diamond_rejects_empty_section():
@@ -204,14 +226,14 @@ def test_hodge_diamond_grid(n, k):
     # here would fail the test) that agrees with the closed forms
     res = hodge_diamond_y1(ModelParams(n, k))
     dia = res.diamond
-    assert dia.dim == 2 * (n - 2) - k
-    assert dia.euler_characteristic() == sum(
+    assert dim(dia) == 2 * (n - 2) - k
+    assert euler(dia) == sum(
         (-1) ** p * chi for p, chi in enumerate(res.chi_p)
     )
-    if dia.dim == 0:
-        assert dia.h[(0, 0)] == catalan(n - 2)
-    if dia.dim == 1:
-        assert 2 * dia.h[(1, 0)] - 2 == (k - n) * catalan(n - 2)
+    if dim(dia) == 0:
+        assert dia[0, 0] == catalan(n - 2)
+    if dim(dia) == 1:
+        assert 2 * dia[1, 0] - 2 == (k - n) * catalan(n - 2)
 
 
 @pytest.mark.parametrize("n, k", [(10, 5), (12, 0), (9, 9), (5, 5)])

@@ -28,6 +28,21 @@ def test_weyl_dimension_rejects_non_integer_entries():
     assert weyl_dimension([2, 0, 0], 3) == 6
 
 
+def test_weyl_dimension_rejects_non_integer_n():
+    # 3 == 3.0, so the length check let n = 3.0 through and the answer came back as 3
+    for n in (3.0, 3.5, Fraction(3)):
+        with pytest.raises(ValueError, match=re.escape(f"n {n!r} is not an integer")):
+            weyl_dimension((1, 0, 0), n)
+
+
+def test_glweight_rejects_non_integer_n():
+    # GLWeight(4.0, ...) was accepted and kept n = 4.0 in the weight
+    for n in (4.0, 4.5, "4"):
+        with pytest.raises(ValueError, match=re.escape(f"n {n!r} is not an integer")):
+            GLWeight(n, (1, 0), (0, 0))
+    assert type(GLWeight(4, (1, 0), (0, 0)).n) is int
+
+
 def test_weyl_dimension_wedge_two():
     # oracle: dim of the second exterior power is a binomial coefficient
     assert weyl_dimension((1, 1) + (0,) * 8, 10) == math.comb(10, 2)

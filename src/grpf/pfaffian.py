@@ -186,31 +186,122 @@ class AMap:
 
 
 def _principal_pfaffians(am, index_sets):
-    """The Pfaffians of the principal submatrices on ``index_sets`` of the
-    skew matrix of linear forms sum_r u_r M_r of the family ``am``, each
-    the dict {exponent tuple: nonzero coefficient}.
+    """The Pfaffians of the principal submatrices on ``index_sets``, all of
+    one size 2d, of the skew matrix of linear forms sum_r u_r M_r of the
+    family ``am``, each the dict {exponent tuple: nonzero coefficient}.
 
     Expansion along the first row, memoized by index tuple in one memo that
     all the index sets share for the length of the call, so the n
     submaximal Pfaffians of an odd matrix reuse each other's minors.  A
     monomial u^e is packed as the int sum_r e_r b^r with b = n // 2 + 1:
-    the entries are linear forms, so no exponent of a Pfaffian reaches b,
-    and the term c u_r of entry (i, j), c = am.matrix[r][pair_index(n, i, j)],
-    is the pair (b^r, c): multiplying by it is one int add.
+    the entries are linear forms, so no exponent of a Pfaffian reaches b.
     Coefficients are plain ints, reduced once per memo node over F_p; over
     Q the expansion runs on the integer matrix D m, D the common
     denominator of the family's entries, and a Pfaffian of size 2d is
     divided by D^d at the end.
+
+    A memo node is stored one of two ways, fixed once per call.  The dense
+    store keeps the node of an index set of size 2j as the list of its
+    coefficients over the C(j+k-1, k-1) monomials of degree j; it is taken
+    when that count at j = d is at most (2d-1)!! s^d, s the most nonzero
+    coefficients in any column of the family, which bounds the terms any
+    expansion can produce.  Otherwise, as for one variable per entry
+    (k = C(n, 2)), a list would be mostly zeros, and each node is the dict
+    {packed monomial: nonzero coefficient}.
     """
     p, k, n = am.p, am.k, am.n
     base = n // 2 + 1
     den = 1
     if p is None:
         den = math.lcm(*(c.denominator for row in am.matrix for c in row))
+    # the term c u_r of entry (i, j), c = am.matrix[r][pair_index(n, i, j)], is (r, c)
     forms = {}
     for i, j in itertools.combinations(range(n), 2):
         column = [row[pair_index(n, i, j)] for row in am.matrix]
-        forms[i, j] = [(base**r, int(c * den)) for r, c in enumerate(column) if c]
+        forms[i, j] = [(r, int(c * den)) for r, c in enumerate(column) if c]
+    index_sets = [tuple(idx) for idx in index_sets]
+    d = len(index_sets[0]) // 2
+    s = max(map(len, forms.values()))
+    if math.comb(d + k - 1, k - 1) <= math.prod(range(1, 2 * d, 2)) * s**d:
+        expansions = _dense_expansions(forms, index_sets, k, base, p)
+    else:
+        expansions = _dict_expansions(forms, index_sets, k, base, p)
+    scale = coerce(Fraction(1, den**d), p)
+    return [{e: c * scale if p is None else c * scale % p for e, c in terms}
+            for terms in expansions]
+
+
+def _decode(mono, k, base):
+    """The exponent tuple of the packed monomial sum_r e_r base^r in k variables."""
+    exps = []
+    for _ in range(k):
+        mono, e = divmod(mono, base)
+        exps.append(e)
+    return tuple(exps)
+
+
+def _dense_expansions(forms, index_sets, k, base, p):
+    """The (exponent tuple, nonzero coefficient) pairs of each Pfaffian, on
+    memo nodes that are dense lists over the monomials of their degree.
+
+    ``monos[j]`` is the ascending list of packed degree-j monomials and
+    ``up[j][r][i]`` the index in ``monos[j]`` of u_r times ``monos[j-1][i]``.
+    A node sums, per variable u_r, its children times the coefficients of
+    u_r in their first-row entries, then adds each sum in at ``up[j][r]``.
+    """
+    d = len(index_sets[0]) // 2
+    shifts = [base**r for r in range(k)]
+    monos, up = [[0]], [None]
+    for _ in range(d):
+        prev = monos[-1]
+        cur = sorted({m + b for m in prev for b in shifts})
+        index = {m: i for i, m in enumerate(cur)}
+        monos.append(cur)
+        up.append([[index[m + b] for m in prev] for b in shifts])
+    memo = {(): [1]}
+
+    def pf(idx):
+        node = memo.get(idx)
+        if node is not None:
+            return node
+        sums = [None] * k
+        for t in range(1, len(idx)):
+            form = forms[idx[0], idx[t]]
+            if not form:
+                continue
+            child = pf(idx[1:t] + idx[t + 1 :])
+            for r, c in form:
+                if t % 2 == 0:
+                    c = -c
+                acc = sums[r]
+                if acc is None:
+                    sums[r] = [c * x for x in child]
+                else:
+                    sums[r] = [a + c * x for a, x in zip(acc, child)]
+        j = len(idx) // 2
+        node = [0] * len(monos[j])
+        for at, acc in zip(up[j], sums):
+            if acc is not None:
+                for i, x in zip(at, acc):
+                    node[i] += x
+        if p is not None:
+            node = [x % p for x in node]
+        memo[idx] = node
+        return node
+
+    exponents = [_decode(mono, k, base) for mono in monos[d]]
+    for idx in index_sets:
+        yield [(e, c) for e, c in zip(exponents, pf(idx)) if c]
+
+
+def _dict_expansions(forms, index_sets, k, base, p):
+    """The (exponent tuple, nonzero coefficient) pairs of each Pfaffian, on
+    memo nodes that are dicts {packed monomial: nonzero coefficient}.
+
+    A term c u_r of an entry becomes the pair (b^r, c), so multiplying a
+    monomial by it is one int add.
+    """
+    forms = {pair: [(base**r, c) for r, c in form] for pair, form in forms.items()}
     memo = {(): {0: 1}}
 
     def pf(idx):
@@ -237,23 +328,12 @@ def _principal_pfaffians(am, index_sets):
         memo[idx] = node
         return node
 
-    def decode(mono):
-        exps = []
-        for _ in range(k):
-            mono, e = divmod(mono, base)
-            exps.append(e)
-        return tuple(exps)
-
-    out, exponents = [], {}  # each distinct monomial is decoded once
+    exponents = {}  # each distinct monomial is decoded once
     for idx in index_sets:
-        idx = tuple(idx)
-        scale = coerce(Fraction(1, den ** (len(idx) // 2)), p)
         node = pf(idx)
         for mono in node.keys() - exponents.keys():
-            exponents[mono] = decode(mono)
-        out.append({exponents[mono]: c * scale if p is None else c * scale % p
-                    for mono, c in node.items()})
-    return out
+            exponents[mono] = _decode(mono, k, base)
+        yield [(exponents[mono], c) for mono, c in node.items()]
 
 
 def pfaffian_polynomial(am: AMap):
@@ -262,8 +342,9 @@ def pfaffian_polynomial(am: AMap):
     Squares to the determinant identically.  Even n only; odd n has all
     submaximal Pfaffians instead.  Like :func:`submaximal_pfaffians`, it
     expands along the first row over one memo of principal index sets,
-    with monomials packed into ints; ``pfaffian build`` at (14, 7) over Q
-    takes about 0.6 s (Python 3.11, one core of a shared 2-core host).  A
+    each node a dense coefficient list or a sparse dict by the rule of
+    :func:`_principal_pfaffians`; ``pfaffian build`` at (14, 7) over Q
+    takes about 0.33 s (Python 3.11, a shared 2-core host).  A
     numeric skew matrix A is the one-variable family with A's upper
     triangle as its row, whose Pfaffian is Pf(A) u1^(n/2); modulo p,
     :func:`grpf.modp.pfaffian_mod` takes A directly.
@@ -279,8 +360,8 @@ def submaximal_pfaffians(am: AMap):
     Their common zero locus is the rank <= n-3 locus of the family.  The
     n first-row expansions share one memo of principal index sets, so
     they reuse each other's minors ((9, 9) needs 88 memo nodes in all),
-    and monomials are packed into ints; ``pfaffian build`` at (11, 11) over
-    F_10007 takes about 0.8 s on the same host.
+    stored as in :func:`_principal_pfaffians`; ``pfaffian build`` at
+    (11, 11) over F_10007 takes about 0.40 s on the same host.
     """
     if am.n % 2 == 0:
         raise ParityError(f"n = {am.n} is even; use pfaffian_polynomial instead")
@@ -467,25 +548,45 @@ def _kernel_cofactor_vector(b, p):
     Entries are (-1)^i det(R minus column i), R = b minus row 0: a
     polynomial formula in the matrix entries, so sweeping a parameter
     keeps the result on a single polynomial curve (no elimination
-    rescaling).  These cofactors span the kernel of R, so the vector is
-    the RREF kernel vector of R (1 at the free column f, minus the RREF
-    entries of column f at the pivots) times (-1)^f det(R minus column f),
-    the determinant of the pivot columns that the same elimination
-    returns; it is the zero vector when rank R < n - 1.
+    rescaling).  These cofactors span the kernel of R, so when rank R is
+    n - 1 the vector is the kernel vector of R that is (-1)^f det(R minus
+    column f) at the free column f; that determinant is the signed
+    product of the pivots of forward elimination on R, and one
+    back-substitution with the same pivot inverses gives the other
+    entries.  It is the zero vector when rank R < n - 1.
     """
     n = len(b)
-    rows = b[1:]
-    if not rows:
+    m = [[x % p for x in row] for row in b[1:]]
+    if not m:
         return [1]
-    rank, m, pivots, det = _rref([[x % p for x in row] for row in rows], p)
-    if rank < n - 1:
+    pivots, inverses = [], []
+    det = 1
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, n - 1) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        row = m[rank]
+        det = det * row[col] % p
+        inv = inv_mod(row[col], p)
+        for r in range(rank + 1, n - 1):
+            f = m[r][col] * inv % p
+            if f:
+                m[r] = [(a - f * c) % p for a, c in zip(m[r], row)]
+        pivots.append(col)
+        inverses.append(inv)
+        if rank + 1 == n - 1:
+            break
+    if len(pivots) < n - 1:
         return [0] * n
     free = next(c for c in range(n) if c not in pivots)
-    scale = (-1) ** free * det
     vec = [0] * n
-    vec[free] = scale % p
-    for row, c in zip(m, pivots):
-        vec[c] = -row[free] * scale % p
+    vec[free] = (-1) ** free * det % p
+    for row, c, inv in zip(reversed(m), reversed(pivots), reversed(inverses)):
+        vec[c] = -sum(map(mul, row, vec)) * inv % p
     return vec
 
 
@@ -503,8 +604,10 @@ def _kernel_line_drawer(square, p, emb=None):
     n-th finite difference vanishes: the nodes x = 0..n-1 take one
     elimination each, and every later node is
     u(x) = sum_{i=1..n} (-1)^(i+1) C(n, i) u(x - i) mod p.  A candidate
-    takes one elimination.  A slice's member u(v) is lifted to the full
-    family as emb u(v), which has the same skew matrix.
+    takes one elimination.  Each elimination is forward elimination plus
+    one back-substitution (:func:`_kernel_cofactor_vector`).  A slice's
+    member u(v) is lifted to the full family as emb u(v), which has the
+    same skew matrix.
 
     Along the line v(x) = v0 + x v1, the first submaximal Pfaffian Pf_0 of
     M(u(v)) has degree (n-1)^2/2, and a known factor.  u(v) vanishes where
@@ -513,14 +616,17 @@ def _kernel_line_drawer(square, p, emb=None):
     lambda(x) v(x), since v spans the kernel of M(u) wherever its rank is
     n-1.  So Pf_0 = v_0^((n+1)/2) h with deg h <= n(n-3)/2, and the line's
     polynomial is h, from Pf_0 at the first n(n-3)/2 + 1 nodes with
-    v_0 != 0; the root it drops is the x where u(v) = 0.  If h vanishes
-    identically, so does lambda or u, and with them every Pf_s; so does a
-    line with v0_0 = v1_0 = 0, on which u(v) = 0.
+    v_0 != 0; the root it drops is the x where u(v) = 0.  At a node only
+    the (n-1) x (n-1) submatrix of M(u) that Pf_0 reads is built.  If h
+    vanishes identically, so does lambda or u, and with them every Pf_s;
+    so does a line with v0_0 = v1_0 = 0, on which u(v) = 0.
     """
     n = square.n
     half, need = (n + 1) // 2, n * (n - 3) // 2 + 1
     coordinates = list(itertools.combinations(range(n), 2))
     steps = [(-1) ** (n - t + 1) * math.comb(n, t) for t in range(n)]  # of u(x - n + t)
+    inner = [(i - 1, j - 1, column)
+             for (i, j), column in zip(coordinates, zip(*square.matrix)) if i]
 
     def b_of(v):
         # (M_r v)_i = sum_{j>i} m_r,ij v_j - sum_{j<i} m_r,ji v_j
@@ -553,8 +659,12 @@ def _kernel_line_drawer(square, p, emb=None):
                 us.append([sum(map(mul, steps, column)) % p for column in zip(*us[x - n:x])])
             ys = []
             for x in xs:
-                mat = _combine_forms(square, us[x], p)
-                pf = pfaffian_mod([row[1:] for row in mat[1:]], p)
+                # Pf_0 reads the entries (i, j), 1 <= i < j, of M(u(x)) only
+                u, mat = us[x], [[0] * (n - 1) for _ in range(n - 1)]
+                for i, j, column in inner:
+                    c = sum(map(mul, u, column)) % p
+                    mat[i][j], mat[j][i] = c, -c % p
+                pf = pfaffian_mod(mat, p)
                 ys.append(pf * pow(v0[0] + x * v1[0], -half, p) % p)
             return (xs, ys) if any(ys) else None
 

@@ -2,8 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -186,8 +190,7 @@ def test_pfaffian_squares_to_det_symbolic():
                 out = _add(out, term, (-1) ** t)
             return out
 
-        identity = [[int(r == c) for c in range(nv)] for r in range(nv)]
-        pf = pfaffian_polynomial(AMap(n, nv, Q, identity))
+        pf = pfaffian_polynomial(_one_variable_per_entry(n))
         assert _mul(pf, pf) == det(tuple(range(n)), tuple(range(n)))
 
 
@@ -299,6 +302,76 @@ def test_submaximal_terms_frozen(n, k, seed, p):
     assert digests == FROZEN_SUBMAXIMAL[n, k, seed, p]
 
 
+def _one_variable_per_entry(n):
+    """The family with one variable per upper entry: k = C(n, 2), M = identity."""
+    nv = math.comb(n, 2)
+    return AMap(n, nv, Q, [[int(r == c) for c in range(nv)] for r in range(nv)])
+
+
+def _sparse_columns(n, k, per_column, p, seed):
+    """A family over F_p with exactly ``per_column`` nonzero entries in each column."""
+    rng = random.Random(f"sparse:{n}:{k}:{per_column}:{p}:{seed}")
+    rows = [[0] * math.comb(n, 2) for _ in range(k)]
+    for c in range(math.comb(n, 2)):
+        for r in rng.sample(range(k), per_column):
+            rows[r][c] = rng.randrange(1, p)
+    return AMap(n, k, p, rows)
+
+
+def _with_fractions(am, count, seed):
+    """The family over Q with ``count`` entries rewritten as "a/b" strings."""
+    data = am.to_json_dict()
+    rng = random.Random(f"fractions:{seed}")
+    for _ in range(count):
+        r, c = rng.randrange(am.k), rng.randrange(len(data["matrix"][0]))
+        data["matrix"][r][c] = f"{rng.randint(-9, 9)}/{rng.randint(2, 7)}"
+    return AMap.from_json_dict(data)
+
+
+# Families the digests above do not reach, recorded from the expansion that
+# stored every memo node as a dict: the first two have more monomials of
+# their degree than a term bound (one variable per entry; two nonzeros per
+# column at (10, 20)), the last two are wide, one over Q with "a/b" entries.
+FROZEN_FAMILIES = {
+    "one-variable-per-entry-8": (
+        lambda: [pfaffian_polynomial(_one_variable_per_entry(8))],
+        ["b57586de2c2c311d161c28de9a32776aaabf7d8003ab8098b49fd66e0bea2880"],
+    ),
+    "two-per-column-10-20-F7": (
+        lambda: [pfaffian_polynomial(_sparse_columns(10, 20, 2, 7, 1))],
+        ["94daafc7677f254ed95d6e2b95f45a4e3e5e3c3fef15f4a0f9c72da5b9a17656"],
+    ),
+    "fractions-14-7-Q": (
+        lambda: [pfaffian_polynomial(_with_fractions(AMap.random(14, 7, 1), 6, 1))],
+        ["b5847d31ec346e52c75ebe8a6e38b570e6dff34f2f0f3c87f313960b06c5b869"],
+    ),
+    "submaximal-11-11-F10007": (
+        lambda: submaximal_pfaffians(AMap.random(11, 11, 1, 10007)),
+        [
+            "607fdc0a94fbca97607fe7af6a049434147d065300100cad7ff905c66c883d41",
+            "88453c2cfa6f3228e0a45def4ea26fbf89767d54ad35e597cf6ec48e0bf06fea",
+            "f5174f99b381bcd90ab2bfcb2d4c12cc4c628c13034a7fc598bf9ff144c1522a",
+            "1f2b9280c591eec7b60c2029a4e7fbfb51b311d665459837de8f604558b144f5",
+            "7351005061832ea7b6b476db45a0873eb2b04ec9fb52e35679ebba40023eac7d",
+            "ede68705e207e1e49131dc270c4db0f9ea61f5c37edb883cd24992343b999780",
+            "3a342410a5b50fa6b377bc2df68a239d3fd73cdc7149970bef067fa7073ecd49",
+            "6dc67134939652dae83a65c169ce34610180792f93ad3818c2f1c2923b8f4f07",
+            "b41a8fa1bed1ec3a4d5c2b32aa14357e418b6c3fd697bc06632bf91ae2ab87d0",
+            "55193b511ad0b460880c8c8e8ae25d9d5dd12d02b1ca44c256308843bf32fbe8",
+            "f46c0aaaa2d024b91cd36d4dda0cffa03540aa918968a41450e1338dbb4a536b",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_FAMILIES))
+def test_family_terms_frozen(name):
+    expand, expected = FROZEN_FAMILIES[name]
+    assert [_terms_digest(poly) for poly in expand()] == expected
+
+
+
+
 def _delete(am, i):
     """The principal sub-family of am without row and column i."""
     keep = [j for j in range(am.n) if j != i]
@@ -378,6 +451,146 @@ def test_pfaffians_over_q_with_denominators():
     m = [[0, a[0], a[1], a[2]], [-a[0], 0, a[3], a[4]],
          [-a[1], -a[3], 0, a[5]], [-a[2], -a[4], -a[5], 0]]
     assert _numeric_pfaffian(m) == a[0] * a[5] - a[1] * a[4] + a[2] * a[3]
+
+
+def _perfect_matchings(idx):
+    if not idx:
+        yield []
+        return
+    for t in range(1, len(idx)):
+        for rest in _perfect_matchings(idx[1:t] + idx[t + 1:]):
+            yield [(idx[0], idx[t])] + rest
+
+
+def _matching_pfaffian(am, idx):
+    """Pf of the principal submatrix on ``idx``: the sum over perfect matchings
+    {(i1, j1), ...} of sgn(i1 j1 i2 j2 ...) times the product of the linear
+    entries (i, j), each product expanded term by term, with no memo."""
+    k = am.k
+    variable = [tuple(int(s == r) for s in range(k)) for r in range(k)]
+    total = {}
+    for matching in _perfect_matchings(tuple(idx)):
+        order = [i for pair in matching for i in pair]
+        inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+        term = {(0,) * k: (-1) ** inversions}
+        for i, j in matching:
+            column = [row[pair_index(am.n, i, j)] for row in am.matrix]
+            term = _mul(term, {variable[r]: c for r, c in enumerate(column) if c})
+        total = _add(total, term)
+    if am.p is None:
+        return total
+    return {e: c % am.p for e, c in total.items() if c % am.p}
+
+
+def _zero_columns(n, k, seed):
+    """A full-rank family over Q with every third column zero."""
+    rng = random.Random(f"zero-columns:{n}:{k}:{seed}")
+    while True:
+        rows = [[0 if c % 3 == 1 else rng.randint(-9, 9) for c in range(math.comb(n, 2))]
+                for _ in range(k)]
+        try:
+            return AMap(n, k, Q, rows)
+        except DegenerateFamilyError:
+            continue
+
+
+def _monomial_family(n, seed):
+    """k = C(n, 2) and one nonzero entry per column, in a random row: s = 1."""
+    rng = random.Random(f"monomial:{n}:{seed}")
+    nv = math.comb(n, 2)
+    rows = [[0] * nv for _ in range(nv)]
+    for c, r in enumerate(rng.sample(range(nv), nv)):
+        rows[r][c] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return AMap(n, nv, Q, rows)
+
+
+def _no_zero_entries(n, k, seed):
+    """A family over Q none of whose entries is zero: s = k."""
+    rng = random.Random(f"no-zero:{n}:{k}:{seed}")
+    rows = [[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(math.comb(n, 2))]
+            for _ in range(k)]
+    return AMap(n, k, Q, rows)
+
+
+# (family, store): the store is the memo node the expansion must choose,
+# "dense" when C(d+k-1, k-1) <= (2d-1)!! s^d, else "dict"
+ORACLE_FAMILIES = {
+    **{f"fractions-{n}-{k}": (lambda n=n, k=k: _with_fractions(AMap.random(n, k, 3), 4, n),
+                              "dense")
+       for n, k in ((4, 3), (5, 4), (6, 5), (7, 3), (8, 4))},
+    **{f"F{p}-{n}-{k}": (lambda n=n, k=k, p=p: AMap.random(n, k, 2, p), "dense")
+       for n, k, p in ((6, 4, 3), (7, 5, 3), (8, 3, 3), (6, 6, 7), (7, 4, 7), (8, 5, 7))},
+    **{f"zero-columns-{n}-{k}": (lambda n=n, k=k: _zero_columns(n, k, 1), "dense")
+       for n, k in ((6, 3), (7, 4), (8, 5))},
+    **{f"k1-{n}": (lambda n=n: AMap.random(n, 1, 4), "dense") for n in (2, 3, 4, 5, 6, 7, 8)},
+    "one-variable-per-entry-4": (lambda: _one_variable_per_entry(4), "dict"),
+    "one-variable-per-entry-6": (lambda: _one_variable_per_entry(6), "dict"),
+    "monomial-6-15": (lambda: _monomial_family(6, 1), "dict"),
+    "no-zero-6-15": (lambda: _no_zero_entries(6, 15, 1), "dense"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FAMILIES))
+def test_pfaffians_equal_matching_sums(monkeypatch, name):
+    # both memo stores against the definition of the Pfaffian; the store each
+    # family takes is checked, so each side of the store rule is reached
+    import grpf.pfaffian as pf_mod
+
+    make, store = ORACLE_FAMILIES[name]
+    am = make()
+    used = []
+    for which in ("dense", "dict"):
+        expand = getattr(pf_mod, f"_{which}_expansions")
+        monkeypatch.setattr(pf_mod, f"_{which}_expansions",
+                            lambda *args, which=which, expand=expand:
+                            used.append(which) or expand(*args))
+    if am.n % 2 == 0:
+        assert pfaffian_polynomial(am) == _matching_pfaffian(am, range(am.n))
+    else:
+        subs = submaximal_pfaffians(am)
+        assert subs == [_matching_pfaffian(am, [j for j in range(am.n) if j != i])
+                        for i in range(am.n)]
+    assert used == [store]
+
+
+def test_fraction_families_have_fractions():
+    families = [_with_fractions(AMap.random(14, 7, 1), 6, 1)]
+    families += [make() for name, (make, _) in ORACLE_FAMILIES.items()
+                 if name.startswith("fractions")]
+    for am in families:
+        assert any(c.denominator > 1 for row in am.matrix for c in row), am
+
+
+def test_matching_oracle_sees_cancellations_mod_p():
+    # over F_3 and F_7 some coefficients of the integer expansion vanish mod p,
+    # and the oracle comparison above requires them absent from the dict
+    cancelled = 0
+    for name, (make, _) in ORACLE_FAMILIES.items():
+        if name.startswith("F"):
+            am = make()
+            lifted = AMap(am.n, am.k, Q, am.matrix)
+            sets = [range(am.n)] if am.n % 2 == 0 else [range(1, am.n)]
+            for idx in sets:
+                expanded = _matching_pfaffian(lifted, idx)
+                cancelled += sum(c % am.p == 0 for c in expanded.values())
+    assert cancelled > 0
+
+
+def test_one_variable_per_entry_stays_sparse():
+    # k = C(10, 2) = 45: a dense degree-5 node would hold C(49, 5) = 1906884
+    # coefficients for 945 terms; the dict store answers in milliseconds
+    script = """
+import math
+from grpf.pfaffian import AMap, pfaffian_polynomial
+nv = math.comb(10, 2)
+am = AMap(10, nv, None, [[int(r == c) for c in range(nv)] for r in range(nv)])
+print(len(pfaffian_polynomial(am)))
+"""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["945"]
 
 
 # --- sampling -------------------------------------------------------------------
@@ -660,29 +873,44 @@ def test_sample_results_frozen(n, k, s, p, count, seed):
     assert digest == FROZEN_SAMPLES[n, k, s, p, count, seed]
 
 
-def _matrix_of_rank(n, r, p, rng):
-    """A random n x n matrix over F_p, the product of n x r and r x n factors."""
-    a = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+def _rows_of_rank(m, n, r, p, rng):
+    """A random m x n matrix over F_p, the product of m x r and r x n factors."""
+    a = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
     b = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
     return [[sum(a[i][t] * b[t][j] for t in range(r)) % p for j in range(n)]
-            for i in range(n)]
+            for i in range(m)]
 
 
-@pytest.mark.parametrize("p", [3, 10007, 2**61 - 1])
+@pytest.mark.parametrize("p", [3, 5, 10007, 2**61 - 1])
 def test_kernel_cofactor_vector_equals_minors(p):
+    # ((-1)^i det(R minus column i))_i, R = b minus row 0, whatever row 0 is:
+    # R of full rank n - 1, of rank n - 2 (the zero vector), with its first
+    # column zero (column 0 free), or with R[0][0] = 0 (a pivot swap)
     rng = random.Random(f"cofactor:{p}")
-    for n in range(1, 9):
-        ranks = set()
-        for r in (n, n - 1, max(n - 2, 0)):
+    for n in range(1, 10):
+        seen = set()
+        for case in ("full", "rank-drop", "zero-first-column", "swap"):
             for _ in range(12):
-                b = _matrix_of_rank(n, r, p, rng)
+                if case == "zero-first-column":
+                    rows = [[0] + row for row in _rows_of_rank(n - 1, n - 1, n - 1, p, rng)]
+                else:
+                    rank = n - 2 if case == "rank-drop" else n - 1
+                    rows = _rows_of_rank(n - 1, n, max(rank, 0), p, rng)
+                    if case == "swap" and rows:
+                        rows[0][0] = 0
+                b = [[rng.randrange(p) for _ in range(n)]] + rows
                 minors = [
-                    (-1) ** i * det_mod([row[:i] + row[i + 1:] for row in b[1:]], p) % p
+                    (-1) ** i * det_mod([row[:i] + row[i + 1:] for row in rows], p) % p
                     for i in range(n)
                 ]
-                assert _kernel_cofactor_vector(b, p) == minors, (n, b)
-                ranks.add(rank_mod(b[1:], p) if n > 1 else 0)
-        assert n == 1 or {n - 1, n - 2} <= ranks
+                assert _kernel_cofactor_vector(b, p) == minors, (n, case, b)
+                full = n == 1 or rank_mod(rows, p) == n - 1
+                swapped = full and n > 2 and rows[0][0] == 0 and any(row[0] for row in rows)
+                seen.add((case, full, swapped))
+        if n > 2:
+            expected = {("full", True, False), ("rank-drop", False, False),
+                        ("zero-first-column", True, False), ("swap", True, True)}
+            assert expected <= seen, (n, seen)
 
 
 def _product(a, b, p):
@@ -700,14 +928,14 @@ def test_cofactor_vector_has_vanishing_nth_difference(p):
     for n in (3, 5, 7, 9):
         deg = (n - 1) ** 2 // 2
         top = max(deg, 2 * n)
-        b1 = _matrix_of_rank(n, n, p, rng)
-        low = _matrix_of_rank(n, n - 3, p, rng)
+        b1 = _rows_of_rank(n, n, n, p, rng)
+        low = _rows_of_rank(n, n, n - 3, p, rng)
         drops = {x0: [[(a - x0 * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(low, b1)]
                  for x0 in (1, deg)}
         f = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 2)]
         a0, a1 = ([[rng.randrange(p) for _ in range(n - 2)] for _ in range(n)]
                   for _ in range(2))
-        lines = [(None, _matrix_of_rank(n, n, p, rng), b1)]
+        lines = [(None, _rows_of_rank(n, n, n, p, rng), b1)]
         lines += [(x0, b0, b1) for x0, b0 in drops.items()]
         lines.append(("all", _product(a0, f, p), _product(a1, f, p)))
         for drop, b0, b1_ in lines:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .weights import _integer
+
 
 def is_prime(p):
     """Miller-Rabin to the prime bases up to 41, exact below their least
@@ -38,6 +40,7 @@ def is_prime(p):
 
 def check_prime(p):
     """The modulus p of F_p, once it is known to be an odd prime; else ValueError."""
+    p = _integer(p, "prime")
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     return p
@@ -47,7 +50,7 @@ def inv_mod(a, p):
     a %= p
     if a == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def coerce(x, p):
@@ -124,39 +127,97 @@ def det_mod(rows, p):
     return det if rank == len(rows) else 0
 
 
-def pfaffian_mod(rows, p):
-    """Pfaffian of a skew matrix over F_p by skew elimination, O(n^3)."""
+def _pack(coeffs, w):
+    """The coefficients as one int, coefficient i in bits [i w, (i + 1) w)."""
+    x = 0
+    for c in reversed(coeffs):
+        x = x << w | c
+    return x
+
+
+def _unpack(x, w, length, p):
+    slot = (1 << w) - 1
+    return [(x >> w * i & slot) % p for i in range(length)]
+
+
+def _barrett(bound, p, slots):
+    """Slot width w and the slot-parallel Barrett reduction mod p of ``slots``
+    packed slots, each an int in [0, bound], bound >= p^2.
+
+    A slot z < 2^t, t the bit length of ``bound``, becomes
+    z - floor(floor(z / 2^(k-1)) m / 2^s) p, in [0, 3p), with k the bit
+    length of p, s = t - k + 1 and m = floor(2^t / p).  Both factors of that
+    product are below 2^s, so w = 2s >= t bits hold it; no slot borrows.
+    """
+    k, t = p.bit_length(), bound.bit_length()
+    s = t - k + 1
+    w, m = 2 * s, (1 << t) // p
+    low_bits = _pack([(1 << s) - 1] * slots, w)
+
+    def reduce(z):
+        return z - (((z >> k - 1 & low_bits) * m >> s) & low_bits) * p
+
+    return w, reduce
+
+
+def _series_inverse(a, p, length, w, reduce):
+    """1/a in F_p[x]/(x^length) for a packed unit a, by Newton's
+    b <- b (2 - a b), which doubles the correct coefficients per step."""
+    mask, b = (1 << w * length) - 1, pow(a & ((1 << w) - 1), -1, p)
+    two = _pack([3 * p] * length, w) + 2  # 2 - ab = (3p in every slot, + 2) - ab
+    correct = 1
+    while correct < length:
+        b = reduce(b * (two - reduce(a * b & mask)) & mask)
+        correct *= 2
+    return b
+
+
+def _pfaffian_series(rows, p, length, w, reduce):
+    """Pfaffian of a skew matrix over F_p[x]/(x^length) by skew elimination;
+    None when a pivot row has no unit entry (constant term nonzero mod p).
+
+    Entries are packed series with slots in [0, 3p]; only the upper triangle
+    is read.  The largest sum reduced, an entry plus two products, is at
+    most 9 p^2 (2 length + 1), which ``w`` and ``reduce`` (:func:`_barrett`)
+    must allow.  Pivots are units, so the elimination mirrors the one at
+    x = 0, and where it stops Pf vanishes at x = 0.
+    """
     n = len(rows)
-    if n % 2:
-        return 0
-    if n == 0:
-        return 1
-    m = [[x % p for x in row] for row in rows]
-    result = 1
+    mask, slot = (1 << w * length) - 1, (1 << w) - 1
+    three_p = _pack([3 * p] * length, w)
+    m = [list(row) for row in rows]
+    result, negate = 1, False
     for i in range(0, n, 2):
-        piv = next((j for j in range(i + 1, n) if m[i][j]), None)
+        top = m[i]
+        piv = next((j for j in range(i + 1, n) if (top[j] & slot) % p), None)
         if piv is None:
-            return 0
+            return None
         if piv != i + 1:
+            for r in range(i, n):
+                for c in range(r + 1, n):
+                    m[c][r] = three_p - m[r][c]
             m[piv], m[i + 1] = m[i + 1], m[piv]
-            for row in m:
+            for row in m[i:]:
                 row[piv], row[i + 1] = row[i + 1], row[piv]
-            result = -result % p
-        a = m[i][i + 1]
-        result = result * a % p
-        ainv = inv_mod(a, p)
+            negate = not negate
+        nxt = m[i + 1]
+        a = top[i + 1]
+        result = reduce(result * a & mask)
+        ainv = _series_inverse(a, p, length, w, reduce)
         for r in range(i + 2, n):
-            mir = m[i][r]
-            mi1r = m[i + 1][r]
-            if mir == 0 and mi1r == 0:
-                continue
+            # m[r][c] -= (m[i][r] m[i+1][c] - m[i][c] m[i+1][r]) / a
+            x, y = reduce(top[r] * ainv & mask), reduce(nxt[r] * ainv & mask)
+            x, row = three_p - x, m[r]
             for c in range(r + 1, n):
-                delta = (mir * m[i + 1][c] - m[i][c] * mi1r) % p
-                if delta:
-                    val = (m[r][c] - delta * ainv) % p
-                    m[r][c] = val
-                    m[c][r] = -val % p
-    return result % p
+                row[c] = reduce((row[c] + x * nxt[c] + y * top[c]) & mask)
+    return three_p - result if negate else result
+
+
+def pfaffian_mod(rows, p):
+    """Pfaffian of a skew matrix over F_p: :func:`_pfaffian_series` at length 1."""
+    w, reduce = _barrett(27 * p * p, p, 1)
+    pf = _pfaffian_series([[x % p for x in row] for row in rows], p, 1, w, reduce)
+    return 0 if pf is None else pf % p
 
 
 def _trim(a, p):
@@ -191,51 +252,33 @@ def _powmod(a, e, f, p):
     packed integer.
 
     The remainder stays packed, coefficient i in bits [i w, (i + 1) w)
-    (Kronecker substitution), so a step squares with one multiplication;
-    only the result is unpacked.  Slots hold residues lazily in [0, 3p),
-    and two reductions keep every slot below 2^t, t the bit length of
+    (Kronecker substitution, :func:`_pack`), so a step squares with one
+    multiplication; only the result is unpacked.  Slots hold residues
+    lazily in [0, 3p), and two reductions keep every slot below
     9 d p^2 (1 + a mod p):
 
-    - mod p, slot-parallel Barrett: each slot z becomes
-      z - floor(floor(z / 2^(k-1)) m / 2^s) p, in [0, 3p), with k the bit
-      length of p, s = t - k + 1 and m = floor(2^t / p).  Both factors of
-      that product are below 2^s, so w = 2s bits hold it.
+    - mod p, the slot-parallel Barrett step of :func:`_barrett`;
     - mod f, the exact polynomial Barrett quotient
       q = floor(floor(X / x^d) mu / x^d), mu = floor(x^(2d) / f), of an X
       of degree < 2d.  X mod f is then the low d slots of X plus those of
       q g, g = -f mod p, so no slot borrows from another.
 
-    2^t bounds a square times x + a, its top d slots times mu, and that
-    sum.  So w is about 2k + 2 log2(9d) + 2 bits at a = 0, for any odd p
-    and any d.
+    That bound holds a square times x + a, its top d slots times mu, and
+    that sum.  So w is about 2k + 2 log2(9d) + 2 bits at a = 0, k the bit
+    length of p, for any odd p and any d.
     """
     d = len(f) - 1
     a %= p
-    k = p.bit_length()
-    t = (9 * d * p * p * (1 + a)).bit_length()
-    s = t - k + 1
-    w = 2 * s
-    m = (1 << t) // p
-
-    def pack(coeffs):
-        x = 0
-        for c in reversed(coeffs):
-            x = x << w | c
-        return x
-
-    low_bits, low, slot = pack([(1 << s) - 1] * 2 * d), (1 << w * d) - 1, (1 << w) - 1
-
-    def reduce(z):
-        return z - (((z >> k - 1 & low_bits) * m >> s) & low_bits) * p
-
-    mu = pack(_divmod([0] * 2 * d + [1], f, p)[0])
-    g, shift = pack([-c % p for c in f[:d]]), (1 << w) + a
+    w, reduce = _barrett(9 * d * p * p * (1 + a), p, 2 * d)
+    low = (1 << w * d) - 1
+    mu = _pack(_divmod([0] * 2 * d + [1], f, p)[0], w)
+    g, shift = _pack([-c % p for c in f[:d]], w), (1 << w) + a
     r = 1
     for bit in bin(e)[2:]:
         x = reduce(r * r * shift if bit == "1" else r * r)
         q = reduce((x >> w * d) * mu) >> w * d
         r = reduce((x & low) + (q * g & low))
-    return [(r >> w * i & slot) % p for i in range(d)]
+    return _unpack(r, w, d, p)
 
 
 def roots_mod(coeffs, p):

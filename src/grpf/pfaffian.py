@@ -13,8 +13,9 @@ member at a point u is the numeric matrix :func:`_combine_forms` builds
 from the family's columns, one dot product with u per coordinate (i, j).
 
 Point sampling works over F_p.  The even, odd square and odd sliced paths
-differ only in how they draw a line; one sweep solves the restricted locus
-by interpolation plus exact root finding for any odd p below 3.3e24, which
+differ only in how they draw a line; a line's polynomial comes from one
+elimination over truncated power series in the line parameter, and one
+sweep solves it by exact root finding for any odd p below 3.3e24, which
 avoids Groebner machinery entirely, and decides each candidate once on the
 full family.  An odd line divides its first submaximal Pfaffian, of degree
 (n-1)^2/2, by a factor v_0^((n+1)/2) known in advance and solves the
@@ -38,7 +39,8 @@ from operator import mul
 
 from .diamond import hodge_diamond
 from .errors import DegenerateFamilyError, ParityError
-from .modp import _rref, check_prime, coerce, inv_mod, nullspace_mod, pfaffian_mod, rank_mod
+from .modp import _barrett, _pack, _pfaffian_series, _rref, _series_inverse, _unpack
+from .modp import check_prime, coerce, inv_mod, nullspace_mod, rank_mod
 from .modp import roots_mod as _roots_mod  # the name perfbench traces
 from .weights import _integer
 
@@ -408,31 +410,6 @@ def _normalize_projective(u, p):
     return tuple(x * inv % p for x in u)
 
 
-def _lagrange_mod(xs, ys, p):
-    """Interpolating polynomial (ascending coefficients) through the points.
-
-    Newton divided differences, then a Horner expansion of the Newton
-    form: O(d^2) for d + 1 points with distinct xs mod p, and one inverse
-    per distinct node difference (d of them for the nodes 0..d).
-    """
-    npts = len(xs)
-    inverses = {
-        d: inv_mod(d, p)
-        for d in {(b - a) % p for a, b in itertools.combinations(xs, 2)}
-    }
-    c = [y % p for y in ys]
-    for j in range(1, npts):
-        for i in range(npts - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inverses[(xs[i] - xs[i - j]) % p] % p
-    coeffs = [0] * npts
-    for i in range(npts - 1, -1, -1):
-        # coeffs <- coeffs * (x - xs[i]) + c[i]
-        for d in range(npts - 1, 0, -1):
-            coeffs[d] = (coeffs[d - 1] - coeffs[d] * xs[i]) % p
-        coeffs[0] = (c[i] - coeffs[0] * xs[i]) % p
-    return coeffs
-
-
 def _combine_forms(am, u, p):
     """The numeric skew matrix sum_r u_r M_r of the family ``am`` over F_p.
 
@@ -471,31 +448,43 @@ def _point_at(am, u, p):
     return SamplePoint(tuple(u), n - len(kernel), len(kernel), smooth)
 
 
+def _taylor_shift(g, c, p):
+    """The ascending coefficients of g(x - c) over F_p, by Horner in O(len(g)^2)."""
+    if not c:
+        return g
+    f = []
+    for a in reversed(g):
+        f = [(lo - c * hi) % p for lo, hi in zip([0] + f, f + [0])]  # f (x - c)
+        f[0] = (f[0] + a) % p
+    return f
+
+
 def _sweep_lines(am, p, count, stream, max_lines, dim, deg, draw_line):
     """Sweep random lines for points of the locus; returns (found, lines).
 
     Line i draws from ``f"{stream}:{i}"``.  ``draw_line(rng)`` returns
     u(x), the family member at the line parameter x, and a function giving
-    distinct nodes and the values there of a polynomial of degree at most
-    deg whose roots hold the locus points of the line, or None when it
-    vanishes identically (the line is resampled).  Interpolation needs
-    p > deg, and for p <= deg every x in F_p is a candidate instead.  Each
-    distinct candidate is decided once on the family ``am``; a line yields
-    at most deg, which bounds the misses kept.  It stops at ``count``
-    points, at ``max_lines`` lines, or once every point of P^(dim-1)(F_p)
-    has been drawn.
+    the ascending coefficients of a polynomial of degree at most deg whose
+    roots hold the locus points of the line, or None when it vanishes
+    identically (the line is resampled).  That function works over
+    F_p[x]/(x^L) about a centre x = c with c <= deg, so it needs p > deg;
+    for p <= deg every x in F_p is a candidate instead.  Each distinct
+    candidate is decided once on the family ``am``; a line yields at most
+    deg, which bounds the misses kept.  It stops at ``count`` points, at
+    ``max_lines`` lines, or once every point of P^(dim-1)(F_p) has been
+    drawn.
     """
     found, missed = {}, set()
     space = (p**dim - 1) // (p - 1)
     line = 0
     while len(found) < count and line < max_lines and len(found) + len(missed) < space:
-        u_at, node_values = draw_line(random.Random(f"{stream}:{line}"))
+        u_at, line_polynomial = draw_line(random.Random(f"{stream}:{line}"))
         line += 1
         if p > deg:
-            nodes = node_values()
-            if nodes is None:
+            poly = line_polynomial()
+            if poly is None:
                 continue
-            candidates = _roots_mod(_lagrange_mod(*nodes, p), p)
+            candidates = _roots_mod(poly, p)
         else:
             candidates = range(p)
         for x in candidates:
@@ -512,11 +501,22 @@ def _sweep_lines(am, p, count, stream, max_lines, dim, deg, draw_line):
     return found, line
 
 
+# A line's polynomial g is computed over F_p[x]/(x^L) as g(c + y), about the
+# first centre c where the elimination has unit pivots at y = 0, and shifted
+# back.  A centre fails exactly where g(c) = 0: unit pivots multiply to a
+# unit, and an elimination stops where its Schur complement has a zero row
+# at x = c.  Even lines: then Pf(M(c)) = 0.  Odd lines: the cofactors stop
+# where rank R(c) < n - 1, so u(c) = 0 and Pf_0(c) = 0, the Pfaffian where
+# Pf_0(c) = 0, and either way h(c) = 0 as v_0(c) != 0.  So with more centres
+# than deg g, all fail exactly when g = 0, and only then is the line None.
+
+
 def _sample_even(am, p, count, seed, max_lines):
     """Sampling for even n: the Pfaffian, of degree d = n/2, on random lines.
 
     M(p0 + x p1) = M(p0) + x M(p1), so a line combines the family twice
-    and takes one mod-p Pfaffian per node.
+    and takes Pf(M(p0) + x M(p1)) by one skew elimination over
+    F_p[x]/(x^(d+1)), about the first centre c in 0..d where it is a unit.
     """
     n, k = am.n, am.k
     deg = n // 2
@@ -524,20 +524,23 @@ def _sample_even(am, p, count, seed, max_lines):
         # P(U) is a single point; no lines to sweep.
         point = _point_at(am, (1,), p)
         return ({(1,): point} if point else {}), 1
+    w, reduce = _barrett(9 * p * p * (2 * deg + 3), p, deg + 1)
 
     def draw_line(rng):
         p0 = [rng.randrange(p) for _ in range(k)]
         p1 = [rng.randrange(p) for _ in range(k)]
 
-        def node_values():
+        def line_polynomial():
             m0, m1 = _combine_forms(am, p0, p), _combine_forms(am, p1, p)
-            ys = [pfaffian_mod([[(a + x * b) % p for a, b in zip(r0, r1)]
-                                for r0, r1 in zip(m0, m1)], p)
-                  for x in range(deg + 1)]
-            # all zero: inside the hypersurface, or junk
-            return (list(range(deg + 1)), ys) if any(ys) else None
+            for c in range(deg + 1):
+                rows = [[(a + c * b) % p | b << w for a, b in zip(r0, r1)]
+                        for r0, r1 in zip(m0, m1)]
+                pf = _pfaffian_series(rows, p, deg + 1, w, reduce)
+                if pf is not None:
+                    return _taylor_shift(_unpack(pf, w, deg + 1, p), c, p)
+            return None  # inside the hypersurface, or junk
 
-        return (lambda x: [(a + x * b) % p for a, b in zip(p0, p1)]), node_values
+        return (lambda x: [(a + x * b) % p for a, b in zip(p0, p1)]), line_polynomial
 
     return _sweep_lines(am, p, count, f"{seed}:even", max_lines, k, deg, draw_line)
 
@@ -590,6 +593,50 @@ def _kernel_cofactor_vector(b, p):
     return vec
 
 
+def _series_cofactors(rows, p, length, w, reduce):
+    """:func:`_kernel_cofactor_vector` over F_p[x]/(x^length); None when R, the
+    n - 1 packed ``rows`` (b minus row 0), has rank < n - 1 at x = 0.
+
+    Series are packed as for :func:`grpf.modp._pfaffian_series`, pivots are
+    units, and the largest sum reduced, the back-substitution's, is at most
+    9 p^2 (n - 1) length.
+    """
+    n = len(rows) + 1
+    mask, slot = (1 << w * length) - 1, (1 << w) - 1
+    three_p = _pack([3 * p] * length, w)
+    m = [list(row) for row in rows]
+    pivots, inverses = [], []
+    det, negate = 1, False
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, n - 1) if (m[r][col] & slot) % p), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            negate = not negate
+        row = m[rank]
+        det = reduce(det * row[col] & mask)
+        inv = _series_inverse(row[col], p, length, w, reduce)
+        for r in range(rank + 1, n - 1):
+            f = reduce(m[r][col] * inv & mask)
+            if f:
+                f = three_p - f
+                m[r] = [reduce((a + f * c) & mask) for a, c in zip(m[r], row)]
+        pivots.append(col)
+        inverses.append(inv)
+        if rank + 1 == n - 1:
+            break
+    if len(pivots) < n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    vec = [0] * n
+    vec[free] = three_p - det if negate != free % 2 else det
+    for row, c, inv in zip(reversed(m), reversed(pivots), reversed(inverses)):
+        vec[c] = reduce((three_p - reduce(sum(map(mul, row, vec)) & mask)) * inv & mask)
+    return vec
+
+
 def _kernel_line_drawer(square, p, emb=None):
     """``draw_line`` for odd n on a square family (n forms, reduced mod p).
 
@@ -600,14 +647,12 @@ def _kernel_line_drawer(square, p, emb=None):
     lands on the degeneracy variety is a hypersurface in P(V), so random
     lines in P(V) meet it.  B_v is linear in v, so each line builds its
     two endpoint matrices once.  The entries of u(v) are (n-1)-minors of
-    B_v, polynomials of degree <= n-1 in the line parameter x, so their
-    n-th finite difference vanishes: the nodes x = 0..n-1 take one
-    elimination each, and every later node is
-    u(x) = sum_{i=1..n} (-1)^(i+1) C(n, i) u(x - i) mod p.  A candidate
-    takes one elimination.  Each elimination is forward elimination plus
-    one back-substitution (:func:`_kernel_cofactor_vector`).  A slice's
-    member u(v) is lifted to the full family as emb u(v), which has the
-    same skew matrix.
+    B_v, polynomials of degree <= n-1 in the line parameter x, so the line
+    takes u(x) whole by one elimination over F_p[x]/(x^n)
+    (:func:`_series_cofactors`).  A candidate takes one numeric
+    elimination (:func:`_kernel_cofactor_vector`).  A slice's member u(v)
+    is lifted to the full family as emb u(v), which has the same skew
+    matrix.
 
     Along the line v(x) = v0 + x v1, the first submaximal Pfaffian Pf_0 of
     M(u(v)) has degree (n-1)^2/2, and a known factor.  u(v) vanishes where
@@ -615,18 +660,21 @@ def _kernel_line_drawer(square, p, emb=None):
     u(v) are, dependent.  And the signed submaximal Pfaffians of M(u) are
     lambda(x) v(x), since v spans the kernel of M(u) wherever its rank is
     n-1.  So Pf_0 = v_0^((n+1)/2) h with deg h <= n(n-3)/2, and the line's
-    polynomial is h, from Pf_0 at the first n(n-3)/2 + 1 nodes with
-    v_0 != 0; the root it drops is the x where u(v) = 0.  At a node only
-    the (n-1) x (n-1) submatrix of M(u) that Pf_0 reads is built.  If h
-    vanishes identically, so does lambda or u, and with them every Pf_s;
-    so does a line with v0_0 = v1_0 = 0, on which u(v) = 0.
+    polynomial is h = Pf_0 v_0^(-(n+1)/2) mod x^need, need = n(n-3)/2 + 1,
+    about a centre with v_0 != 0, the second factor a binomial series; the
+    root it drops is the x where u(v) = 0.  Only the (n-1) x (n-1) upper
+    triangle of M(u) that Pf_0 reads is built.  If h vanishes identically,
+    so does lambda or u, and with them every Pf_s; so does a line with
+    v0_0 = v1_0 = 0, on which u(v) = 0.
     """
     n = square.n
     half, need = (n + 1) // 2, n * (n - 3) // 2 + 1
     coordinates = list(itertools.combinations(range(n), 2))
-    steps = [(-1) ** (n - t + 1) * math.comb(n, t) for t in range(n)]  # of u(x - n + t)
     inner = [(i - 1, j - 1, column)
              for (i, j), column in zip(coordinates, zip(*square.matrix)) if i]
+    # the largest sum reduced: the cofactors' back-substitution, or Pf_0's update
+    w, reduce = _barrett(9 * p * p * max(n * (n - 1), 2 * need + 1), p, max(n, need))
+    mask = (1 << w * need) - 1
 
     def b_of(v):
         # (M_r v)_i = sum_{j>i} m_r,ij v_j - sum_{j<i} m_r,ji v_j
@@ -642,33 +690,38 @@ def _kernel_line_drawer(square, p, emb=None):
         v1 = [rng.randrange(p) for _ in range(n)]
         b0, b1 = b_of(v0), b_of(v1)
 
-        def member(x):
-            bmat = [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(b0, b1)]
-            return _kernel_cofactor_vector(bmat, p)
-
         def u_at(x):
-            u = member(x)
+            bmat = [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(b0, b1)]
+            u = _kernel_cofactor_vector(bmat, p)
             return u if emb is None else [sum(e * y for e, y in zip(row, u)) % p for row in emb]
 
-        def node_values():
+        def line_polynomial():
             if not (v0[0] or v1[0]):
                 return None
-            xs = [x for x in range(need + 1) if (v0[0] + x * v1[0]) % p][:need]
-            us = [member(x) for x in range(min(n, xs[-1] + 1))]
-            for x in range(n, xs[-1] + 1):
-                us.append([sum(map(mul, steps, column)) % p for column in zip(*us[x - n:x])])
-            ys = []
-            for x in xs:
-                # Pf_0 reads the entries (i, j), 1 <= i < j, of M(u(x)) only
-                u, mat = us[x], [[0] * (n - 1) for _ in range(n - 1)]
+            for c in range(need + 1):
+                a = (v0[0] + c * v1[0]) % p
+                if not a:
+                    continue
+                rows = [[(x + c * y) % p | y << w for x, y in zip(r0, r1)]
+                        for r0, r1 in zip(b0[1:], b1[1:])]
+                u = _series_cofactors(rows, p, n, w, reduce)
+                if u is None:
+                    continue
+                mat = [[0] * (n - 1) for _ in range(n - 1)]
                 for i, j, column in inner:
-                    c = sum(map(mul, u, column)) % p
-                    mat[i][j], mat[j][i] = c, -c % p
-                pf = pfaffian_mod(mat, p)
-                ys.append(pf * pow(v0[0] + x * v1[0], -half, p) % p)
-            return (xs, ys) if any(ys) else None
+                    mat[i][j] = reduce(sum(map(mul, column, u)))
+                pf = _pfaffian_series(mat, p, need, w, reduce)
+                if pf is None:
+                    continue
+                # (a + v1_0 y)^(-half) = a^(-half) sum_e C(half + e - 1, e) (-v1_0 / a)^e y^e
+                ratio, scale = -v1[0] * pow(a, -1, p) % p, pow(a, -half, p)
+                binomial = [math.comb(half + e - 1, e) * pow(ratio, e, p) * scale % p
+                            for e in range(need)]
+                h = reduce(pf * _pack(binomial, w) & mask)
+                return _taylor_shift(_unpack(h, w, need, p), c, p)
+            return None
 
-        return u_at, node_values
+        return u_at, line_polynomial
 
     return draw_line
 
@@ -738,7 +791,7 @@ def sample_y2(a: AMap, p, count, seed, max_lines=None) -> SampleResult:
     and independent of how lines would be scheduled.  Any odd prime below
     3.3e24 works; memory does not grow with p.
     """
-    check_prime(p)
+    p, count = check_prime(p), _integer(count, "count")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     am = a.reduce_mod(p)
@@ -746,6 +799,8 @@ def sample_y2(a: AMap, p, count, seed, max_lines=None) -> SampleResult:
         max_lines = 50 * count + 500
         if am.n % 2 == 1:
             max_lines = min(max_lines, 3000)
+    else:
+        max_lines = _integer(max_lines, "max_lines")
     if am.n % 2 == 0:
         found, attempts = _sample_even(am, p, count, seed, max_lines)
     else:

@@ -16,13 +16,26 @@ import pytest
 import grpf.modp
 import grpf.pfaffian
 from grpf.errors import DegenerateFamilyError, ParityError
-from grpf.modp import _divmod, _trim, coerce, det_mod, pfaffian_mod, rank_mod, roots_mod
+from grpf.modp import (
+    _barrett,
+    _divmod,
+    _pack,
+    _pfaffian_series,
+    _trim,
+    _unpack,
+    coerce,
+    det_mod,
+    pfaffian_mod,
+    rank_mod,
+    roots_mod,
+)
 from grpf.pfaffian import (
     AMap,
     _combine_forms,
     _kernel_cofactor_vector,
-    _lagrange_mod,
     _point_at,
+    _series_cofactors,
+    _taylor_shift,
     hypersurface_hodge,
     jacobian_ring_dimension,
     pair_index,
@@ -52,6 +65,24 @@ def _mul(f, g):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def _lagrange_mod(xs, ys, p):
+    """Interpolating polynomial (ascending coefficients) through the points,
+    with distinct xs mod p: Newton divided differences, then a Horner
+    expansion of the Newton form, O(d^2) for d + 1 points."""
+    npts = len(xs)
+    c = [y % p for y in ys]
+    for j in range(1, npts):
+        for i in range(npts - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
+    coeffs = [0] * npts
+    for i in range(npts - 1, -1, -1):
+        # coeffs <- coeffs * (x - xs[i]) + c[i]
+        for d in range(npts - 1, 0, -1):
+            coeffs[d] = (coeffs[d - 1] - coeffs[d] * xs[i]) % p
+        coeffs[0] = (c[i] - coeffs[0] * xs[i]) % p
+    return coeffs
 
 
 def _value(f, u, p=None):
@@ -827,6 +858,30 @@ def test_sampling_validates_prime():
         sample_y2(am, 399165290221 * 798330580441, 5, seed=1)
 
 
+def test_sampling_rejects_a_non_integer_prime():
+    # 10007.0 reached is_prime, whose pow(a, d, p) raised a TypeError
+    am = AMap.random(6, 3, seed=2)
+    with pytest.raises(ValueError, match=re.escape("prime 10007.0 is not an integer")):
+        sample_y2(am, 10007.0, 5, seed=1)
+
+
+def test_sampling_rejects_a_non_integer_count():
+    # 2.0 was answered, with requested=2.0 in the result
+    am = AMap.random(6, 3, seed=2)
+    for bad in (2.0, 1.5, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"count {bad!r} is not an integer")):
+            sample_y2(am, 10007, bad, seed=1)
+    assert sample_y2(am, 10007, 2, seed=1).requested == 2
+
+
+def test_sampling_rejects_a_non_integer_max_lines():
+    am = AMap.random(6, 3, seed=2)
+    for bad in (60.0, 0.5):
+        with pytest.raises(ValueError, match=re.escape(f"max_lines {bad!r} is not an integer")):
+            sample_y2(am, 10007, 2, seed=1, max_lines=bad)
+    assert sample_y2(am, 10007, 2, seed=1, max_lines=60).attempts <= 60
+
+
 @pytest.mark.parametrize("p", [3037000507, 2**61 - 1])
 def test_sampling_at_large_primes(p):
     # far beyond the reach of any scan of F_p
@@ -913,6 +968,136 @@ def test_kernel_cofactor_vector_equals_minors(p):
             assert expected <= seen, (n, seen)
 
 
+@pytest.mark.parametrize("p", [10007, 2**61 - 1, 3317044064679887385961783])
+def test_series_cofactors_equal_minors(p):
+    # one elimination over F_p[x]/(x^n) gives the first-row cofactors of b
+    # along R(x) = R0 + x R1 whole, of degree <= n - 1, as the numeric
+    # minors give them at each x; with R(0) of rank n - 2 it returns None at
+    # the centre 0 and takes u(1 + y) about the centre 1
+    rng = random.Random(f"series-cofactors:{p}")
+    for n in range(2, 10):
+        w, reduce = _barrett(9 * p * p * n * n, p, n)
+        for case in ("full", "swap", "rank-drop"):
+            r0 = _rows_of_rank(n - 1, n, n - 2 if case == "rank-drop" else n - 1, p, rng)
+            r1 = _rows_of_rank(n - 1, n, n - 1, p, rng)
+            if case == "swap" and n > 2:
+                r0[0][0] = 0
+
+            def packed(c):
+                return [[(a + c * b) % p | b << w for a, b in zip(x0, x1)]
+                        for x0, x1 in zip(r0, r1)]
+
+            centre = 0
+            if case == "rank-drop":
+                assert _series_cofactors(packed(0), p, n, w, reduce) is None
+                centre = 1
+            u = [_unpack(e, w, n, p) for e in _series_cofactors(packed(centre), p, n, w, reduce)]
+            for x in range(n + 3):
+                rows = [[(a + x * b) % p for a, b in zip(x0, x1)] for x0, x1 in zip(r0, r1)]
+                minors = [(-1) ** i * det_mod([row[:i] + row[i + 1:] for row in rows], p) % p
+                          for i in range(n)]
+                assert [_evaluate(c, x - centre, p) for c in u] == minors, (n, case, x)
+
+
+def test_series_slots_hold_the_largest_sums():
+    # every slot p - 1, at the largest prime the sampler takes and the odd
+    # line's slot width at n = 13, where Pf_0 runs at length need = 66: with
+    # s = p - 1 in every slot, -1/(1 - x), the upper triangle all s has
+    # Pfaffian s^6 = (1 - x)^-6, as the all-ones upper triangle has Pf 1
+    p, n = 3317044064679887385961783, 13
+    need = n * (n - 3) // 2 + 1
+    w, reduce = _barrett(9 * p * p * max(n * (n - 1), 2 * need + 1), p, need)
+    s = _pack([p - 1] * need, w)
+    pf = _pfaffian_series([[s] * (n - 1) for _ in range(n - 1)], p, need, w, reduce)
+    assert _unpack(pf, w, need, p) == [math.comb(e + 5, 5) % p for e in range(need)]
+    # the cofactors at length n: R0 = (p - 1)(all ones but R0[i][i] = 0), R1 all p - 1
+    r0 = [[(p - 1) * (i != j) for j in range(n)] for i in range(n - 1)]
+    u = _series_cofactors([[a | (p - 1) << w for a in row] for row in r0], p, n, w, reduce)
+    u = [_unpack(e, w, n, p) for e in u]
+    for x in range(n + 3):
+        rows = [[(a + x * (p - 1)) % p for a in row] for row in r0]
+        minors = [(-1) ** i * det_mod([row[:i] + row[i + 1:] for row in rows], p) % p
+                  for i in range(n)]
+        assert [_evaluate(c, x, p) for c in u] == minors, x
+
+
+def test_taylor_shift_matches_evaluation():
+    p = 10007
+    rng = random.Random("taylor")
+    for length in (1, 2, 5, 30):
+        g = [rng.randrange(p) for _ in range(length)]
+        assert _taylor_shift(g, 0, p) == g
+        for c in (1, 2, rng.randrange(p)):
+            f = _taylor_shift(g, c, p)
+            assert len(f) == length
+            for x in [0, c, p - 1] + [rng.randrange(p) for _ in range(5)]:
+                assert _evaluate(f, x, p) == _evaluate(g, x - c, p), (length, c, x)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 10007, 2**61 - 1, 3317044064679887385961783])
+def test_even_line_polynomial_is_the_pencil_pfaffian(p, monkeypatch):
+    # on the family with one variable per entry the line p0 + x p1 has
+    # M(p0) = A and M(p1) = B, the skew matrices with upper triangles p0 and
+    # p1, so the even line's polynomial must be Pf(A + x B).  Small primes
+    # compare every x in F_p with the sum over perfect matchings, large
+    # ones the interpolation through x = 0..d of the numeric Pfaffian.
+    # A[0][1] = 0 makes a pivot swap at the centre 0; a zero row 0 of A, or
+    # A of rank n - 2, makes Pf(A) = 0 and a centre shift; zero rows 0 of A
+    # and B make Pf(A + x B) = 0, and the line None.
+    from test_poly_modp import pfaffian_by_matchings
+
+    import grpf.pfaffian as pf_mod
+
+    lines, centres = [], []
+    monkeypatch.setattr(pf_mod, "_sweep_lines", lambda *args: lines.append(args[-1]) or ({}, 0))
+    monkeypatch.setattr(pf_mod, "_taylor_shift",
+                        lambda g, c, p: centres.append(c) or _taylor_shift(g, c, p))
+    rng = random.Random(f"pencil:{p}")
+    # n = 2 has k = 1 and no lines: its pencil goes to the elimination itself
+    w, reduce = _barrett(9 * p * p * 5, p, 2)
+    a, b = rng.randrange(1, p), rng.randrange(p)
+    assert _unpack(_pfaffian_series([[0, a | b << w], [0, 0]], p, 2, w, reduce), w, 2, p) == [a, b]
+    assert _pfaffian_series([[0, b << w], [0, 0]], p, 2, w, reduce) is None
+    for n in range(4, 15, 2):
+        d, pairs = n // 2, list(itertools.combinations(range(n), 2))
+        if p <= d:
+            continue
+        sample_y2(_one_variable_per_entry(n), p, 1, 1)
+        draw_line = lines.pop()
+        for case in ("generic", "swap", "zero-row", "rank-drop", "zero"):
+            a = [rng.randrange(p) for _ in pairs]
+            b = [rng.randrange(p) for _ in pairs]
+            if case == "swap":
+                a[0] = 0
+            elif case in ("zero-row", "zero"):
+                a[:n - 1] = [0] * (n - 1)  # the pairs (0, j) come first
+                if case == "zero":
+                    b[:n - 1] = [0] * (n - 1)
+            elif case == "rank-drop":
+                vs = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 2)]
+                a = [sum(u[i] * v[j] - u[j] * v[i] for u, v in zip(vs[::2], vs[1::2])) % p
+                     for i, j in pairs]
+
+            def pencil(x):
+                m = [[0] * n for _ in range(n)]
+                for (i, j), s, t in zip(pairs, a, b):
+                    m[i][j], m[j][i] = (s + x * t) % p, -(s + x * t) % p
+                return m
+
+            poly = draw_line(_Draws(a + b))[1]()
+            if p < 100 and n <= 10:
+                xs, values = range(p), [pfaffian_by_matchings(pencil(x), p) for x in range(p)]
+            else:
+                xs, values = range(d + 1), [pfaffian_mod(pencil(x), p) for x in range(d + 1)]
+            assert (poly is None) == (not any(values)), (n, case)
+            if poly is None:
+                continue
+            assert len(poly) == d + 1
+            assert [_evaluate(poly, x, p) for x in xs] == values, (n, case)
+            assert poly == _lagrange_mod(list(range(d + 1)), values[:d + 1], p), (n, case)
+    assert any(centres), centres
+
+
 def _product(a, b, p):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
@@ -921,8 +1106,8 @@ def _product(a, b, p):
 def test_cofactor_vector_has_vanishing_nth_difference(p):
     # along a line B0 + x B1 the first-row cofactors are (n-1)-minors of a
     # matrix linear in x, of degree <= n - 1, so their n-th finite difference
-    # vanishes at every x >= n; the odd line sweep takes its nodes n..d from
-    # that identity.  It also holds through the zero vector returned where
+    # vanishes at every x >= n; the odd line takes u over F_p[x]/(x^n) on
+    # that degree bound.  It also holds through the zero vector returned where
     # B minus row 0 has rank < n - 1, at one x or all along the line.
     rng = random.Random(f"difference:{p}")
     for n in (3, 5, 7, 9):
@@ -957,14 +1142,14 @@ def test_cofactor_vector_has_vanishing_nth_difference(p):
                 assert drop in zeros and len(zeros) < n, (n, drop, zeros)
 
 
-def test_odd_line_eliminates_at_n_nodes_and_each_candidate(monkeypatch):
-    # an odd line eliminates at x = 0..n-1 only and takes its later nodes
-    # from the vanishing n-th difference; each candidate takes one more.
-    # One elimination per node made 43 * 19 + 82 = 899 calls here, and
-    # solving Pf_0 itself, with its root where u(x) = 0, 43 * 7 + 82 = 383.
+def test_odd_line_eliminates_once_and_at_each_candidate(monkeypatch):
+    # an odd line takes u(x) whole from one cofactor elimination over
+    # F_p[x]/(x^n); each candidate takes one numeric elimination.  One
+    # elimination per interpolation node made 43 * 19 + 82 = 899 calls here,
+    # and n per line plus one per candidate 43 * 7 + 40 = 341.
     import grpf.pfaffian as pf_mod
 
-    calls = {"elim": 0, "candidates": 0}
+    calls = {"series": 0, "elim": 0, "candidates": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -972,14 +1157,16 @@ def test_odd_line_eliminates_at_n_nodes_and_each_candidate(monkeypatch):
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(pf_mod, "_series_cofactors",
+                        counted("series", pf_mod._series_cofactors))
     monkeypatch.setattr(pf_mod, "_kernel_cofactor_vector",
                         counted("elim", pf_mod._kernel_cofactor_vector))
     monkeypatch.setattr(pf_mod, "_normalize_projective",
                         counted("candidates", pf_mod._normalize_projective))
     res = sample_y2(AMap.random(7, 7, 1), 10007, 40, 1)
     assert len(res.points) == 40
-    assert calls["elim"] == 7 * res.attempts + calls["candidates"]
-    assert (calls["elim"], res.attempts, calls["candidates"]) == (341, 43, 40)
+    assert calls["series"] == res.attempts and calls["elim"] == calls["candidates"]
+    assert (calls["series"], calls["elim"], res.attempts, calls["candidates"]) == (43, 40, 43, 40)
 
 
 class _Draws:
@@ -1030,8 +1217,8 @@ def test_odd_line_pfaffian_has_the_known_v0_factor(n, p):
     # and the signed submaximal Pfaffians of M(u) are lambda(x) v(x), so
     # Pf_0 = v_0^((n+1)/2) h with deg h <= n(n-3)/2; Pf_0 = 0 forces every
     # Pf_s = 0.  The Pfaffians are expanded exactly as polynomials in x, so
-    # p need not exceed their degree (n-1)^2/2; where it does, the sampler's
-    # nodes interpolate h.
+    # p need not exceed their degree (n-1)^2/2; where it does, the line's
+    # polynomial is exactly h.
     from grpf.pfaffian import _kernel_line_drawer
 
     fam = AMap.random(n, n, 1, p=p)
@@ -1046,7 +1233,7 @@ def test_odd_line_pfaffian_has_the_known_v0_factor(n, p):
             v1[0] = 0
         elif line == 2:
             v1 = [c * 3 % p for c in v0]  # v(x) = (1 + 3x) v0
-        u_at, node_values = _kernel_line_drawer(fam, p)(_Draws(v0 + v1))
+        u_at, line_polynomial = _kernel_line_drawer(fam, p)(_Draws(v0 + v1))
         members = [u_at(x) for x in range(n)]
         u = [_lagrange_mod(list(range(n)), [m[r] for m in members], p) for r in range(n)]
         mat = [[[0] for _ in range(n)] for _ in range(n)]
@@ -1076,14 +1263,12 @@ def test_odd_line_pfaffian_has_the_known_v0_factor(n, p):
             assert not _trim(rem, p) and len(_trim(h, p)) <= n * (n - 3) // 2 + 1, (n, line)
             assert len(pfs[0]) <= deg + 1
         if p > deg:
-            nodes = node_values()
+            poly = line_polynomial()
             if not _trim(h, p):
-                assert nodes is None, (n, line)
+                assert poly is None, (n, line)
             else:
-                xs, ys = nodes
-                assert len(xs) == n * (n - 3) // 2 + 1
-                assert all((v0[0] + x * v1[0]) % p for x in xs)
-                assert _trim(_lagrange_mod(xs, ys, p), p) == _trim(h, p), (n, line)
+                assert len(poly) == n * (n - 3) // 2 + 1
+                assert _trim(poly, p) == _trim(h, p), (n, line)
     assert rank_drops >= (n > 3)  # the (3, 3) locus is empty
 
 
@@ -1104,7 +1289,7 @@ def test_one_determinant_per_cofactor_vector(monkeypatch):
     import grpf.modp as modp_mod
     import grpf.pfaffian as pf_mod
 
-    layers = ["_kernel_cofactor_vector", "_combine_forms", "_lagrange_mod", "_roots_mod"]
+    layers = ["_kernel_cofactor_vector", "_combine_forms", "_roots_mod"]
     calls = dict.fromkeys(["det"] + layers, 0)
 
     def counted(name, fn):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,15 @@ def test_prime_field_ops():
         with pytest.raises(ValueError, match=f"need an odd prime, got {bad}"):
             check_prime(bad)
         with pytest.raises(ValueError, match=f"need an odd prime, got {bad}"):
+            AMap(2, 1, bad, [[1]])
+
+
+def test_check_prime_rejects_non_integers():
+    # 10007.0 and 3.0 reached is_prime, whose pow(a, d, p) raised a TypeError
+    for bad in (10007.0, 3.0, 7.5):
+        with pytest.raises(ValueError, match=re.escape(f"prime {bad!r} is not an integer")):
+            check_prime(bad)
+        with pytest.raises(ValueError, match=re.escape(f"prime {bad!r} is not an integer")):
             AMap(2, 1, bad, [[1]])
 
 

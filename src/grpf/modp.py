@@ -214,9 +214,10 @@ def _pfaffian_series(rows, p, length, w, reduce):
 
 
 def pfaffian_mod(rows, p):
-    """Pfaffian of a skew matrix over F_p: :func:`_pfaffian_series` at length 1."""
-    w, reduce = _barrett(27 * p * p, p, 1)
-    pf = _pfaffian_series([[x % p for x in row] for row in rows], p, 1, w, reduce)
+    """Pfaffian of a skew matrix over F_p: :func:`_pfaffian_series` at length 1,
+    where a plain ``% p`` reduces the one slot of :func:`_barrett`'s width."""
+    w, _ = _barrett(27 * p * p, p, 1)
+    pf = _pfaffian_series([[x % p for x in row] for row in rows], p, 1, w, p.__rmod__)
     return 0 if pf is None else pf % p
 
 

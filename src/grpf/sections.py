@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, groupby
+from operator import sub
 
 from .bwb import (
     _bott_cauchy,
@@ -30,7 +31,7 @@ from .bwb import (
 from .diamond import hodge_diamond
 from .errors import IntegrityError
 from .geometry import ModelParams, classify, grassmannian_window
-from .schur import cauchy_exterior_cotangent, clebsch_gordan_rank2
+from .schur import cauchy_exterior_cotangent
 from .weights import grassmannian_poincare
 
 
@@ -340,29 +341,42 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
 # Exceptional-collection verification
 
 
-def hom_s_blocks(e, f):
-    """s_blocks of the Clebsch-Gordan summands of Hom(E, F) on Gr(2, n).
+def _rhom_by_key(keys, n):
+    """Key -> (dim Hom, dim Ext^(n-2), dim Ext^(2(n-2))), the only degrees of RHom.
 
-    E = Sym^l S (det S)^m and F = Sym^l' S (det S)^m'; with d = m - m',
-    S = S dual x det S gives Hom(E, F) = Sym^l x Sym^l' of S dual, times
-    (det S dual)^(d - l').  The summand (x, i) of
-    :func:`~grpf.schur.clebsch_gordan_rank2` then has s_block
-    (d - l' + x + i, d - l' + i) and a zero q_block.  The twist F(t) is
-    the label (l', m' - t).
+    A key (l, l', d) stands for E = Sym^l S (det S)^m against
+    F = Sym^l' S (det S)^m' with d = m - m'.  With c = d - l',
+    Clebsch-Gordan summand i <= min(l, l') of Hom(E, F) is the bundle of
+    s-block (a1, a2) = (c + l + l' - i, c + i) over a zero q-block, so a
+    key's summands run over a2 in [c, c + min(l, l')] on the antidiagonal
+    a1 + a2 = s = 2d + l - l'.  Along each antidiagonal a key meets, the
+    outcomes ``_bott_zero_tail(s - a2, a2, n)`` are summed cumulatively by
+    degree once, from the least a2 of those keys to the greatest; a key
+    reads the difference of two of these sums.
     """
-    (l, m), (lp, mp) = e, f
-    c = m - mp - lp
-    return [(c + x + i, c + i) for x, i in clebsch_gordan_rank2(l, lp)]
-
-
-def rhom_dimensions(e, f, n):
-    """Map degree -> dim Ext^degree(E, F) by summing Bott outcomes."""
+    spans = {}  # s -> least and greatest a2 of the keys on the antidiagonal s
+    for l, lp, d in keys:
+        s, c = 2 * d + l - lp, d - lp
+        top = c + (l if l < lp else lp)
+        lo, hi = spans.get(s, (c, top))
+        spans[s] = (c if c < lo else lo, top if top > hi else hi)
+    sums = {}  # s -> (least a2, by j the sums by degree over a2 < least a2 + j)
+    for s, (lo, hi) in spans.items():
+        total = [0, 0, 0]
+        line = [(0, 0, 0)]
+        for a2 in range(lo, hi + 1):
+            res = _bott_zero_tail(s - a2, a2, n)
+            if res:
+                degree, dim = res
+                total[degree and degree // (n - 2)] += dim
+            line.append(tuple(total))
+        sums[s] = lo, line
     table = {}
-    for a1, a2 in hom_s_blocks(e, f):
-        res = _bott_zero_tail(a1, a2, n)
-        if res is not None:
-            degree, dim = res
-            table[degree] = table.get(degree, 0) + dim
+    for key in keys:
+        l, lp, d = key
+        lo, line = sums[2 * d + l - lp]
+        j = d - lp - lo
+        table[key] = tuple(map(sub, line[j + (l if l < lp else lp) + 1], line[j]))
     return table
 
 
@@ -399,16 +413,19 @@ def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
     the order "larger twist first, larger symmetric power first within a
     twist" every Hom must flow forward; each bundle must be simple.
     RHom(E, F) depends only on the key (l, l', m - m'), and each key is
-    computed once.  The labels of one twist m' are consecutive in the
-    order, so row (l, m) of the Hom matrix joins one block per twist, the
-    Hom dimensions over that twist's l' at m - m', and a block serves
-    every row and twist with the same l, m - m' and l'.  The verdict is
-    read off the keys: a key fails on a nonzero Ext^{>0}, on Hom != 1 at
-    (l, l, 0), and on a nonzero Hom at a backward key (m - m' < 0, or
-    m - m' = 0 with l < l').  Only when some key fails are the pairs
+    read in O(1) from the sums along antidiagonals of :func:`_rhom_by_key`,
+    built for the call, so each Bott summand is evaluated once.  The labels
+    of one twist m' are consecutive in the order, so row (l, m) of the Hom
+    matrix joins one block per twist, the Hom dimensions over that twist's
+    l' at m - m', and a block serves every row and twist with the same l,
+    m - m' and l'.  The verdict is read off the keys: a key fails on a
+    nonzero Ext^{>0}, on Hom != 1 at (l, l, 0), and on a nonzero Hom at a
+    backward key (m - m' < 0, or m - m' = 0 with l < l').  Only when some key fails are the pairs
     walked, reading the same table, to list the failures in pair order.
-    Failures are collected, not raised.
+    Failures are collected, not raised; a label with l < 0 is refused.
     """
+    if any(l < 0 for l, _ in window):
+        raise ValueError(f"need l >= 0, got {sorted(lm for lm in window if lm[0] < 0)}")
     order = sorted(window, key=lambda lm: (-lm[1], -lm[0]))
     groups = []  # (m', index of its shape) for each twist, in order
     index = {}  # shape: the l' of a twist, in order -> its index
@@ -416,35 +433,22 @@ def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
         shape = tuple(l for l, _ in labels)
         groups.append((m, index.setdefault(shape, len(index))))
     shapes = list(index)
-    homs = {}  # (l, l', m - m') -> dim Hom(E, F)
-    exts = {}  # the same keys -> the nonzero (degree, dim Ext^degree), degree > 0
-    blocks = {}  # (l, m - m', shape index) -> Hom dimensions over the shape
-
-    def block(l, d, g):
-        dims = []
-        for lp in shapes[g]:
-            key = (l, lp, d)
-            if key not in homs:
-                table = rhom_dimensions((l, d), (lp, 0), n)
-                homs[key] = table.get(0, 0)
-                exts[key] = sorted(item for item in table.items() if item[0] > 0)
-            dims.append(homs[key])
-        blocks[l, d, g] = dims = tuple(dims)
-        return dims
-
-    hom = tuple(  # a block is never empty, so a stored one is never falsy
-        tuple(chain.from_iterable(
-            blocks.get((l, m - mp, g)) or block(l, m - mp, g) for mp, g in groups
-        ))
+    # (l, m - m', shape index) -> Hom dimensions over the shape
+    blocks = dict.fromkeys((l, m - mp, g) for l, m in order for mp, g in groups)
+    table = _rhom_by_key({(l, lp, d) for l, d, g in blocks for lp in shapes[g]}, n)
+    for l, d, g in blocks:
+        blocks[l, d, g] = tuple(table[l, lp, d][0] for lp in shapes[g])
+    hom = tuple(
+        tuple(chain.from_iterable(blocks[l, m - mp, g] for mp, g in groups))
         for l, m in order
     )
     failing = set()
-    for (l, lp, d), dim in homs.items():
+    for (l, lp, d), (dim, ext, top_ext) in table.items():
         if l == lp and d == 0:
             bad = dim != 1
         else:
             bad = dim and (d < 0 or d == 0 and l < lp)
-        if bad or exts[l, lp, d]:
+        if bad or ext or top_ext:
             failing.add((l, lp, d))
     ext_failures = []
     diagonal_failures = []
@@ -455,12 +459,14 @@ def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
                 key = (e[0], f[0], e[1] - f[1])
                 if key not in failing:
                     continue
-                for degree, dim in exts[key]:
-                    ext_failures.append((e, f, degree, dim))
-                if i == j and homs[key] != 1:
-                    diagonal_failures.append((e, homs[key]))
-                if i > j and homs[key] != 0:
-                    order_violations.append((e, f, homs[key]))
+                hom_dim, *exts = table[key]
+                for degree, dim in zip((n - 2, 2 * (n - 2)), exts):
+                    if dim:
+                        ext_failures.append((e, f, degree, dim))
+                if i == j and hom_dim != 1:
+                    diagonal_failures.append((e, hom_dim))
+                if i > j and hom_dim != 0:
+                    order_violations.append((e, f, hom_dim))
     return ExceptionalReport(
         n=n,
         order=tuple(order),
@@ -484,10 +490,14 @@ class PairVerdict:
 def pair_twisted_vanishing(n, e, f) -> PairVerdict:
     """Decide Ext^{>0}(E, F(t)) = 0 for every integer t >= 0 at once.
 
-    With c = m - m' - l', summand i of :func:`hom_s_blocks` has s_block
-    (a1, a2) = (c + l + l' - i, c + i), affine-linear in t of slope one.
-    Its shifted entries are u1 = a1 + t + n and u2 = a2 + t + n - 1 over
-    the tail 1..n-2.  From t = 2 - n - a2 on, u2 is a tail entry or above
+    E = Sym^l S (det S)^m and F(t) = Sym^l' S (det S)^(m' - t); with
+    c = m - m' - l', Hom(E, F(t)) is Sym^l x Sym^l' of S dual times
+    (det S dual)^(c + t), whose Clebsch-Gordan summand
+    i = 0..min(l, l') is Sym^(l + l' - 2i) x det^i of S dual.  So summand
+    i has s_block (a1 + t, a2 + t), (a1, a2) = (c + l + l' - i, c + i),
+    over a zero q-block, affine-linear in t of slope one.  Its shifted
+    entries are u1 = a1 + t + n and u2 = a2 + t + n - 1 over the tail
+    1..n-2.  From t = 2 - n - a2 on, u2 is a tail entry or above
     the tail, so the weight has a repeat or only degree 0 survives: only
     the summands i <= top = min(l, l', 1 - n - c) can fail.  Below that,
     u2 < 1 and the weight vanishes exactly on the window

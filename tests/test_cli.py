@@ -600,19 +600,21 @@ def test_every_leaf_parser_carries_its_handler():
 
 
 def test_lemma_check_builds_no_summand_list(monkeypatch, capsys):
-    # the lemma decides each key in closed form; hom_s_blocks stays the
-    # collection's summand list and the lemma tests' oracle
+    # the lemma decides each key in closed form: on a passing window it
+    # evaluates no Bott summand and builds no per-call table, which only the
+    # collection check builds
     calls = []
-    hom_s_blocks = sections.hom_s_blocks
+    for name in ("_bott_zero_tail", "_rhom_by_key"):
+        original = getattr(sections, name)
 
-    def counted(*args):
-        calls.append(args)
-        return hom_s_blocks(*args)
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(sections, "hom_s_blocks", counted)
+        monkeypatch.setattr(sections, name, counted)
     assert run(["lemma", "check", "--n", "10", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["all_vanish"] is True
     assert calls == []
     assert run(["collection", "verify", "--n", "6", "--json"]) == 0
     capsys.readouterr()
-    assert calls
+    assert set(calls) == {"_bott_zero_tail", "_rhom_by_key"}

@@ -68,6 +68,9 @@ COMMANDS = [
     "hodge hypersurface --dim 4 --degree 1",
     "hodge grass-section --n 4 --k 4",
     "hodge grass-section --n 6 --k 8",
+    "collection verify --n 40 --set S",
+    "collection verify --n 12 --set T --k 20",
+    "collection verify --n 9 --set T --k 13",
     "collection verify --n 6",
     "collection verify --n 6 --set T --k 3",
 ]

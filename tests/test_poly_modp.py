@@ -230,13 +230,27 @@ def pfaffian_by_matchings(m, p):
     return total % p
 
 
+def singular_skew_mod(n, p, rng):
+    """C S C^T for a random skew S of size n - 2: a skew matrix of rank <= n - 2."""
+    c = [[rng.randrange(p) for _ in range(n - 2)] for _ in range(n)]
+    s = random_skew_mod(n - 2, p, rng)
+    cs = [[sum(x * y for x, y in zip(row, col)) for col in zip(*s)] for row in c]
+    return [[sum(x * y for x, y in zip(a, b)) % p for b in c] for a in cs]
+
+
 def test_pfaffian_mod_against_matchings():
-    p = 10007
     rng = random.Random(1)
-    for n in (2, 4, 6, 8):
-        for _ in range(20):
-            m = random_skew_mod(n, p, rng)
-            assert pfaffian_mod(m, p) == pfaffian_by_matchings(m, p)
+    for p in (3, 10007, 2**61 - 1, 3317044064679887385961783):
+        for n in (2, 4, 6, 8):
+            for _ in range(20):
+                m = random_skew_mod(n, p, rng)
+                assert pfaffian_mod(m, p) == pfaffian_by_matchings(m, p)
+                # a zero A[0][1] makes the first pivot a swap
+                m[0][1] = m[1][0] = 0
+                assert pfaffian_mod(m, p) == pfaffian_by_matchings(m, p)
+                if n > 2:
+                    singular = singular_skew_mod(n, p, rng)
+                    assert pfaffian_mod(singular, p) == pfaffian_by_matchings(singular, p) == 0
 
 
 def test_pfaffian_mod_odd_and_empty():

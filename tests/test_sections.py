@@ -1,23 +1,28 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
 import grpf.sections as sections
-from grpf.bwb import _bott, bwb_cohomology, cohomology_of_kclass, euler_characteristic
+from grpf.bwb import (
+    _bott,
+    _bott_zero_tail,
+    bwb_cohomology,
+    cohomology_of_kclass,
+    euler_characteristic,
+)
 from grpf.geometry import ModelParams, classify, grassmannian_window, pfaffian_window
-from grpf.schur import cauchy_exterior_cotangent, virtual_rank
+from grpf.schur import cauchy_exterior_cotangent, clebsch_gordan_rank2, virtual_rank
 from grpf.weights import GLWeight
 from grpf.sections import (
     PairVerdict,
     h1_tangent_y1,
     hodge_diamond_y1,
-    hom_s_blocks,
     koszul_restricted_cohomology,
     omega_p_class,
     pair_twisted_vanishing,
     restricted_euler,
-    rhom_dimensions,
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
@@ -393,6 +398,36 @@ def test_class_arguments_are_left_unchanged():
 
 # --- exceptional collections ----------------------------------------------------
 
+# The per-summand oracle: RHom(E, F) as the plain sum of Bott outcomes over
+# the Clebsch-Gordan summands of Hom(E, F), one pair at a time.
+
+
+def hom_s_blocks(e, f):
+    """s_blocks of the Clebsch-Gordan summands of Hom(E, F) on Gr(2, n).
+
+    E = Sym^l S (det S)^m and F = Sym^l' S (det S)^m'; with d = m - m',
+    S = S dual x det S gives Hom(E, F) = Sym^l x Sym^l' of S dual, times
+    (det S dual)^(d - l').  The summand (x, i) of
+    :func:`~grpf.schur.clebsch_gordan_rank2` then has s_block
+    (d - l' + x + i, d - l' + i) and a zero q_block.  The twist F(t) is
+    the label (l', m' - t).
+    """
+    (l, m), (lp, mp) = e, f
+    c = m - mp - lp
+    return [(c + x + i, c + i) for x, i in clebsch_gordan_rank2(l, lp)]
+
+
+def rhom_dimensions(e, f, n):
+    """Map degree -> dim Ext^degree(E, F) by summing Bott outcomes."""
+    table = {}
+    for a1, a2 in hom_s_blocks(e, f):
+        res = _bott_zero_tail(a1, a2, n)
+        if res is not None:
+            degree, dim = res
+            table[degree] = table.get(degree, 0) + dim
+    return table
+
+
 def test_hom_summand_weights_match_clebsch_gordan():
     ws = hom_s_blocks((2, 1), (1, 3))
     assert len(ws) == 2
@@ -432,17 +467,24 @@ def test_collection_failure_is_detected():
     assert rep.ext_failures
 
 
-def pair_walk_failures(n, window):
+def test_collection_refuses_negative_symmetric_powers():
+    # Sym^l with l < 0 is no bundle: the verifier refuses such a label
+    for window in ({(-1, 0), (0, 0)}, {(-2, 3)}):
+        with pytest.raises(ValueError):
+            verify_strong_exceptional(5, frozenset(window))
+
+
+def pair_walk_failures(n, window, rhom=rhom_dimensions):
     """Ext failures, order violations and diagonal failures, pair by pair.
 
-    One ``rhom_dimensions`` call per ordered pair of the window, in the
-    verifier's order, with no table shared between pairs.
+    One ``rhom`` call (the oracle by default) per ordered pair of the
+    window, in the verifier's order, with no table shared between pairs.
     """
     order = sorted(window, key=lambda lm: (-lm[1], -lm[0]))
     ext, violations, diagonal = [], [], []
     for i, e in enumerate(order):
         for j, f in enumerate(order):
-            table = sections.rhom_dimensions(e, f, n)
+            table = rhom(e, f, n)
             ext += [(e, f, d, v) for d, v in sorted(table.items()) if d > 0]
             hom = table.get(0, 0)
             if i == j and hom != 1:
@@ -485,23 +527,31 @@ def test_failure_lists_match_a_pair_walk_on_failing_windows():
 )
 def test_failure_lists_match_a_pair_walk_on_planted_homs(monkeypatch, planted, kind):
     # no natural window with n <= 14 has an order violation or a diagonal
-    # failure, so plant them: dim Hom at the given keys (l, l', m - m')
-    rhom = sections.rhom_dimensions
+    # failure, so plant them: dim Hom at the given keys (l, l', m - m'),
+    # in the verifier's per-call table and in the oracle of the pair walk
+    rhom_by_key = sections._rhom_by_key
+
+    def planted_table(keys, n):
+        table = rhom_by_key(keys, n)
+        for key, dim in planted.items():
+            if key in table:
+                table[key] = (dim,) + table[key][1:]
+        return table
 
     def planted_rhom(e, f, n):
-        table = dict(rhom(e, f, n))
+        table = dict(rhom_dimensions(e, f, n))
         dim = planted.get((e[0], f[0], e[1] - f[1]))
         if dim is not None:
             table[0] = dim
         return table
 
-    monkeypatch.setattr(sections, "rhom_dimensions", planted_rhom)
+    monkeypatch.setattr(sections, "_rhom_by_key", planted_table)
     for n, window, has_ext in ((7, grassmannian_window(7), False),
                                (8, grassmannian_window(8), False),
                                (8, pfaffian_window(8, 7), True)):
         rep = verify_strong_exceptional(n, window)
         assert not rep.passed
-        ext, violations, diagonal = pair_walk_failures(n, window)
+        ext, violations, diagonal = pair_walk_failures(n, window, planted_rhom)
         assert report_failures(rep) == (ext, violations, diagonal)
         assert bool(violations) == (kind in ("order", "both"))
         assert bool(diagonal) == (kind in ("diagonal", "both"))
@@ -536,36 +586,31 @@ def least_row_pair_keys(n):
 
 
 def test_verifiers_compute_each_hom_key_once_per_call(monkeypatch):
-    # Hom(E, F) depends only on (l, l', m - m'); each collection check
-    # computes every key once, and the next call computes it again,
-    # because the table is local to the call.  The lemma decides each row
-    # pair (l, l') by one verdict at its least m - m', on every call
-    import grpf.sections as sections
+    # each Bott summand (a1, a2) of a collection check reaches
+    # _bott_zero_tail once, and the next call evaluates it again, because
+    # the table is local to the call.  The lemma decides each row pair
+    # (l, l') by one verdict at its least m - m', on every call
+    bott, pair = sections._bott_zero_tail, sections.pair_twisted_vanishing
+    summands, computed = [], []
 
-    rhom, pair = sections.rhom_dimensions, sections.pair_twisted_vanishing
-    computed = []
-
-    def key(e, f):
-        return e[0], f[0], e[1] - f[1]
-
-    def counted_rhom(e, f, n):
-        computed.append(key(e, f))
-        return rhom(e, f, n)
+    def counted_bott(a1, a2, n):
+        summands.append((a1, a2))
+        return bott(a1, a2, n)
 
     def counted_pair(n, e, f):
         computed.append((e, f))
         return pair(n, e, f)
 
-    monkeypatch.setattr(sections, "rhom_dimensions", counted_rhom)
+    monkeypatch.setattr(sections, "_bott_zero_tail", counted_bott)
     monkeypatch.setattr(sections, "pair_twisted_vanishing", counted_pair)
-    window = grassmannian_window(8)
+    window = grassmannian_window(16)
     labels = sorted(window)
-    keys = sorted({key(e, f) for e in labels for f in labels})
-    assert len(keys) < len(labels) ** 2
+    distinct = sorted({ab for e in labels for f in labels for ab in hom_s_blocks(e, f)})
+    assert len(distinct) == 484
     for _ in range(2):
-        computed.clear()
-        verify_strong_exceptional(8, window)
-        assert sorted(computed) == keys
+        summands.clear()
+        verify_strong_exceptional(16, window)
+        assert sorted(summands) == distinct
         computed.clear()
         twisted_ext_vanishing(8)
         assert sorted(computed) == least_row_pair_keys(8)
@@ -573,6 +618,91 @@ def test_verifiers_compute_each_hom_key_once_per_call(monkeypatch):
     twisted_ext_vanishing(200)
     assert len(computed) == 100 * 100
     assert sorted(computed) == least_row_pair_keys(200)
+
+
+def window_keys(window):
+    """The keys (l, l', m - m') of a window's ordered pairs."""
+    rows = {}
+    for l, m in window:
+        rows.setdefault(l, []).append(m)
+    return {
+        (l, lp, d)
+        for l, ms in rows.items()
+        for lp, mps in rows.items()
+        for d in {m - mp for m in ms for mp in mps}
+    }
+
+
+def oracle_triples(keys, n, memo):
+    """Key -> (Hom, Ext^(n-2), Ext^(2(n-2))) by the oracle, memoized in ``memo``."""
+    for key in keys - memo.keys():
+        l, lp, d = key
+        table = rhom_dimensions((l, d), (lp, 0), n)
+        memo[key] = (table.pop(0, 0), table.pop(n - 2, 0), table.pop(2 * (n - 2), 0))
+        assert not table, (n, key, table)
+    return {key: memo[key] for key in keys}
+
+
+def record_tables(monkeypatch):
+    """Make the verifier record each (keys, table) it builds, in a list returned."""
+    rhom_by_key, built = sections._rhom_by_key, []
+
+    def recorded(keys, n):
+        built.append((keys, rhom_by_key(keys, n)))
+        return built[-1][1]
+
+    monkeypatch.setattr(sections, "_rhom_by_key", recorded)
+    return built
+
+
+@pytest.mark.parametrize("n", range(3, 27))
+def test_antidiagonal_table_matches_the_oracle_on_windows(monkeypatch, n):
+    # the verifier builds its table from exactly the keys of the window's
+    # pairs; the table of every S window and every T window with k <= 2n
+    # equals the per-summand oracle at every key
+    rhom_by_key = sections._rhom_by_key
+    built = record_tables(monkeypatch)
+    windows = [grassmannian_window(n)] + [pfaffian_window(n, k) for k in range(1, 2 * n + 1)]
+    memo = {}
+    for window in windows[:1] + windows[-1:]:
+        verify_strong_exceptional(n, window)
+    assert [keys for keys, _ in built] == [window_keys(w) for w in windows[:1] + windows[-1:]]
+    for window in windows:
+        keys = window_keys(window)
+        assert rhom_by_key(keys, n) == oracle_triples(keys, n, memo), (n, len(window))
+
+
+def has_gapped_span(window):
+    """Whether on some antidiagonal s the a2 of the window's summands leave a gap."""
+    covered = {}
+    for e in window:
+        for f in window:
+            covered.setdefault(2 * (e[1] - f[1]) + e[0] - f[0], set()).update(
+                a2 for _, a2 in hom_s_blocks(e, f)
+            )
+    return any(len(a2s) <= max(a2s) - min(a2s) for a2s in covered.values())
+
+
+def test_antidiagonal_table_matches_the_oracle_on_gapped_label_sets(monkeypatch):
+    # on sparse random label sets the span of an antidiagonal (its least to
+    # its greatest a2) can hold summands of no key; draw until 40 such sets
+    rng = random.Random(29)
+    built = record_tables(monkeypatch)
+    gapped = 0
+    for _ in range(500):
+        n = rng.randint(3, 11)
+        window = frozenset(
+            (rng.randint(0, n), rng.randint(-4, n + 2)) for _ in range(rng.randint(1, 12))
+        )
+        built.clear()
+        verify_strong_exceptional(n, window)
+        ((keys, table),) = built
+        assert keys == window_keys(window)
+        assert table == oracle_triples(keys, n, {})
+        gapped += has_gapped_span(window)
+        if gapped == 40:
+            break
+    assert gapped == 40
 
 
 # --- twisted vanishing for all t -----------------------------------------------

@@ -19,7 +19,8 @@ sweep solves it by exact root finding for any odd p below 3.3e24, which
 avoids Groebner machinery entirely, and decides each candidate once on the
 full family.  An odd line divides its first submaximal Pfaffian, of degree
 (n-1)^2/2, by a factor v_0^((n+1)/2) known in advance and solves the
-quotient, of degree n(n-3)/2.  Odd n with k < n falls back to trials.
+quotient, of degree n(n-3)/2; a candidate evaluates the member u(x) that
+the line's elimination also gives.  Odd n with k < n falls back to trials.
 Smoothness at a sample point u is the tangent-space test of a rank locus
 (no symbolic Pfaffian): with K the kernel of M_u and c = 2 (even n) or
 3 (odd n), u is smooth iff dim K = c and the pairings k_a^T M_r k_b on K
@@ -545,61 +546,18 @@ def _sample_even(am, p, count, seed, max_lines):
     return _sweep_lines(am, p, count, f"{seed}:even", max_lines, k, deg, draw_line)
 
 
-def _kernel_cofactor_vector(b, p):
-    """A kernel vector of a square singular matrix by cofactors of its first row.
-
-    Entries are (-1)^i det(R minus column i), R = b minus row 0: a
-    polynomial formula in the matrix entries, so sweeping a parameter
-    keeps the result on a single polynomial curve (no elimination
-    rescaling).  These cofactors span the kernel of R, so when rank R is
-    n - 1 the vector is the kernel vector of R that is (-1)^f det(R minus
-    column f) at the free column f; that determinant is the signed
-    product of the pivots of forward elimination on R, and one
-    back-substitution with the same pivot inverses gives the other
-    entries.  It is the zero vector when rank R < n - 1.
-    """
-    n = len(b)
-    m = [[x % p for x in row] for row in b[1:]]
-    if not m:
-        return [1]
-    pivots, inverses = [], []
-    det = 1
-    for col in range(n):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, n - 1) if m[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            det = -det
-        row = m[rank]
-        det = det * row[col] % p
-        inv = inv_mod(row[col], p)
-        for r in range(rank + 1, n - 1):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(a - f * c) % p for a, c in zip(m[r], row)]
-        pivots.append(col)
-        inverses.append(inv)
-        if rank + 1 == n - 1:
-            break
-    if len(pivots) < n - 1:
-        return [0] * n
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [0] * n
-    vec[free] = (-1) ** free * det % p
-    for row, c, inv in zip(reversed(m), reversed(pivots), reversed(inverses)):
-        vec[c] = -sum(map(mul, row, vec)) * inv % p
-    return vec
-
-
 def _series_cofactors(rows, p, length, w, reduce):
-    """:func:`_kernel_cofactor_vector` over F_p[x]/(x^length); None when R, the
-    n - 1 packed ``rows`` (b minus row 0), has rank < n - 1 at x = 0.
+    """The first-row cofactors ((-1)^i det(R minus column i))_i of an n x n
+    matrix over F_p[x]/(x^length), R the n - 1 packed ``rows`` below row 0;
+    None when R has rank < n - 1 at x = 0.
 
-    Series are packed as for :func:`grpf.modp._pfaffian_series`, pivots are
-    units, and the largest sum reduced, the back-substitution's, is at most
-    9 p^2 (n - 1) length.
+    They span the kernel of R, so at rank n - 1 they are its kernel vector
+    with (-1)^f det(R minus column f), the signed product of the pivots of
+    forward elimination on R, at the free column f, and one back-substitution
+    with the same pivot inverses gives the other entries.  Series are packed
+    as for :func:`grpf.modp._pfaffian_series`, pivots are units, and the
+    largest sum reduced, the back-substitution's, is at most 9 p^2 (n - 1)
+    length.
     """
     n = len(rows) + 1
     mask, slot = (1 << w * length) - 1, (1 << w) - 1
@@ -649,10 +607,9 @@ def _kernel_line_drawer(square, p, emb=None):
     two endpoint matrices once.  The entries of u(v) are (n-1)-minors of
     B_v, polynomials of degree <= n-1 in the line parameter x, so the line
     takes u(x) whole by one elimination over F_p[x]/(x^n)
-    (:func:`_series_cofactors`).  A candidate takes one numeric
-    elimination (:func:`_kernel_cofactor_vector`).  A slice's member u(v)
-    is lifted to the full family as emb u(v), which has the same skew
-    matrix.
+    (:func:`_series_cofactors`) about a centre c, and a candidate x
+    evaluates that series at y = x - c.  A slice's member u(v) is lifted
+    to the full family as emb u(v), which has the same skew matrix.
 
     Along the line v(x) = v0 + x v1, the first submaximal Pfaffian Pf_0 of
     M(u(v)) has degree (n-1)^2/2, and a known factor.  u(v) vanishes where
@@ -689,11 +646,27 @@ def _kernel_line_drawer(square, p, emb=None):
         v0 = [rng.randrange(p) for _ in range(n)]
         v1 = [rng.randrange(p) for _ in range(n)]
         b0, b1 = b_of(v0), b_of(v1)
+        centre, terms = 0, None  # u(centre + y) = sum_e terms[e] y^e, from the first series
+
+        def cofactors(c):
+            nonlocal centre, terms
+            rows = [[(x + c * y) % p | y << w for x, y in zip(r0, r1)]
+                    for r0, r1 in zip(b0[1:], b1[1:])]
+            u = _series_cofactors(rows, p, n, w, reduce)
+            if u is not None and terms is None:
+                centre, terms = c, list(zip(*(_unpack(e, w, n, p) for e in u)))
+            return u
 
         def u_at(x):
-            bmat = [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(b0, b1)]
-            u = _kernel_cofactor_vector(bmat, p)
-            return u if emb is None else [sum(e * y for e, y in zip(row, u)) % p for row in emb]
+            nonlocal terms
+            # p <= deg takes no line polynomial; if every centre fails, u(c) = 0
+            # at n centres or on all of F_p, so u = 0 on F_p
+            if terms is None and all(cofactors(c) is None for c in range(min(p, n))):
+                terms = []
+            y, u = (x - centre) % p, [0] * n
+            for t in reversed(terms):  # Horner
+                u = [(a * y + b) % p for a, b in zip(u, t)]
+            return u if emb is None else [sum(map(mul, row, u)) % p for row in emb]
 
         def line_polynomial():
             if not (v0[0] or v1[0]):
@@ -702,9 +675,7 @@ def _kernel_line_drawer(square, p, emb=None):
                 a = (v0[0] + c * v1[0]) % p
                 if not a:
                     continue
-                rows = [[(x + c * y) % p | y << w for x, y in zip(r0, r1)]
-                        for r0, r1 in zip(b0[1:], b1[1:])]
-                u = _series_cofactors(rows, p, n, w, reduce)
+                u = cofactors(c)
                 if u is None:
                     continue
                 mat = [[0] * (n - 1) for _ in range(n - 1)]

@@ -32,7 +32,7 @@ from .diamond import hodge_diamond
 from .errors import IntegrityError
 from .geometry import ModelParams, classify, grassmannian_window
 from .schur import cauchy_exterior_cotangent
-from .weights import grassmannian_poincare
+from .weights import _integer, grassmannian_poincare
 
 
 def _koszul_tables(params: ModelParams, c):
@@ -422,8 +422,11 @@ def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
     nonzero Ext^{>0}, on Hom != 1 at (l, l, 0), and on a nonzero Hom at a
     backward key (m - m' < 0, or m - m' = 0 with l < l').  Only when some key fails are the pairs
     walked, reading the same table, to list the failures in pair order.
-    Failures are collected, not raised; a label with l < 0 is refused.
+    Failures are collected, not raised; n < 3 or a label l < 0 is refused.
     """
+    n = _integer(n, "n")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got n={n}")
     if any(l < 0 for l, _ in window):
         raise ValueError(f"need l >= 0, got {sorted(lm for lm in window if lm[0] < 0)}")
     order = sorted(window, key=lambda lm: (-lm[1], -lm[0]))
@@ -544,6 +547,7 @@ def twisted_ext_vanishing(n) -> VanishingReport:
     the order of the sorted labels, only to list the counterexamples of
     failing row pairs.
     """
+    n = _integer(n, "n")
     if n % 2 != 0 or n < 4:
         raise ValueError(f"the all-t decision is for even n >= 4, got {n}")
     labels = sorted(grassmannian_window(n))

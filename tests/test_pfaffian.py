@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +33,7 @@ from grpf.modp import (
 from grpf.pfaffian import (
     AMap,
     _combine_forms,
-    _kernel_cofactor_vector,
+    _kernel_line_drawer,
     _point_at,
     _series_cofactors,
     _taylor_shift,
@@ -936,14 +937,36 @@ def _rows_of_rank(m, n, r, p, rng):
             for i in range(m)]
 
 
+def _line_rows(rows, v, p):
+    """R_v, rows 1..n-1 of B_v = [M_1 v | ... | M_n v], for the family ``rows``."""
+    n = len(v)
+    b = [[0] * len(rows) for _ in range(n)]
+    for r, row in enumerate(rows):
+        for (i, j), c in zip(itertools.combinations(range(n), 2), row):
+            b[i][r] += c * v[j]
+            b[j][r] -= c * v[i]
+    return [[x % p for x in row] for row in b[1:]]
+
+
+def _cofactor_minors(rows, p):
+    """((-1)^i det(R minus column i))_i, R the (n-1) x n ``rows``."""
+    return [(-1) ** i * det_mod([row[:i] + row[i + 1:] for row in rows], p) % p
+            for i in range(len(rows) + 1)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 10007, 2**61 - 1])
 def test_kernel_cofactor_vector_equals_minors(p):
-    # ((-1)^i det(R minus column i))_i, R = b minus row 0, whatever row 0 is:
-    # R of full rank n - 1, of rank n - 2 (the zero vector), with its first
-    # column zero (column 0 free), or with R[0][0] = 0 (a pivot swap)
+    # an odd line's member u(x) is ((-1)^i det(R(x) minus column i))_i at
+    # every x, R(x) = R_v(x) on v(x) = e_0 + x v1, where R_(e_0) = R is any
+    # (n-1) x n matrix (-R[i-1][r] at the coordinate (0, i) of form r): R
+    # of full rank n - 1, of rank n - 2 (the zero vector at x = 0, and a
+    # centre shift), with its first column zero (column 0 free), or with
+    # R[0][0] = 0 (a pivot swap).  Small primes check every x in F_p, large
+    # ones the centres 0 and 1 and a random x.
     rng = random.Random(f"cofactor:{p}")
     for n in range(1, 10):
         seen = set()
+        coordinates = list(itertools.combinations(range(n), 2))
         for case in ("full", "rank-drop", "zero-first-column", "swap"):
             for _ in range(12):
                 if case == "zero-first-column":
@@ -953,12 +976,14 @@ def test_kernel_cofactor_vector_equals_minors(p):
                     rows = _rows_of_rank(n - 1, n, max(rank, 0), p, rng)
                     if case == "swap" and rows:
                         rows[0][0] = 0
-                b = [[rng.randrange(p) for _ in range(n)]] + rows
-                minors = [
-                    (-1) ** i * det_mod([row[:i] + row[i + 1:] for row in rows], p) % p
-                    for i in range(n)
-                ]
-                assert _kernel_cofactor_vector(b, p) == minors, (n, case, b)
+                family = [[-rows[j - 1][r] % p if i == 0 else rng.randrange(p)
+                           for i, j in coordinates] for r in range(n)]
+                v1 = [rng.randrange(p) for _ in range(n)]
+                draw_line = _kernel_line_drawer(SimpleNamespace(n=n, matrix=family), p)
+                u_at = draw_line(_Draws([1] + [0] * (n - 1) + v1))[0]
+                for x in range(p) if p < 10 else (0, 1, rng.randrange(p)):
+                    v = [(int(i == 0) + x * b) % p for i, b in enumerate(v1)]
+                    assert u_at(x) == _cofactor_minors(_line_rows(family, v, p), p), (n, case, x)
                 full = n == 1 or rank_mod(rows, p) == n - 1
                 swapped = full and n > 2 and rows[0][0] == 0 and any(row[0] for row in rows)
                 seen.add((case, full, swapped))
@@ -1098,43 +1123,40 @@ def test_even_line_polynomial_is_the_pencil_pfaffian(p, monkeypatch):
     assert any(centres), centres
 
 
-def _product(a, b, p):
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
-
-
 @pytest.mark.parametrize("p", [11, 19, 10007])
 def test_cofactor_vector_has_vanishing_nth_difference(p):
-    # along a line B0 + x B1 the first-row cofactors are (n-1)-minors of a
-    # matrix linear in x, of degree <= n - 1, so their n-th finite difference
-    # vanishes at every x >= n; the odd line takes u over F_p[x]/(x^n) on
-    # that degree bound.  It also holds through the zero vector returned where
-    # B minus row 0 has rank < n - 1, at one x or all along the line.
+    # along a line v0 + x v1 the first-row cofactors of B_v are (n-1)-minors
+    # of a matrix linear in x, of degree <= n - 1, so their n-th finite
+    # difference vanishes at every x >= n; on that degree bound the odd line
+    # takes u over F_p[x]/(x^n) about one centre and a candidate evaluates
+    # it, here out to x = (n-1)^2/2.  It also holds through the zero vector
+    # where R_v has rank < n - 1: on a line that meets v_0 = 0 at one x, or
+    # one inside v_0 = 0, where u vanishes all along the line.
     rng = random.Random(f"difference:{p}")
     for n in (3, 5, 7, 9):
         deg = (n - 1) ** 2 // 2
         top = max(deg, 2 * n)
-        b1 = _rows_of_rank(n, n, n, p, rng)
-        low = _rows_of_rank(n, n, n - 3, p, rng)
-        drops = {x0: [[(a - x0 * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(low, b1)]
-                 for x0 in (1, deg)}
-        f = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 2)]
-        a0, a1 = ([[rng.randrange(p) for _ in range(n - 2)] for _ in range(n)]
-                  for _ in range(2))
-        lines = [(None, _rows_of_rank(n, n, n, p, rng), b1)]
-        lines += [(x0, b0, b1) for x0, b0 in drops.items()]
-        lines.append(("all", _product(a0, f, p), _product(a1, f, p)))
-        for drop, b0, b1_ in lines:
-            us = [
-                _kernel_cofactor_vector(
-                    [[(a + x * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(b0, b1_)], p)
-                for x in range(top + 1)
-            ]
+        am = AMap.random(n, n, 1, p)
+        family, draw_line = am.matrix, _kernel_line_drawer(am, p)
+        lines = [(None, [rng.randrange(p) for _ in range(n)])]
+        for x0 in (1, deg):  # v(x0) = w with w_0 = 0
+            w = [0] + [rng.randrange(p) for _ in range(n - 1)]
+            lines.append((x0, w))
+        lines.append(("all", [0] + [rng.randrange(p) for _ in range(n - 1)]))
+        for drop, w in lines:
+            v1 = [0 if drop == "all" else rng.randrange(1, p)]
+            v1 += [rng.randrange(p) for _ in range(n - 1)]
+            v0 = w if drop in (None, "all") else [(a - drop * b) % p for a, b in zip(w, v1)]
+            u_at = draw_line(_Draws(v0 + v1))[0]
+            vs = [[(a + x * b) % p for a, b in zip(v0, v1)] for x in range(top + 1)]
+            us = [_cofactor_minors(_line_rows(family, v, p), p) for v in vs]
             for x in range(n, top + 1):
                 assert us[x] == [
                     sum((-1) ** (i + 1) * math.comb(n, i) * us[x - i][e]
                         for i in range(1, n + 1)) % p
                     for e in range(n)
                 ], (n, drop, x)
+            assert [u_at(x) for x in range(top + 1)] == us, (n, drop)
             zeros = {x for x, u in enumerate(us) if not any(u)}
             if drop == "all":
                 assert zeros == set(range(top + 1))
@@ -1144,12 +1166,13 @@ def test_cofactor_vector_has_vanishing_nth_difference(p):
 
 def test_odd_line_eliminates_once_and_at_each_candidate(monkeypatch):
     # an odd line takes u(x) whole from one cofactor elimination over
-    # F_p[x]/(x^n); each candidate takes one numeric elimination.  One
-    # elimination per interpolation node made 43 * 19 + 82 = 899 calls here,
-    # and n per line plus one per candidate 43 * 7 + 40 = 341.
+    # F_p[x]/(x^n), and each candidate evaluates that series with no
+    # elimination of its own.  One elimination per interpolation node made
+    # 43 * 19 + 82 = 899 calls here, n per line plus one per candidate
+    # 43 * 7 + 40 = 341, and one per line plus one per candidate 43 + 40.
     import grpf.pfaffian as pf_mod
 
-    calls = {"series": 0, "elim": 0, "candidates": 0}
+    calls = {"series": 0, "candidates": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -1159,14 +1182,33 @@ def test_odd_line_eliminates_once_and_at_each_candidate(monkeypatch):
 
     monkeypatch.setattr(pf_mod, "_series_cofactors",
                         counted("series", pf_mod._series_cofactors))
-    monkeypatch.setattr(pf_mod, "_kernel_cofactor_vector",
-                        counted("elim", pf_mod._kernel_cofactor_vector))
     monkeypatch.setattr(pf_mod, "_normalize_projective",
                         counted("candidates", pf_mod._normalize_projective))
     res = sample_y2(AMap.random(7, 7, 1), 10007, 40, 1)
     assert len(res.points) == 40
-    assert calls["series"] == res.attempts and calls["elim"] == calls["candidates"]
-    assert (calls["series"], calls["elim"], res.attempts, calls["candidates"]) == (43, 40, 43, 40)
+    assert calls["series"] == res.attempts
+    assert (calls["series"], res.attempts, calls["candidates"]) == (43, 43, 40)
+
+
+def test_small_prime_odd_line_keeps_one_series(monkeypatch):
+    # at p <= deg every x in F_p is a candidate and no line polynomial is
+    # taken: the line's first candidate tries the centres c = 0, 1, ... up to
+    # min(p, n) and keeps the first series, where u(c) != 0, and every
+    # candidate evaluates it.  A line keeps at most one series, and the 69
+    # candidates here cost 19 eliminations, 6 of them at a centre where u
+    # vanishes (13 series kept over 14 lines: on one line u = 0 on F_5).
+    import grpf.pfaffian as pf_mod
+
+    results, candidates = [], []
+    series, normalize = pf_mod._series_cofactors, pf_mod._normalize_projective
+    monkeypatch.setattr(pf_mod, "_series_cofactors",
+                        lambda *args: results.append(series(*args)) or results[-1])
+    monkeypatch.setattr(pf_mod, "_normalize_projective",
+                        lambda *args: candidates.append(args) or normalize(*args))
+    res = sample_y2(AMap.random(5, 5, 1), 5, 3, 1)
+    kept = sum(u is not None for u in results)
+    assert len(res.points) == 3 and kept <= res.attempts
+    assert (len(results), kept, res.attempts, len(candidates)) == (19, 13, 14, 69)
 
 
 class _Draws:
@@ -1289,7 +1331,7 @@ def test_one_determinant_per_cofactor_vector(monkeypatch):
     import grpf.modp as modp_mod
     import grpf.pfaffian as pf_mod
 
-    layers = ["_kernel_cofactor_vector", "_combine_forms", "_roots_mod"]
+    layers = ["_series_cofactors", "_combine_forms", "_roots_mod"]
     calls = dict.fromkeys(["det"] + layers, 0)
 
     def counted(name, fn):

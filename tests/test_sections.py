@@ -474,6 +474,16 @@ def test_collection_refuses_negative_symmetric_powers():
             verify_strong_exceptional(5, frozenset(window))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 10.0])
+def test_verifiers_refuse_a_bad_n(n):
+    # n < 3 is no Gr(2, n) and 10.0 no integer: a ValueError that names n,
+    # not a verdict or an error from deep inside the Bott code
+    with pytest.raises(ValueError, match=f"\\b{n}\\b"):
+        verify_strong_exceptional(n, frozenset({(0, 0), (0, 1)}))
+    with pytest.raises(ValueError, match=f"\\b{n}\\b"):
+        twisted_ext_vanishing(n)
+
+
 def pair_walk_failures(n, window, rhom=rhom_dimensions):
     """Ext failures, order violations and diagonal failures, pair by pair.
 

@@ -5,6 +5,10 @@ A random 5-dimensional family of 2-forms on a 10-dimensional space cuts
 a quintic threefold out of projective 4-space; its points over F_p have
 2-dimensional kernels, and smoothness at each is the tangent-space test
 of the rank locus: the pairings k_a^T M_r k_b on the kernel have full rank.
+A sampled point that is a simple root of its line's Pfaffian g needs no
+test: g'(x) is the gradient of Pf along the line, which vanishes at every
+kernel dimension >= 4 and at kernel dimension 2 is a nonzero multiple of
+the pairings, so g'(x) != 0 already means a smooth point of corank 2.
 A family is its own skew matrix of linear forms, so the symbolic
 Pfaffians take the family itself, and a polynomial in u1..uk is the dict
 {exponent tuple: nonzero coefficient}.

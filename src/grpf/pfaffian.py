@@ -24,7 +24,12 @@ the line's elimination also gives.  Odd n with k < n falls back to trials.
 Smoothness at a sample point u is the tangent-space test of a rank locus
 (no symbolic Pfaffian): with K the kernel of M_u and c = 2 (even n) or
 3 (odd n), u is smooth iff dim K = c and the pairings k_a^T M_r k_b on K
-have rank C(c, 2).
+have rank C(c, 2).  An even line's polynomial g is the Pfaffian on the
+line, so a simple root, g'(x) != 0, is already a smooth point of corank 2
+(a nonzero gradient rules out corank >= 4, where every (n-2)-sub-Pfaffian
+vanishes) and skips the test; multiple roots take it.  The odd paths
+have no such rule: a simple root there shows one direction of the three
+that the codimension-3 locus needs.
 """
 
 from __future__ import annotations
@@ -435,6 +440,15 @@ def _point_at(am, u, p):
     larger corank both vanish.  The pairing k_a^T M_r k_b is row r of the
     family (``am`` reduced mod p) dotted with the Pluecker coordinates
     a_i b_j - a_j b_i, i < j, of the kernel vectors k_a and k_b.
+
+    An even line skips this test at a simple root.  Its polynomial is
+    g(x) = Pf(M(p0 + x p1)) exactly, so g'(x) = sum_r p1_r dPf/du_r there.
+    Each dPf/du_r is a signed sum of m_r,ij Pf_ij over the (n-2)-sub-
+    Pfaffians Pf_ij, which all vanish at corank >= 4; so g(x) = 0 and
+    g'(x) != 0 force corank exactly 2 and a nonzero gradient, a nonzero
+    multiple of the pairings, whose rank is then 1 = C(2, 2): the point is
+    smooth, as this test would find (normalizing u scales the gradient by a
+    unit).  A multiple root, smooth tangency or singular point, comes here.
     """
     n = am.n
     corank = 2 if n % 2 == 0 else 3
@@ -471,9 +485,12 @@ def _sweep_lines(am, p, count, stream, max_lines, dim, deg, draw_line):
     F_p[x]/(x^L) about a centre x = c with c <= deg, so it needs p > deg;
     for p <= deg every x in F_p is a candidate instead.  Each distinct
     candidate is decided once on the family ``am``; a line yields at most
-    deg, which bounds the misses kept.  It stops at ``count`` points, at
-    ``max_lines`` lines, or once every point of P^(dim-1)(F_p) has been
-    drawn.
+    deg, which bounds the misses kept.  For even n the polynomial is the
+    Pfaffian g on the line, and a root with g'(x) != 0 is a smooth point of
+    corank 2 without :func:`_point_at` (the proof is there); a multiple
+    root, every x at p <= deg, and every odd-n candidate go to it.  It
+    stops at ``count`` points, at ``max_lines`` lines, or once every point
+    of P^(dim-1)(F_p) has been drawn.
     """
     found, missed = {}, set()
     space = (p**dim - 1) // (p - 1)
@@ -481,18 +498,24 @@ def _sweep_lines(am, p, count, stream, max_lines, dim, deg, draw_line):
     while len(found) < count and line < max_lines and len(found) + len(missed) < space:
         u_at, line_polynomial = draw_line(random.Random(f"{stream}:{line}"))
         line += 1
+        slope = []  # g' from the top coefficient down, on an even line
         if p > deg:
             poly = line_polynomial()
             if poly is None:
                 continue
             candidates = _roots_mod(poly, p)
+            if am.n % 2 == 0:
+                slope = [e * a % p for e, a in enumerate(poly)][:0:-1]
         else:
             candidates = range(p)
         for x in candidates:
             u = _normalize_projective(u_at(x), p)
             if u is None or u in found or u in missed:
                 continue
-            point = _point_at(am, u, p)
+            dg = 0
+            for a in slope:  # Horner
+                dg = (dg * x + a) % p
+            point = SamplePoint(u, am.n - 2, 2, True) if dg else _point_at(am, u, p)
             if point is None:
                 missed.add(u)
             else:

@@ -26,12 +26,14 @@ from grpf.modp import (
     _unpack,
     coerce,
     det_mod,
+    nullspace_mod,
     pfaffian_mod,
     rank_mod,
     roots_mod,
 )
 from grpf.pfaffian import (
     AMap,
+    SamplePoint,
     _combine_forms,
     _kernel_line_drawer,
     _point_at,
@@ -796,6 +798,125 @@ def test_planted_deep_corank_points_are_singular():
         assert symbolic_jacobian_test(am)(e0) is False
 
 
+def _even_line_sweeper(monkeypatch, am, p):
+    """(sweep, decided): sweep(p0, p1) runs the even path's sweep on the one
+    line p0 + x p1 of ``am`` and returns its points; ``decided`` lists every
+    u that reached the kernel test."""
+    import grpf.pfaffian as pf_mod
+
+    sweep, point_at, args, decided = pf_mod._sweep_lines, pf_mod._point_at, [], []
+    monkeypatch.setattr(pf_mod, "_sweep_lines", lambda *a: args.append(a) or ({}, 0))
+    sample_y2(am, p, 1, 1)
+    monkeypatch.setattr(pf_mod, "_sweep_lines", sweep)
+    monkeypatch.setattr(pf_mod, "_point_at",
+                        lambda fam, u, q: decided.append(u) or point_at(fam, u, q))
+    fam, _, _, stream, _, dim, deg, draw_line = args.pop()
+
+    def sweep_line(p0, p1):
+        return sweep(fam, p, deg + 1, stream, 1, dim, deg,
+                     lambda rng: draw_line(_Draws(list(p0) + list(p1))))[0]
+
+    return sweep_line, decided
+
+
+def test_even_line_through_a_deep_corank_point_is_singular(monkeypatch):
+    # at the corank-4 member e0 every (n-2)-sub-Pfaffian vanishes, and with
+    # them the gradient of Pf: g has a multiple root at x = 0, which must go
+    # to the kernel test, not be taken as a smooth point of corank 2
+    p = 10007
+    am = planted_family(6, 7, p, 32, ((0, 1),))
+    e0 = (1,) + (0,) * 6
+    rng = random.Random(7)
+    sweep_line, decided = _even_line_sweeper(monkeypatch, am, p)
+    found = sweep_line(e0, [rng.randrange(p) for _ in e0])
+    point = found[e0]
+    assert (point.rank, point.kernel_dim, point.smooth_at) == (2, 4, False)
+    assert e0 in decided
+    fam = am.reduce_mod(p)
+    assert all(q == _point_at(fam, u, p) for u, q in found.items())
+
+
+def test_even_line_tangent_at_a_smooth_point_stays_smooth(monkeypatch):
+    # p1 orthogonal to the pairings (k1^T M_r k2)_r, a nonzero multiple of
+    # the gradient of Pf at a smooth point u: the line touches Pf = 0 at u,
+    # a double root of g, and u is still smooth
+    p = 10007
+    am = AMap.random(8, 4, 1, p=p)
+    u = sample_y2(am, p, 1, 1).points[0].coordinates
+    k1, k2 = nullspace_mod(_combine_forms(am, u, p), p)
+    pairing = []
+    for r in range(am.k):
+        m = _combine_forms(am, [int(s == r) for s in range(am.k)], p)
+        pairing.append(sum(a * m[i][j] * b for i, a in enumerate(k1)
+                           for j, b in enumerate(k2)) % p)
+    assert pairing[0]
+    rng = random.Random(7)
+    p1 = [0] + [rng.randrange(p) for _ in range(am.k - 1)]
+    p1[0] = -sum(a * b for a, b in zip(p1, pairing)) * pow(pairing[0], -1, p) % p
+    sweep_line, decided = _even_line_sweeper(monkeypatch, am, p)
+    found = sweep_line(u, p1)
+    assert found[u] == SamplePoint(u, 6, 2, True)
+    assert u in decided
+
+
+def test_even_simple_roots_agree_with_the_kernel_test(monkeypatch):
+    # every point of the even path equals the kernel test at its u, and the
+    # candidates that still take that test, the multiple roots of g, hold
+    # both smooth tangencies and singular points
+    import grpf.pfaffian as pf_mod
+
+    point_at, fallbacks, shortcuts = pf_mod._point_at, [], 0
+    monkeypatch.setattr(pf_mod, "_point_at",
+                        lambda fam, u, q: fallbacks.append(point_at(fam, u, q)) or fallbacks[-1])
+    shapes = ((4, 3), (4, 5), (6, 2), (6, 3), (6, 5), (8, 3), (8, 4), (10, 3), (10, 5),
+              (12, 3), (12, 6))
+    for (n, k), p, seed in itertools.product(shapes, (5, 7, 11, 101, 10007, 2**61 - 1),
+                                             (1, 2, 3)):
+        if p <= n // 2:
+            continue
+        am, before = AMap.random(n, k, seed, p=p), len(fallbacks)
+        res = sample_y2(am, p, 10, seed, max_lines=40)
+        for q in res.points:
+            assert q == point_at(am, q.coordinates, p), (n, k, p, seed)
+        shortcuts += len(res.points) - (len(fallbacks) - before)
+    verdicts = Counter(q and q.smooth_at for q in fallbacks)
+    assert set(verdicts) == {True, False}
+    assert shortcuts > 10 * len(fallbacks), (shortcuts, verdicts)
+
+
+@pytest.mark.parametrize("n, k, p, count", [(10, 5, 10007, 20), (8, 4, 5, 20)])
+def test_even_line_takes_the_kernel_test_at_multiple_roots_only(monkeypatch, n, k, p, count):
+    # the sweep normalizes each root's u in turn; replaying that order, the
+    # kernel test must run exactly on the new candidates with g'(x) = 0
+    import grpf.pfaffian as pf_mod
+
+    roots_mod, normalize, point_at = (pf_mod._roots_mod, pf_mod._normalize_projective,
+                                      pf_mod._point_at)
+    roots, us, decided = [], [], []
+
+    def recorded_roots(g, q):
+        xs = roots_mod(g, q)
+        roots.extend((g, x) for x in xs)
+        return xs
+
+    monkeypatch.setattr(pf_mod, "_roots_mod", recorded_roots)
+    monkeypatch.setattr(pf_mod, "_normalize_projective",
+                        lambda u, q: us.append(normalize(u, q)) or us[-1])
+    monkeypatch.setattr(pf_mod, "_point_at",
+                        lambda fam, u, q: decided.append(u) or point_at(fam, u, q))
+    res = sample_y2(AMap.random(n, k, 1), p, count, 1)
+    assert len(res.points) == count
+    seen, multiple = set(), []
+    for (g, x), u in zip(roots, us):
+        if u is None or u in seen:
+            continue
+        seen.add(u)
+        if not _evaluate([e * a for e, a in enumerate(g)][1:], x, p):
+            multiple.append(u)
+    assert decided == multiple
+    assert len(seen) > len(multiple)
+
+
 def test_sampler_builds_no_symbolic_pfaffian(monkeypatch):
     import grpf.pfaffian as pf_mod
 
@@ -919,6 +1040,13 @@ FROZEN_SAMPLES = {
     (7, 8, 1, 23, 5, 1): "21b7337d902a031637fb953b1fafa3ef1fd39fe590cf549c412ff56d84cbe682",
     (9, 9, 1, 37, 3, 1): "83ec3dfe0127777dd7697bff6b7fcaf6d4332734b4e0d4ac230849e1f87b0e59",
     (5, 5, 1, 11, 5, 1): "219395bc54dba43e0b78b10d74dc161b775c525427e2e573cbdf54ee3babcb98",
+    # even lines with multiple roots, where a candidate still takes the
+    # kernel test: one singular point and one smooth tangency among the 100
+    # points of (6, 3, 105) at p = 101, six and one tangencies at p = 5 and 7;
+    # frozen from the sampler that took the kernel test at every candidate
+    (6, 3, 105, 101, 100, 1): "80a8234067126685b24aaa8e65411d9262847bb005cc8ffaf7a8dbec0bb62b6e",
+    (8, 4, 1, 5, 20, 1): "d1b4881cbb825e373a4f0af726eb1ada457eb416c43010e949e40ccb32ef9bd8",
+    (8, 4, 1, 7, 20, 1): "58cb8448c9adb460bc371144d2d770e9e5c6e6494b833aa95cd07f88d25298a1",
 }
 
 

@@ -10,10 +10,11 @@ decreasing, one block of consecutive integers per run of equal entries,
 so the sort inserts the two shifted s-entries between blocks.
 :func:`_bott_runs` does that on the runs of the q-block and hands the
 runs of the result to the Weyl product; no length-n tuple is built.
-General weights (:func:`_bott`) and the Cauchy q-blocks
-(2^j, 1^(m-2j), 0^rest) of the Hodge terms (:func:`_bott_cauchy`) go
-through it.  The Hom and Ext summands have a zero q-block, whose
-outcome is one of five closed forms (:func:`_bott_zero_tail`).
+General weights (:func:`_bott`) and the Cauchy q-blocks of the Hodge
+terms (:func:`_bott_cauchy`) go through it; :func:`_cauchy_ray` steps a
+twisted Cauchy term along its twists by a telescoped Weyl ratio.  The
+Hom and Ext summands have a zero q-block, whose outcome is one of five
+closed forms (:func:`_bott_zero_tail`).
 """
 
 from __future__ import annotations
@@ -115,11 +116,7 @@ def _cauchy_gaps(j, m, n):
 
 
 def _bott_cauchy(a1, a2, j, m, n):
-    """(degree, dimension) of Bott on (a1, a2) over Cauchy term j of Wedge^m, or None.
-
-    The q-block of Cauchy term j of Wedge^m of the cotangent bundle is
-    (2^j, 1^(m-2j), 0^(n-2-m+j)).
-    """
+    """(degree, dimension) of Bott on (a1, a2) over Cauchy term j of Wedge^m, or None."""
     res = _bott_runs(a1, a2, ((2, j), (1, m - 2 * j), (0, n - 2 - m + j)), n)
     return res and res[:2]
 
@@ -157,25 +154,30 @@ def _bott_zero_tail(a1, a2, n):
     return 2 * (n - 2), _two_row_dimension(-a2 - n, -a1 - n, n)
 
 
-def _cauchy_twists(j, m, n, lo, hi):
-    """The twists t in lo..hi, ascending, at which Cauchy term j of Wedge^m survives.
+def _cauchy_ray(j, m, n, hi):
+    """Surviving (t, degree, dimension), t = 0..hi, of Cauchy term j of Wedge^m under O(-t).
 
-    Twisted by O(-t) the term has s-block (-j - t, j - m - t), whose
-    outcome is ``_bott_cauchy(-j - t, j - m - t, j, m, n)``; its shifted
-    s-entries are g1 - t and g2 - t.  Both lie above n for
-    t <= g2 - n - 1, both lie below 1 from t = g1 on, and both fill the
-    gaps at t = 0.  Otherwise one entry must fill a gap while the other
-    leaves 1..n: only t = g2 - g1 (when g1 + (g1 - g2) > n) and
-    t = g1 - g2 (when g1 - g2 >= g2) do so.
+    The shifted s-entries g1 - t, g2 - t fill the gaps at t = 0; one fills
+    a gap, the other leaves 1..n only at t = gap = g1 - g2 if gap >= g2;
+    both are below 1 from t = g1 on.  Bott runs at these three twists.  On
+    that tail the degree is 2(n - 2) and the weight is, up to a constant,
+    the q-block, y1 = g1 - t at P = n - 2 and y2 = g2 + 1 - t at P = n - 1.
+    A q-run (value v, start a, length r) puts X(X - 1)...(X - r + 1),
+    X = v - y + P - a, in the Weyl product, so t -> t + 1 multiplies the
+    dimension by six factors (X + 1)/(X - r + 1), dividing exactly.
     """
     g1, g2 = _cauchy_gaps(j, m, n)
-    gap = g1 - g2
-    middle = [
-        t
-        for t, survives in ((-gap, g1 + gap > n), (0, True), (gap, gap >= g2))
-        if survives and lo <= t <= hi
-    ]
-    return [*range(lo, min(hi, g2 - n - 1) + 1), *middle, *range(max(lo, g1), hi + 1)]
+    twists = (0, g1 - g2, g1) if g1 - g2 >= g2 else (0, g1)
+    ray = [(t, *_bott_cauchy(-j - t, j - m - t, j, m, n)) for t in twists if t <= hi]
+    runs = ((2, 0, j), (1, j, m - 2 * j), (0, m - j, n - 2 - m + j))
+    xs = [(v - y + pos - a, r) for y, pos in ((g1, n - 2), (g2 + 1, n - 1)) for v, a, r in runs]
+    for t in range(g1, hi):  # X = x + t
+        num = den = 1
+        for x, r in xs:
+            num *= x + t + 1
+            den *= x + t - r + 1
+        ray.append((t + 1, ray[-1][1], ray[-1][2] * num // den))
+    return ray
 
 
 def bwb_cohomology(w: GLWeight) -> BwbResult:

@@ -5,10 +5,10 @@ section of O(1)^k, so its structure sheaf has the Koszul resolution by
 O(-a)^{C(k,a)} and every Euler characteristic on Y is an alternating
 binomial sum of Euler characteristics upstairs.  For Wedge^p Omega_Y
 every term is a Cauchy term of Wedge^m Omega_Gr twisted by O(-t), so
-:func:`hodge_diamond_y1` evaluates one Bott outcome per (term, total
-twist) and reads chi^p and the audit trail from that one table; other
-classes get one Bott table per Koszul twist (:func:`_koszul_tables`).  Middle Hodge numbers come from these exact
-Euler characteristics plus the Lefschetz hyperplane theorem;
+:func:`hodge_diamond_y1` reads chi^p and the audit trail from one ray of
+Bott outcomes per Cauchy term; other classes get one Bott table per
+Koszul twist (:func:`_koszul_tables`).  Middle Hodge numbers come from
+these exact Euler characteristics plus the Lefschetz hyperplane theorem;
 hypercohomology spectral sequences are resolved honestly (degrees that
 must vanish force their differentials) and anything genuinely ambiguous
 is reported as bounds, never guessed.
@@ -17,14 +17,14 @@ is reported as bounds, never guessed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import sub
 
 from .bwb import (
-    _bott_cauchy,
     _bott_zero_tail,
-    _cauchy_twists,
+    _cauchy_ray,
     cohomology_of_kclass,
     euler_characteristic,
 )
@@ -42,8 +42,7 @@ def _koszul_tables(params: ModelParams, c):
     :mod:`grpf.schur`; the tables come in order of a.
 
     They serve :func:`restricted_euler` and the first Koszul page; the
-    Hodge numbers of the section take one Bott outcome per Cauchy term
-    and total twist instead.
+    Hodge numbers of the section read one ray per Cauchy term instead.
     """
     return [cohomology_of_kclass(c, twist=-a) for a in range(params.k + 1)]
 
@@ -104,19 +103,20 @@ class SectionHodge:
 def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     """Full Hodge diamond of the linear section of Gr(2, n).
 
-    Rows away from the middle come from the ambient Grassmannian
-    (Lefschetz below the middle, duality above); the middle row is solved
-    from the exact Euler characteristics chi^p.  The Cauchy class of
-    Wedge^m Omega_Gr is built once per m.  Term (j, m) of Omega^p enters
-    with twist O(-i), i = p - m, and the Koszul twist O(-a) adds to it, so
-    its Bott outcome depends on (j, m, t) with t = i + a only: each is
-    evaluated once, and only at the twists where it survives.  The audit
-    trail lists each outcome once, and for each p, Koszul twist by Koszul
-    twist and term by term in sorted order, the row (i, j, a) that reads
-    outcome (j, p - i, i + a) with sign (-1)^i C(k+i-1, i) (-1)^a C(k, a)
-    (a Cauchy term has multiplicity one), as in chi^p, which is their
-    alternating sum.  A negative or non-symmetric middle row means an
-    upstream bug, and :func:`grpf.diamond.hodge_diamond` raises on it.
+    Rows away from the middle come from the ambient Grassmannian (Lefschetz
+    below the middle, duality above); the middle row is solved from the
+    exact Euler characteristics chi^p.  The Cauchy class of Wedge^m Omega_Gr
+    is built once per m.  Term (j, m) of Omega^p enters with twist O(-i),
+    i = p - m, and the Koszul twist O(-a) adds to it, so its Bott outcome
+    depends on (j, m, t) with t = i + a only.  The first term to need (j, m)
+    builds its ray (:func:`grpf.bwb._cauchy_ray`) up to the largest twist
+    d - m + k (0 if k = 0), and term (i, j) reads it at i <= t <= i + k.
+    The audit trail lists each outcome once, and for each p, Koszul twist by
+    Koszul twist and term by term in sorted order, the row (i, j, a) that
+    reads outcome (j, p - i, i + a) with sign (-1)^i C(k+i-1, i)
+    (-1)^a C(k, a) (a Cauchy term has multiplicity one), as in chi^p, which
+    is their alternating sum.  A negative or non-symmetric middle row means
+    an upstream bug, and :func:`grpf.diamond.hodge_diamond` raises on it.
     """
     n, k = params.n, params.k
     d = classify(params).dim_y1
@@ -125,7 +125,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     gp = grassmannian_poincare(n)
     cauchy = [cauchy_exterior_cotangent(n, m) for m in range(d + 1)]
     koszul = [(-1) ** a * math.comb(k, a) for a in range(k + 1)]
-    outcomes = {}  # (j, m, t) -> (degree, dimension) of a surviving term
+    rays = {}  # (j, m) -> its surviving (t, degree, dimension), ascending; rows read all
     chi = []
     audit_rows = []
     for p in range(d + 1):
@@ -133,24 +133,21 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
         total = 0
         for _, _, mult, i, j in _omega_p_terms(k, p, cauchy):
             m = p - i
-            for t in _cauchy_twists(j, m, n, i, i + k):
-                key = (j, m, t)
-                if key not in outcomes:
-                    outcomes[key] = _bott_cauchy(-j - t, j - m - t, j, m, n)
-                degree, dim = outcomes[key]
+            ray = rays.get((j, m))
+            if ray is None:
+                ray = rays[j, m] = _cauchy_ray(j, m, n, d - m + k if k else 0)
+            lo = bisect_left(ray, (i,))
+            for t, degree, dim in ray[lo:bisect_left(ray, (i + k + 1,), lo)]:
                 a = t - i
                 total += (-1) ** degree * mult * koszul[a] * dim
                 rows[a].append((i, j, a))
         chi.append(total)
         audit_rows.append(list(chain.from_iterable(rows)))
 
-    middle = []
-    for p in range(d + 1):
-        if d == 2 * p:
-            off = 0
-        else:
-            off = (-1) ** p * (gp[p] if 2 * p < d else gp[d - p])
-        middle.append((-1) ** (d - p) * (chi[p] - off))
+    middle = [
+        (-1) ** (d - p) * (chi[p] - (0 if d == 2 * p else (-1) ** p * gp[min(p, d - p)]))
+        for p in range(d + 1)
+    ]
 
     h = hodge_diamond(gp, middle)
     for p in range(d + 1):
@@ -160,7 +157,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
         diamond=h,
         chi_p=tuple(chi),
         audit={
-            "outcomes": sorted(key + value for key, value in outcomes.items()),
+            "outcomes": sorted(key + value for key, ray in rays.items() for value in ray),
             "rows": audit_rows,
         },
     )

@@ -8,7 +8,8 @@ from grpf.bwb import (
     _bott,
     _bott_cauchy,
     _bott_zero_tail,
-    _cauchy_twists,
+    _cauchy_gaps,
+    _cauchy_ray,
     bwb_cohomology,
     cohomology_of_kclass,
     euler_characteristic,
@@ -139,12 +140,34 @@ def test_zero_tail_bott_matches_bott():
                 assert _bott_zero_tail(a1, a2, n) == expected, (n, a1, a2)
 
 
+def _cauchy_twists(j, m, n, lo, hi):
+    """The twists t in lo..hi, ascending, at which Cauchy term j of Wedge^m survives.
+
+    Twisted by O(-t) the term has s-block (-j - t, j - m - t), whose
+    outcome is ``_bott_cauchy(-j - t, j - m - t, j, m, n)``; its shifted
+    s-entries are g1 - t and g2 - t.  Both lie above n for
+    t <= g2 - n - 1, both lie below 1 from t = g1 on, and both fill the
+    gaps at t = 0.  Otherwise one entry must fill a gap while the other
+    leaves 1..n: only t = g2 - g1 (when g1 + (g1 - g2) > n) and
+    t = g1 - g2 (when g1 - g2 >= g2) do so.
+    """
+    g1, g2 = _cauchy_gaps(j, m, n)
+    gap = g1 - g2
+    middle = [
+        t
+        for t, survives in ((-gap, g1 + gap > n), (0, True), (gap, gap >= g2))
+        if survives and lo <= t <= hi
+    ]
+    return [*range(lo, min(hi, g2 - n - 1) + 1), *middle, *range(max(lo, g1), hi + 1)]
+
+
 def cauchy_term_mismatches(ns):
     """Twisted Cauchy terms where ``_bott_cauchy`` disagrees with ``_bott``.
 
     Covers every m in 0..2(n-2), every term j of its Cauchy class and every
     total twist t in [-3n, 3n]; compares vanishing, degree and dimension,
-    and the surviving twists against ``_cauchy_twists``.
+    the surviving twists against :func:`_cauchy_twists`, and the survivors
+    with t >= 0 against ``_cauchy_ray`` up to 3n.
     """
     bad = []
     for n in ns:
@@ -152,6 +175,7 @@ def cauchy_term_mismatches(ns):
             for s, q in cauchy_exterior_cotangent(n, m):
                 j = -s[0]
                 survivors = []
+                ray = []
                 for t in range(-3 * n, 3 * n + 1):
                     res = _bott((s[0] - t, s[1] - t) + q, n)
                     expected = None if res.vanishes else (res.degree, res.dimension)
@@ -159,8 +183,15 @@ def cauchy_term_mismatches(ns):
                         bad.append((n, m, j, t))
                     if expected is not None:
                         survivors.append(t)
+                        if t >= 0:
+                            ray.append((t, *expected))
                 if _cauchy_twists(j, m, n, -3 * n, 3 * n) != survivors:
                     bad.append((n, m, j, "twists"))
+                try:
+                    if _cauchy_ray(j, m, n, 3 * n) != ray:
+                        bad.append((n, m, j, "ray"))
+                except TypeError:  # a vanishing outcome where the ray expects one
+                    bad.append((n, m, j, "ray vanishes"))
     return bad
 
 

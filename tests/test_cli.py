@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -479,23 +480,27 @@ def test_grass_section_audit_trail(capsys):
 
 def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
     # the Koszul pages of T and O(1)^k run the general Bott algorithm once
-    # per term and Koszul twist; the terms of Omega^p take the Cauchy entry,
-    # once per surviving (Cauchy term, total twist): the 133 outcomes of the
-    # audit table behind its 293 rows, out of 193 x 6 (term, Koszul twist) pairs
+    # per term and Koszul twist; the terms of Omega^p take the Cauchy entry
+    # at most three times per (Cauchy term j, m), never where the term
+    # vanishes, and read the rest of each ray by the Weyl ratio: the 133
+    # outcomes of the audit table behind its 293 rows, out of 193 x 6
+    # (term, Koszul twist) pairs, each equal to Bott on its key
     calls = []
     outcomes = []
-    bott, bott_cauchy = bwb._bott, sections._bott_cauchy
+    bott, bott_cauchy = bwb._bott, bwb._bott_cauchy
 
     def counted(weight, n):
         calls.append(weight)
         return bott(weight, n)
 
     def counted_cauchy(a1, a2, j, m, n):
-        outcomes.append((a1, a2, j, m))
-        return bott_cauchy(a1, a2, j, m, n)
+        outcomes.append((j, m))
+        res = bott_cauchy(a1, a2, j, m, n)
+        assert res is not None, (a1, a2, j, m)
+        return res
 
     monkeypatch.setattr(bwb, "_bott", counted)
-    monkeypatch.setattr(sections, "_bott_cauchy", counted_cauchy)
+    monkeypatch.setattr(bwb, "_bott_cauchy", counted_cauchy)
     assert run(["hodge", "grass-section", "--n", "10", "--k", "5", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     params = ModelParams(10, 5)
@@ -504,9 +509,11 @@ def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
     normal_terms = len({((1, 1), (0,) * 8): 5})
     assert (omega_terms, tangent_terms, normal_terms) == (193, 1, 1)
     assert len(calls) == 6 * (1 + 1) == 12
-    assert len(outcomes) == len(set(outcomes)) == 133
+    assert max(Counter(outcomes).values()) <= 3
     audit = report["result"]["audit"]
     assert len(audit["outcomes"]) == 133
+    for j, m, t, degree, dim in audit["outcomes"]:
+        assert bott_cauchy(-j - t, j - m - t, j, m, 10) == (degree, dim), (j, m, t)
     assert sum(len(rows) for rows in audit["rows"]) == 293
 
 

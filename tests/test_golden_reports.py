@@ -71,6 +71,9 @@ COMMANDS = [
     "collection verify --n 40 --set S",
     "collection verify --n 12 --set T --k 20",
     "collection verify --n 9 --set T --k 13",
+    "hodge grass-section --n 14 --k 20",
+    "hodge grass-section --n 20 --k 0",
+    "hodge grass-section --n 16 --k 1",
     "collection verify --n 6",
     "collection verify --n 6 --set T --k 3",
 ]

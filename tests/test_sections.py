@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import grpf.bwb as bwb
 import grpf.sections as sections
 from grpf.bwb import (
     _bott,
@@ -243,10 +245,12 @@ def test_hodge_diamond_grid(n, k):
 
 @pytest.mark.parametrize("n, k", [(10, 5), (12, 0), (9, 9), (5, 5)])
 def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, n, k):
-    # the Cauchy class of Wedge^m Omega_Gr is built once per m, and the Bott
-    # outcome of term (j, m) under total twist t once per (j, m, t); the
-    # tables are local to the call, so the next call builds them again
-    cauchy, bott = sections.cauchy_exterior_cotangent, sections._bott_cauchy
+    # the Cauchy class of Wedge^m Omega_Gr is built once per m, and the
+    # outcomes of term (j, m) under every total twist t once per ray (j, m),
+    # with at most three Bott runs (t = 0, t = gap, the first tail twist)
+    # and none where the term vanishes; the tables are local to the call,
+    # so the next call builds them again
+    cauchy, bott = sections.cauchy_exterior_cotangent, bwb._bott_cauchy
     built = []
     evaluated = []
 
@@ -261,7 +265,7 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
         return res
 
     monkeypatch.setattr(sections, "cauchy_exterior_cotangent", counted_cauchy)
-    monkeypatch.setattr(sections, "_bott_cauchy", counted_bott)
+    monkeypatch.setattr(bwb, "_bott_cauchy", counted_bott)
     d = 2 * (n - 2) - k
     for _ in range(2):
         built.clear()
@@ -269,15 +273,20 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
         res = hodge_diamond_y1(ModelParams(n, k))
         assert built == list(range(d + 1))
         assert len(evaluated) == len(set(evaluated)) > 0
-        # every audit row reads one evaluated outcome, and every outcome
-        # backs a row: row (i, j, a) of degree p reads (j, p - i, i + a)
+        assert max(Counter((j, m) for j, m, _ in evaluated).values()) <= 3
+        # every audit row reads one outcome, and every outcome backs a row:
+        # row (i, j, a) of degree p reads (j, p - i, i + a)
         rows = {
             (j, p - i, i + a)
             for p, entries in enumerate(res.audit["rows"])
             for i, j, a in entries
         }
-        assert rows == set(evaluated)
-        assert [tuple(o[:3]) for o in res.audit["outcomes"]] == sorted(evaluated)
+        outcomes = res.audit["outcomes"]
+        assert [tuple(o[:3]) for o in outcomes] == sorted(rows)
+        assert set(evaluated) <= rows
+        # and each reported outcome is Bott on its key
+        for j, m, t, degree, dim in outcomes:
+            assert bott(-j - t, j - m - t, j, m, n) == (degree, dim), (j, m, t)
 
 
 SECTIONS = [(n, k) for n in range(3, 13) for k in range(2 * (n - 2) + 1)]

@@ -262,7 +262,7 @@ def _cmd_hodge_grass_section(args):
         "tangent_h1": {
             "mode": tangent.mode,
             "value": tangent.h1,
-            "bounds": list(tangent.h1_bounds) if tangent.h1_bounds else None,
+            "bounds": None,
             "tangent_page": page(tangent.tangent_restricted),
             "normal_page": page(tangent.normal_restricted),
         },

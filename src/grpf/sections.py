@@ -8,10 +8,10 @@ every term is a Cauchy term of Wedge^m Omega_Gr twisted by O(-t), so
 :func:`hodge_diamond_y1` reads chi^p and the audit trail from one ray of
 Bott outcomes per Cauchy term; other classes get one Bott table per
 Koszul twist (:func:`_koszul_tables`).  Middle Hodge numbers come from
-these exact Euler characteristics plus the Lefschetz hyperplane theorem;
-hypercohomology spectral sequences are resolved honestly (degrees that
-must vanish force their differentials) and anything genuinely ambiguous
-is reported as bounds, never guessed.
+these exact Euler characteristics plus the Lefschetz hyperplane theorem.
+Koszul spectral sequences for restricted bundles are resolved by forced
+cancellations (degrees that must vanish force their differentials); an
+outcome that stays ambiguous raises :class:`~grpf.errors.IntegrityError`.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
 
 
 # ---------------------------------------------------------------------------
-# Koszul hypercohomology with honest degeneration handling
+# Koszul hypercohomology by forced cancellation
 
 
 def _koszul_page(params: ModelParams, c):
@@ -194,29 +194,27 @@ def _partners(entry, entries, k):
 
 @dataclass(frozen=True)
 class RestrictedCohomology:
-    """H^*(Y, E|_Y) for an effective class E, with degeneration bookkeeping.
+    """H^*(Y, E|_Y) for an effective class E, read off the Koszul spectral sequence.
 
-    mode "exact": the table is unconditional.  mode "bounds": per-degree
-    (lower, upper) pairs in ``bounds``; the spectral sequence left room.
+    ``table`` maps each degree to its dimension, unconditionally;
+    ``page`` is the first page {(a, b): dim H^b(E(-a))^{C(k,a)}}.
     """
 
-    mode: str
     table: dict
-    bounds: dict
     page: dict
 
 
 def koszul_restricted_cohomology(params: ModelParams, c):
-    """Resolve the Koszul spectral sequence for c|_Y as far as forced.
+    """Resolve the Koszul spectral sequence for c|_Y; its outcome is exact.
 
     Entries contributing to total degrees outside [0, dim Y] must die;
     when a doomed entry has a single live partner the cancellation is
-    forced and unconditional.  If after that no two surviving entries are
-    linked by a differential the outcome is exact.
+    forced and unconditional.  A doomed entry that survives this, or two
+    survivors linked by a differential, raises IntegrityError.
     """
     d = classify(params).dim_y1
-    entries = dict(_koszul_page(params, c))
-    page = dict(entries)
+    page = _koszul_page(params, c)
+    entries = dict(page)
 
     def bad(e):
         a, b = e
@@ -229,10 +227,6 @@ def koszul_restricted_cohomology(params: ModelParams, c):
             if entries.get(e, 0) <= 0 or not bad(e):
                 continue
             partners = _partners(e, entries, params.k)
-            if not partners:
-                raise IntegrityError(
-                    f"entry {e} of dimension {entries[e]} cannot cancel"
-                )
             if len(partners) == 1:
                 other = partners[0]
                 if entries[other] < entries[e]:
@@ -244,18 +238,12 @@ def koszul_restricted_cohomology(params: ModelParams, c):
                 progress = True
     entries = {e: v for e, v in entries.items() if v}
 
-    if any(bad(e) for e in entries):
-        ambiguous = True
-    else:
-        ambiguous = any(_partners(e, entries, params.k) for e in entries)
-
     totals = {}
     for (a, b), v in entries.items():
+        if bad((a, b)) or _partners((a, b), entries, params.k):
+            raise IntegrityError(f"entry {(a, b)} of dimension {v} survives unresolved")
         totals[b - a] = totals.get(b - a, 0) + v
-    if not ambiguous:
-        return RestrictedCohomology("exact", totals, {}, page)
-    bounds = {m: (0, v) for m, v in totals.items()}
-    return RestrictedCohomology("bounds", {}, bounds, page)
+    return RestrictedCohomology(totals, page)
 
 
 @dataclass(frozen=True)
@@ -264,14 +252,13 @@ class TangentCohomology:
 
     mode is "exact" when no genericity is needed, "exact-generic" when the
     connecting map between degree-0 cohomology groups is assumed to have
-    maximal rank (true for a generic family), "bounds" otherwise.  In the
-    exact modes ``h0_upper`` is h^0 of the tangent bundle itself.
+    maximal rank (true for a generic family).  ``h0`` is h^0 of the
+    tangent bundle of the section.
     """
 
     mode: str
-    h1: int | None
-    h1_bounds: tuple[int, int] | None
-    h0_upper: int
+    h1: int
+    h0: int
     tangent_restricted: RestrictedCohomology | None
     normal_restricted: RestrictedCohomology | None
 
@@ -285,15 +272,19 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
     and 1), so there h^0(T_Y) comes from the genus and h^1 from the exact
     Euler characteristic chi(T_Y) = chi(T_Gr|_Y) - k chi(O_Y(1)), read off
     the two first Koszul pages.
+
+    Off curves H^1(O_Y(1)) = 0: O(1 - a) has only H^0 for a <= 1 and only
+    H^{2(n-2)} for a >= n + 1, so total degree 1 needs a = 2n - 5 > k when
+    dim Y >= 2, and at dim Y = 0 that entry lies outside [0, 0] and cancels.
+    So h^1(T_Y) is h^1(T_Gr|_Y) plus the cokernel of H^0 T_Gr|_Y -> H^0 O(1)^k
+    at maximal rank; a nonzero H^1 of O(1)^k there raises IntegrityError.
     """
     n, k = params.n, params.k
     zeros = (0,) * (n - 2)
     tangent_class = {((1, 0), zeros[1:] + (-1,)): 1}  # Hom(S, Q)
     if k == 0:
         table, _ = cohomology_of_kclass(tangent_class)
-        return TangentCohomology(
-            "exact", table.get(1, 0), None, table.get(0, 0), None, None
-        )
+        return TangentCohomology("exact", table.get(1, 0), table.get(0, 0), None, None)
     tangent = koszul_restricted_cohomology(params, tangent_class)
     normal = koszul_restricted_cohomology(params, {((1, 1), zeros): k})  # O(1)^k
     if classify(params).dim_y1 == 1:
@@ -304,33 +295,14 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
             for sign, restricted in ((1, tangent), (-1, normal))
             for (a, b), v in restricted.page.items()
         )
-        return TangentCohomology("exact", h0 - chi, None, h0, tangent, normal)
-    if tangent.mode != "exact" or normal.mode != "exact":
-        upper = (
-            tangent.bounds.get(1, (0, tangent.table.get(1, 0)))[1]
-            + normal.bounds.get(0, (0, normal.table.get(0, 0)))[1]
-        )
-        return TangentCohomology(
-            "bounds", None, (0, upper), 0, tangent, normal
-        )
+        return TangentCohomology("exact", h0 - chi, h0, tangent, normal)
+    if normal.table.get(1, 0):
+        raise IntegrityError(f"H^1(O_Y(1)^{k}) = {normal.table[1]} off a curve")
     t0 = tangent.table.get(0, 0)
-    t1 = tangent.table.get(1, 0)
     n0 = normal.table.get(0, 0)
-    n1 = normal.table.get(1, 0)
-    # 0 -> coker(H^0 T_Gr|_Y -> H^0 N) -> H^1 T_Y -> ker(H^1 T_Gr|_Y -> H^1 N)
-    coker0 = n0 - min(t0, n0)
-    h0_upper = t0 - min(t0, n0)
-    if t1 == 0:
-        return TangentCohomology(
-            "exact-generic", coker0, None, h0_upper, tangent, normal
-        )
-    if n1 == 0:
-        return TangentCohomology(
-            "exact-generic", coker0 + t1, None, h0_upper, tangent, normal
-        )
-    lo = coker0 + max(0, t1 - n1)
+    rank = min(t0, n0)
     return TangentCohomology(
-        "bounds", None, (lo, coker0 + t1), h0_upper, tangent, normal
+        "exact-generic", n0 - rank + tangent.table.get(1, 0), t0 - rank, tangent, normal
     )
 
 

@@ -14,6 +14,8 @@ from grpf.bwb import (
     cohomology_of_kclass,
     euler_characteristic,
 )
+from grpf.cli import run
+from grpf.errors import IntegrityError
 from grpf.geometry import ModelParams, classify, grassmannian_window, pfaffian_window
 from grpf.schur import cauchy_exterior_cotangent, clebsch_gordan_rank2, virtual_rank
 from grpf.weights import GLWeight
@@ -368,12 +370,10 @@ def test_h1_tangent_no_section():
 
 def test_koszul_restriction_tangent_tables():
     restricted = koszul_restricted_cohomology(ModelParams(10, 5), tangent(10))
-    assert restricted.mode == "exact"
     assert restricted.table == {0: 99}
     normal = koszul_restricted_cohomology(
         ModelParams(10, 5), {((1, 1), (0,) * 8): 5}  # O(1)^5
     )
-    assert normal.mode == "exact"
     assert normal.table == {0: 200}
 
 
@@ -381,7 +381,6 @@ def test_koszul_restriction_forced_cancellation():
     # sections of O(1) on the section: C(n,2) minus the k cut equations
     for n, k in ((10, 5), (7, 7), (8, 4)):
         res = koszul_restricted_cohomology(ModelParams(n, k), line(n, 1))
-        assert res.mode == "exact"
         assert res.table == {0: math.comb(n, 2) - k}
 
 
@@ -390,6 +389,91 @@ def test_koszul_restriction_rejects_virtual_classes():
         koszul_restricted_cohomology(
             ModelParams(6, 2), {((0, 0), (0,) * 4): 1, ((-1, -1), (0,) * 4): -1}
         )  # O - O(-1)
+
+
+def test_h1_tangent_sweep_is_exact_everywhere():
+    # every nonempty section up to n = 30 resolves without a raise, and
+    # only k = 0 and curves need no genericity
+    for n in range(3, 31):
+        for k in range(2 * n - 3):
+            res = h1_tangent_y1(ModelParams(n, k))
+            curve = 2 * (n - 2) - k == 1
+            assert res.mode == ("exact" if k == 0 or curve else "exact-generic"), (n, k)
+
+
+def test_h1_tangent_matches_the_parameter_count():
+    # h^1(T) - h^0(T) = dim Gr(k, Wedge^2 V^dual) - dim PGL(V) when
+    # H^0(T_Gr|_Y) = sl(V) and H^1(T_Gr|_Y) = H^1(O_Y(1)) = 0; the cases
+    # where it fails are named by the hypothesis they break, read off the
+    # engine's own restricted tables
+    broken = {}
+    cases = 0
+    for n in range(4, 13):
+        for k in range(1, 2 * n - 4):
+            res = h1_tangent_y1(ModelParams(n, k))
+            table = res.tangent_restricted.table
+            t0, t1 = table.get(0, 0), table.get(1, 0)
+            n1 = res.normal_restricted.table.get(1, 0)
+            count = k * (math.comb(n, 2) - k) - (n * n - 1)
+            cases += 1
+            if (t0, t1, n1) == (n * n - 1, 0, 0):
+                assert res.h1 - res.h0 == count, (n, k)
+            elif res.h1 - res.h0 != count:
+                broken[n, k] = (
+                    f"t0 = {t0}" if t0 != n * n - 1
+                    else "H^1(O_Y(1)) != 0" if n1 else f"t1 = {t1}"
+                )
+    assert broken == {
+        (4, 2): "t0 = 14",
+        (4, 3): "t0 = 12",
+        (5, 5): "t0 = 25",
+        (6, 6): "t1 = 1",
+        **{(n, 2 * n - 5): "H^1(O_Y(1)) != 0" for n in range(7, 13)},
+    }
+    assert (cases, cases - len(broken)) == (99, 89)
+    # the quintic's partner and Mukai's genus-8 curve both match
+    assert h1_tangent_y1(ModelParams(10, 5)).h1 == 101 == 5 * (45 - 5) - 99
+    assert h1_tangent_y1(ModelParams(6, 7)).h1 == 21 == 7 * (15 - 7) - 35
+
+
+def _plant_page(monkeypatch, plant):
+    real = sections._koszul_page
+    monkeypatch.setattr(
+        sections, "_koszul_page", lambda params, c: plant(real(params, c), c)
+    )
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        {(0, 1): 3, (1, 1): 2},  # two survivors in range, linked by d_1
+        {(0, 12): 1, (1, 12): 1, (2, 13): 1},  # total degree 12 > 11, two partners
+        {(0, 12): 1},  # total degree 12 > 11, no partner
+    ],
+    ids=["linked-survivors", "out-of-range-two-partners", "out-of-range-alone"],
+)
+def test_ambiguous_koszul_page_raises(monkeypatch, capsys, planted):
+    _plant_page(monkeypatch, lambda page, c: dict(planted))
+    with pytest.raises(IntegrityError):
+        koszul_restricted_cohomology(ModelParams(10, 5), line(10, 1))
+    with pytest.raises(IntegrityError):
+        h1_tangent_y1(ModelParams(10, 5))
+    assert run(["hodge", "grass-section", "--n", "10", "--k", "5"]) == 1
+    assert "integrity error" in capsys.readouterr().err
+
+
+def test_nonzero_h1_of_hyperplane_class_off_curves_raises(monkeypatch, capsys):
+    # plant H^1(O_Y(1)^5) = 3 on the elevenfold's normal page, unlinked
+    def plant(page, c):
+        return {**page, (0, 1): 3} if next(iter(c))[0] == (1, 1) else page
+
+    _plant_page(monkeypatch, plant)
+    normal = koszul_restricted_cohomology(ModelParams(10, 5), {((1, 1), (0,) * 8): 5})
+    assert normal.table == {0: 200, 1: 3}
+    with pytest.raises(IntegrityError, match="H\\^1"):
+        h1_tangent_y1(ModelParams(10, 5))
+    assert run(["hodge", "grass-section", "--n", "10", "--k", "5"]) == 1
+    assert "integrity error" in capsys.readouterr().err
 
 
 def test_class_arguments_are_left_unchanged():
@@ -852,15 +936,6 @@ def test_enumerative_matches_symbolic_at_small_twists():
                 assert all(deg == 0 for deg in table), (e, f, t)
 
 
-def test_h1_tangent_bounds_mode_degrades_honestly():
-    # far outside the embedding range the spectral sequence leaves room;
-    # on this curve of genus 8 the exact Euler characteristic closes it
-    res = h1_tangent_y1(ModelParams(6, 7))
-    assert res.mode == "exact"
-    assert res.h1 == 21
-    assert res.h1_bounds is None
-
-
 @pytest.mark.parametrize(
     "n, k, genus, h1",
     [(3, 1, 0, 0), (4, 3, 0, 0), (5, 5, 1, 1), (6, 7, 8, 21), (7, 9, 43, 126)],
@@ -870,9 +945,9 @@ def test_h1_tangent_on_curve_sections(n, k, genus, h1):
     # with chi(T) = 3 - 3g and h^0(T) = 3, 1, 0 for g = 0, 1, >= 2
     assert 2 * genus - 2 == (k - n) * catalan(n - 2)
     res = h1_tangent_y1(ModelParams(n, k))
-    assert (res.mode, res.h1, res.h1_bounds) == ("exact", h1, None)
-    assert res.h0_upper == {0: 3, 1: 1}.get(genus, 0)
-    assert res.h1 == res.h0_upper - (3 - 3 * genus)
+    assert (res.mode, res.h1) == ("exact", h1)
+    assert res.h0 == {0: 3, 1: 1}.get(genus, 0)
+    assert res.h1 == res.h0 - (3 - 3 * genus)
     assert res.tangent_restricted.page and res.normal_restricted.page
 
 

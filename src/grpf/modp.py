@@ -152,7 +152,7 @@ def _barrett(bound, p, slots):
     k, t = p.bit_length(), bound.bit_length()
     s = t - k + 1
     w, m = 2 * s, (1 << t) // p
-    low_bits = _pack([(1 << s) - 1] * slots, w)
+    low_bits = ((1 << s) - 1) * ((1 << w * slots) - 1) // ((1 << w) - 1)  # s ones per slot
 
     def reduce(z):
         return z - (((z >> k - 1 & low_bits) * m >> s) & low_bits) * p

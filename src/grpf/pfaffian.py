@@ -39,9 +39,11 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
+from struct import Struct
 
 from .diamond import hodge_diamond
 from .errors import DegenerateFamilyError, ParityError
@@ -203,19 +205,20 @@ def _principal_pfaffians(am, index_sets):
     submaximal Pfaffians of an odd matrix reuse each other's minors.  A
     monomial u^e is packed as the int sum_r e_r b^r with b = n // 2 + 1:
     the entries are linear forms, so no exponent of a Pfaffian reaches b.
-    Coefficients are plain ints, reduced once per memo node over F_p; over
+    Coefficients are plain ints, reduced at every memo node over F_p; over
     Q the expansion runs on the integer matrix D m, D the common
     denominator of the family's entries, and a Pfaffian of size 2d is
     divided by D^d at the end.
 
     A memo node is stored one of two ways, fixed once per call.  The dense
-    store keeps the node of an index set of size 2j as the list of its
-    coefficients over the C(j+k-1, k-1) monomials of degree j; it is taken
-    when that count at j = d is at most (2d-1)!! s^d, s the most nonzero
-    coefficients in any column of the family, which bounds the terms any
-    expansion can produce.  Otherwise, as for one variable per entry
-    (k = C(n, 2)), a list would be mostly zeros, and each node is the dict
-    {packed monomial: nonzero coefficient}.
+    store packs the coefficients of the node of an index set of size 2j
+    over the C(j+k-1, k-1) monomials of degree j into one int, in slots
+    of whole 64-bit limbs sized by a bound (:func:`_dense_expansions`); it
+    is taken when that count at j = d is at most (2d-1)!! s^d, s the most
+    nonzero coefficients in any column of the family, which bounds the
+    terms any expansion can produce.  Otherwise, as for one variable per
+    entry (k = C(n, 2)), the slots would be mostly zeros, and each node is
+    the dict {packed monomial: nonzero coefficient}.
     """
     p, k, n = am.p, am.k, am.n
     base = n // 2 + 1
@@ -234,9 +237,10 @@ def _principal_pfaffians(am, index_sets):
         expansions = _dense_expansions(forms, index_sets, k, base, p)
     else:
         expansions = _dict_expansions(forms, index_sets, k, base, p)
-    scale = coerce(Fraction(1, den**d), p)
-    return [{e: c * scale if p is None else c * scale % p for e, c in terms}
-            for terms in expansions]
+    if p is not None:  # den = 1
+        return [dict(terms) for terms in expansions]
+    scale = Fraction(1, den**d)
+    return [{e: c * scale for e, c in terms} for terms in expansions]
 
 
 def _decode(mono, k, base):
@@ -250,56 +254,101 @@ def _decode(mono, k, base):
 
 def _dense_expansions(forms, index_sets, k, base, p):
     """The (exponent tuple, nonzero coefficient) pairs of each Pfaffian, on
-    memo nodes that are dense lists over the monomials of their degree.
+    memo nodes that pack their coefficients into one int.
 
-    ``monos[j]`` is the ascending list of packed degree-j monomials and
-    ``up[j][r][i]`` the index in ``monos[j]`` of u_r times ``monos[j-1][i]``.
-    A node sums, per variable u_r, its children times the coefficients of
-    u_r in their first-row entries, then adds each sum in at ``up[j][r]``.
+    Slot i of a node of degree j, w bits from bit i w, w a whole number of
+    64-bit limbs, holds the coefficient of the i-th monomial of degree j
+    in ascending sum_r e_r base^r.  A node adds its children into one
+    packed sum per variable u_r, one multiply-add per (child, term), and
+    moves each sum onto the degree-j slots in C: ``to_bytes``, a ``struct``
+    unpack into the runs of m whose multiples u_r m are adjacent too, a
+    ``struct`` pack with zero bytes between the runs, ``from_bytes``.
+
+    Over F_p one slot-parallel Barrett step (:func:`grpf.modp._barrett`)
+    reduces a node lazily into [0, 3p); it adds at most k (2d - 1)
+    products of a child and a coefficient below p, so slots stay below
+    3 p^2 k (2d - 1).  Over Q slots hold signed ints, offset by 2^(w-1)
+    for ``to_bytes``: a Pfaffian of size 2j sums (2j-1)!! products of j
+    entries whose coefficients add up to at most S in absolute value, S
+    the most over the columns, so no partial sum reaches (2j-1)!! S^j.  A
+    node of degree j is sized for that bound at j + 1, where its
+    multiples are summed, and a move pads its slots with zero bytes.
     """
     d = len(index_sets[0]) // 2
+    minus = {pair: [(r, p - c if p else -c) for r, c in form] for pair, form in forms.items()}
+    if p is None:
+        top = max(sum(abs(c) for _, c in form) for form in forms.values())
+        bounds = [math.prod(range(1, 2 * j, 2)) * top**j for j in range(1, d + 1)]
+        limbs = [bound.bit_length() // 64 + 1 for bound in bounds + bounds[-1:]]
+    else:
+        # _barrett's slots are 2 s bits wide, s = t - bits(p) + 1 for a bound
+        # of t bits; s rounded up to a multiple of 32 makes them whole limbs
+        bits = p.bit_length()
+        s = -(-((3 * p * p * k * (2 * d - 1)).bit_length() - bits + 1) // 32) * 32
+        _, reduce = _barrett((1 << bits - 1 + s) - 1, p, math.comb(d + k - 1, k - 1))
+        limbs = [s // 32] * (d + 1)
+
+    def zeros(j, slots):  # over Q, 2^(w-1) in each slot of degree j
+        return 0 if p else int.from_bytes((bytes(8 * limbs[j] - 1) + b"\x80") * slots, "little")
+
     shifts = [base**r for r in range(k)]
-    monos, up = [[0]], [None]
-    for _ in range(d):
-        prev = monos[-1]
-        cur = sorted({m + b for m in prev for b in shifts})
-        index = {m: i for i, m in enumerate(cur)}
-        monos.append(cur)
-        up.append([[index[m + b] for m in prev] for b in shifts])
-    memo = {(): [1]}
+    monos, steps = [0], [None]
+    for j in range(1, d + 1):
+        prev = monos
+        monos = sorted(set(itertools.chain.from_iterable(map(b.__add__, prev) for b in shifts)))
+        index = dict(zip(monos, itertools.count()))
+        narrow, wide = 8 * limbs[j - 1], 8 * limbs[j]
+        size, lift, moves, drop = narrow * len(prev), zeros(j - 1, len(prev)), [], 0
+        for b in shifts:
+            # u_r m sits at slot i + key for the m at slot i: key never falls,
+            # and grows by the slots of degree j that u_r does not divide
+            at = map(index.__getitem__, map(b.__add__, prev))
+            runs = Counter(map(sub, at, itertools.count()))
+            gaps = map(sub, runs, [0, *runs])
+            if narrow == wide:
+                source = "".join(f"{narrow * c}s" for c in runs.values())
+                target = "".join(f"{wide * g}x{narrow * c}s" for g, c in zip(gaps, runs.values()))
+            else:
+                source = f"{narrow}s" * len(prev)
+                target = "".join(f"{wide * g}x" + f"{narrow}s{wide - narrow}x" * c
+                                 for g, c in zip(gaps, runs.values()))
+            unpack = Struct(source).unpack
+            pack = Struct(target + f"{wide * (len(monos) - len(prev) - max(runs))}x").pack
+            moves.append((unpack, pack))
+            drop += int.from_bytes(pack(*unpack(lift.to_bytes(size, "little"))), "little")
+        steps.append((moves, size, lift, drop))
+    memo = {(): 1}
 
     def pf(idx):
         node = memo.get(idx)
         if node is not None:
             return node
-        sums = [None] * k
+        moves, size, lift, drop = steps[len(idx) // 2]
+        sums = [lift] * k
         for t in range(1, len(idx)):
-            form = forms[idx[0], idx[t]]
-            if not form:
-                continue
-            child = pf(idx[1:t] + idx[t + 1 :])
-            for r, c in form:
-                if t % 2 == 0:
-                    c = -c
-                acc = sums[r]
-                if acc is None:
-                    sums[r] = [c * x for x in child]
-                else:
-                    sums[r] = [a + c * x for a, x in zip(acc, child)]
-        j = len(idx) // 2
-        node = [0] * len(monos[j])
-        for at, acc in zip(up[j], sums):
-            if acc is not None:
-                for i, x in zip(at, acc):
-                    node[i] += x
+            pair = idx[0], idx[t]
+            if forms[pair]:
+                child = pf(idx[1:t] + idx[t + 1 :])
+                for r, c in forms[pair] if t % 2 else minus[pair]:
+                    sums[r] += c * child
+        node = -drop
+        for (unpack, pack), acc in zip(moves, sums):
+            if acc:
+                node += int.from_bytes(pack(*unpack(acc.to_bytes(size, "little"))), "little")
         if p is not None:
-            node = [x % p for x in node]
+            node = reduce(node)
         memo[idx] = node
         return node
 
-    exponents = [_decode(mono, k, base) for mono in monos[d]]
+    exponents = list(zip(*([m // b % base for m in monos] for b in shifts)))
+    wide, half, lift = 8 * limbs[d], zeros(d, 1), zeros(d, len(monos))
+    unpack = Struct(f"<{len(monos)}Q" if wide == 8 else f"{wide}s" * len(monos)).unpack
     for idx in index_sets:
-        yield [(e, c) for e, c in zip(exponents, pf(idx)) if c]
+        coeffs = unpack((pf(idx) + lift).to_bytes(wide * len(monos), "little"))
+        if wide > 8:
+            coeffs = map(int.from_bytes, coeffs, itertools.repeat("little"))
+        coeffs = [c - half for c in coeffs] if p is None else [c % p for c in coeffs]
+        yield [(e, c) for e, c in zip(exponents, coeffs) if c]
 
 
 def _dict_expansions(forms, index_sets, k, base, p):
@@ -350,11 +399,14 @@ def pfaffian_polynomial(am: AMap):
     Squares to the determinant identically.  Even n only; odd n has all
     submaximal Pfaffians instead.  Like :func:`submaximal_pfaffians`, it
     expands along the first row over one memo of principal index sets,
-    each node a dense coefficient list or a sparse dict by the rule of
-    :func:`_principal_pfaffians`; ``pfaffian build`` at (14, 7) over Q
-    takes about 0.33 s (Python 3.11, a shared 2-core host).  A
-    numeric skew matrix A is the one-variable family with A's upper
-    triangle as its row, whose Pfaffian is Pf(A) u1^(n/2); modulo p,
+    each node a sparse dict or, by the rule of :func:`_principal_pfaffians`,
+    one int packing its coefficients in slots of 64-bit limbs that no sum
+    outgrows: below (n-1)!! S^(n/2) in absolute value over Q, S the
+    largest sum of |c_r| in a column, and below 3 p^2 k (n - 1) over F_p
+    (:func:`_dense_expansions`).  ``pfaffian build`` at (14, 7) over Q
+    takes about 0.13 s (Python 3.11, a shared 2-core host).  A numeric
+    skew matrix A is the one-variable family with A's upper triangle as
+    its row, whose Pfaffian is Pf(A) u1^(n/2); modulo p,
     :func:`grpf.modp.pfaffian_mod` takes A directly.
     """
     if am.n % 2:
@@ -368,8 +420,10 @@ def submaximal_pfaffians(am: AMap):
     Their common zero locus is the rank <= n-3 locus of the family.  The
     n first-row expansions share one memo of principal index sets, so
     they reuse each other's minors ((9, 9) needs 88 memo nodes in all),
-    stored as in :func:`_principal_pfaffians`; ``pfaffian build`` at
-    (11, 11) over F_10007 takes about 0.40 s on the same host.
+    stored as in :func:`pfaffian_polynomial` with n - 1 for n: packed
+    slots stay below (n-2)!! S^((n-1)/2) over Q and 3 p^2 k (n - 2) over
+    F_p.  ``pfaffian build`` at (11, 11) over F_10007 takes about 0.14 s
+    on the same host.
     """
     if am.n % 2 == 0:
         raise ParityError(f"n = {am.n} is even; use pfaffian_polynomial instead")

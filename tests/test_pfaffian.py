@@ -538,6 +538,14 @@ def _monomial_family(n, seed):
     return AMap(n, nv, Q, rows)
 
 
+def _big_fractions(n, k, seed):
+    """A family over Q with 16-digit numerators over 6-digit denominators."""
+    rng = random.Random(f"big-fractions:{n}:{k}:{seed}")
+    rows = [[Fraction(rng.randrange(-10**16, 10**16), rng.randrange(10**5, 10**6))
+             for _ in range(math.comb(n, 2))] for _ in range(k)]
+    return AMap(n, k, Q, rows)
+
+
 def _no_zero_entries(n, k, seed):
     """A family over Q none of whose entries is zero: s = k."""
     rng = random.Random(f"no-zero:{n}:{k}:{seed}")
@@ -553,10 +561,16 @@ ORACLE_FAMILIES = {
                               "dense")
        for n, k in ((4, 3), (5, 4), (6, 5), (7, 3), (8, 4))},
     **{f"F{p}-{n}-{k}": (lambda n=n, k=k, p=p: AMap.random(n, k, 2, p), "dense")
-       for n, k, p in ((6, 4, 3), (7, 5, 3), (8, 3, 3), (6, 6, 7), (7, 4, 7), (8, 5, 7))},
+       for n, k, p in ((6, 4, 3), (7, 5, 3), (8, 3, 3), (6, 6, 7), (7, 4, 7), (8, 5, 7),
+                       (6, 4, 2**61 - 1), (7, 5, 2**61 - 1),
+                       (8, 3, 3317044064679887385961783), (7, 4, 3317044064679887385961783))},
+    **{f"big-fractions-{n}-{k}": (lambda n=n, k=k: _big_fractions(n, k, 1), "dense")
+       for n, k in ((7, 3), (8, 4))},
     **{f"zero-columns-{n}-{k}": (lambda n=n, k=k: _zero_columns(n, k, 1), "dense")
        for n, k in ((6, 3), (7, 4), (8, 5))},
     **{f"k1-{n}": (lambda n=n: AMap.random(n, 1, 4), "dense") for n in (2, 3, 4, 5, 6, 7, 8)},
+    **{f"k1-{n}-F{p}": (lambda n=n, p=p: AMap.random(n, 1, 4, p), "dense")
+       for n, p in ((6, 2**61 - 1), (7, 3317044064679887385961783))},
     "one-variable-per-entry-4": (lambda: _one_variable_per_entry(4), "dict"),
     "one-variable-per-entry-6": (lambda: _one_variable_per_entry(6), "dict"),
     "monomial-6-15": (lambda: _monomial_family(6, 1), "dict"),
@@ -585,6 +599,48 @@ def test_pfaffians_equal_matching_sums(monkeypatch, name):
         assert subs == [_matching_pfaffian(am, [j for j in range(am.n) if j != i])
                         for i in range(am.n)]
     assert used == [store]
+
+
+@pytest.mark.parametrize("p", [Q, 10007, 2**61 - 1, 3317044064679887385961783])
+@pytest.mark.parametrize("blocks", [(4,), (5,), (8,), (9,), (16,), (4, 6), (4, 5)])
+def test_pfaffians_of_scaled_blocks_in_closed_form(blocks, p):
+    # entry (i, j) is c_i c_j u_b inside block b and 0 across blocks: with J
+    # all ones above the diagonal, Pf(D J D^T) = det D Pf J and Pf J = 1, so
+    # a block of even size m has Pfaffian prod c_i u_b^(m/2), one of odd size
+    # has none, and a block sum has the product of its blocks' Pfaffians
+    rng = random.Random(f"scaled-blocks:{blocks}")
+    n = sum(blocks)
+    cs = [rng.choice((-1, 1)) * rng.randrange(10**15, 10**16) for _ in range(n)]
+    owner = [b for b, size in enumerate(blocks) for _ in range(size)]
+    rows = [[cs[i] * cs[j] if owner[i] == owner[j] == b else 0
+             for i, j in itertools.combinations(range(n), 2)] for b in range(len(blocks))]
+    am = AMap(n, len(blocks), p, rows)
+
+    def closed_form(idx):
+        counts = Counter(owner[i] for i in idx)
+        c = coerce(math.prod(cs[i] for i in idx), p)
+        if c == 0 or any(m % 2 for m in counts.values()):
+            return {}
+        return {tuple(counts[b] // 2 for b in range(len(blocks))): c}
+
+    if n % 2 == 0:
+        assert pfaffian_polynomial(am) == closed_form(range(n))
+    else:
+        assert submaximal_pfaffians(am) == [closed_form([j for j in range(n) if j != i])
+                                            for i in range(n)]
+
+
+@pytest.mark.parametrize("s", [2 * 10**9, 10**19, 4 * 10**28])
+def test_pfaffian_at_its_coefficient_bound(s):
+    # all three matchings of a12 a34 - a13 a24 + a14 a23 add up to 3 s^2 =
+    # (2d-1)!! s^d, the bound that sizes the dense store's slots over Q; with
+    # 64, 128 and 192 bits it fills whole limbs, so a slot with no room for
+    # the sign overflows
+    am = AMap(4, 1, Q, [[s, s, s, s, -s, s]])
+    assert (3 * s * s).bit_length() % 64 == 0
+    assert pfaffian_polynomial(am) == {(2,): 3 * s * s}
+    assert submaximal_pfaffians(AMap(5, 1, Q, [[s, s, s, 0, s, -s, 0, s, 0, 0]])) == [
+        {}, {}, {}, {}, {(2,): 3 * s * s}]
 
 
 def test_fraction_families_have_fractions():

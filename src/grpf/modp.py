@@ -203,6 +203,8 @@ def _pfaffian_series(rows, p, length, w, reduce):
         nxt = m[i + 1]
         a = top[i + 1]
         result = reduce(result * a & mask)
+        if i + 2 == n:  # no row below reads the last pivot's inverse
+            break
         ainv = _series_inverse(a, p, length, w, reduce)
         for r in range(i + 2, n):
             # m[r][c] -= (m[i][r] m[i+1][c] - m[i][c] m[i+1][r]) / a
@@ -282,11 +284,34 @@ def _powmod(a, e, f, p):
     return _unpack(r, w, d, p)
 
 
+def _sqrt_mod(a, p):
+    """A square root of the nonzero square a mod p, by Tonelli-Shanks: with
+    p - 1 = q 2^e, q odd, x = a^((q+1)/2) and t = a^q keep x^2 = a t while
+    b = c^(2^(m-i-1)) takes x to x b and t, of order 2^i, to t b^2 of lower
+    order; c, of order 2^m > 2^i, starts as z^q, z a non-residue.  At e = 1,
+    t = 1 at once."""
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> e
+    x, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t == 1:
+        return x
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, m = pow(z, q, p), e
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << m - i - 1, p)
+        x, c, m = x * b % p, b * b % p, i
+        t = t * c % p
+    return x
+
+
 def roots_mod(coeffs, p):
     """The distinct roots in F_p (p an odd prime), ascending, of the polynomial with
     ascending coefficients ``coeffs``; none for the zero one.  gcd(f, x^p - x) keeps
     one linear factor per root, and Cantor-Zassenhaus splitting parts a factor g
-    by gcd(g, (x + a)^((p-1)/2) - 1), a = 0, 1, ...; some a in F_p parts any two."""
+    by gcd(g, (x + a)^((p-1)/2) - 1), a = 0, 1, ...; some a in F_p parts any two.
+    A factor x^2 + b x + c, whose two roots are distinct and in F_p, is solved as
+    (-b +- r) / 2 with r a square root of b^2 - 4c (:func:`_sqrt_mod`)."""
     f = _gcd(coeffs, [], p)
     if len(f) < 2:
         return []
@@ -296,7 +321,10 @@ def roots_mod(coeffs, p):
         g = factors.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
-        elif len(g) > 2:
+        elif len(g) == 3:
+            r, half = _sqrt_mod((g[1] * g[1] - 4 * g[0]) % p, p), (p + 1) // 2
+            roots += [(r - g[1]) * half % p, (-r - g[1]) * half % p]
+        elif len(g) > 3:
             h = _powmod(a, (p - 1) // 2, g, p)
             d = _gcd(g, [h[0] - 1, *h[1:]], p)
             a += 1

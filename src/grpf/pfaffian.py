@@ -8,9 +8,10 @@ n x n skew matrix of linear forms sum_r u_r M_r in u1..uk, and its
 rank-drop locus inside P(U) is the Pfaffian-side variety: the vanishing
 of the Pfaffian itself for even n, of all principal submaximal
 Pfaffians for odd n.  Both expand straight from the family's
-coefficients into dicts {exponent tuple: nonzero coefficient}, and a
-member at a point u is the numeric matrix :func:`_combine_forms` builds
-from the family's columns, one dot product with u per coordinate (i, j).
+coefficients into dicts {exponent tuple: nonzero coefficient}.  A member
+at a point u is the numeric matrix :func:`_combine_forms` builds with
+:func:`_combiner`: each row of the family is one packed int, so all the
+coordinates (i, j) come from one multiply-add per row and one unpack.
 
 Point sampling works over F_p.  The even, odd square and odd sliced paths
 differ only in how they draw a line; a line's polynomial comes from one
@@ -470,16 +471,34 @@ def _normalize_projective(u, p):
     return tuple(x * inv % p for x in u)
 
 
+def _combiner(rows, p):
+    """The map u -> [sum_r u_r rows[r][c] mod p for each column c] for k rows
+    of ints in [0, p): each row is packed once into one int, entry c in a
+    slot of the fewest whole 64-bit limbs that hold k (p - 1)^2, so a
+    combination is u reduced into [0, p), one multiply-add per row, one
+    ``to_bytes``, one ``struct`` unpack and one ``% p`` per entry."""
+    width, cols = 8 * -(-(len(rows) * (p - 1) ** 2).bit_length() // 64), len(rows[0])
+    packed = [_pack(row, 8 * width) for row in rows]
+    unpack = Struct(f"<{cols}Q" if width == 8 else f"{width}s" * cols).unpack
+
+    def combine(u):
+        slots = unpack(sum(map(mul, [x % p for x in u], packed)).to_bytes(width * cols, "little"))
+        if width > 8:
+            slots = map(int.from_bytes, slots, itertools.repeat("little"))
+        return [c % p for c in slots]
+
+    return combine
+
+
 def _combine_forms(am, u, p):
     """The numeric skew matrix sum_r u_r M_r of the family ``am`` over F_p.
 
-    ``am`` is reduced mod p; entry (i, j), i < j, is u dotted with the
-    family's column (i, j).
+    ``am`` is reduced mod p; its entries (i, j), i < j, in lex order are
+    :func:`_combiner` on the family's rows.
     """
     n = am.n
     out = [[0] * n for _ in range(n)]
-    for (i, j), column in zip(itertools.combinations(range(n), 2), zip(*am.matrix)):
-        c = sum(map(mul, u, column)) % p
+    for (i, j), c in zip(itertools.combinations(range(n), 2), _combiner(am.matrix, p)(u)):
         out[i][j] = c
         out[j][i] = -c % p
     return out
@@ -593,8 +612,10 @@ def _sample_even(am, p, count, seed, max_lines):
     """Sampling for even n: the Pfaffian, of degree d = n/2, on random lines.
 
     M(p0 + x p1) = M(p0) + x M(p1), so a line combines the family twice
-    and takes Pf(M(p0) + x M(p1)) by one skew elimination over
-    F_p[x]/(x^(d+1)), about the first centre c in 0..d where it is a unit.
+    (:func:`_combiner`, on rows packed once per sweep) and takes
+    Pf(M(p0) + x M(p1)) by one skew elimination over F_p[x]/(x^(d+1)),
+    about the first centre c in 0..d where it is a unit.  Only the upper
+    triangle, which the elimination reads, is built.
     """
     n, k = am.n, am.k
     deg = n // 2
@@ -603,16 +624,19 @@ def _sample_even(am, p, count, seed, max_lines):
         point = _point_at(am, (1,), p)
         return ({(1,): point} if point else {}), 1
     w, reduce = _barrett(9 * p * p * (2 * deg + 3), p, deg + 1)
+    combine = _combiner(am.matrix, p)
+    # row i of the upper triangle: the entries (i, i + 1..n - 1) in lex order
+    cuts = list(itertools.accumulate(range(n - 1, -1, -1), initial=0))
 
     def draw_line(rng):
         p0 = [rng.randrange(p) for _ in range(k)]
         p1 = [rng.randrange(p) for _ in range(k)]
 
         def line_polynomial():
-            m0, m1 = _combine_forms(am, p0, p), _combine_forms(am, p1, p)
+            e0, e1 = combine(p0), combine(p1)
             for c in range(deg + 1):
-                rows = [[(a + c * b) % p | b << w for a, b in zip(r0, r1)]
-                        for r0, r1 in zip(m0, m1)]
+                entries = [(a + c * b) % p | b << w for a, b in zip(e0, e1)]
+                rows = [[0] * (i + 1) + entries[cuts[i]:cuts[i + 1]] for i in range(n)]
                 pf = _pfaffian_series(rows, p, deg + 1, w, reduce)
                 if pf is not None:
                     return _taylor_shift(_unpack(pf, w, deg + 1, p), c, p)
@@ -672,6 +696,25 @@ def _series_cofactors(rows, p, length, w, reduce):
     return vec
 
 
+def _kernel_incidence(square, p):
+    """The map v -> B_v = [M_1 v | ... | M_n v] over F_p for a square family
+    (n forms, reduced mod p), as sum_j v_j T_j by :func:`_combiner` on the
+    T_j flattened: (M_r v)_i = sum_{j>i} m_r,ij v_j - sum_{j<i} m_r,ji v_j,
+    so entry (i, r) of T_j is m_r,ij for i < j and -m_r,ji for i > j."""
+    n = square.n
+    t = [[0] * (n * n) for _ in range(n)]
+    for r, row in enumerate(square.matrix):
+        for (i, j), c in zip(itertools.combinations(range(n), 2), row):
+            t[j][i * n + r], t[i][j * n + r] = c, -c % p
+    combine = _combiner(t, p)
+
+    def b_of(v):
+        flat = combine(v)
+        return [flat[i : i + n] for i in range(0, n * n, n)]
+
+    return b_of
+
+
 def _kernel_line_drawer(square, p, emb=None):
     """``draw_line`` for odd n on a square family (n forms, reduced mod p).
 
@@ -710,14 +753,7 @@ def _kernel_line_drawer(square, p, emb=None):
     w, reduce = _barrett(9 * p * p * max(n * (n - 1), 2 * need + 1), p, max(n, need))
     mask = (1 << w * need) - 1
 
-    def b_of(v):
-        # (M_r v)_i = sum_{j>i} m_r,ij v_j - sum_{j<i} m_r,ji v_j
-        b = [[0] * n for _ in range(n)]
-        for r, row in enumerate(square.matrix):
-            for (i, j), c in zip(coordinates, row):
-                b[i][r] += c * v[j]
-                b[j][r] -= c * v[i]
-        return [[x % p for x in row] for row in b]
+    b_of = _kernel_incidence(square, p)
 
     def draw_line(rng):
         v0 = [rng.randrange(p) for _ in range(n)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import IntegrityError
-from .weights import weyl_dimension
+from .weights import weyl_dimension, weyl_dimension_of_runs
 
 
 def virtual_rank(c):
@@ -52,12 +52,15 @@ def cauchy_exterior_cotangent(n, m):
     dim = 2 * (n - 2)
     if m < 0 or m > dim:
         return {}
-    terms = {}
+    terms, rank = {}, 0
     for j in range(max(0, m - (n - 2)), m // 2 + 1):
         # lam' for lam = (m - j, j): j columns of height 2, m - 2j of height 1
         s_weight = (-j, -(m - j))
         q_weight = (2,) * j + (1,) * (m - 2 * j) + (0,) * (n - 2 - m + j)
         terms[(s_weight, q_weight)] = 1
-    if virtual_rank(terms) != math.comb(dim, m):
+        # its rank, as virtual_rank counts it, from the runs of q_weight
+        runs = ((2, j), (1, m - 2 * j), (0, n - 2 - m + j))
+        rank += (m - 2 * j + 1) * weyl_dimension_of_runs(runs)
+    if rank != math.comb(dim, m):
         raise IntegrityError(f"Cauchy rank check failed at n={n}, m={m}")
     return terms

@@ -106,13 +106,15 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     Rows away from the middle come from the ambient Grassmannian (Lefschetz
     below the middle, duality above); the middle row is solved from the
     exact Euler characteristics chi^p.  The Cauchy class of Wedge^m Omega_Gr
-    is built once per m.  Term (j, m) of Omega^p enters with twist O(-i),
+    is built once per m, for its rank check and its number of terms, which
+    fixes the least j.  Term (j, m) of Omega^p enters with twist O(-i),
     i = p - m, and the Koszul twist O(-a) adds to it, so its Bott outcome
     depends on (j, m, t) with t = i + a only.  The first term to need (j, m)
     builds its ray (:func:`grpf.bwb._cauchy_ray`) up to the largest twist
     d - m + k (0 if k = 0), and term (i, j) reads it at i <= t <= i + k.
     The audit trail lists each outcome once, and for each p, Koszul twist by
-    Koszul twist and term by term in sorted order, the row (i, j, a) that
+    Koszul twist and term by term in the sorted order of :func:`_omega_p_terms`
+    (i + j descending, then j ascending), the row (i, j, a) that
     reads outcome (j, p - i, i + a) with sign (-1)^i C(k+i-1, i)
     (-1)^a C(k, a) (a Cauchy term has multiplicity one), as in chi^p, which
     is their alternating sum.  A negative or non-symmetric middle row means
@@ -123,7 +125,9 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     if d < 0:
         raise ValueError(f"empty section: dim = {d} for (n,k)=({n},{k})")
     gp = grassmannian_poincare(n)
-    cauchy = [cauchy_exterior_cotangent(n, m) for m in range(d + 1)]
+    # Cauchy term j of Wedge^m Omega_Gr runs over least[m] <= j <= m // 2
+    least = [m // 2 + 1 - len(cauchy_exterior_cotangent(n, m)) for m in range(d + 1)]
+    omega = [(-1) ** i * (math.comb(k + i - 1, i) if k else int(i == 0)) for i in range(d + 1)]
     koszul = [(-1) ** a * math.comb(k, a) for a in range(k + 1)]
     rays = {}  # (j, m) -> its surviving (t, degree, dimension), ascending; rows read all
     chi = []
@@ -131,8 +135,14 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     for p in range(d + 1):
         rows = [[] for _ in koszul]  # by Koszul twist a
         total = 0
-        for _, _, mult, i, j in _omega_p_terms(k, p, cauchy):
-            m = p - i
+        # the terms of _omega_p_terms(k, p, ...) in its order: s_weight is
+        # (-(i + j), j - p), so i + j descending, then j ascending
+        terms = ((diag - j, j) for diag in range(p, -1, -1)
+                 for j in range(min(diag, p - diag) + 1))  # j <= m // 2
+        for i, j in terms:
+            m, mult = p - i, omega[i]
+            if not mult or j < least[m]:
+                continue
             ray = rays.get((j, m))
             if ray is None:
                 ray = rays[j, m] = _cauchy_ray(j, m, n, d - m + k if k else 0)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import pathlib
 import random
@@ -35,6 +36,7 @@ from grpf.pfaffian import (
     AMap,
     SamplePoint,
     _combine_forms,
+    _kernel_incidence,
     _kernel_line_drawer,
     _point_at,
     _series_cofactors,
@@ -133,6 +135,52 @@ def test_family_basis_evaluation():
             for j in range(i + 1, 6):
                 assert mat[i][j] == am.matrix[r][pair_index(6, i, j)]
                 assert mat[j][i] == (-mat[i][j]) % 10007
+
+
+BIG_P = 3317044064679887385961783
+
+
+def skew_of_row(row, n, p):
+    """The skew matrix M over F_p whose upper triangle is ``row`` in lex order."""
+    m = [[0] * n for _ in range(n)]
+    for (i, j), c in zip(itertools.combinations(range(n), 2), row):
+        m[i][j], m[j][i] = c % p, -c % p
+    return m
+
+
+@pytest.mark.parametrize("p", [10007, 2**61 - 1, BIG_P])
+def test_combine_forms_matches_the_dot_products(p):
+    # slots of one limb at p = 10007 even for k = C(n, 2), of two and three
+    # limbs at the larger primes; u may hold any ints
+    rng = random.Random(f"combine:{p}")
+    for n in (2, 3, 6, 9, 12):
+        ks = sorted({k for k in (1, 2, n) if k < math.comb(n, 2)} | {math.comb(n, 2)})
+        fams = [AMap.random(n, k, 1, p) for k in ks]
+        # every entry and every u_r p - 1: each slot reaches k (p - 1)^2
+        fams += [SimpleNamespace(n=n, matrix=[[p - 1] * math.comb(n, 2)] * k) for k in ks]
+        for fam in fams:
+            k = len(fam.matrix)
+            for u in ([p - 1] * k, [-1] * k, [rng.randrange(-3 * p, 3 * p) for _ in range(k)],
+                      [rng.randrange(p) for _ in range(k)]):
+                columns = zip(*fam.matrix)
+                expected = skew_of_row([sum(map(operator.mul, u, col)) for col in columns], n, p)
+                assert _combine_forms(fam, u, p) == expected, (n, k, u)
+
+
+@pytest.mark.parametrize("p", [5, 10007, 2**61 - 1, BIG_P])
+def test_kernel_incidence_stacks_the_members_times_v(p):
+    # B_v = [M_1 v | ... | M_n v], and v^T B_v = 0 as each M_r is skew
+    rng = random.Random(f"incidence:{p}")
+    for n in (3, 5, 7, 9):
+        square = AMap.random(n, n, 2, p)
+        b_of = _kernel_incidence(square, p)
+        forms = [skew_of_row(row, n, p) for row in square.matrix]
+        for v in ([p - 1] * n, [rng.randrange(p) for _ in range(n)],
+                  [rng.randrange(-2 * p, 2 * p) for _ in range(n)]):
+            b = b_of(v)
+            assert b == [[sum(map(operator.mul, form[i], v)) % p for form in forms]
+                         for i in range(n)], (n, v)
+            assert all(sum(x * row[r] for x, row in zip(v, b)) % p == 0 for r in range(n))
 
 
 def test_degenerate_family_rejected():
@@ -1515,7 +1563,7 @@ def test_one_determinant_per_cofactor_vector(monkeypatch):
     import grpf.modp as modp_mod
     import grpf.pfaffian as pf_mod
 
-    layers = ["_series_cofactors", "_combine_forms", "_roots_mod"]
+    layers = ["_series_cofactors", "_combiner", "_roots_mod"]
     calls = dict.fromkeys(["det"] + layers, 0)
 
     def counted(name, fn):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from grpf.modp import (
     _powmod,
     _rref,
+    _sqrt_mod,
     check_prime,
     coerce,
     det_mod,
@@ -202,6 +204,68 @@ def test_roots_mod_large_primes():
         # an irreducible quadratic: x^2 - c for a non-residue c
         c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
         assert roots_mod([-c, 0, 1], p) == []
+
+
+@pytest.mark.parametrize("p, e", [(7, 1), (13, 2), (41, 3), (17, 4), (97, 5), (193, 6)])
+def test_sqrt_mod_matches_brute_force(p, e):
+    # e is the 2-adic valuation of p - 1, the number of Tonelli-Shanks levels
+    assert (p - 1) % 2**e == 0 and (p - 1) // 2**e % 2 == 1
+    squares = {}
+    for x in range(1, p):
+        squares.setdefault(x * x % p, set()).add(x)
+    assert len(squares) == (p - 1) // 2
+    for a, roots in squares.items():
+        assert _sqrt_mod(a, p) in roots, (p, a)
+
+
+@pytest.mark.parametrize(
+    "p, e",
+    [(65537, 16), (998244353, 23), (2013265921, 27), (1000000009, 3),
+     (18446744073709551557, 2)],
+)
+def test_sqrt_mod_of_random_squares(p, e):
+    assert (p - 1) % 2**e == 0 and (p - 1) // 2**e % 2 == 1
+    rng = random.Random(p)
+    for _ in range(200):
+        a = pow(rng.randrange(1, p), 2, p)
+        r = _sqrt_mod(a, p)
+        assert 0 <= r < p and r * r % p == a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 41, 97, 193, 257])
+def test_roots_mod_of_quadratics_matches_brute_force(p):
+    # two distinct linear factors reach the quadratic formula straight from
+    # gcd(f, x^p - x); a double root leaves one linear factor there
+    rng = random.Random(f"quadratic:{p}")
+    pairs = list(itertools.combinations(range(p), 2))
+    for r1, r2 in pairs if p < 50 else rng.sample(pairs, 300):
+        coeffs = from_roots([r1, r2], rng.randrange(1, p), p)
+        assert roots_mod(coeffs, p) == [r1, r2] == brute_roots(coeffs, p)
+    for r in range(p):
+        coeffs = from_roots([r, r], rng.randrange(1, p), p)
+        assert roots_mod(coeffs, p) == [r] == brute_roots(coeffs, p)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 3317044064679887385961783])
+def test_roots_mod_of_quadratics_at_large_primes(p):
+    rng = random.Random(f"quadratic:{p}")
+    c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+    for _ in range(50):
+        r1 = rng.randrange(p)
+        r2 = (r1 + rng.randrange(1, p)) % p
+        lead = rng.randrange(1, p)
+        g = from_roots([r1, r2], lead, p)
+        four = [r1, r2, (r1 + r2) % p, 0]  # splits may leave quadratics
+        for roots, coeffs in (
+            ([r1, r2], g),
+            ([r1], from_roots([r1, r1], lead, p)),
+            # (x^2 - c) g: the first gcd leaves g, beside the irreducible x^2 - c
+            ([r1, r2], [(b - c * a) % p for a, b in zip(g + [0, 0], [0, 0] + g)]),
+            (four, from_roots(four, lead, p)),
+        ):
+            assert roots_mod(coeffs, p) == sorted(set(roots))
+            for x in roots:
+                assert sum(a * pow(x, i, p) for i, a in enumerate(coeffs)) % p == 0
 
 
 # --- independent Pfaffian oracle: perfect matchings ---------------------------

@@ -291,6 +291,22 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
             assert bott(-j - t, j - m - t, j, m, n) == (degree, dim), (j, m, t)
 
 
+@pytest.mark.parametrize("n", range(3, 17))
+def test_audit_rows_follow_the_sorted_terms_of_omega_p(n):
+    # hodge_diamond_y1 walks the terms (i, j) of Omega^p without sorting;
+    # its rows must still come in the order of the sorted class, whose
+    # term (i, j) has s_weight (-(i + j), j - p)
+    for k in range(2 * (n - 2) + 1):
+        params = ModelParams(n, k)
+        res = hodge_diamond_y1(params)
+        outcomes = {tuple(o[:3]) for o in res.audit["outcomes"]}
+        for p, rows in enumerate(res.audit["rows"]):
+            terms = [(-s[0] - p - s[1], p + s[1]) for s, _ in sorted(omega_p_class(params, p))]
+            expected = [(i, j, a) for a in range(k + 1) for i, j in terms
+                        if (j, p - i, i + a) in outcomes]
+            assert rows == expected, (n, k, p)
+
+
 SECTIONS = [(n, k) for n in range(3, 13) for k in range(2 * (n - 2) + 1)]
 
 

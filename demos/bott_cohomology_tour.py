@@ -6,36 +6,37 @@ the hyperplane bundle O(1) = det(S dual) is the pair (1, 1) with zero
 tail, and Sym^l S (det S)^m is (-m, -l-m).
 """
 
-from grpf import GLWeight, bwb_cohomology, grassmannian_poincare
-from grpf.bwb import cohomology_of_kclass, serre_dual_weight
+from grpf import bott, grassmannian_poincare
+from grpf.bwb import cohomology_of_kclass
 from grpf.schur import cauchy_exterior_cotangent
 
 n = 10
 zeros = (0,) * (n - 2)
 
 print("== basic bundles on Gr(2, 10) ==")
-for name, w in [
-    ("O", GLWeight(n, (0, 0), zeros)),
-    ("O(1)", GLWeight(n, (1, 1), zeros)),
-    ("O(-1)", GLWeight(n, (-1, -1), zeros)),
-    ("Sym^2 S dual", GLWeight(n, (2, 0), zeros)),
-    ("tangent bundle", GLWeight(n, (1, 0), (0,) * (n - 3) + (-1,))),
-    ("canonical O(-10)", GLWeight(n, (-n, -n), zeros)),
+for name, s, q in [
+    ("O", (0, 0), zeros),
+    ("O(1)", (1, 1), zeros),
+    ("O(-1)", (-1, -1), zeros),
+    ("Sym^2 S dual", (2, 0), zeros),
+    ("tangent bundle", (1, 0), (0,) * (n - 3) + (-1,)),
+    ("canonical O(-10)", (-n, -n), zeros),
 ]:
-    res = bwb_cohomology(w)
-    if res.vanishes:
+    res = bott(n, s, q)
+    if res is None:
         print(f"{name:18} -> no cohomology at all")
     else:
-        print(f"{name:18} -> H^{res.degree} of dimension {res.dimension}")
+        print(f"{name:18} -> H^{res[0]} of dimension {res[1]}")
 
 # Serre duality is a sharp internal check: the dual weight twisted by the
-# canonical bundle must produce the complementary degree, same dimension.
+# canonical bundle O(-n), (-s2 - n, -s1 - n | -q reversed), must produce
+# the complementary degree, same dimension.
 print("\n== Serre duality spot check ==")
-w = GLWeight(n, (3, 1), (1,) + (0,) * (n - 4) + (-2,))
-a = bwb_cohomology(w)
-b = bwb_cohomology(serre_dual_weight(w))
-print(f"weight {w.vector()}: degrees {a.degree} + {b.degree} = {2 * (n - 2)},",
-      f"dimensions {a.dimension} = {b.dimension}")
+s, q = (3, 1), (1,) + (0,) * (n - 4) + (-2,)
+a = bott(n, s, q)
+b = bott(n, (-s[1] - n, -s[0] - n), tuple(-x for x in reversed(q)))
+print(f"weight {s + q}: degrees {a[0]} + {b[0]} = {2 * (n - 2)},",
+      f"dimensions {a[1]} = {b[1]}")
 
 # Summing Bott outcomes over the Cauchy decomposition of the p-th wedge of
 # the cotangent bundle recovers the diagonal Hodge numbers of the

@@ -2,12 +2,13 @@
 
 What lives where:
 
-* :mod:`grpf.weights`   parabolic weights, Weyl dimensions, Gaussian
-  binomials and the Poincare polynomial of Gr(2, n) as coefficient tuples
+* :mod:`grpf.weights`   a weight is the tuple pair (s, q), checked by
+  ``check_weight(n, s, q)``; Weyl dimensions, Gaussian binomials and the
+  Poincare polynomial of Gr(2, n) as coefficient tuples
 * :mod:`grpf.schur`     Clebsch-Gordan, the Cauchy identity; a class of
   bundles is the dict {(s_weight, q_weight): multiplicity}
-* :mod:`grpf.bwb`       the Borel-Weil-Bott engine, cohomology tables of
-  classes and their Euler characteristics
+* :mod:`grpf.bwb`       the Borel-Weil-Bott engine (``bott(n, s, q)``),
+  cohomology tables of classes and their Euler characteristics
 * :mod:`grpf.geometry`  parameter classification, windows as frozensets
   of labels, strata
 * :mod:`grpf.sections`  Hodge diamonds and deformations of linear sections,
@@ -23,7 +24,7 @@ What lives where:
 * :mod:`grpf.cli`       the ``grpf`` command line tool
 """
 
-from .bwb import BwbResult, bwb_cohomology, cohomology_of_kclass
+from .bwb import bott, cohomology_of_kclass
 from .geometry import (
     Classification,
     ModelParams,
@@ -50,6 +51,6 @@ from .sections import (
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
-from .weights import GLWeight, grassmannian_poincare, weyl_dimension
+from .weights import check_weight, grassmannian_poincare, weyl_dimension
 
 __version__ = "0.1.0"

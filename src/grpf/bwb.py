@@ -10,8 +10,9 @@ decreasing, one block of consecutive integers per run of equal entries,
 so the sort inserts the two shifted s-entries between blocks.
 :func:`_bott_runs` does that on the runs of the q-block and hands the
 runs of the result to the Weyl product; no length-n tuple is built.
-General weights (:func:`_bott`) and the Cauchy q-blocks of the Hodge
-terms (:func:`_bott_cauchy`) go through it; :func:`_cauchy_ray` steps a
+General weights (:func:`bott`, the one checked entry, which spells the
+resulting weight out) and the Cauchy q-blocks of the Hodge terms
+(:func:`_bott_cauchy`) go through it; :func:`_cauchy_ray` steps a
 twisted Cauchy term along its twists by a telescoped Weyl ratio.  The
 Hom and Ext summands have a zero q-block, whose outcome is one of five
 closed forms (:func:`_bott_zero_tail`).
@@ -20,25 +21,10 @@ closed forms (:func:`_bott_zero_tail`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import IntegrityError
-from .weights import GLWeight, weyl_dimension_of_runs
-
-
-@dataclass(frozen=True)
-class BwbResult:
-    """Outcome of the Bott algorithm on one irreducible bundle.
-
-    Either everything vanishes, or there is a single nonzero cohomology
-    group; ``degree <= 2(n-2)`` always.
-    """
-
-    vanishes: bool
-    degree: int | None = None
-    rep: tuple[int, ...] | None = None
-    dimension: int = 0
+from .weights import check_weight, weyl_dimension_of_runs
 
 
 def _bott_runs(a1, a2, q_runs, n):
@@ -94,15 +80,19 @@ def _bott_runs(a1, a2, q_runs, n):
     return degree, weyl_dimension_of_runs(runs), runs
 
 
-def _bott(weight, n):
-    """The Bott outcome of a Levi-dominant weight tuple, unvalidated."""
-    q_runs = [(b, len(list(group))) for b, group in groupby(weight[2:])]
-    res = _bott_runs(weight[0], weight[1], q_runs, n)
+def bott(n, s, q):
+    """Bott on the weight (s | q) of Gr(2, n), checked by :func:`check_weight`:
+    None when every group vanishes, else (degree, dimension, weight) of the
+    one nonzero group H^degree, weight that of its GL(n) representation."""
+    n, (a1, a2), q = check_weight(n, s, q)
+    res = _bott_runs(a1, a2, [(b, len(list(group))) for b, group in groupby(q)], n)
     if res is None:
-        return BwbResult(vanishes=True)
+        return None
     degree, dimension, runs = res
-    rep = tuple(x for x, r in runs for _ in range(r))
-    return BwbResult(False, degree, rep, dimension)
+    weight = []
+    for x, r in runs:
+        weight += [x] * r
+    return degree, dimension, tuple(weight)
 
 
 def _cauchy_gaps(j, m, n):
@@ -180,38 +170,23 @@ def _cauchy_ray(j, m, n, hi):
     return ray
 
 
-def bwb_cohomology(w: GLWeight) -> BwbResult:
-    """All sheaf cohomology of the irreducible bundle with weight ``w``."""
-    return _bott(w.vector(), w.n)
-
-
-def serre_dual_weight(w: GLWeight) -> GLWeight:
-    """Weight of the dual bundle tensored with the canonical bundle O(-n)."""
-    d = w.dual()
-    return GLWeight(
-        w.n, (d.s_block[0] - w.n, d.s_block[1] - w.n), d.q_block
-    )
-
-
 def cohomology_of_kclass(c, twist=0):
     """Termwise Bott cohomology of the class ``c`` twisted by O(twist).
 
     ``c`` is a class {(s_weight, q_weight): multiplicity} as in
     :mod:`grpf.schur`.  Dimensions attached to positive and negative
-    multiplicities are accumulated in separate tables, one general Bott
-    run per term, and returned as the pair (positive, negative): a signed
-    table would be meaningless as cohomology, so consumers that need
-    actual dimensions must certify that ``negative`` is empty.  Their
-    :func:`euler_characteristic` is chi(c(twist)).
+    multiplicities are accumulated in separate tables, one checked
+    :func:`bott` run per term, and returned as the pair (positive,
+    negative): a signed table would be meaningless as cohomology, so
+    consumers that need actual dimensions must certify that ``negative``
+    is empty.  Their :func:`euler_characteristic` is chi(c(twist)).
     """
-    positive = {}
-    negative = {}
+    positive, negative = {}, {}
     for (s, q), mult in c.items():
-        res = _bott((s[0] + twist, s[1] + twist) + q, len(q) + 2)
-        if res.vanishes:
-            continue
-        table = positive if mult > 0 else negative
-        table[res.degree] = table.get(res.degree, 0) + abs(mult) * res.dimension
+        res = bott(len(q) + 2, [a + twist for a in s], q)
+        if res is not None:
+            table = positive if mult > 0 else negative
+            table[res[0]] = table.get(res[0], 0) + abs(mult) * res[1]
     return positive, negative
 
 

@@ -24,7 +24,7 @@ import json
 import signal
 import sys
 
-from .bwb import bwb_cohomology
+from .bwb import bott
 from .diamond import diamond_rows
 from .errors import IntegrityError
 from .geometry import (
@@ -49,7 +49,6 @@ from .sections import (
     verify_strong_exceptional,
 )
 from .verify import run_profile
-from .weights import GLWeight
 
 
 def _int_list(text):
@@ -133,16 +132,15 @@ def _build_parser():
 
 def _cmd_bwb(args):
     q = args.q if args.q is not None else (0,) * (args.n - 2)
-    w = GLWeight(args.n, args.s, q)
-    res = bwb_cohomology(w)
-    if res.vanishes:
-        result = {"outcome": "vanishes"}
-    else:
+    res = bott(args.n, args.s, q)
+    result = {"outcome": "vanishes"}
+    if res is not None:
+        degree, dimension, weight = res
         result = {
             "outcome": "cohomology",
-            "degree": res.degree,
-            "weight": list(res.rep),
-            "dimension": res.dimension,
+            "degree": degree,
+            "weight": list(weight),
+            "dimension": dimension,
         }
     params = {"n": args.n, "s": list(args.s), "q": list(q)}
     return 0, params, result, ["borel-weil-bott", "weyl-dimension-formula"]

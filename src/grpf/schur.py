@@ -9,8 +9,8 @@ The two decompositions needed downstream:
 
 A class of bundles is a formal integer combination of irreducible
 homogeneous bundles, the dict {(s_weight, q_weight): nonzero multiplicity}
-keyed by the pair of dominant blocks of :class:`~grpf.weights.GLWeight`
-(weights with respect to the dual tautological bundles); n is
+keyed by the weight (s, q) of :mod:`grpf.weights`, a pair of dominant
+blocks (weights with respect to the dual tautological bundles); n is
 len(q_weight) + 2.
 """
 
@@ -19,15 +19,16 @@ from __future__ import annotations
 import math
 
 from .errors import IntegrityError
-from .weights import weyl_dimension, weyl_dimension_of_runs
+from .weights import check_weight, weyl_dimension, weyl_dimension_of_runs
 
 
 def virtual_rank(c):
     """Rank of a class {(s_weight, q_weight): multiplicity} on Gr(2, n)."""
-    return sum(
-        m * (s[0] - s[1] + 1) * weyl_dimension(q, len(q))
-        for (s, q), m in c.items()
-    )
+    rank = 0
+    for (s, q), m in c.items():
+        n, (a1, a2), q = check_weight(len(q) + 2, s, q)
+        rank += m * (a1 - a2 + 1) * weyl_dimension(q, n - 2)
+    return rank
 
 
 def clebsch_gordan_rank2(l, lp):

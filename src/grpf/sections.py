@@ -32,7 +32,7 @@ from .diamond import hodge_diamond
 from .errors import IntegrityError
 from .geometry import ModelParams, classify, grassmannian_window
 from .schur import cauchy_exterior_cotangent
-from .weights import _integer, grassmannian_poincare
+from .weights import _integer, check_weight, grassmannian_poincare
 
 
 def _koszul_tables(params: ModelParams, c):
@@ -44,6 +44,8 @@ def _koszul_tables(params: ModelParams, c):
     They serve :func:`restricted_euler` and the first Koszul page; the
     Hodge numbers of the section read one ray per Cauchy term instead.
     """
+    for s, q in c:
+        check_weight(params.n, s, q)
     return [cohomology_of_kclass(c, twist=-a) for a in range(params.k + 1)]
 
 

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bwb import bwb_cohomology, serre_dual_weight
+from .bwb import bott
 from .geometry import (
     ModelParams,
     grassmannian_window,
@@ -28,7 +28,6 @@ from .sections import (
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
-from .weights import GLWeight
 
 
 def _check_hypersurface_quintic():
@@ -94,21 +93,21 @@ def _check_pfaffian_degree():
 def _random_levi_dominant(rng, n, span=8):
     raw = sorted((rng.randint(-span, span) for _ in range(2)), reverse=True)
     q = tuple(sorted((rng.randint(-span, span) for _ in range(n - 2)), reverse=True))
-    return GLWeight(n, tuple(raw), q)
+    return tuple(raw), q
 
 
 def _check_serre_duality(samples=1000, seed=2024):
     rng = random.Random(seed)
     for i in range(samples):
         n = rng.randrange(5, 13)
-        w = _random_levi_dominant(rng, n)
-        a = bwb_cohomology(w)
-        b = bwb_cohomology(serre_dual_weight(w))
-        if a.vanishes != b.vanishes:
-            return False, f"vanishing mismatch at {w}"
-        if not a.vanishes:
-            if a.degree + b.degree != 2 * (n - 2) or a.dimension != b.dimension:
-                return False, f"duality fails at {w}"
+        s, q = _random_levi_dominant(rng, n)
+        a = bott(n, s, q)
+        # the dual bundle tensored with the canonical bundle O(-n)
+        b = bott(n, (-s[1] - n, -s[0] - n), tuple(-x for x in reversed(q)))
+        if (a is None) != (b is None):
+            return False, f"vanishing mismatch at {n, s, q}"
+        if a and (a[0] + b[0] != 2 * (n - 2) or a[1] != b[1]):
+            return False, f"duality fails at {n, s, q}"
     return True, f"{samples} random weights"
 
 
@@ -116,10 +115,10 @@ def _check_dichotomy(samples=10000, seed=2025):
     rng = random.Random(seed)
     for i in range(samples):
         n = rng.randrange(5, 13)
-        w = _random_levi_dominant(rng, n)
-        res = bwb_cohomology(w)
-        if not res.vanishes and not 0 <= res.degree <= 2 * (n - 2):
-            return False, f"degree out of range at {w}"
+        s, q = _random_levi_dominant(rng, n)
+        res = bott(n, s, q)
+        if res and not 0 <= res[0] <= 2 * (n - 2):
+            return False, f"degree out of range at {n, s, q}"
     return True, f"{samples} random weights"
 
 

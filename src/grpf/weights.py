@@ -4,12 +4,13 @@ Conventions fixed here and shared by every other module:
 
 * The Bott algorithm shifts by rho = ``(n, n-1, ..., 1)``, the strictly
   decreasing vector of length n.
-* A :class:`GLWeight` records the weight of an irreducible homogeneous
-  bundle on Gr(2, V), dim V = n, as a pair of dominant blocks for the Levi
-  subgroup GL(2) x GL(n-2).  Both blocks are taken with respect to the
-  *duals* of the tautological sub- and quotient bundles, so the hyperplane
-  bundle O(1) = det(S dual) corresponds to ``s_block = (1, 1)`` with zero tail,
-  and the bundle Sym^l S (det S)^m to ``s_block = (-m, -l-m)``.
+* The weight of an irreducible homogeneous bundle on Gr(2, V), dim V = n,
+  is the pair of int tuples (s, q), checked by :func:`check_weight`:
+  dominant blocks of lengths 2 and n - 2 for the Levi subgroup
+  GL(2) x GL(n-2), whose concatenation is the GL(n) weight fed to Bott.
+  Both blocks are taken with respect to the *duals* of the tautological
+  sub- and quotient bundles, so O(1) = det(S dual) is ``s = (1, 1)`` with
+  zero tail, and the bundle Sym^l S (det S)^m is ``s = (-m, -l-m)``.
 * Entries may be negative (duals and twists produce them); only dominance
   within each block is enforced.  All arithmetic is exact.
 * A polynomial in q is the tuple of its coefficients, indexed by degree.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import DominanceError, IntegrityError, InvalidRankError
@@ -35,50 +35,34 @@ def _integer(x, what):
 
 def _integers(entries, what):
     """The entries as ints, each checked by :func:`_integer`."""
-    what += " entry"
-    return tuple(_integer(x, what) for x in entries)
+    entries = tuple(entries)
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError:  # name the first entry that is not an integer
+        what += " entry"
+        return tuple(_integer(x, what) for x in entries)
 
 
-@dataclass(frozen=True)
-class GLWeight:
-    """Levi-dominant weight for the (2, n-2) parabolic of GL(n).
+def check_weight(n, s, q):
+    """(n, s, q) with every entry an int, checked as the weight (s | q) on Gr(2, n).
 
-    ``s_block`` is an ordered integer pair (a1 >= a2) and ``q_block`` a
-    weakly decreasing integer tuple of length n - 2; the concatenation is
-    the GL(n) weight vector fed to the Bott algorithm.
+    n >= 3, ``s`` is an ordered pair (a1 >= a2) and ``q`` a weakly
+    decreasing tuple of length n - 2; each violation raises a ValueError
+    subclass naming it.
     """
-
-    n: int
-    s_block: tuple[int, int]
-    q_block: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        if self.n < 3:
-            raise InvalidRankError(f"need n >= 3, got n={self.n}")
-        object.__setattr__(self, "s_block", _integers(self.s_block, "s_block"))
-        object.__setattr__(self, "q_block", _integers(self.q_block, "q_block"))
-        if len(self.s_block) != 2:
-            raise ValueError(f"s_block must have length 2: {self.s_block}")
-        if len(self.q_block) != self.n - 2:
-            raise ValueError(
-                f"q_block must have length n-2={self.n - 2}: {self.q_block}"
-            )
-        if self.s_block[0] < self.s_block[1]:
-            raise DominanceError(f"s_block not dominant: {self.s_block}")
-        for a, b in zip(self.q_block, self.q_block[1:]):
-            if a < b:
-                raise DominanceError(f"q_block not dominant: {self.q_block}")
-
-    def vector(self):
-        return self.s_block + self.q_block
-
-    def dual(self):
-        return GLWeight(
-            self.n,
-            (-self.s_block[1], -self.s_block[0]),
-            tuple(-x for x in reversed(self.q_block)),
-        )
+    n = _integer(n, "n")
+    if n < 3:
+        raise InvalidRankError(f"need n >= 3, got n={n}")
+    s, q = _integers(s, "s_block"), _integers(q, "q_block")
+    if len(s) != 2:
+        raise ValueError(f"s_block must have length 2: {s}")
+    if len(q) != n - 2:
+        raise ValueError(f"q_block must have length n-2={n - 2}: {q}")
+    if s[0] < s[1]:
+        raise DominanceError(f"s_block not dominant: {s}")
+    if q != tuple(sorted(q, reverse=True)):
+        raise DominanceError(f"q_block not dominant: {q}")
+    return n, s, q
 
 
 def weyl_dimension(w, n):

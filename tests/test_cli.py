@@ -487,11 +487,11 @@ def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
     # (term, Koszul twist) pairs, each equal to Bott on its key
     calls = []
     outcomes = []
-    bott, bott_cauchy = bwb._bott, bwb._bott_cauchy
+    bott, bott_cauchy = bwb.bott, bwb._bott_cauchy
 
-    def counted(weight, n):
-        calls.append(weight)
-        return bott(weight, n)
+    def counted(n, s, q):
+        calls.append((n, s, q))
+        return bott(n, s, q)
 
     def counted_cauchy(a1, a2, j, m, n):
         outcomes.append((j, m))
@@ -499,7 +499,7 @@ def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
         assert res is not None, (a1, a2, j, m)
         return res
 
-    monkeypatch.setattr(bwb, "_bott", counted)
+    monkeypatch.setattr(bwb, "bott", counted)
     monkeypatch.setattr(bwb, "_bott_cauchy", counted_cauchy)
     assert run(["hodge", "grass-section", "--n", "10", "--k", "5", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -691,6 +691,59 @@ def test_pfaffian_at_its_coefficient_bound(s):
         {}, {}, {}, {}, {(2,): 3 * s * s}]
 
 
+def _slot_bound_family(p):
+    """The row of a 20 x 20 family in one variable whose node on 2..19, a
+    child of the whole matrix, sums 17 products (p - 1)(2^28 - 128).
+
+    0 meets only 1, and 2 meets each of 3..19 with weight p - 1 (entry c at
+    an odd position of the node, p - c at an even one).  Inside 3..19 the
+    pairs (4, 5), ..., (18, 19) carry 2, except (4, 5), which carries
+    2^21 - 1, and 3 meets every vertex of 4..19.  Removing 2 and one more
+    vertex v leaves a node with one perfect matching: the pairs, if v = 3;
+    otherwise 3 with the partner of v, and the other seven pairs.  Its
+    products stay below p except the last: the pairs give 128 or
+    64 (2^21 - 1) = 2^27 - 64, and 3 meets the partner of v with 2^21 - 1
+    or 2, which puts each of the 17 values at 2^28 - 128, a lazy Barrett
+    output in [p, 2p) for p = 2^27 + 29.
+    """
+    entries = {}
+
+    def weigh(node, a, b, w):  # b contributes w at its position in the node led by a
+        entries[a, b] = w if sorted(node).index(b) % 2 else p - w
+
+    weigh(range(20), 0, 1, p - 1)
+    for v in range(3, 20):
+        weigh(range(2, 20), 2, v, p - 1)
+    big = 2**21 - 1
+    for a in range(4, 20, 2):
+        w = big if a == 4 else 2
+        entries[a, a + 1] = w
+        for v, partner in ((a, a + 1), (a + 1, a)):
+            weigh([u for u in range(3, 20) if u != v], 3, partner, w)
+    row = [0] * math.comb(20, 2)
+    for (i, j), c in entries.items():
+        row[pair_index(20, i, j)] = c
+    return row
+
+
+def test_pfaffian_at_the_fp_slot_bound():
+    # over F_p a dense node is reduced lazily into [0, 3p), so its slots hold
+    # sums below 3 p^2 k (2d - 1); at p = 2^27 + 29 with n = 20 and k = 1 that
+    # bound has 60 bits, 32 more than p, and the Barrett shift rounds up from
+    # 33 to 64 bits.  The node on 2..19 sums 17 (p - 1)(2^28 - 128), 0.6 of
+    # the bound and above 2^59, so a slot sized from one bit less, or for
+    # p^2 k (2d - 1) as if the lazy outputs were below p, is misreduced and
+    # overflows its parent.  The family over Q, reduced mod p, is the oracle
+    p = 2**27 + 29
+    assert (3 * p * p * 19).bit_length() == p.bit_length() + 32
+    row = _slot_bound_family(p)
+    exact = pfaffian_polynomial(AMap(20, 1, Q, [row]))
+    assert exact and all(c.denominator == 1 for c in exact.values())
+    expected = {e: int(c) % p for e, c in exact.items() if c % p}
+    assert expected
+    assert pfaffian_polynomial(AMap(20, 1, p, [row])) == expected
+
+
 def test_fraction_families_have_fractions():
     families = [_with_fractions(AMap.random(14, 7, 1), 6, 1)]
     families += [make() for name, (make, _) in ORACLE_FAMILIES.items()

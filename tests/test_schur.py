@@ -1,6 +1,10 @@
 import math
+import re
 from collections import Counter
 
+import pytest
+
+from grpf.errors import DominanceError
 from grpf.schur import (
     cauchy_exterior_cotangent,
     clebsch_gordan_rank2,
@@ -64,6 +68,12 @@ def test_cauchy_top_wedge():
     kc = cauchy_exterior_cotangent(4, 4)
     assert kc == {((-2, -2), (2, 2)): 1}
     assert virtual_rank(kc) == math.comb(4, 4)
+
+
+def test_virtual_rank_checks_its_terms():
+    # the non-dominant (0, 2 | 0, 0) had rank -1
+    with pytest.raises(DominanceError, match=re.escape("s_block not dominant: (0, 2)")):
+        virtual_rank({((0, 2), (0, 0)): 1})
 
 
 def test_cauchy_rank_conservation():

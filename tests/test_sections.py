@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -8,17 +9,15 @@ import pytest
 import grpf.bwb as bwb
 import grpf.sections as sections
 from grpf.bwb import (
-    _bott,
     _bott_zero_tail,
-    bwb_cohomology,
+    bott,
     cohomology_of_kclass,
     euler_characteristic,
 )
 from grpf.cli import run
-from grpf.errors import IntegrityError
+from grpf.errors import DominanceError, IntegrityError
 from grpf.geometry import ModelParams, classify, grassmannian_window, pfaffian_window
 from grpf.schur import cauchy_exterior_cotangent, clebsch_gordan_rank2, virtual_rank
-from grpf.weights import GLWeight
 from grpf.sections import (
     PairVerdict,
     h1_tangent_y1,
@@ -252,7 +251,7 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
     # with at most three Bott runs (t = 0, t = gap, the first tail twist)
     # and none where the term vanishes; the tables are local to the call,
     # so the next call builds them again
-    cauchy, bott = sections.cauchy_exterior_cotangent, bwb._bott_cauchy
+    cauchy, bott_cauchy = sections.cauchy_exterior_cotangent, bwb._bott_cauchy
     built = []
     evaluated = []
 
@@ -260,14 +259,14 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
         built.append(m)
         return cauchy(n, m)
 
-    def counted_bott(a1, a2, j, m, n):
+    def counted_outcome(a1, a2, j, m, n):
         evaluated.append((j, m, -j - a1))
-        res = bott(a1, a2, j, m, n)
+        res = bott_cauchy(a1, a2, j, m, n)
         assert res is not None, "only surviving twists are evaluated"
         return res
 
     monkeypatch.setattr(sections, "cauchy_exterior_cotangent", counted_cauchy)
-    monkeypatch.setattr(bwb, "_bott_cauchy", counted_bott)
+    monkeypatch.setattr(bwb, "_bott_cauchy", counted_outcome)
     d = 2 * (n - 2) - k
     for _ in range(2):
         built.clear()
@@ -288,7 +287,7 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
         assert set(evaluated) <= rows
         # and each reported outcome is Bott on its key
         for j, m, t, degree, dim in outcomes:
-            assert bott(-j - t, j - m - t, j, m, n) == (degree, dim), (j, m, t)
+            assert bott_cauchy(-j - t, j - m - t, j, m, n) == (degree, dim), (j, m, t)
 
 
 @pytest.mark.parametrize("n", range(3, 17))
@@ -338,9 +337,8 @@ def test_audit_outcome_table_is_bott_and_resums_chi_p():
         keys = [(j, m, t) for j, m, t, _, _ in table]
         assert keys == sorted(set(keys)), (n, k)
         for j, m, t, degree, dim in table:
-            weight = (-j - t, j - m - t) + (2,) * j + (1,) * (m - 2 * j) + (0,) * (n - 2 - m + j)
-            bott = _bott(weight, n)
-            assert (bott.vanishes, bott.degree, bott.dimension) == (False, degree, dim), (n, k)
+            q = (2,) * j + (1,) * (m - 2 * j) + (0,) * (n - 2 - m + j)
+            assert bott(n, (-j - t, j - m - t), q)[:2] == (degree, dim), (n, k)
         read = [(j, p - i, i + a) for p, rows in enumerate(res.audit["rows"]) for i, j, a in rows]
         assert set(read) == set(keys), (n, k)
         if k == 0:
@@ -405,6 +403,16 @@ def test_koszul_restriction_rejects_virtual_classes():
         koszul_restricted_cohomology(
             ModelParams(6, 2), {((0, 0), (0,) * 4): 1, ((-1, -1), (0,) * 4): -1}
         )  # O - O(-1)
+
+
+def test_koszul_restriction_checks_the_class():
+    # a class on Gr(2, 5) read against n = 10 gave chi = 0, and a
+    # non-dominant q-block ended in IntegrityError, the mark of a bug
+    # upstream; both are bad input
+    with pytest.raises(ValueError, match=re.escape("q_block must have length n-2=8: (0, 0, 0)")):
+        restricted_euler(ModelParams(10, 5), {((0, 0), (0, 0, 0)): 1})
+    with pytest.raises(DominanceError, match=re.escape("q_block not dominant: (0, 1, 0)")):
+        koszul_restricted_cohomology(ModelParams(5, 2), {((1, 0), (0, 1, 0)): 1})
 
 
 def test_h1_tangent_sweep_is_exact_everywhere():
@@ -709,18 +717,18 @@ def test_verifiers_compute_each_hom_key_once_per_call(monkeypatch):
     # _bott_zero_tail once, and the next call evaluates it again, because
     # the table is local to the call.  The lemma decides each row pair
     # (l, l') by one verdict at its least m - m', on every call
-    bott, pair = sections._bott_zero_tail, sections.pair_twisted_vanishing
+    zero_tail, pair = sections._bott_zero_tail, sections.pair_twisted_vanishing
     summands, computed = [], []
 
-    def counted_bott(a1, a2, n):
+    def counted_zero_tail(a1, a2, n):
         summands.append((a1, a2))
-        return bott(a1, a2, n)
+        return zero_tail(a1, a2, n)
 
     def counted_pair(n, e, f):
         computed.append((e, f))
         return pair(n, e, f)
 
-    monkeypatch.setattr(sections, "_bott_zero_tail", counted_bott)
+    monkeypatch.setattr(sections, "_bott_zero_tail", counted_zero_tail)
     monkeypatch.setattr(sections, "pair_twisted_vanishing", counted_pair)
     window = grassmannian_window(16)
     labels = sorted(window)
@@ -842,9 +850,9 @@ def covered_set_verdict(n, e, f):
         for t in range(max(0, -a2)):
             if t in covered:
                 continue
-            res = bwb_cohomology(GLWeight(n, (a1 + t, a2 + t), (0,) * (n - 2)))
-            if not res.vanishes and res.degree > 0:
-                return PairVerdict(False, (i, t, res.degree, res.dimension))
+            res = bott(n, (a1 + t, a2 + t), (0,) * (n - 2))
+            if res is not None and res[0] > 0:
+                return PairVerdict(False, (i, t) + res[:2])
     return PairVerdict(True, None)
 
 

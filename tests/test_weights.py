@@ -7,7 +7,7 @@ import pytest
 
 from grpf.errors import DominanceError
 from grpf.weights import (
-    GLWeight,
+    check_weight,
     gaussian_binomial,
     grassmannian_poincare,
     weyl_dimension,
@@ -26,6 +26,9 @@ def test_weyl_dimension_rejects_non_integer_entries():
         with pytest.raises(ValueError, match=re.escape(f"weight entry {bad} is not an integer")):
             weyl_dimension(w, 3)
     assert weyl_dimension([2, 0, 0], 3) == 6
+    # an iterator is read once: the bad entry is named, not the rest returned
+    with pytest.raises(ValueError, match=re.escape("weight entry 2.5 is not an integer")):
+        weyl_dimension(iter([2, 2.5, 0]), 3)
 
 
 def test_weyl_dimension_rejects_non_integer_n():
@@ -35,12 +38,12 @@ def test_weyl_dimension_rejects_non_integer_n():
             weyl_dimension((1, 0, 0), n)
 
 
-def test_glweight_rejects_non_integer_n():
-    # GLWeight(4.0, ...) was accepted and kept n = 4.0 in the weight
+def test_check_weight_rejects_non_integer_n():
+    # a weight on Gr(2, 4.0) was once accepted and kept n = 4.0
     for n in (4.0, 4.5, "4"):
         with pytest.raises(ValueError, match=re.escape(f"n {n!r} is not an integer")):
-            GLWeight(n, (1, 0), (0, 0))
-    assert type(GLWeight(4, (1, 0), (0, 0)).n) is int
+            check_weight(n, (1, 0), (0, 0))
+    assert type(check_weight(4, (1, 0), (0, 0))[0]) is int
 
 
 def test_weyl_dimension_wedge_two():
@@ -158,16 +161,14 @@ def test_grassmannian_poincare_cell_count_and_palindrome():
         assert len(poly) - 1 == 2 * (n - 2)
 
 
-def test_glweight_validation():
-    w = GLWeight(5, (2, -1), (1, 0, -3))
-    assert w.vector() == (2, -1, 1, 0, -3)
-    assert w.dual().vector() == (1, -2, 3, 0, -1)
+def test_check_weight_validation():
+    assert check_weight(5, [2, -1], [1, 0, -3]) == (5, (2, -1), (1, 0, -3))
     with pytest.raises(DominanceError):
-        GLWeight(5, (-1, 2), (0, 0, 0))
+        check_weight(5, (-1, 2), (0, 0, 0))
     with pytest.raises(DominanceError):
-        GLWeight(5, (0, 0), (0, 1, 0))
+        check_weight(5, (0, 0), (0, 1, 0))
     with pytest.raises(ValueError):
-        GLWeight(5, (0, 0), (0, 0))
+        check_weight(5, (0, 0), (0, 0))
     # entries are integers, never truncated: (1.5, 0) used to become (1, 0)
     for s_block, q_block, bad in (
         ((1.5, 0), (0, 0), "s_block entry 1.5"),
@@ -175,4 +176,4 @@ def test_glweight_validation():
         ((2.0, 0), (0, 0), "s_block entry 2.0"),
     ):
         with pytest.raises(ValueError, match=re.escape(f"{bad} is not an integer")):
-            GLWeight(4, s_block, q_block)
+            check_weight(4, s_block, q_block)

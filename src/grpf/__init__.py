@@ -6,7 +6,8 @@ What lives where:
   ``check_weight(n, s, q)``; Weyl dimensions, Gaussian binomials and the
   Poincare polynomial of Gr(2, n) as coefficient tuples
 * :mod:`grpf.schur`     Clebsch-Gordan, the Cauchy identity; a class of
-  bundles is the dict {(s_weight, q_weight): multiplicity}
+  bundles is the dict {(s_weight, q_weight): multiplicity}, checked once
+  by ``weights.check_class``
 * :mod:`grpf.bwb`       the Borel-Weil-Bott engine (``bott(n, s, q)``),
   cohomology tables of classes and their Euler characteristics
 * :mod:`grpf.geometry`  parameter classification, windows as frozensets

@@ -11,7 +11,8 @@ so the sort inserts the two shifted s-entries between blocks.
 :func:`_bott_runs` does that on the runs of the q-block and hands the
 runs of the result to the Weyl product; no length-n tuple is built.
 General weights (:func:`bott`, the one checked entry, which spells the
-resulting weight out) and the Cauchy q-blocks of the Hodge terms
+resulting weight out), the terms of a class, checked once per call
+(:func:`_class_tables`), and the Cauchy q-blocks of the Hodge terms
 (:func:`_bott_cauchy`) go through it; :func:`_cauchy_ray` steps a
 twisted Cauchy term along its twists by a telescoped Weyl ratio.  The
 Hom and Ext summands have a zero q-block, whose outcome is one of five
@@ -24,7 +25,7 @@ import math
 from itertools import groupby
 
 from .errors import IntegrityError
-from .weights import check_weight, weyl_dimension_of_runs
+from .weights import _integer, check_class, check_weight, weyl_dimension_of_runs
 
 
 def _bott_runs(a1, a2, q_runs, n):
@@ -170,24 +171,29 @@ def _cauchy_ray(j, m, n, hi):
     return ray
 
 
-def cohomology_of_kclass(c, twist=0):
-    """Termwise Bott cohomology of the class ``c`` twisted by O(twist).
-
-    ``c`` is a class {(s_weight, q_weight): multiplicity} as in
-    :mod:`grpf.schur`.  Dimensions attached to positive and negative
-    multiplicities are accumulated in separate tables, one checked
-    :func:`bott` run per term, and returned as the pair (positive,
-    negative): a signed table would be meaningless as cohomology, so
-    consumers that need actual dimensions must certify that ``negative``
-    is empty.  Their :func:`euler_characteristic` is chi(c(twist)).
-    """
+def _class_tables(n, terms, twist):
+    """:func:`cohomology_of_kclass` on the terms of :func:`grpf.weights.check_class`, unchecked."""
     positive, negative = {}, {}
-    for (s, q), mult in c.items():
-        res = bott(len(q) + 2, [a + twist for a in s], q)
+    for a1, a2, q_runs, mult in terms:
+        res = _bott_runs(a1 + twist, a2 + twist, q_runs, n)
         if res is not None:
             table = positive if mult > 0 else negative
             table[res[0]] = table.get(res[0], 0) + abs(mult) * res[1]
     return positive, negative
+
+
+def cohomology_of_kclass(c, twist=0):
+    """Termwise Bott cohomology of the class ``c`` twisted by O(twist).
+
+    ``c`` is a class {(s_weight, q_weight): multiplicity} as in
+    :mod:`grpf.schur`, checked once.  Dimensions attached to positive and
+    negative multiplicities are accumulated in separate tables, one Bott
+    run per term, and returned as the pair (positive, negative): a signed
+    table would be meaningless as cohomology, so consumers that need actual
+    dimensions must certify that ``negative`` is empty.  Their
+    :func:`euler_characteristic` is chi(c(twist)).
+    """
+    return _class_tables(*check_class(c), _integer(twist, "twist"))
 
 
 def euler_characteristic(tables):

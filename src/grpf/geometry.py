@@ -47,6 +47,11 @@ class ModelParams:
                 f"need 0 <= k <= C(n,2) = {math.comb(self.n, 2)}, got k={self.k}"
             )
 
+    @property
+    def dim_y1(self):
+        """Dimension 2(n - 2) - k of the linear section; negative when it is empty."""
+        return 2 * (self.n - 2) - self.k
+
 
 def half_rank(n):
     """The symmetric-power cutoff L: n/2 for even n, (n-1)/2 for odd."""
@@ -103,14 +108,13 @@ def window_inclusion_closed_form(n, k):
 
 def classify(params: ModelParams) -> Classification:
     n, k = params.n, params.k
-    dim_y1 = 2 * (n - 2) - k
     dim_y2 = k - 1 - rank_drop_codim(n)
     return Classification(
-        dim_y1=dim_y1,
+        dim_y1=params.dim_y1,
         dim_y2=dim_y2,
         y1_type=_y1_type(n, k),
         y2_type=_y2_type(n, k),
-        y1_empty=dim_y1 < 0,
+        y1_empty=params.dim_y1 < 0,
         y2_empty=dim_y2 < 0,
         y2_smoothable=(k <= 6 if n % 2 == 0 else k <= 10),
         theorem_applies=theorem_range(n, k),

@@ -11,7 +11,8 @@ A class of bundles is a formal integer combination of irreducible
 homogeneous bundles, the dict {(s_weight, q_weight): nonzero multiplicity}
 keyed by the weight (s, q) of :mod:`grpf.weights`, a pair of dominant
 blocks (weights with respect to the dual tautological bundles); n is
-len(q_weight) + 2.
+len(q_weight) + 2, the same for every term.  :func:`grpf.weights.check_class`
+checks all of this once where a class enters.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ from __future__ import annotations
 import math
 
 from .errors import IntegrityError
-from .weights import check_weight, weyl_dimension, weyl_dimension_of_runs
+from .weights import check_class, weyl_dimension_of_runs
 
 
 def virtual_rank(c):
-    """Rank of a class {(s_weight, q_weight): multiplicity} on Gr(2, n)."""
-    rank = 0
-    for (s, q), m in c.items():
-        n, (a1, a2), q = check_weight(len(q) + 2, s, q)
-        rank += m * (a1 - a2 + 1) * weyl_dimension(q, n - 2)
-    return rank
+    """Rank of a class {(s_weight, q_weight): multiplicity} on Gr(2, n), checked once."""
+    _, terms = check_class(c)
+    return sum(m * (a1 - a2 + 1) * weyl_dimension_of_runs(q_runs) for a1, a2, q_runs, m in terms)
 
 
 def clebsch_gordan_rank2(l, lp):

@@ -6,12 +6,13 @@ O(-a)^{C(k,a)} and every Euler characteristic on Y is an alternating
 binomial sum of Euler characteristics upstairs.  For Wedge^p Omega_Y
 every term is a Cauchy term of Wedge^m Omega_Gr twisted by O(-t), so
 :func:`hodge_diamond_y1` reads chi^p and the audit trail from one ray of
-Bott outcomes per Cauchy term; other classes get one Bott table per
-Koszul twist (:func:`_koszul_tables`).  Middle Hodge numbers come from
-these exact Euler characteristics plus the Lefschetz hyperplane theorem.
-Koszul spectral sequences for restricted bundles are resolved by forced
-cancellations (degrees that must vanish force their differentials); an
-outcome that stays ambiguous raises :class:`~grpf.errors.IntegrityError`.
+Bott outcomes per Cauchy term; other classes, checked once, get one Bott
+table per Koszul twist (:func:`_koszul_tables`).  Middle Hodge numbers
+come from these exact Euler characteristics plus the Lefschetz hyperplane
+theorem.  Koszul spectral sequences for restricted bundles are resolved
+by forced cancellations (degrees that must vanish force their
+differentials); an outcome that stays ambiguous raises
+:class:`~grpf.errors.IntegrityError`.
 """
 
 from __future__ import annotations
@@ -22,31 +23,25 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import sub
 
-from .bwb import (
-    _bott_zero_tail,
-    _cauchy_ray,
-    cohomology_of_kclass,
-    euler_characteristic,
-)
+from .bwb import _bott_zero_tail, _cauchy_ray, _class_tables, euler_characteristic
 from .diamond import hodge_diamond
 from .errors import IntegrityError
-from .geometry import ModelParams, classify, grassmannian_window
+from .geometry import ModelParams, grassmannian_window
 from .schur import cauchy_exterior_cotangent
-from .weights import _integer, check_weight, grassmannian_poincare
+from .weights import _integer, check_class, grassmannian_poincare
 
 
 def _koszul_tables(params: ModelParams, c):
     """(positive, negative) Bott tables of c(-a) for the Koszul twists a = 0..k.
 
     ``c`` is a class {(s_weight, q_weight): multiplicity} as in
-    :mod:`grpf.schur`; the tables come in order of a.
+    :mod:`grpf.schur`, checked once; the tables come in order of a.
 
     They serve :func:`restricted_euler` and the first Koszul page; the
     Hodge numbers of the section read one ray per Cauchy term instead.
     """
-    for s, q in c:
-        check_weight(params.n, s, q)
-    return [cohomology_of_kclass(c, twist=-a) for a in range(params.k + 1)]
+    n, terms = check_class(c, params.n)
+    return [_class_tables(n, terms, -a) for a in range(params.k + 1)]
 
 
 def restricted_euler(params: ModelParams, c):
@@ -57,24 +52,6 @@ def restricted_euler(params: ModelParams, c):
     )
 
 
-def _omega_p_terms(k, deg, cauchy):
-    """Terms of the class of Wedge^deg Omega_Y, in sorted (s, q) order.
-
-    Each is a tuple (s_weight, q_weight, multiplicity, i, j): Cauchy term
-    j of ``cauchy[deg - i]`` (the class of Wedge^(deg-i) Omega_Gr) twisted
-    by O(-i).  The q-block fixes j and deg - i, so no two terms coincide.
-    """
-    terms = []
-    for i in range(deg + 1):
-        mult = (-1) ** i * (math.comb(k + i - 1, i) if k else int(i == 0))
-        if not mult:
-            continue
-        for (s, q), m in cauchy[deg - i].items():
-            terms.append(((s[0] - i, s[1] - i), q, mult * m, i, -s[0]))
-    terms.sort()
-    return terms
-
-
 def omega_p_class(params: ModelParams, deg):
     """Class on the Grassmannian restricting to Wedge^deg of Omega_Y.
 
@@ -82,9 +59,15 @@ def omega_p_class(params: ModelParams, deg):
     Wedge^deg(Omega_Y) = lambda^deg([Omega_Gr] - [O(-1)^k]), expanded by
     the lambda-ring rule into Cauchy classes twisted by O(-i) with
     alternating multiplicities C(k+i-1, i), the coefficients of (1-t)^-k.
+    Cauchy term j of Wedge^(deg-i) Omega_Gr twisted by O(-i) keeps its
+    q-block, which fixes j and deg - i, so no two terms coincide.
     """
-    cauchy = [cauchy_exterior_cotangent(params.n, m) for m in range(deg + 1)]
-    return {(s, q): mult for s, q, mult, _, _ in _omega_p_terms(params.k, deg, cauchy)}
+    terms = {}
+    for i in range(deg + 1 if params.k else 1):
+        mult = (-1) ** i * math.comb(params.k + i - 1, i) if i else 1
+        for (s, q), m in cauchy_exterior_cotangent(params.n, deg - i).items():
+            terms[(s[0] - i, s[1] - i), q] = mult * m
+    return terms
 
 
 @dataclass(frozen=True)
@@ -115,15 +98,14 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     builds its ray (:func:`grpf.bwb._cauchy_ray`) up to the largest twist
     d - m + k (0 if k = 0), and term (i, j) reads it at i <= t <= i + k.
     The audit trail lists each outcome once, and for each p, Koszul twist by
-    Koszul twist and term by term in the sorted order of :func:`_omega_p_terms`
+    Koszul twist and term by term in the sorted order of :func:`omega_p_class`
     (i + j descending, then j ascending), the row (i, j, a) that
     reads outcome (j, p - i, i + a) with sign (-1)^i C(k+i-1, i)
     (-1)^a C(k, a) (a Cauchy term has multiplicity one), as in chi^p, which
     is their alternating sum.  A negative or non-symmetric middle row means
     an upstream bug, and :func:`grpf.diamond.hodge_diamond` raises on it.
     """
-    n, k = params.n, params.k
-    d = classify(params).dim_y1
+    n, k, d = params.n, params.k, params.dim_y1
     if d < 0:
         raise ValueError(f"empty section: dim = {d} for (n,k)=({n},{k})")
     gp = grassmannian_poincare(n)
@@ -137,7 +119,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     for p in range(d + 1):
         rows = [[] for _ in koszul]  # by Koszul twist a
         total = 0
-        # the terms of _omega_p_terms(k, p, ...) in its order: s_weight is
+        # the terms of the sorted omega_p_class(params, p): s_weight is
         # (-(i + j), j - p), so i + j descending, then j ascending
         terms = ((diag - j, j) for diag in range(p, -1, -1)
                  for j in range(min(diag, p - diag) + 1))  # j <= m // 2
@@ -181,13 +163,14 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
 
 def _koszul_page(params: ModelParams, c):
     """First-page entries (a, b) -> dim H^b(c(-a))^{C(k,a)} of the Koszul complex."""
+    tables = _koszul_tables(params, c)  # checks the class first
     if not all(m > 0 for m in c.values()):
         raise ValueError("Koszul restriction needs an effective class")
-    entries = {}
-    for a, (positive, _) in enumerate(_koszul_tables(params, c)):
-        for b, dim in positive.items():
-            entries[(a, b)] = entries.get((a, b), 0) + math.comb(params.k, a) * dim
-    return {e: v for e, v in entries.items() if v}
+    return {
+        (a, b): math.comb(params.k, a) * dim
+        for a, (positive, _) in enumerate(tables)
+        for b, dim in positive.items()
+    }
 
 
 def _partners(entry, entries, k):
@@ -224,7 +207,7 @@ def koszul_restricted_cohomology(params: ModelParams, c):
     forced and unconditional.  A doomed entry that survives this, or two
     survivors linked by a differential, raises IntegrityError.
     """
-    d = classify(params).dim_y1
+    d = params.dim_y1
     page = _koszul_page(params, c)
     entries = dict(page)
 
@@ -295,11 +278,11 @@ def h1_tangent_y1(params: ModelParams) -> TangentCohomology:
     zeros = (0,) * (n - 2)
     tangent_class = {((1, 0), zeros[1:] + (-1,)): 1}  # Hom(S, Q)
     if k == 0:
-        table, _ = cohomology_of_kclass(tangent_class)
+        table = _koszul_tables(params, tangent_class)[0][0]  # H^* of T, the one twist a = 0
         return TangentCohomology("exact", table.get(1, 0), table.get(0, 0), None, None)
     tangent = koszul_restricted_cohomology(params, tangent_class)
     normal = koszul_restricted_cohomology(params, {((1, 1), zeros): k})  # O(1)^k
-    if classify(params).dim_y1 == 1:
+    if params.dim_y1 == 1:
         genus = 1 - restricted_euler(params, {((0, 0), zeros): 1})
         h0 = 3 if genus == 0 else 1 if genus == 1 else 0
         chi = sum(

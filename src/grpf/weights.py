@@ -65,6 +65,25 @@ def check_weight(n, s, q):
     return n, s, q
 
 
+def check_class(c, n=None):
+    """(n, terms) of the class c = {(s, q): multiplicity}, each term checked once.
+
+    Each term, checked by :func:`check_weight` against n (by default the first
+    term's), comes back as (a1, a2, (value, length) runs of q, nonzero int multiplicity).
+    """
+    sizes = {len(q) + 2 for _, q in c}
+    if n is None and len(sizes) > 1:
+        raise ValueError(f"class mixes terms of Gr(2, n) for n in {sorted(sizes)}")
+    terms = []
+    for (s, q), mult in c.items():
+        n, (a1, a2), q = check_weight(len(q) + 2 if n is None else n, s, q)
+        mult = _integer(mult, "multiplicity")
+        if not mult:
+            raise ValueError(f"multiplicity of {(s, q)} is zero")
+        terms.append((a1, a2, [(b, len(list(group))) for b, group in groupby(q)], mult))
+    return n, terms
+
+
 def weyl_dimension(w, n):
     """Dimension of the GL(n) irreducible with dominant weight ``w``.
 

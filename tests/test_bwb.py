@@ -267,7 +267,7 @@ def test_class_terms_are_checked():
         cohomology_of_kclass({((0, 1), (0, 0)): 1})
     with pytest.raises(ValueError, match=re.escape("s_block must have length 2: (1, 1, 1)")):
         cohomology_of_kclass({((1, 1, 1), (0, 0)): 1})
-    with pytest.raises(ValueError, match=re.escape("s_block entry 0.5 is not an integer")):
+    with pytest.raises(ValueError, match=re.escape("twist 0.5 is not an integer")):
         cohomology_of_kclass(line(4, 0), twist=0.5)
 
 

@@ -13,7 +13,9 @@ import pytest
 
 import grpf.bwb as bwb
 import grpf.cli as cli
+import grpf.geometry as geometry
 import grpf.sections as sections
+import grpf.weights as weights
 from grpf.cli import run
 from grpf.geometry import ModelParams
 from grpf.pfaffian import AMap
@@ -479,19 +481,19 @@ def test_grass_section_audit_trail(capsys):
 
 
 def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
-    # the Koszul pages of T and O(1)^k run the general Bott algorithm once
-    # per term and Koszul twist; the terms of Omega^p take the Cauchy entry
-    # at most three times per (Cauchy term j, m), never where the term
+    # the Koszul pages of T and O(1)^k run the unchecked Bott walk once per
+    # term and Koszul twist; the terms of Omega^p take the Cauchy entry at
+    # most three times per (Cauchy term j, m), never where the term
     # vanishes, and read the rest of each ray by the Weyl ratio: the 133
     # outcomes of the audit table behind its 293 rows, out of 193 x 6
     # (term, Koszul twist) pairs, each equal to Bott on its key
-    calls = []
+    runs = []
     outcomes = []
-    bott, bott_cauchy = bwb.bott, bwb._bott_cauchy
+    bott_runs, bott_cauchy = bwb._bott_runs, bwb._bott_cauchy
 
-    def counted(n, s, q):
-        calls.append((n, s, q))
-        return bott(n, s, q)
+    def counted_runs(a1, a2, q_runs, n):
+        runs.append((a1, a2, n))
+        return bott_runs(a1, a2, q_runs, n)
 
     def counted_cauchy(a1, a2, j, m, n):
         outcomes.append((j, m))
@@ -499,7 +501,7 @@ def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
         assert res is not None, (a1, a2, j, m)
         return res
 
-    monkeypatch.setattr(bwb, "bott", counted)
+    monkeypatch.setattr(bwb, "_bott_runs", counted_runs)
     monkeypatch.setattr(bwb, "_bott_cauchy", counted_cauchy)
     assert run(["hodge", "grass-section", "--n", "10", "--k", "5", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -508,13 +510,40 @@ def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
     tangent_terms = len({((1, 0), (0,) * 7 + (-1,)): 1})
     normal_terms = len({((1, 1), (0,) * 8): 5})
     assert (omega_terms, tangent_terms, normal_terms) == (193, 1, 1)
-    assert len(calls) == 6 * (1 + 1) == 12
+    # each Cauchy outcome runs the walk once; the other runs are the Koszul path's
+    assert len(runs) - len(outcomes) == 6 * (1 + 1) == 12
     assert max(Counter(outcomes).values()) <= 3
     audit = report["result"]["audit"]
     assert len(audit["outcomes"]) == 133
     for j, m, t, degree, dim in audit["outcomes"]:
         assert bott_cauchy(-j - t, j - m - t, j, m, 10) == (degree, dim), (j, m, t)
     assert sum(len(rows) for rows in audit["rows"]) == 293
+
+
+@pytest.mark.parametrize("n, k, classes", [(10, 5, 2), (7, 7, 2), (6, 7, 3)])
+def test_grass_section_checks_each_class_once(capsys, monkeypatch, n, k, classes):
+    # the classes of T and O(1)^k, and on a curve O for the genus, one term
+    # each, are checked once per public call and not again per Koszul
+    # twist; the checked single-weight bott is not on the path, and the
+    # command classifies (n, k) once
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(weights, "check_weight", counted("check_weight", weights.check_weight))
+    for module in (bwb, sections):
+        monkeypatch.setattr(module, "check_class", counted("check_class", weights.check_class))
+    monkeypatch.setattr(bwb, "bott", counted("bott", bwb.bott))
+    # classify builds one Classification per call, wherever it was imported
+    monkeypatch.setattr(geometry, "Classification", counted("classify", geometry.Classification))
+    argv = ["hodge", "grass-section", "--n", str(n), "--k", str(k), "--json"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert calls == {"check_class": classes, "check_weight": classes, "classify": 1}
 
 
 def test_closed_pipe_ends_quietly():

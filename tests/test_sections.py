@@ -415,6 +415,47 @@ def test_koszul_restriction_checks_the_class():
         koszul_restricted_cohomology(ModelParams(5, 2), {((1, 0), (0, 1, 0)): 1})
 
 
+def test_a_class_mixing_two_grassmannians_is_refused():
+    # (0, 0 | 0) lives on Gr(2, 3) and (1, 0 | 0, 0) on Gr(2, 4); their sum
+    # gave the tables ({0: 5}, {}) and rank 3
+    mixed = {((0, 0), (0,)): 1, ((1, 0), (0, 0)): 1}
+    for entry in (cohomology_of_kclass, virtual_rank):
+        with pytest.raises(ValueError, match=re.escape("class mixes terms of Gr(2, n) for n in [3, 4]")):
+            entry(mixed)
+    with pytest.raises(ValueError, match=re.escape("q_block must have length n-2=2: (0,)")):
+        restricted_euler(ModelParams(4, 1), mixed)
+
+
+def test_a_fractional_multiplicity_is_refused():
+    # 1.5 O(1) on Gr(2, 10) gave the tables ({0: 67.5}, {}), chi 60.0 on
+    # the elevenfold and rank 1.5
+    c = {((1, 1), (0,) * 8): 1.5}
+    entries = (
+        cohomology_of_kclass,
+        virtual_rank,
+        lambda c: restricted_euler(ModelParams(10, 5), c),
+        lambda c: koszul_restricted_cohomology(ModelParams(10, 5), c),
+    )
+    for entry in entries:
+        with pytest.raises(ValueError, match=re.escape("multiplicity 1.5 is not an integer")):
+            entry(c)
+    # a multiplicity that is no number ended in a TypeError from the effectiveness test
+    with pytest.raises(ValueError, match=re.escape("multiplicity '1' is not an integer")):
+        koszul_restricted_cohomology(ModelParams(10, 5), {((1, 1), (0,) * 8): "1"})
+
+
+def test_a_zero_multiplicity_is_refused():
+    # 0 O(1) gave the spurious negative table {0: 0}
+    c = {((1, 1), (0,) * 8): 0}
+    message = re.escape("multiplicity of ((1, 1), (0, 0, 0, 0, 0, 0, 0, 0)) is zero")
+    for entry in (cohomology_of_kclass, virtual_rank, lambda c: restricted_euler(ModelParams(10, 5), c)):
+        with pytest.raises(ValueError, match=message):
+            entry(c)
+    # a negative one is a class, but the Koszul restriction needs an effective one
+    with pytest.raises(ValueError, match="needs an effective class"):
+        koszul_restricted_cohomology(ModelParams(10, 5), {((1, 1), (0,) * 8): -1})
+
+
 def test_h1_tangent_sweep_is_exact_everywhere():
     # every nonempty section up to n = 30 resolves without a raise, and
     # only k = 0 and curves need no genericity

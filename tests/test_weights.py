@@ -7,6 +7,7 @@ import pytest
 
 from grpf.errors import DominanceError
 from grpf.weights import (
+    check_class,
     check_weight,
     gaussian_binomial,
     grassmannian_poincare,
@@ -177,3 +178,11 @@ def test_check_weight_validation():
     ):
         with pytest.raises(ValueError, match=re.escape(f"{bad} is not an integer")):
             check_weight(4, s_block, q_block)
+
+
+def test_check_class_returns_int_terms_with_grouped_q_runs():
+    # n comes from the first term unless given; the q-block's runs are grouped
+    assert check_class({((2, -1), (1, 0, 0)): 3, ((0, 0), (0, 0, 0)): -1}) == (
+        5, [(2, -1, [(1, 1), (0, 2)], 3), (0, 0, [(0, 3)], -1)])
+    assert check_class({}, 7) == (7, [])
+    assert check_class({}) == (None, [])

@@ -52,6 +52,6 @@ from .sections import (
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
-from .weights import check_weight, grassmannian_poincare, weyl_dimension
+from .weights import check_weight, grassmannian_poincare
 
 __version__ = "0.1.0"

@@ -12,8 +12,9 @@ handler as the ``handler`` default, which returns ``(code, params,
 result, provenance)``, plus the per-item timings for verify-all.
 
 Exit codes: 0 success, 1 mathematical verification failure (the report
-carries the counterexample), 2 usage or parameter error.  A reader that
-closes the pipe early (``| head``) ends the script by SIGPIPE, never 1.
+carries the counterexample), 2 usage or parameter error, or an input too
+large for the memory at hand (a MemoryError).  A reader that closes the
+pipe early (``| head``) ends the script by SIGPIPE, never 1.
 """
 
 from __future__ import annotations
@@ -255,12 +256,9 @@ def _cmd_hodge_grass_section(args):
         "h11": h.get((1, 1), 0),
         "chi_p": list(res.chi_p),
         "theorem_range": info.theorem_applies,
-        # Y1 is cut out by sections of the ample O(1), so Lefschetz always applies
-        "lefschetz_gate": True,
         "tangent_h1": {
             "mode": tangent.mode,
             "value": tangent.h1,
-            "bounds": None,
             "tangent_page": page(tangent.tangent_restricted),
             "normal_page": page(tangent.normal_restricted),
         },
@@ -351,9 +349,9 @@ def _cmd_pfaffian_sample(args):
         "seed": args.seed,
     }
     return 0, params, result, [
-        "line-interpolation",
-        "root-scan",
-        "jacobian-criterion",
+        "series-elimination",
+        "gcd-root-splitting",
+        "tangent-space-test",
     ]
 
 
@@ -406,6 +404,9 @@ def run(argv):
         out = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)

@@ -5,14 +5,14 @@ section of O(1)^k, so its structure sheaf has the Koszul resolution by
 O(-a)^{C(k,a)} and every Euler characteristic on Y is an alternating
 binomial sum of Euler characteristics upstairs.  For Wedge^p Omega_Y
 every term is a Cauchy term of Wedge^m Omega_Gr twisted by O(-t), so
-:func:`hodge_diamond_y1` reads chi^p and the audit trail from one ray of
-Bott outcomes per Cauchy term; other classes, checked once, get one Bott
-table per Koszul twist (:func:`_koszul_tables`).  Middle Hodge numbers
-come from these exact Euler characteristics plus the Lefschetz hyperplane
-theorem.  Koszul spectral sequences for restricted bundles are resolved
-by forced cancellations (degrees that must vanish force their
-differentials); an outcome that stays ambiguous raises
-:class:`~grpf.errors.IntegrityError`.
+:func:`hodge_diamond_y1` sums chi^p over one ray of Bott outcomes per
+Cauchy term, and its audit is the table of those outcomes; other classes,
+checked once, get one Bott table per Koszul twist
+(:func:`_koszul_tables`).  Middle Hodge numbers come from these exact
+Euler characteristics plus the Lefschetz hyperplane theorem.  Koszul
+spectral sequences for restricted bundles are resolved by forced
+cancellations (degrees that must vanish force their differentials); an
+outcome that stays ambiguous raises :class:`~grpf.errors.IntegrityError`.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class SectionHodge:
 
     diamond: dict
     chi_p: tuple[int, ...]
-    # "outcomes": the surviving Bott outcomes (j, m, t, degree, dimension),
-    # sorted; "rows": per p, the (i, j, a) behind chi^p, each reading (j, p - i, i + a)
+    # {"outcomes": the surviving Bott outcomes (j, m, t, degree, dimension), sorted};
+    # chi^p sums those with m <= p, 0 <= p - m <= t <= p - m + k
     audit: dict
 
 
@@ -96,14 +96,13 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     i = p - m, and the Koszul twist O(-a) adds to it, so its Bott outcome
     depends on (j, m, t) with t = i + a only.  The first term to need (j, m)
     builds its ray (:func:`grpf.bwb._cauchy_ray`) up to the largest twist
-    d - m + k (0 if k = 0), and term (i, j) reads it at i <= t <= i + k.
-    The audit trail lists each outcome once, and for each p, Koszul twist by
-    Koszul twist and term by term in the sorted order of :func:`omega_p_class`
-    (i + j descending, then j ascending), the row (i, j, a) that
-    reads outcome (j, p - i, i + a) with sign (-1)^i C(k+i-1, i)
-    (-1)^a C(k, a) (a Cauchy term has multiplicity one), as in chi^p, which
-    is their alternating sum.  A negative or non-symmetric middle row means
-    an upstream bug, and :func:`grpf.diamond.hodge_diamond` raises on it.
+    d - m + k (0 if k = 0), and term (i, j) reads it at i <= t <= i + k:
+    outcome (j, m, t) enters chi^p, p = m + i, with Koszul twist a = t - i
+    and sign (-1)^i C(k+i-1, i) (-1)^a C(k, a) (a Cauchy term has
+    multiplicity one).  The audit lists each outcome once; which p reads
+    it, and with what sign, follows from (n, k) alone, so no row is kept.
+    A negative or non-symmetric middle row means an upstream bug, and
+    :func:`grpf.diamond.hodge_diamond` raises on it.
     """
     n, k, d = params.n, params.k, params.dim_y1
     if d < 0:
@@ -111,32 +110,22 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     gp = grassmannian_poincare(n)
     # Cauchy term j of Wedge^m Omega_Gr runs over least[m] <= j <= m // 2
     least = [m // 2 + 1 - len(cauchy_exterior_cotangent(n, m)) for m in range(d + 1)]
-    omega = [(-1) ** i * (math.comb(k + i - 1, i) if k else int(i == 0)) for i in range(d + 1)]
+    omega = [(-1) ** i * math.comb(k + i - 1, i) for i in range(d + 1)] if k else [1]
     koszul = [(-1) ** a * math.comb(k, a) for a in range(k + 1)]
-    rays = {}  # (j, m) -> its surviving (t, degree, dimension), ascending; rows read all
+    rays = {}  # (j, m) -> its surviving (t, degree, dimension), ascending
     chi = []
-    audit_rows = []
     for p in range(d + 1):
-        rows = [[] for _ in koszul]  # by Koszul twist a
         total = 0
-        # the terms of the sorted omega_p_class(params, p): s_weight is
-        # (-(i + j), j - p), so i + j descending, then j ascending
-        terms = ((diag - j, j) for diag in range(p, -1, -1)
-                 for j in range(min(diag, p - diag) + 1))  # j <= m // 2
-        for i, j in terms:
-            m, mult = p - i, omega[i]
-            if not mult or j < least[m]:
-                continue
-            ray = rays.get((j, m))
-            if ray is None:
-                ray = rays[j, m] = _cauchy_ray(j, m, n, d - m + k if k else 0)
-            lo = bisect_left(ray, (i,))
-            for t, degree, dim in ray[lo:bisect_left(ray, (i + k + 1,), lo)]:
-                a = t - i
-                total += (-1) ** degree * mult * koszul[a] * dim
-                rows[a].append((i, j, a))
+        for i, mult in enumerate(omega[:p + 1]):
+            m = p - i
+            for j in range(least[m], m // 2 + 1):
+                ray = rays.get((j, m))
+                if ray is None:
+                    ray = rays[j, m] = _cauchy_ray(j, m, n, d - m + k if k else 0)
+                lo = bisect_left(ray, (i,))
+                for t, degree, dim in ray[lo:bisect_left(ray, (i + k + 1,), lo)]:
+                    total += (-1) ** degree * mult * koszul[t - i] * dim
         chi.append(total)
-        audit_rows.append(list(chain.from_iterable(rows)))
 
     middle = [
         (-1) ** (d - p) * (chi[p] - (0 if d == 2 * p else (-1) ** p * gp[min(p, d - p)]))
@@ -150,10 +139,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     return SectionHodge(
         diamond=h,
         chi_p=tuple(chi),
-        audit={
-            "outcomes": sorted(key + value for key, ray in rays.items() for value in ray),
-            "rows": audit_rows,
-        },
+        audit={"outcomes": sorted(key + value for key, ray in rays.items() for value in ray)},
     )
 
 

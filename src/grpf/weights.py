@@ -84,22 +84,6 @@ def check_class(c, n=None):
     return n, terms
 
 
-def weyl_dimension(w, n):
-    """Dimension of the GL(n) irreducible with dominant weight ``w``.
-
-    The Weyl product prod_{i<j} (w_i - w_j + j - i) / (j - i), taken over
-    runs of equal entries (see :func:`weyl_dimension_of_runs`).  Invariant
-    under adding a constant to every entry (determinant twists).
-    """
-    w = _integers(w, "weight")
-    if len(w) != _integer(n, "n"):
-        raise ValueError(f"weight length {len(w)} != n = {n}")
-    runs = [(x, len(list(group))) for x, group in groupby(w)]
-    if any(x < y for (x, _), (y, _) in zip(runs, runs[1:])):
-        raise DominanceError(f"weight not dominant: {w}")
-    return weyl_dimension_of_runs(runs)
-
-
 def weyl_dimension_of_runs(runs):
     """Weyl dimension of the dominant weight written as (value, length) runs.
 

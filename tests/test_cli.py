@@ -20,6 +20,7 @@ from grpf.cli import run
 from grpf.geometry import ModelParams
 from grpf.pfaffian import AMap
 from grpf.sections import omega_p_class
+from test_golden_reports import audit_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -110,6 +111,29 @@ def test_windows_internal_check_is_integrity_error(monkeypatch, capsys):
     )
     assert run(["windows", "--n", "10", "--k", "5"]) == 1
     assert "integrity error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["lemma", "check", "--n", "8"], "grassmannian_window"),
+        (["windows", "--n", "8", "--k", "4"], "grassmannian_window"),
+        (["collection", "verify", "--n", "8", "--set", "T", "--k", "4"], "pfaffian_window"),
+    ],
+)
+def test_out_of_memory_exit_2(monkeypatch, capsys, argv, where):
+    # an input too large for memory is refused like any other input it
+    # cannot serve: one error line and exit 2, not exit 1 and a traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    for module in (geometry, sections, cli):
+        if hasattr(module, where):
+            monkeypatch.setattr(module, where, exhausted)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory; the input is too large\n"
 
 
 def test_hodge_grass_section_edge_cases_exit_0(capsys):
@@ -205,6 +229,13 @@ def test_pfaffian_build_and_sample(tmp_path, capsys):
     assert report["result"]["found"] == 10
     for pt in report["result"]["points"]:
         assert pt["rank"] + pt["kernel_dim"] == 6
+    # lines are eliminated as power series, their roots split off
+    # gcd(f, x^p - x), and each point is decided by its tangent space
+    assert report["provenance"] == [
+        "series-elimination",
+        "gcd-root-splitting",
+        "tangent-space-test",
+    ]
 
 
 def test_pfaffian_sample_prime_2_61_minus_1(tmp_path, capsys):
@@ -368,11 +399,11 @@ def _run_family(tmp_path, monkeypatch, capsys, doc, argv):
         (GOOD_Q, ["build"],
          "076eec3afd26ebd4a7a533952788714cb0b4761a62d92f1800e3cd65183e0886"),
         (GOOD_Q, ["sample", "--points", "3"],
-         "71afdd2b79a3ced270946af12a05d1c4c6e285fd630250639a1aaa2e512aa3c1"),
+         "63f171291a0ddc2d1863cac543631218bdc3e8e5704b584051c53e270c2d4a72"),
         (GOOD_P, ["build"],
          "c5ecfde5ef88cceefef733feec01c264569974fe7bb2c4d9a3364919f0f60b11"),
         (GOOD_P, ["sample", "--prime", "7", "--points", "3"],
-         "865ea226831244a776a63523dcafe85fae06d65d73b31973913744be1225d9a6"),
+         "504df6941c1344638e1593600b56a256419d2822264b48291aa80e55e41215ab"),
         (ODD_Q, ["build"],
          "2942a69a4b4a07a0c19203fc953d174029fc952090148948ee2d84132305f113"),
         (ODD_P, ["build"],
@@ -465,11 +496,13 @@ def test_grass_section_audit_trail(capsys):
     code, report = run_json(capsys, ["hodge", "grass-section", "--n", "7", "--k", "7"])
     assert code == 0
     audit = report["result"]["audit"]
-    assert len(audit["rows"]) == 4  # one list of rows per exterior degree p
+    assert list(audit) == ["outcomes"]  # the rows follow from (n, k) and the outcomes
+    rebuilt = audit_rows(7, 7, audit["outcomes"])
+    assert len(rebuilt) == 4  # one list of rows per exterior degree p
     # the rows reproduce each chi^p by signed dimension sums: row [i, j, a]
     # reads outcome (j, p - i, i + a), signed (-1)^i C(k+i-1, i) (-1)^a C(k, a)
     outcomes = {(j, m, t): (degree, dim) for j, m, t, degree, dim in audit["outcomes"]}
-    for p, rows in enumerate(audit["rows"]):
+    for p, rows in enumerate(rebuilt):
         chi = 0
         for i, j, a in rows:
             degree, dim = outcomes[j, p - i, i + a]
@@ -517,7 +550,7 @@ def test_grass_section_runs_bott_once_per_koszul_term(capsys, monkeypatch):
     assert len(audit["outcomes"]) == 133
     for j, m, t, degree, dim in audit["outcomes"]:
         assert bott_cauchy(-j - t, j - m - t, j, m, 10) == (degree, dim), (j, m, t)
-    assert sum(len(rows) for rows in audit["rows"]) == 293
+    assert sum(len(rows) for rows in audit_rows(10, 5, audit["outcomes"])) == 293
 
 
 @pytest.mark.parametrize("n, k, classes", [(10, 5, 2), (7, 7, 2), (6, 7, 3)])
@@ -594,7 +627,13 @@ def test_hodge_grass_section_human_output(capsys):
     code, report = run_json(capsys, ["hodge", "grass-section", "--n", "10", "--k", "5"])
     assert code == 0
     assert report["result"]["theorem_range"] is True
-    assert report["result"]["lefschetz_gate"] is True
+    # Lefschetz always applies to a section by the ample O(1), and h^1(T)
+    # is exact: the report names the one in its provenance and carries no
+    # bounds for the other
+    assert "lefschetz_gate" not in report["result"]
+    assert "lefschetz-hyperplane" in report["provenance"]
+    assert sorted(report["result"]["tangent_h1"]) == [
+        "mode", "normal_page", "tangent_page", "value"]
     assert run(["hodge", "grass-section", "--n", "10", "--k", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = report["result"]["rows"]

@@ -2,18 +2,24 @@
 
 The digests in ``golden_reports.json`` were taken before the Bott layer
 was reshaped; any refactor must reproduce every report byte for byte.
-A ``hodge grass-section`` report binds twice: its own bytes under the
-command followed by PER_KEY, and under the command itself the bytes of
-the same report with its per-key audit rebuilt in the earlier format of
-one row per (term, Koszul twist) (:func:`old_audit`), so the digests
-recorded before the audit went per key still bind.  After a deliberate
-change of a report, regenerate them with
+A ``hodge grass-section`` report leaves out what follows from the rest:
+the audit rows, rebuilt from (n, k) and the outcome table by
+:func:`audit_rows`, and two fields that never varied, ``lefschetz_gate``
+(always true) and ``tangent_h1.bounds`` (always null).  With those put
+back (:func:`restore_report`) it binds twice: its bytes under the command
+followed by PER_KEY, and under the command itself the bytes with the
+audit rebuilt in the earlier format of one row per (term, Koszul twist)
+(:func:`old_audit`), so the digests recorded before the audit went per
+key still bind.  To pin a new command, add it to COMMANDS and run
 
     PYTHONPATH=src python3 tests/test_golden_reports.py --write
 
-and record the changed commands in CHANGES.md.
+which adds the digests of commands not yet in the file and rewrites
+none: if an existing digest would change, it exits 1 and names the key,
+so a refactor cannot re-pin a report by accident.  A deliberate change
+of a report means deleting its keys from the file by hand, then running
+``--write`` and recording the changed commands in CHANGES.md.
 """
-
 import contextlib
 import hashlib
 import io
@@ -83,8 +89,38 @@ HODGE = [c for c in COMMANDS if c.startswith("hodge grass-section")]
 PER_KEY = " (audit per key)"
 
 
+def audit_rows(n, k, outcomes):
+    """Per exterior degree p, the rows [i, j, a] behind chi^p, rebuilt from the outcomes.
+
+    For each Koszul twist a = 0..k and each term (i, j) of Omega^p in the
+    order of :func:`grpf.sections.omega_p_class` (i + j descending, then j
+    ascending), there is a row [i, j, a] exactly when (j, p - i, i + a) is
+    an outcome; the row reads that outcome.
+    """
+    keys = {(j, m, t) for j, m, t, _, _ in outcomes}
+    return [
+        [[i, j, a]
+         for a in range(k + 1)
+         for diag in range(p, -1, -1)
+         for j in range(min(diag, p - diag) + 1)
+         for i in [diag - j]
+         if (j, p - i, i + a) in keys]
+        for p in range(2 * (n - 2) - k + 1)
+    ]
+
+
+def restore_report(report):
+    """Put back in place the fields a Hodge report leaves out because they follow from the rest."""
+    n, k = report["params"]["n"], report["params"]["k"]
+    result = report["result"]
+    result["audit"]["rows"] = audit_rows(n, k, result["audit"]["outcomes"])
+    result["lefschetz_gate"] = True
+    result["tangent_h1"]["bounds"] = None
+    return report
+
+
 def old_audit(report):
-    """The audit of the earlier Hodge report format, rebuilt from the per-key one.
+    """The audit of the earlier Hodge report format, rebuilt from a restored per-key one.
 
     Row [i, j, a] of exterior degree p reads outcome (j, m, t), m = p - i
     and t = i + a: Cauchy term j of Wedge^m Omega_Gr, s-block
@@ -120,9 +156,9 @@ def _digest(code, text):
 def report_digests(command):
     """Golden key -> exit code and SHA-256 of the ``--json`` output of one command line.
 
-    A Hodge report gives two keys: the command with PER_KEY for its own
-    bytes, and the command for the bytes with the audit rebuilt by
-    :func:`old_audit`.
+    A Hodge report gives two keys: the command with PER_KEY for the bytes
+    of the report restored by :func:`restore_report`, and the command for
+    those bytes with the audit rebuilt by :func:`old_audit`.
     """
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -130,11 +166,12 @@ def report_digests(command):
     text = buf.getvalue()
     if command not in HODGE:
         return {command: _digest(code, text)}
-    report = json.loads(text)
+    report = restore_report(json.loads(text))
+    per_key = json.dumps(report, sort_keys=True) + "\n"
     report["result"]["audit"] = old_audit(report)
     return {
         command: _digest(code, json.dumps(report, sort_keys=True) + "\n"),
-        command + PER_KEY: _digest(code, text),
+        command + PER_KEY: _digest(code, per_key),
     }
 
 
@@ -171,7 +208,12 @@ def test_golden_file_covers_exactly_the_commands():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_reports.py --write")
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     table = {}
     for command in COMMANDS:
         table.update(report_digests(command))
+    changed = sorted(key for key in golden.keys() & table.keys() if golden[key] != table[key])
+    if changed:
+        sys.exit("digest would change, not rewritten: " + "; ".join(changed))
+    table.update(golden)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -29,6 +29,8 @@ from grpf.sections import (
     twisted_ext_vanishing,
     verify_strong_exceptional,
 )
+from test_golden_reports import audit_rows
+from test_weights import direct_weyl_product
 
 
 def line(n, t):
@@ -160,6 +162,7 @@ def test_hodge_diamond_elevenfold():
 def test_section_hodge_holds_only_what_it_computes():
     res = hodge_diamond_y1(ModelParams(7, 7))
     assert [f.name for f in dataclasses.fields(res)] == ["diamond", "chi_p", "audit"]
+    assert list(res.audit) == ["outcomes"]  # the rows follow from (n, k) and the outcomes
 
 
 def test_hodge_diamond_lefschetz_rows_follow_ambient():
@@ -275,14 +278,13 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
         assert built == list(range(d + 1))
         assert len(evaluated) == len(set(evaluated)) > 0
         assert max(Counter((j, m) for j, m, _ in evaluated).values()) <= 3
-        # every audit row reads one outcome, and every outcome backs a row:
-        # row (i, j, a) of degree p reads (j, p - i, i + a)
+        # every outcome backs a row: row (i, j, a) of degree p reads (j, p - i, i + a)
+        outcomes = res.audit["outcomes"]
         rows = {
             (j, p - i, i + a)
-            for p, entries in enumerate(res.audit["rows"])
+            for p, entries in enumerate(audit_rows(n, k, outcomes))
             for i, j, a in entries
         }
-        outcomes = res.audit["outcomes"]
         assert [tuple(o[:3]) for o in outcomes] == sorted(rows)
         assert set(evaluated) <= rows
         # and each reported outcome is Bott on its key
@@ -292,16 +294,18 @@ def test_hodge_diamond_computes_each_cauchy_class_and_outcome_once(monkeypatch, 
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_audit_rows_follow_the_sorted_terms_of_omega_p(n):
-    # hodge_diamond_y1 walks the terms (i, j) of Omega^p without sorting;
-    # its rows must still come in the order of the sorted class, whose
-    # term (i, j) has s_weight (-(i + j), j - p)
+    # the rows rebuilt from the outcomes walk the terms (i, j) of Omega^p
+    # without sorting; they must still come in the order of the sorted
+    # class, whose term (i, j) has s_weight (-(i + j), j - p)
     for k in range(2 * (n - 2) + 1):
         params = ModelParams(n, k)
         res = hodge_diamond_y1(params)
         outcomes = {tuple(o[:3]) for o in res.audit["outcomes"]}
-        for p, rows in enumerate(res.audit["rows"]):
+        rebuilt = audit_rows(n, k, res.audit["outcomes"])
+        assert len(rebuilt) == params.dim_y1 + 1, (n, k)
+        for p, rows in enumerate(rebuilt):
             terms = [(-s[0] - p - s[1], p + s[1]) for s, _ in sorted(omega_p_class(params, p))]
-            expected = [(i, j, a) for a in range(k + 1) for i, j in terms
+            expected = [[i, j, a] for a in range(k + 1) for i, j in terms
                         if (j, p - i, i + a) in outcomes]
             assert rows == expected, (n, k, p)
 
@@ -314,11 +318,11 @@ def audit_sign(k, i, a):
     return (-1) ** (i + a) * math.comb(k + i - 1, i) * math.comb(k, a) if k else 1
 
 
-def resum_audit(res, k, sign):
-    """chi^p re-summed from the audit rows, each signed by ``sign(k, i, a)``."""
+def resum_audit(res, n, k, sign):
+    """chi^p re-summed from the rebuilt audit rows, each signed by ``sign(k, i, a)``."""
     outcomes = {(j, m, t): (degree, dim) for j, m, t, degree, dim in res.audit["outcomes"]}
     chi = []
-    for p, rows in enumerate(res.audit["rows"]):
+    for p, rows in enumerate(audit_rows(n, k, res.audit["outcomes"])):
         total = 0
         for i, j, a in rows:
             degree, dim = outcomes[j, p - i, i + a]
@@ -329,8 +333,8 @@ def resum_audit(res, k, sign):
 
 def test_audit_outcome_table_is_bott_and_resums_chi_p():
     # each [j, m, t, degree, dimension] is Bott on the explicit weight
-    # (-j - t, j - m - t | 2^j, 1^(m-2j), 0^(n-2-m+j)); the rows read exactly
-    # the table, and re-summed with the documented sign they give chi^p
+    # (-j - t, j - m - t | 2^j, 1^(m-2j), 0^(n-2-m+j)); the rows rebuilt from
+    # it read all of it, and re-summed with the documented sign give chi^p
     for n, k in SECTIONS:
         res = hodge_diamond_y1(ModelParams(n, k))
         table = res.audit["outcomes"]
@@ -339,11 +343,20 @@ def test_audit_outcome_table_is_bott_and_resums_chi_p():
         for j, m, t, degree, dim in table:
             q = (2,) * j + (1,) * (m - 2 * j) + (0,) * (n - 2 - m + j)
             assert bott(n, (-j - t, j - m - t), q)[:2] == (degree, dim), (n, k)
-        read = [(j, p - i, i + a) for p, rows in enumerate(res.audit["rows"]) for i, j, a in rows]
+        rebuilt = audit_rows(n, k, table)
+        read = [(j, p - i, i + a) for p, rows in enumerate(rebuilt) for i, j, a in rows]
         assert set(read) == set(keys), (n, k)
         if k == 0:
-            assert all(i == a == 0 for rows in res.audit["rows"] for i, _, a in rows)
-        assert resum_audit(res, k, audit_sign) == list(res.chi_p), (n, k)
+            assert all(i == a == 0 for rows in rebuilt for i, _, a in rows)
+        assert resum_audit(res, n, k, audit_sign) == list(res.chi_p), (n, k)
+        # the same without rows: outcome (j, m, t) enters chi^p for each
+        # p <= d with i = p - m >= 0 and a = t - i in 0..k
+        chi = [0] * len(res.chi_p)
+        for j, m, t, degree, dim in table:
+            for p in range(m, len(chi)):
+                if 0 <= t - (p - m) <= k:
+                    chi[p] += (-1) ** degree * audit_sign(k, p - m, t - p + m) * dim
+        assert chi == list(res.chi_p), (n, k)
 
 
 def test_audit_resum_fails_without_the_koszul_sign():
@@ -356,7 +369,7 @@ def test_audit_resum_fails_without_the_koszul_sign():
         (n, k)
         for n, k in SECTIONS
         for res in [hodge_diamond_y1(ModelParams(n, k))]
-        if resum_audit(res, k, no_koszul_sign) != list(res.chi_p)
+        if resum_audit(res, n, k, no_koszul_sign) != list(res.chi_p)
     }
     assert {(10, 5), (7, 7), (12, 6)} <= broken
     assert len(broken) > 3 * len(SECTIONS) // 4
@@ -1021,8 +1034,6 @@ def test_hom_dimensions_match_symbolic_regimes():
     # dimension data implied by the interval analysis: a summand
     # contributes to Hom exactly when its shifted weight is dominant, with
     # the Weyl dimension of that weight
-    from grpf.weights import weyl_dimension
-
     n = 10
     labels = sorted(grassmannian_window(n))[::7]
     for e in labels:
@@ -1032,6 +1043,6 @@ def test_hom_dimensions_match_symbolic_regimes():
                 ft = (f[0], f[1] - t)  # F(t)
                 for a1, a2 in hom_s_blocks(e, ft):
                     if a2 >= 0:
-                        expected += weyl_dimension((a1, a2) + (0,) * (n - 2), n)
+                        expected += direct_weyl_product((a1, a2) + (0,) * (n - 2))
                 table = rhom_dimensions(e, ft, n)
                 assert table.get(0, 0) == expected, (e, f, t)

@@ -7,6 +7,7 @@ and polynomial roots below work over F_p on int lists."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .weights import _integer
 
@@ -58,6 +59,8 @@ def coerce(x, p):
     if p is None:
         return Fraction(x)
     if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return x.numerator % p
         if x.denominator % p == 0:
             raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
         return x.numerator * inv_mod(x.denominator, p) % p
@@ -173,20 +176,28 @@ def _series_inverse(a, p, length, w, reduce):
 
 
 def _pfaffian_series(rows, p, length, w, reduce):
-    """Pfaffian of a skew matrix over F_p[x]/(x^length) by skew elimination;
-    None when a pivot row has no unit entry (constant term nonzero mod p).
+    """Pfaffian of a skew matrix over F_p[x]/(x^length) by division-free skew
+    elimination; None when a pivot row has no unit entry (constant term
+    nonzero mod p).
 
     Entries are packed series with slots in [0, 3p]; only the upper triangle
-    is read.  The largest sum reduced, an entry plus two products, is at
-    most 9 p^2 (2 length + 1), which ``w`` and ``reduce`` (:func:`_barrett`)
-    must allow.  Pivots are units, so the elimination mirrors the one at
-    x = 0, and where it stops Pf vanishes at x = 0.
+    is read.  The pivot b_j = m[i][i+1], i = 2j, updates the rows below
+    without dividing, m[r][c] <- b_j m[r][c] - m[i][r] m[i+1][c] +
+    m[i+1][r] m[i][c]: the Schur complement times b_j, so the rows below
+    carry the factor b_0 ... b_j.  Of d = n/2 pivots, b_j then holds the
+    true pivot times b_0 ... b_(j-1), and Pf = prod_j b_j^(1 - (d - 1 - j))
+    = b_(d-1) / prod_(j <= d-3) b_0 ... b_j; that one denominator is
+    inverted once, by :func:`_series_inverse`.  The largest
+    sum reduced, an entry times the pivot plus two products, is at most
+    27 p^2 length, which ``w`` and ``reduce`` (:func:`_barrett`) must allow.
+    Pivots are units, so the elimination mirrors the one at x = 0, and
+    where it stops Pf vanishes at x = 0.
     """
     n = len(rows)
     mask, slot = (1 << w * length) - 1, (1 << w) - 1
     three_p = _pack([3 * p] * length, w)
     m = [list(row) for row in rows]
-    result, negate = 1, False
+    a, scale, den, negate = 1, 1, 1, False
     for i in range(0, n, 2):
         top = m[i]
         piv = next((j for j in range(i + 1, n) if (top[j] & slot) % p), None)
@@ -202,32 +213,27 @@ def _pfaffian_series(rows, p, length, w, reduce):
             negate = not negate
         nxt = m[i + 1]
         a = top[i + 1]
-        result = reduce(result * a & mask)
-        if i + 2 == n:  # no row below reads the last pivot's inverse
+        if i + 2 == n:
             break
-        ainv = _series_inverse(a, p, length, w, reduce)
         for r in range(i + 2, n):
-            # m[r][c] -= (m[i][r] m[i+1][c] - m[i][c] m[i+1][r]) / a
-            x, y = reduce(top[r] * ainv & mask), reduce(nxt[r] * ainv & mask)
-            x, row = three_p - x, m[r]
+            x, y, row = three_p - top[r], nxt[r], m[r]
             for c in range(r + 1, n):
-                row[c] = reduce((row[c] + x * nxt[c] + y * top[c]) & mask)
-    return three_p - result if negate else result
+                row[c] = reduce((a * row[c] + x * nxt[c] + y * top[c]) & mask)
+        if i + 4 < n:  # j <= d - 3: the denominator gains b_0 ... b_j
+            scale = reduce(scale * a & mask)
+            den = reduce(den * scale & mask)
+    if den != 1:
+        a = reduce(a * _series_inverse(den, p, length, w, reduce) & mask)
+    return three_p - a if negate else a
 
 
 def pfaffian_mod(rows, p):
     """Pfaffian of a skew matrix over F_p: :func:`_pfaffian_series` at length 1,
-    where a plain ``% p`` reduces the one slot of :func:`_barrett`'s width."""
+    where a plain ``% p`` reduces the one slot of :func:`_barrett`'s width
+    for that elimination's bound 27 p^2."""
     w, _ = _barrett(27 * p * p, p, 1)
     pf = _pfaffian_series([[x % p for x in row] for row in rows], p, 1, w, p.__rmod__)
     return 0 if pf is None else pf % p
-
-
-def _trim(a, p):
-    a = [x % p for x in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _divmod(a, b, p):
@@ -242,12 +248,25 @@ def _divmod(a, b, p):
 
 
 def _gcd(a, b, p):
-    """The monic gcd of a and b; [] when both are zero."""
-    a, b = _trim(a, p), _trim(b, p)
-    while b:
-        a, b = b, _trim(_divmod(a, b, p)[1], p)
-    inv = inv_mod(a[-1], p) if a else 0
-    return [c * inv % p for c in a]
+    """The monic gcd of a and b; [] when both are zero.  Euclid on monic
+    remainders: dividing by a monic g needs no inverse, so each remainder
+    is reduced mod p and made monic in one pass, when it becomes g."""
+    if not any(x % p for x in a):  # gcd(0, b) = gcd(b, 0)
+        a, b = b, []
+    g = []
+    while True:
+        d = len(a) - 1
+        while d >= 0 and not a[d] % p:
+            d -= 1
+        if d < 0:
+            return g
+        inv = pow(a[d], -1, p)
+        g, r = [x * inv % p for x in a[:d + 1]], list(b)
+        for k in range(len(r) - 1, d - 1, -1):
+            c = r[k] % p
+            if c:
+                r[k - d:k] = [x - c * y for x, y in zip(r[k - d:k], g)]
+        a, b = r[:d], g
 
 
 def _powmod(a, e, f, p):
@@ -274,7 +293,10 @@ def _powmod(a, e, f, p):
     a %= p
     w, reduce = _barrett(9 * d * p * p * (1 + a), p, 2 * d)
     low = (1 << w * d) - 1
-    mu = _pack(_divmod([0] * 2 * d + [1], f, p)[0], w)
+    mu = [0] * d + [1]  # x^(2d) = mu f + r: mu_(d-i) = -sum_(j=1..i) f_(d-j) mu_(d-i+j)
+    for i in range(1, d + 1):
+        mu[d - i] = -sum(map(mul, f[d - i:d], reversed(mu[d - i + 1:]))) % p
+    mu = _pack(mu, w)
     g, shift = _pack([-c % p for c in f[:d]], w), (1 << w) + a
     r = 1
     for bit in bin(e)[2:]:
@@ -316,7 +338,7 @@ def roots_mod(coeffs, p):
     if len(f) < 2:
         return []
     h = _powmod(0, p, f, p) + [0]
-    roots, factors, a = [], [_gcd(f, [h[0], h[1] - 1, *h[2:]], p)], 0
+    roots, factors, a = [], [_gcd([h[0], h[1] - 1, *h[2:]], f, p)], 0
     while factors:
         g = factors.pop()
         if len(g) == 2:
@@ -326,7 +348,7 @@ def roots_mod(coeffs, p):
             roots += [(r - g[1]) * half % p, (-r - g[1]) * half % p]
         elif len(g) > 3:
             h = _powmod(a, (p - 1) // 2, g, p)
-            d = _gcd(g, [h[0] - 1, *h[1:]], p)
+            d = _gcd([h[0] - 1, *h[1:]], g, p)
             a += 1
             factors += [d, _divmod(g, d, p)[0]] if 1 < len(d) < len(g) else [g]
     return sorted(roots)

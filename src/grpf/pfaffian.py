@@ -106,12 +106,13 @@ class AMap:
             raise ValueError(f"{len(rows)} rows != k = {self.k}")
         self.matrix = tuple(rows)
         # Rank only drops modulo a prime, so over Q full rank of the rows
-        # cleared of denominators modulo 2^61 - 1 proves it without Fractions.
+        # cleared of denominators modulo 2^30 - 35, a prime whose residues
+        # are one-digit ints, proves it without Fractions.
         if p is None:
             dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
             ints = [[x.numerator * (d // x.denominator) for x in row]
                     for row, d in zip(rows, dens)]
-            if rank_mod(ints, 2**61 - 1) == self.k:
+            if rank_mod(ints, 2**30 - 35) == self.k:
                 return
         if _rref(self.matrix, p)[0] < self.k:
             raise DegenerateFamilyError(
@@ -531,7 +532,8 @@ def _point_at(am, u, p):
     pairs = list(itertools.combinations(kernel, 2))
     coordinates = list(itertools.combinations(range(n), 2))
     plucker = [[a[i] * b[j] - a[j] * b[i] for i, j in coordinates] for a, b in pairs]
-    pairings = [[sum(map(mul, row, w)) % p for w in plucker] for row in am.matrix]
+    # the pairing matrix transposed, C(corank, 2) x k: its rank takes at most 3 pivots
+    pairings = [[sum(map(mul, row, w)) % p for row in am.matrix] for w in plucker]
     smooth = len(kernel) == corank and rank_mod(pairings, p) == len(pairs)
     return SamplePoint(tuple(u), n - len(kernel), len(kernel), smooth)
 
@@ -614,8 +616,12 @@ def _sample_even(am, p, count, seed, max_lines):
     M(p0 + x p1) = M(p0) + x M(p1), so a line combines the family twice
     (:func:`_combiner`, on rows packed once per sweep) and takes
     Pf(M(p0) + x M(p1)) by one skew elimination over F_p[x]/(x^(d+1)),
-    about the first centre c in 0..d where it is a unit.  Only the upper
-    triangle, which the elimination reads, is built.
+    about the first centre c in 0..d where it is a unit.  The elimination
+    is division free (:func:`grpf.modp._pfaffian_series`): each pivot
+    multiplies the rows below instead of dividing them, the Pfaffian is
+    the last pivot over one product of pivot powers, inverted once, and
+    its sums reach 27 p^2 (d + 1), the bound of the slot width here.  Only
+    the upper triangle, which the elimination reads, is built.
     """
     n, k = am.n, am.k
     deg = n // 2
@@ -623,7 +629,7 @@ def _sample_even(am, p, count, seed, max_lines):
         # P(U) is a single point; no lines to sweep.
         point = _point_at(am, (1,), p)
         return ({(1,): point} if point else {}), 1
-    w, reduce = _barrett(9 * p * p * (2 * deg + 3), p, deg + 1)
+    w, reduce = _barrett(27 * p * p * (deg + 1), p, deg + 1)
     combine = _combiner(am.matrix, p)
     # row i of the upper triangle: the entries (i, i + 1..n - 1) in lex order
     cuts = list(itertools.accumulate(range(n - 1, -1, -1), initial=0))
@@ -749,8 +755,9 @@ def _kernel_line_drawer(square, p, emb=None):
     coordinates = list(itertools.combinations(range(n), 2))
     inner = [(i - 1, j - 1, column)
              for (i, j), column in zip(coordinates, zip(*square.matrix)) if i]
-    # the largest sum reduced: the cofactors' back-substitution, or Pf_0's update
-    w, reduce = _barrett(9 * p * p * max(n * (n - 1), 2 * need + 1), p, max(n, need))
+    # the largest sum reduced: the cofactors' back-substitution, or Pf_0's
+    # division-free update; both are 0 at n = 1, and _barrett needs p^2 at least
+    w, reduce = _barrett(9 * p * p * max(n * (n - 1), 3 * need, 1), p, max(n, need))
     mask = (1 << w * need) - 1
 
     b_of = _kernel_incidence(square, p)

@@ -23,7 +23,6 @@ from grpf.modp import (
     _divmod,
     _pack,
     _pfaffian_series,
-    _trim,
     _unpack,
     coerce,
     det_mod,
@@ -189,9 +188,9 @@ def test_degenerate_family_rejected():
 
 
 def test_q_family_rank_is_not_decided_modulo_one_prime():
-    # over Q full rank is first checked modulo 2^61 - 1, where rank can only
+    # over Q full rank is first checked modulo 2^30 - 35, where rank can only
     # drop; a short rank there falls back to exact elimination over Q
-    prime = 2**61 - 1
+    prime = 2**30 - 35
     am = AMap(3, 2, Q, [[1, 0, 0], [0, prime, 0]])
     assert am.matrix[1][1] == prime
     assert AMap(3, 2, Q, [[Fraction(1, prime), 0, 0], [0, Fraction(prime, 3), 0]]).k == 2
@@ -1316,7 +1315,7 @@ def test_series_slots_hold_the_largest_sums():
     # Pfaffian s^6 = (1 - x)^-6, as the all-ones upper triangle has Pf 1
     p, n = 3317044064679887385961783, 13
     need = n * (n - 3) // 2 + 1
-    w, reduce = _barrett(9 * p * p * max(n * (n - 1), 2 * need + 1), p, need)
+    w, reduce = _barrett(9 * p * p * max(n * (n - 1), 3 * need, 1), p, need)
     s = _pack([p - 1] * need, w)
     pf = _pfaffian_series([[s] * (n - 1) for _ in range(n - 1)], p, need, w, reduce)
     assert _unpack(pf, w, need, p) == [math.comb(e + 5, 5) % p for e in range(need)]
@@ -1329,6 +1328,58 @@ def test_series_slots_hold_the_largest_sums():
         minors = [(-1) ** i * det_mod([row[:i] + row[i + 1:] for row in rows], p) % p
                   for i in range(n)]
         assert [_evaluate(c, x, p) for c in u] == minors, x
+
+
+def _series_pfaffian_by_matchings(entries, p, length):
+    """Pf of the skew matrix with upper triangle ``entries`` (ascending
+    coefficient lists) over F_p[x]/(x^length), as a sum over matchings."""
+    from test_poly_modp import matchings_with_sign
+
+    total = [0] * length
+    for sign, pairs in matchings_with_sign(tuple(range(len(entries)))):
+        prod = [sign % p] + [0] * (length - 1)
+        for i, j in pairs:
+            e = entries[i][j]
+            prod = [sum(prod[a] * e[t - a] for a in range(t + 1)) % p for t in range(length)]
+        total = [(x + y) % p for x, y in zip(total, prod)]
+    return total
+
+
+@pytest.mark.parametrize("n, p", [(6, 10007), (7, 9221)])
+def test_sampler_slot_widths_hold_the_division_free_update(n, p, monkeypatch):
+    # The update a m[r][c] - m[i][r] m[i+1][c] + m[i+1][r] m[i][c] of slots
+    # in [0, 3p] reaches 27 p^2 L in slot L - 1: on a 6 x 6 upper triangle
+    # with every slot 3p but the constant terms, 3p - 1 (units), and with
+    # m[0][2] = 0, row 2's first update sums to 27 p^2 L - 15 p there.  The
+    # even line at n = 6 (L = 4) and the odd line's Pf_0 at n = 7 (L = 15)
+    # take the slot width from the bound their caller passes to _barrett;
+    # at these primes the old bounds 9 p^2 (2 L + 1) and 9 p^2 n (n - 1)
+    # have one bit less than that sum, and their widths give a wrong Pf.
+    import grpf.pfaffian as pf_mod
+
+    bounds, barrett = [], pf_mod._barrett
+    monkeypatch.setattr(pf_mod, "_barrett",
+                        lambda bound, q, slots: bounds.append(bound) or barrett(bound, q, slots))
+    if n % 2 == 0:
+        length, old = n // 2 + 1, 9 * p * p * (n + 3)
+        sample_y2(AMap.random(n, 2, 1, p), p, 1, 1)
+    else:
+        length, old = n * (n - 3) // 2 + 1, 9 * p * p * n * (n - 1)
+        _kernel_line_drawer(AMap.random(n, n, 1, p), p)
+    largest = 27 * p * p * length - 15 * p
+    assert bounds and largest.bit_length() > old.bit_length()
+    entries = [[None] * 6 for _ in range(6)]
+    for i, j in itertools.combinations(range(6), 2):
+        entries[i][j] = [3 * p - 1] + [3 * p] * (length - 1)
+    entries[0][2] = [0] * length
+    expected = _series_pfaffian_by_matchings(entries, p, length)
+    for bound, holds in ((bounds[0], True), (old, False)):
+        w, reduce = barrett(bound, p, length)
+        rows = [[0] * 6 for _ in range(6)]
+        for i, j in itertools.combinations(range(6), 2):
+            rows[i][j] = _pack(entries[i][j], w)
+        pf = _pfaffian_series(rows, p, length, w, reduce)
+        assert (_unpack(pf, w, length, p) == expected) == holds, (n, bound)
 
 
 def test_taylor_shift_matches_evaluation():
@@ -1527,6 +1578,14 @@ def _polynomial_pfaffians(mat, p):
 
 def _evaluate(poly, x, p):
     return sum(c * pow(x, e, p) for e, c in enumerate(poly)) % p
+
+
+def _trim(a, p):
+    """The coefficients mod p without their top zeros."""
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _mul_poly(a, b, p):

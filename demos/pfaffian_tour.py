@@ -24,7 +24,7 @@ pf = pfaffian_polynomial(am)
 print(f"symbolic Pfaffian: degree {max(map(sum, pf))}, {len(pf)} monomials")
 
 res = sample_y2(am, p, 200, seed=42)
-kernels = sorted({q.kernel_dim for q in res.points})
+kernels = sorted({q["kernel_dim"] for q in res.points})
 print(f"sampled {len(res.points)} points over F_{p} in {res.attempts} lines;")
 print(f"kernel dimensions {kernels}, smooth fraction {res.smooth_fraction:.3f}")
 
@@ -34,7 +34,7 @@ subs = submaximal_pfaffians(am77)
 print(f"{len(subs)} submaximal Pfaffians of degree {max(map(sum, subs[0]))}",
       "cut the locus")
 res77 = sample_y2(am77, p, 200, seed=42)
-kernels = sorted({q.kernel_dim for q in res77.points})
+kernels = sorted({q["kernel_dim"] for q in res77.points})
 print(f"sampled {len(res77.points)} points;",
       f"kernel dimensions {kernels}, smooth fraction {res77.smooth_fraction:.3f}")
 

@@ -20,10 +20,10 @@ def centred(h):
 
 params = ModelParams(10, 5)
 info = classify(params)
-print(f"(n, k) = (10, 5): section of Gr(2,10) has dimension {info.dim_y1}",
-      f"and is {info.y1_type.value}")
-print(f"the dual degeneracy locus has dimension {info.dim_y2}",
-      f"and is {info.y2_type.value}")
+print(f"(n, k) = (10, 5): section of Gr(2,10) has dimension {info['dim_y1']}",
+      f"and is {info['y1_type']}")
+print(f"the dual degeneracy locus has dimension {info['dim_y2']}",
+      f"and is {info['y2_type']}")
 
 dia = hodge_diamond_y1(params).diamond
 print("\nmiddle row of the elevenfold:", [dia[p, 11 - p] for p in range(12)])

@@ -35,20 +35,19 @@ print(sorted(rect))
 # Strong exceptionality of the window on the Grassmannian: all positive
 # Ext groups between the 45 bundles vanish and morphisms flow one way.
 rep = verify_strong_exceptional(10, grassmannian_window(10))
-print(f"\nstrong exceptionality for n=10: passed={rep.passed}",
-      f"over {rep.pair_count} ordered pairs")
-print("first few labels in collection order:", list(rep.order[:6]))
+print(f"\nstrong exceptionality for n=10: passed={rep['passed']}",
+      f"over {rep['pairs']} ordered pairs")
+print("first few labels in collection order:", rep["order"][:6])
 
 # The same vanishing holds after twisting by O(t) for every t >= 0 at
 # once: entries are affine in t, so finitely many intervals decide it.
 for n in (8, 10, 12):
     rep = twisted_ext_vanishing(n)
-    print(f"all-twists vanishing for n={n}: {rep.all_vanish}",
-          f"({rep.pair_count} pairs, {rep.summand_count} summands)")
+    print(f"all-twists vanishing for n={n}: {rep['all_vanish']}",
+          f"({rep['pairs']} pairs, {rep['summands']} summands)")
 
 # Negative control: pushing the target outside the window produces a
 # concrete twist with nonvanishing higher cohomology.
-verdict = pair_twisted_vanishing(10, (4, 0), (5, 9))
-i, t, degree, dim = verdict.counterexample
+i, t, degree, dim = pair_twisted_vanishing(10, (4, 0), (5, 9))
 print(f"\nout-of-window pair (4,0) -> (5,9): fails at twist t={t}",
       f"with H^{degree} of dimension {dim}")

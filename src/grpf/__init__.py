@@ -10,16 +10,18 @@ What lives where:
   by ``weights.check_class``
 * :mod:`grpf.bwb`       the Borel-Weil-Bott engine (``bott(n, s, q)``),
   cohomology tables of classes and their Euler characteristics
-* :mod:`grpf.geometry`  parameter classification, windows as frozensets
-  of labels, strata
+* :mod:`grpf.geometry`  parameter classification (``classify`` returns the
+  dict its command prints), windows as frozensets of labels, strata
 * :mod:`grpf.sections`  Hodge diamonds and deformations of linear sections,
-  exceptional-collection and twisted-vanishing verifiers
+  exceptional-collection and twisted-vanishing verifiers, each returning
+  the dict its command prints
 * :mod:`grpf.diamond`   Hodge diamonds as dicts {(p, q): h}
 * :mod:`grpf.modp`      a field named by its modulus (None for Q, an odd
   prime p for F_p): row reduction, Pfaffians and roots mod p
 * :mod:`grpf.pfaffian`  skew families of 2-forms (:class:`~grpf.pfaffian.AMap`),
   their exact Pfaffians as dicts {exponent tuple: nonzero coefficient},
-  finite-field point sampling, hypersurface Hodge numbers
+  finite-field point sampling (a namespace whose ``vars()`` is the
+  report), hypersurface Hodge numbers
 * :mod:`grpf.verify`    the named checks behind ``grpf verify-all``
 * :mod:`grpf.errors`    the exception types
 * :mod:`grpf.cli`       the ``grpf`` command line tool
@@ -27,7 +29,6 @@ What lives where:
 
 from .bwb import bott, cohomology_of_kclass
 from .geometry import (
-    Classification,
     ModelParams,
     classify,
     grassmannian_window,
@@ -38,7 +39,6 @@ from .geometry import (
 )
 from .pfaffian import (
     AMap,
-    SamplePoint,
     hypersurface_hodge,
     pfaffian_polynomial,
     sample_y2,

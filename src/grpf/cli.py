@@ -34,6 +34,7 @@ from .geometry import (
     grassmannian_window,
     orthogonal_rectangle,
     pfaffian_window,
+    theorem_range,
     window_sets,
 )
 from .pfaffian import (
@@ -148,18 +149,7 @@ def _cmd_bwb(args):
 
 
 def _cmd_classify(args):
-    info = classify(ModelParams(args.n, args.k))
-    result = {
-        "dim_y1": info.dim_y1,
-        "dim_y2": info.dim_y2,
-        "y1_type": info.y1_type.value,
-        "y2_type": info.y2_type.value,
-        "y1_empty": info.y1_empty,
-        "y2_empty": info.y2_empty,
-        "y2_smoothable": info.y2_smoothable,
-        "theorem_applies": info.theorem_applies,
-        "window_inclusion": info.window_inclusion,
-    }
+    result = classify(ModelParams(args.n, args.k))
     params = {"n": args.n, "k": args.k}
     return 0, params, result, ["dimension-count", "canonical-type-thresholds"]
 
@@ -187,49 +177,16 @@ def _cmd_collection_verify(args):
         window = pfaffian_window(args.n, args.k)
     else:
         window = grassmannian_window(args.n)
-    rep = verify_strong_exceptional(args.n, window)
-    result = {
-        "passed": rep.passed,
-        "pairs": rep.pair_count,
-        "order": [list(x) for x in rep.order],
-        "hom_matrix": [list(row) for row in rep.hom_matrix],
-        "ext_failures": [
-            {"source": list(e), "target": list(f), "degree": d, "dimension": v}
-            for e, f, d, v in rep.ext_failures
-        ],
-        "order_violations": [
-            {"source": list(e), "target": list(f), "dimension": v}
-            for e, f, v in rep.order_violations
-        ],
-        "diagonal_failures": [
-            {"label": list(e), "dimension": v} for e, v in rep.diagonal_failures
-        ],
-    }
+    result = verify_strong_exceptional(args.n, window)
     params = {"n": args.n, "set": args.which, "k": args.k}
-    code = 0 if rep.passed else 1
+    code = 0 if result["passed"] else 1
     return code, params, result, ["clebsch-gordan", "borel-weil-bott"]
 
 
 def _cmd_lemma_check(args):
-    rep = twisted_ext_vanishing(args.n)
-    result = {
-        "all_vanish": rep.all_vanish,
-        "pairs": rep.pair_count,
-        "summands": rep.summand_count,
-        "counterexamples": [
-            {
-                "source": list(e),
-                "target": list(f),
-                "summand": i,
-                "t": t,
-                "degree": d,
-                "dimension": v,
-            }
-            for e, f, i, t, d, v in rep.counterexamples
-        ],
-    }
+    result = twisted_ext_vanishing(args.n)
     params = {"n": args.n}
-    code = 0 if rep.all_vanish else 1
+    code = 0 if result["all_vanish"] else 1
     return code, params, result, [
         "clebsch-gordan",
         "borel-weil-bott",
@@ -239,10 +196,9 @@ def _cmd_lemma_check(args):
 
 def _cmd_hodge_grass_section(args):
     params_obj = ModelParams(args.n, args.k)
-    info = classify(params_obj)
     res = hodge_diamond_y1(params_obj)
     tangent = h1_tangent_y1(params_obj)
-    d, h = info.dim_y1, res.diamond
+    d, h = params_obj.dim_y1, res.diamond
 
     def page(restricted):
         if restricted is None:
@@ -255,7 +211,7 @@ def _cmd_hodge_grass_section(args):
         "rows": diamond_rows(h),
         "h11": h.get((1, 1), 0),
         "chi_p": list(res.chi_p),
-        "theorem_range": info.theorem_applies,
+        "theorem_range": theorem_range(args.n, args.k),
         "tangent_h1": {
             "mode": tangent.mode,
             "value": tangent.h1,
@@ -325,23 +281,7 @@ def _cmd_pfaffian_build(args):
 
 def _cmd_pfaffian_sample(args):
     am = AMap.load(args.infile)
-    res = sample_y2(am, args.prime, args.points, args.seed)
-    result = {
-        "found": len(res.points),
-        "requested": res.requested,
-        "attempts": res.attempts,
-        "exhausted": res.exhausted,
-        "smooth_fraction": round(res.smooth_fraction, 6),
-        "points": [
-            {
-                "coordinates": list(q.coordinates),
-                "rank": q.rank,
-                "kernel_dim": q.kernel_dim,
-                "smooth_at": q.smooth_at,
-            }
-            for q in res.points
-        ],
-    }
+    result = vars(sample_y2(am, args.prime, args.points, args.seed))
     params = {
         "in": args.infile,
         "prime": args.prime,

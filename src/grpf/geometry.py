@@ -14,16 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import IntegrityError, ParityError
 from .weights import _integer
-
-
-class VarietyType(Enum):
-    FANO = "Fano"
-    CALABI_YAU = "CalabiYau"
-    GENERAL_TYPE = "GeneralType"
 
 
 @dataclass(frozen=True)
@@ -63,35 +56,11 @@ def rank_drop_codim(n):
     return 1 if n % 2 == 0 else 3
 
 
-@dataclass(frozen=True)
-class Classification:
-    dim_y1: int
-    dim_y2: int
-    y1_type: VarietyType
-    y2_type: VarietyType
-    y1_empty: bool
-    y2_empty: bool
-    y2_smoothable: bool
-    theorem_applies: bool
-    window_inclusion: bool
-
-
-def _y1_type(n, k):
-    if k < n:
-        return VarietyType.FANO
-    if k == n:
-        return VarietyType.CALABI_YAU
-    return VarietyType.GENERAL_TYPE
-
-
-def _y2_type(n, k):
-    # Even n: governed by k vs n/2.  Odd n: by k vs n.
-    threshold = n // 2 if n % 2 == 0 else n
-    if k > threshold:
-        return VarietyType.FANO
-    if k == threshold:
-        return VarietyType.CALABI_YAU
-    return VarietyType.GENERAL_TYPE
+def _variety_type(index):
+    """The type of a section whose canonical class is -index times the hyperplane class."""
+    if index > 0:
+        return "Fano"
+    return "CalabiYau" if index == 0 else "GeneralType"
 
 
 def theorem_range(n, k):
@@ -106,20 +75,30 @@ def window_inclusion_closed_form(n, k):
     return k <= n if n % 2 == 1 else k <= n // 2
 
 
-def classify(params: ModelParams) -> Classification:
+def classify(params: ModelParams):
+    """The ``classify`` report of (n, k), a dict of nine fields.
+
+    ``dim_y1`` and ``dim_y2`` are the dimensions of the two sections, and
+    ``y1_empty`` and ``y2_empty`` say they are negative.  ``y1_type`` and
+    ``y2_type`` are "Fano", "CalabiYau" or "GeneralType" by the sign of
+    the index: n - k for Y1, and for Y2 k - n/2 (even n) or k - n (odd n).
+    ``y2_smoothable`` is k <= 6 (even n) or k <= 10 (odd n), and
+    ``theorem_applies`` and ``window_inclusion`` are :func:`theorem_range`
+    and :func:`window_inclusion_closed_form`.
+    """
     n, k = params.n, params.k
     dim_y2 = k - 1 - rank_drop_codim(n)
-    return Classification(
-        dim_y1=params.dim_y1,
-        dim_y2=dim_y2,
-        y1_type=_y1_type(n, k),
-        y2_type=_y2_type(n, k),
-        y1_empty=params.dim_y1 < 0,
-        y2_empty=dim_y2 < 0,
-        y2_smoothable=(k <= 6 if n % 2 == 0 else k <= 10),
-        theorem_applies=theorem_range(n, k),
-        window_inclusion=window_inclusion_closed_form(n, k),
-    )
+    return {
+        "dim_y1": params.dim_y1,
+        "dim_y2": dim_y2,
+        "y1_type": _variety_type(n - k),
+        "y2_type": _variety_type(k - (n // 2 if n % 2 == 0 else n)),
+        "y1_empty": params.dim_y1 < 0,
+        "y2_empty": dim_y2 < 0,
+        "y2_smoothable": k <= 6 if n % 2 == 0 else k <= 10,
+        "theorem_applies": theorem_range(n, k),
+        "window_inclusion": window_inclusion_closed_form(n, k),
+    }
 
 
 def pfaffian_stratum_codim(n, r):

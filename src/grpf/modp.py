@@ -55,7 +55,13 @@ def inv_mod(a, p):
 
 
 def coerce(x, p):
-    """The int or Fraction x as an element of Q (p None) or of F_p."""
+    """The int or Fraction x as an element of Q (p None) or of F_p.
+
+    Anything else, a bool, a float or a string included, is refused with a
+    ValueError rather than truncated or parsed.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"need an int or a Fraction, got {type(x).__name__} {x!r}")
     if p is None:
         return Fraction(x)
     if isinstance(x, Fraction):
@@ -64,7 +70,7 @@ def coerce(x, p):
         if x.denominator % p == 0:
             raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
         return x.numerator * inv_mod(x.denominator, p) % p
-    return int(x) % p
+    return x % p
 
 
 def _rref(rows, p):

@@ -41,10 +41,10 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 from struct import Struct
+from types import SimpleNamespace
 
 from .diamond import hodge_diamond
 from .errors import DegenerateFamilyError, ParityError
@@ -438,32 +438,6 @@ def submaximal_pfaffians(am: AMap):
 # Point sampling over a prime field
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    """One projective point of the degeneracy locus over F_p."""
-
-    coordinates: tuple[int, ...]
-    rank: int
-    kernel_dim: int
-    smooth_at: bool
-
-
-@dataclass(frozen=True)
-class SampleResult:
-    points: tuple[SamplePoint, ...]
-    requested: int
-    attempts: int
-    prime: int
-    seed: int
-    exhausted: bool
-
-    @property
-    def smooth_fraction(self):
-        if not self.points:
-            return 0.0
-        return sum(1 for q in self.points if q.smooth_at) / len(self.points)
-
-
 def _normalize_projective(u, p):
     lead = next((x for x in u if x), None)
     if lead is None:
@@ -506,7 +480,8 @@ def _combine_forms(am, u, p):
 
 
 def _point_at(am, u, p):
-    """The sample point at u, or None when M_u lies off the degeneracy locus.
+    """The sample point at u, the dict {coordinates, rank, kernel_dim,
+    smooth_at}, or None when M_u lies off the degeneracy locus.
 
     This is the Jacobian criterion: at corank 2 the gradient of Pf is a
     nonzero multiple of (k1^T M_r k2)_r, at corank 3 the Jacobian of the
@@ -535,7 +510,8 @@ def _point_at(am, u, p):
     # the pairing matrix transposed, C(corank, 2) x k: its rank takes at most 3 pivots
     pairings = [[sum(map(mul, row, w)) % p for row in am.matrix] for w in plucker]
     smooth = len(kernel) == corank and rank_mod(pairings, p) == len(pairs)
-    return SamplePoint(tuple(u), n - len(kernel), len(kernel), smooth)
+    return {"coordinates": list(u), "rank": n - len(kernel), "kernel_dim": len(kernel),
+            "smooth_at": smooth}
 
 
 def _taylor_shift(g, c, p):
@@ -590,7 +566,11 @@ def _sweep_lines(am, p, count, stream, max_lines, dim, deg, draw_line):
             dg = 0
             for a in slope:  # Horner
                 dg = (dg * x + a) % p
-            point = SamplePoint(u, am.n - 2, 2, True) if dg else _point_at(am, u, p)
+            if dg:
+                point = {"coordinates": list(u), "rank": am.n - 2, "kernel_dim": 2,
+                         "smooth_at": True}
+            else:
+                point = _point_at(am, u, p)
             if point is None:
                 missed.add(u)
             else:
@@ -867,12 +847,18 @@ def _sample_odd(am, p, count, seed, max_lines):
     return found, trials
 
 
-def sample_y2(a: AMap, p, count, seed, max_lines=None) -> SampleResult:
+def sample_y2(a: AMap, p, count, seed, max_lines=None):
     """Search for F_p-points of the degeneracy locus of the family.
 
-    Returns up to ``count`` distinct projective points with their rank,
-    kernel dimension and the tangent-space smoothness verdict.  Running
-    out of budget yields an exhausted report, not an exception.  Every
+    Returns the ``pfaffian sample`` report as a namespace whose ``vars()``
+    is the command's result: ``found``, ``requested``, ``attempts``,
+    ``exhausted`` (fewer than ``count`` found), ``smooth_fraction`` (the
+    share of smooth points rounded to 6 places, 0.0 with none) and
+    ``points``, up to ``count`` distinct projective points in sorted order,
+    each the dict {coordinates, rank, kernel_dim, smooth_at} of
+    :func:`_point_at`.  A namespace and not a dict, because perfbench reads
+    ``points`` and ``attempts`` off it as attributes.  Running out of
+    budget yields an exhausted report, not an exception.  Every
     random draw comes from a stream named by the seed: line i of the
     even path from ``"{seed}:even:{i}"``, of the odd square path from
     ``"{seed}:odd:{i}"``; the odd sliced path draws slice a from
@@ -892,18 +878,21 @@ def sample_y2(a: AMap, p, count, seed, max_lines=None) -> SampleResult:
             max_lines = min(max_lines, 3000)
     else:
         max_lines = _integer(max_lines, "max_lines")
+        if max_lines < 1:
+            raise ValueError(f"need max_lines >= 1, got {max_lines}")
     if am.n % 2 == 0:
         found, attempts = _sample_even(am, p, count, seed, max_lines)
     else:
         found, attempts = _sample_odd(am, p, count, seed, max_lines)
-    points = tuple(found[u] for u in sorted(found))
-    return SampleResult(
-        points=points,
+    points = [found[u] for u in sorted(found)]
+    smooth = sum(q["smooth_at"] for q in points)
+    return SimpleNamespace(
+        found=len(points),
         requested=count,
         attempts=attempts,
-        prime=p,
-        seed=seed,
         exhausted=len(points) < count,
+        smooth_fraction=round(smooth / len(points), 6) if points else 0.0,
+        points=points,
     )
 
 

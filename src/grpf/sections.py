@@ -330,34 +330,16 @@ def _rhom_by_key(keys, n):
     return table
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
-    """Outcome of the strong-exceptionality verification for a label set.
-
-    ``order`` lists the labels with all nonzero morphisms flowing forward;
-    ``hom_matrix[i][j]`` is dim Hom(order[i], order[j]).
-    """
-
-    n: int
-    order: tuple
-    hom_matrix: tuple
-    ext_failures: tuple
-    order_violations: tuple
-    diagonal_failures: tuple
-
-    @property
-    def passed(self):
-        return not (
-            self.ext_failures or self.order_violations or self.diagonal_failures
-        )
-
-    @property
-    def pair_count(self):
-        return len(self.order) ** 2
-
-
-def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
+def verify_strong_exceptional(n, window: frozenset):
     """Check that a window's bundles form a strong exceptional collection.
+
+    Returns the ``collection verify`` report: ``passed``, ``pairs`` (the
+    number of ordered pairs), ``order`` (the labels with all nonzero
+    morphisms flowing forward), ``hom_matrix`` (row i, column j is
+    dim Hom(order[i], order[j])) and three failure lists, each failure a
+    dict: ``ext_failures`` ({source, target, degree, dimension}),
+    ``order_violations`` ({source, target, dimension}) and
+    ``diagonal_failures`` ({label, dimension}).  Labels are (l, m) tuples.
 
     For every ordered pair all positive-degree Ext groups must vanish; in
     the order "larger twist first, larger symmetric power first within a
@@ -391,10 +373,10 @@ def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
     table = _rhom_by_key({(l, lp, d) for l, d, g in blocks for lp in shapes[g]}, n)
     for l, d, g in blocks:
         blocks[l, d, g] = tuple(table[l, lp, d][0] for lp in shapes[g])
-    hom = tuple(
-        tuple(chain.from_iterable(blocks[l, m - mp, g] for mp, g in groups))
+    hom = [
+        list(chain.from_iterable(blocks[l, m - mp, g] for mp, g in groups))
         for l, m in order
-    )
+    ]
     failing = set()
     for (l, lp, d), (dim, ext, top_ext) in table.items():
         if l == lp and d == 0:
@@ -415,33 +397,33 @@ def verify_strong_exceptional(n, window: frozenset) -> ExceptionalReport:
                 hom_dim, *exts = table[key]
                 for degree, dim in zip((n - 2, 2 * (n - 2)), exts):
                     if dim:
-                        ext_failures.append((e, f, degree, dim))
+                        ext_failures.append(
+                            {"source": e, "target": f, "degree": degree, "dimension": dim}
+                        )
                 if i == j and hom_dim != 1:
-                    diagonal_failures.append((e, hom_dim))
+                    diagonal_failures.append({"label": e, "dimension": hom_dim})
                 if i > j and hom_dim != 0:
-                    order_violations.append((e, f, hom_dim))
-    return ExceptionalReport(
-        n=n,
-        order=tuple(order),
-        hom_matrix=hom,
-        ext_failures=tuple(ext_failures),
-        order_violations=tuple(order_violations),
-        diagonal_failures=tuple(diagonal_failures),
-    )
+                    order_violations.append({"source": e, "target": f, "dimension": hom_dim})
+    return {
+        "passed": not (ext_failures or order_violations or diagonal_failures),
+        "pairs": len(order) ** 2,
+        "order": order,
+        "hom_matrix": hom,
+        "ext_failures": ext_failures,
+        "order_violations": order_violations,
+        "diagonal_failures": diagonal_failures,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Twisted Ext vanishing for all twists t >= 0, decided symbolically
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    vanishes_for_all_t: bool
-    counterexample: tuple | None  # (summand index, t, degree, dimension)
-
-
-def pair_twisted_vanishing(n, e, f) -> PairVerdict:
+def pair_twisted_vanishing(n, e, f):
     """Decide Ext^{>0}(E, F(t)) = 0 for every integer t >= 0 at once.
+
+    Returns None when it holds for all t, and otherwise the counterexample
+    (summand index, t, degree, dimension).
 
     E = Sym^l S (det S)^m and F(t) = Sym^l' S (det S)^(m' - t); with
     c = m - m' - l', Hom(E, F(t)) is Sym^l x Sym^l' of S dual times
@@ -467,26 +449,20 @@ def pair_twisted_vanishing(n, e, f) -> PairVerdict:
     c = m - mp - lp
     i = 0 if l + lp > n - 3 else max(0, c + l + lp + n)
     if i > min(l, lp, 1 - n - c):
-        return PairVerdict(True, None)
+        return None
     a1, a2 = c + l + lp - i, c + i
     t = 0 if a1 < 1 - n else max(0, -1 - a1)
-    return PairVerdict(False, (i, t) + _bott_zero_tail(a1 + t, a2 + t, n))
+    return (i, t) + _bott_zero_tail(a1 + t, a2 + t, n)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    n: int
-    pair_count: int
-    summand_count: int
-    counterexamples: tuple
-
-    @property
-    def all_vanish(self):
-        return not self.counterexamples
-
-
-def twisted_ext_vanishing(n) -> VanishingReport:
+def twisted_ext_vanishing(n):
     """Run the all-t vanishing decision over the full Grassmannian window.
+
+    Returns the ``lemma check`` report: ``all_vanish``, ``pairs`` (ordered
+    label pairs), ``summands`` (Clebsch-Gordan summands over those pairs)
+    and ``counterexamples``, each the dict {source, target, summand, t,
+    degree, dimension} of :func:`pair_twisted_vanishing` on a failing
+    pair, labels as (l, m) tuples.
 
     The verdict depends only on the key (l, l', m - m').  In
     :func:`pair_twisted_vanishing` the first failing candidate never
@@ -509,19 +485,23 @@ def twisted_ext_vanishing(n) -> VanishingReport:
     for l, ms in rows.items():
         for lp, mps in rows.items():
             summands += len(ms) * len(mps) * (min(l, lp) + 1)
-            if not pair_twisted_vanishing(n, (l, ms[0]), (lp, mps[-1])).vanishes_for_all_t:
+            if pair_twisted_vanishing(n, (l, ms[0]), (lp, mps[-1])):
                 failing.add((l, lp))
     counterexamples = []
     if failing:
         for e in labels:
             for f in labels:
                 if (e[0], f[0]) in failing:
-                    verdict = pair_twisted_vanishing(n, e, f)
-                    if not verdict.vanishes_for_all_t:
-                        counterexamples.append((e, f) + verdict.counterexample)
-    return VanishingReport(
-        n=n,
-        pair_count=len(labels) ** 2,
-        summand_count=summands,
-        counterexamples=tuple(counterexamples),
-    )
+                    found = pair_twisted_vanishing(n, e, f)
+                    if found:
+                        i, t, degree, dim = found
+                        counterexamples.append({
+                            "source": e, "target": f, "summand": i, "t": t,
+                            "degree": degree, "dimension": dim,
+                        })
+    return {
+        "all_vanish": not counterexamples,
+        "pairs": len(labels) ** 2,
+        "summands": summands,
+        "counterexamples": counterexamples,
+    }

@@ -53,15 +53,15 @@ def _check_tangent_10_5():
 
 def _check_collection(n):
     rep = verify_strong_exceptional(n, grassmannian_window(n))
-    return rep.passed, f"{rep.pair_count} ordered pairs"
+    return rep["passed"], f"{rep['pairs']} ordered pairs"
 
 
 def _check_lemma(n):
     rep = twisted_ext_vanishing(n)
-    detail = f"{rep.pair_count} pairs, {rep.summand_count} summands"
-    if not rep.all_vanish:
-        detail += f"; counterexamples {rep.counterexamples[:3]}"
-    return rep.all_vanish, detail
+    detail = f"{rep['pairs']} pairs, {rep['summands']} summands"
+    if not rep["all_vanish"]:
+        detail += f"; counterexamples {rep['counterexamples'][:3]}"
+    return rep["all_vanish"], detail
 
 
 def _check_window_grid():
@@ -163,10 +163,10 @@ def _check_sampling():
         am = AMap.random(n, k, seed=42, p=10007)
         res = sample_y2(am, 10007, 200, seed=42)
         expected_kernel = 2 if n % 2 == 0 else 3
-        smooth = [q for q in res.points if q.smooth_at]
+        smooth = [q for q in res.points if q["smooth_at"]]
         ok = (
             len(res.points) >= 100
-            and all(q.kernel_dim == expected_kernel for q in smooth)
+            and all(q["kernel_dim"] == expected_kernel for q in smooth)
             and res.smooth_fraction >= 0.95
         )
         details.append(f"({n},{k}): {len(res.points)} pts")

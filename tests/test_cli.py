@@ -17,9 +17,9 @@ import grpf.geometry as geometry
 import grpf.sections as sections
 import grpf.weights as weights
 from grpf.cli import run
-from grpf.geometry import ModelParams
-from grpf.pfaffian import AMap
-from grpf.sections import omega_p_class
+from grpf.geometry import ModelParams, grassmannian_window, pfaffian_window
+from grpf.pfaffian import AMap, sample_y2
+from grpf.sections import omega_p_class, twisted_ext_vanishing, verify_strong_exceptional
 from test_golden_reports import audit_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -558,7 +558,7 @@ def test_grass_section_checks_each_class_once(capsys, monkeypatch, n, k, classes
     # the classes of T and O(1)^k, and on a curve O for the genus, one term
     # each, are checked once per public call and not again per Koszul
     # twist; the checked single-weight bott is not on the path, and the
-    # command classifies (n, k) once
+    # command does not classify (n, k): it reads dim_y1 and theorem_range
     calls = Counter()
 
     def counted(name, f):
@@ -571,12 +571,12 @@ def test_grass_section_checks_each_class_once(capsys, monkeypatch, n, k, classes
     for module in (bwb, sections):
         monkeypatch.setattr(module, "check_class", counted("check_class", weights.check_class))
     monkeypatch.setattr(bwb, "bott", counted("bott", bwb.bott))
-    # classify builds one Classification per call, wherever it was imported
-    monkeypatch.setattr(geometry, "Classification", counted("classify", geometry.Classification))
+    for module in (geometry, cli):
+        monkeypatch.setattr(module, "classify", counted("classify", geometry.classify))
     argv = ["hodge", "grass-section", "--n", str(n), "--k", str(k), "--json"]
     assert run(argv) == 0
     capsys.readouterr()
-    assert calls == {"check_class": classes, "check_weight": classes, "classify": 1}
+    assert calls == {"check_class": classes, "check_weight": classes}
 
 
 def test_closed_pipe_ends_quietly():
@@ -693,3 +693,67 @@ def test_lemma_check_builds_no_summand_list(monkeypatch, capsys):
     assert run(["collection", "verify", "--n", "6", "--json"]) == 0
     capsys.readouterr()
     assert set(calls) == {"_bott_zero_tail", "_rhom_by_key"}
+
+
+# The engine's value and the report's result, command by command: classify
+# on each type and emptiness of both sides, the passing Grassmannian-side
+# window, passing and failing Pfaffian-side windows, a lemma that holds.
+ENGINE_REPORTS = {
+    "classify --n 3 --k 0": lambda: geometry.classify(ModelParams(3, 0)),
+    "classify --n 4 --k 6": lambda: geometry.classify(ModelParams(4, 6)),
+    "classify --n 7 --k 5": lambda: geometry.classify(ModelParams(7, 5)),
+    "classify --n 9 --k 9": lambda: geometry.classify(ModelParams(9, 9)),
+    "collection verify --n 7": lambda: verify_strong_exceptional(7, grassmannian_window(7)),
+    "collection verify --n 8 --set T --k 4":
+        lambda: verify_strong_exceptional(8, pfaffian_window(8, 4)),
+    "collection verify --n 6 --set T --k 9":
+        lambda: verify_strong_exceptional(6, pfaffian_window(6, 9)),
+    "collection verify --n 9 --set T --k 13":
+        lambda: verify_strong_exceptional(9, pfaffian_window(9, 13)),
+    "lemma check --n 10": lambda: twisted_ext_vanishing(10),
+}
+
+
+@pytest.mark.parametrize("command", list(ENGINE_REPORTS))
+def test_engine_value_is_the_report(capsys, command):
+    _, report = run_json(capsys, command.split())
+    assert json.loads(json.dumps(ENGINE_REPORTS[command]())) == report["result"]
+
+
+def test_failing_lemma_value_is_the_report(monkeypatch, capsys):
+    # no window with even n fails the lemma: plant a counterexample on the
+    # row pair (1, 0) for m - m' <= 1, in the engine and under the command
+    pair = sections.pair_twisted_vanishing
+
+    def failing(n, e, f):
+        if (e[0], f[0]) == (1, 0) and e[1] - f[1] <= 1:
+            return (0, 7, 1, 3)
+        return pair(n, e, f)
+
+    monkeypatch.setattr(sections, "pair_twisted_vanishing", failing)
+    value = twisted_ext_vanishing(8)
+    assert value["counterexamples"] and not value["all_vanish"]
+    code, report = run_json(capsys, ["lemma", "check", "--n", "8"])
+    assert code == 1
+    assert json.loads(json.dumps(value)) == report["result"]
+
+
+@pytest.mark.parametrize(
+    "n, k, seed, field, prime, count",
+    [
+        (6, 3, 5, 10007, 10007, 10),  # even lines
+        (6, 3, 105, None, 101, 100),  # a Q family; one singular point: fraction 0.99
+        (7, 7, 5, 10007, 10007, 5),  # odd square
+        (7, 8, 5, None, 5, 5),  # odd sliced, a Q family at a small prime
+        (7, 5, 3, 5, 5, 40),  # odd trials, exhausted: fraction 13/14 rounded
+        (7, 2, 21, 101, 101, 5),  # an empty locus: exhausted
+    ],
+)
+def test_sample_value_is_the_report(tmp_path, capsys, n, k, seed, field, prime, count):
+    am = AMap.random(n, k, seed=seed, p=field)
+    path = tmp_path / "a.json"
+    am.save(path)
+    value = vars(sample_y2(am, prime, count, 42))
+    _, report = run_json(capsys, ["pfaffian", "sample", "--in", str(path), "--prime", str(prime),
+                                  "--points", str(count), "--seed", "42"])
+    assert json.loads(json.dumps(value)) == report["result"]

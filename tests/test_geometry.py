@@ -6,7 +6,6 @@ import pytest
 from grpf.errors import ParityError
 from grpf.geometry import (
     ModelParams,
-    VarietyType,
     classify,
     grassmannian_window,
     half_rank,
@@ -20,57 +19,57 @@ from grpf.geometry import (
 
 def test_classify_quintic_case():
     c = classify(ModelParams(10, 5))
-    assert c.dim_y1 == 11
-    assert c.y1_type is VarietyType.FANO
-    assert c.dim_y2 == 3
-    assert c.y2_type is VarietyType.CALABI_YAU
-    assert c.theorem_applies
-    assert c.window_inclusion
+    assert c["dim_y1"] == 11
+    assert c["y1_type"] == "Fano"
+    assert c["dim_y2"] == 3
+    assert c["y2_type"] == "CalabiYau"
+    assert c["theorem_applies"]
+    assert c["window_inclusion"]
 
 
 def test_classify_threefold_pair():
     c = classify(ModelParams(7, 7))
-    assert (c.dim_y1, c.dim_y2) == (3, 3)
-    assert c.y1_type is VarietyType.CALABI_YAU
-    assert c.y2_type is VarietyType.CALABI_YAU
+    assert (c["dim_y1"], c["dim_y2"]) == (3, 3)
+    assert c["y1_type"] == "CalabiYau"
+    assert c["y2_type"] == "CalabiYau"
 
 
 def test_classify_fivefold_pair():
     c = classify(ModelParams(9, 9))
-    assert (c.dim_y1, c.dim_y2) == (5, 5)
-    assert c.y1_type is VarietyType.CALABI_YAU
-    assert c.y2_type is VarietyType.CALABI_YAU
+    assert (c["dim_y1"], c["dim_y2"]) == (5, 5)
+    assert c["y1_type"] == "CalabiYau"
+    assert c["y2_type"] == "CalabiYau"
 
 
 def test_classify_k3_case():
     c = classify(ModelParams(8, 4))
-    assert c.dim_y2 == 2
-    assert c.y2_type is VarietyType.CALABI_YAU
+    assert c["dim_y2"] == 2
+    assert c["y2_type"] == "CalabiYau"
 
 
 def test_classify_trichotomy_sweep():
     for n in range(4, 12, 2):
-        assert classify(ModelParams(n, n // 2)).y2_type is VarietyType.CALABI_YAU
-        assert classify(ModelParams(n, n // 2 + 1)).y2_type is VarietyType.FANO
-        assert classify(ModelParams(n, n // 2 - 1)).y2_type is VarietyType.GENERAL_TYPE
+        assert classify(ModelParams(n, n // 2))["y2_type"] == "CalabiYau"
+        assert classify(ModelParams(n, n // 2 + 1))["y2_type"] == "Fano"
+        assert classify(ModelParams(n, n // 2 - 1))["y2_type"] == "GeneralType"
     for n in range(5, 12, 2):
-        assert classify(ModelParams(n, n)).y2_type is VarietyType.CALABI_YAU
-        assert classify(ModelParams(n, n + 1)).y2_type is VarietyType.FANO
-        assert classify(ModelParams(n, n - 1)).y2_type is VarietyType.GENERAL_TYPE
+        assert classify(ModelParams(n, n))["y2_type"] == "CalabiYau"
+        assert classify(ModelParams(n, n + 1))["y2_type"] == "Fano"
+        assert classify(ModelParams(n, n - 1))["y2_type"] == "GeneralType"
 
 
 def test_classify_smoothable_thresholds():
-    assert classify(ModelParams(10, 6)).y2_smoothable
-    assert not classify(ModelParams(10, 7)).y2_smoothable
-    assert classify(ModelParams(9, 10)).y2_smoothable
-    assert not classify(ModelParams(9, 11)).y2_smoothable
+    assert classify(ModelParams(10, 6))["y2_smoothable"]
+    assert not classify(ModelParams(10, 7))["y2_smoothable"]
+    assert classify(ModelParams(9, 10))["y2_smoothable"]
+    assert not classify(ModelParams(9, 11))["y2_smoothable"]
 
 
 def test_classify_empty_flags():
     c = classify(ModelParams(5, 10))
-    assert c.dim_y1 < 0 and c.y1_empty
+    assert c["dim_y1"] < 0 and c["y1_empty"]
     c = classify(ModelParams(9, 2))
-    assert c.dim_y2 < 0 and c.y2_empty
+    assert c["dim_y2"] < 0 and c["y2_empty"]
 
 
 def test_params_validation():

@@ -80,6 +80,13 @@ COMMANDS = [
     "hodge grass-section --n 14 --k 20",
     "hodge grass-section --n 20 --k 0",
     "hodge grass-section --n 16 --k 1",
+    "classify --n 3 --k 0",
+    "classify --n 4 --k 6",
+    "classify --n 6 --k 3",
+    "classify --n 7 --k 5",
+    "classify --n 8 --k 6",
+    "classify --n 9 --k 9",
+    "verify-all --profile fast",
     "collection verify --n 6",
     "collection verify --n 6 --set T --k 3",
 ]

@@ -33,7 +33,6 @@ from grpf.modp import (
 )
 from grpf.pfaffian import (
     AMap,
-    SamplePoint,
     _combine_forms,
     _kernel_incidence,
     _kernel_line_drawer,
@@ -309,9 +308,9 @@ def test_submaximal_vanishing_matches_rank_drop():
     res = sample_y2(am, 10007, 5, seed=7)
     assert res.points
     for q in res.points:
-        mat = _combine_forms(fam, q.coordinates, 10007)
+        mat = _combine_forms(fam, q["coordinates"], 10007)
         assert rank_mod(mat, 10007) <= 4
-        assert all(_value(s, q.coordinates, 10007) == 0 for s in subs)
+        assert all(_value(s, q["coordinates"], 10007) == 0 for s in subs)
     rng = random.Random(8)
     hits = 0
     for _ in range(30):
@@ -791,10 +790,10 @@ def test_sampling_even_case_small():
     assert len(res.points) == 40
     assert not res.exhausted
     for q in res.points:
-        assert q.rank == 8 and q.kernel_dim == 2
-        assert q.smooth_at
-        assert q.rank % 2 == 0
-        assert q.coordinates[next(i for i, x in enumerate(q.coordinates) if x)] == 1
+        assert q["rank"] == 8 and q["kernel_dim"] == 2
+        assert q["smooth_at"]
+        assert q["rank"] % 2 == 0
+        assert q["coordinates"][next(i for i, x in enumerate(q["coordinates"]) if x)] == 1
 
 
 def test_sampling_odd_case_small():
@@ -802,8 +801,8 @@ def test_sampling_odd_case_small():
     res = sample_y2(am, 10007, 40, seed=42)
     assert len(res.points) == 40
     for q in res.points:
-        assert q.rank == 4 and q.kernel_dim == 3
-        assert q.smooth_at
+        assert q["rank"] == 4 and q["kernel_dim"] == 3
+        assert q["smooth_at"]
 
 
 def test_sampling_deterministic():
@@ -818,9 +817,11 @@ def test_sampling_deterministic():
 def test_sampling_rational_family_reduces_mod_p():
     am = AMap.random(6, 3, seed=2)  # over Q
     res = sample_y2(am, 101, 10, seed=1)
-    assert res.prime == 101
+    fam = am.reduce_mod(101)
     for q in res.points:
-        assert q.kernel_dim in (2, 4)
+        assert q == _point_at(fam, q["coordinates"], 101)
+        assert all(0 <= x < 101 for x in q["coordinates"])
+        assert q["kernel_dim"] in (2, 4)
 
 
 def test_prime_is_checked_only_at_the_boundary(monkeypatch):
@@ -866,7 +867,7 @@ def test_sampling_forced_singular_point():
     grads = [_value(_partial(pf, r, p), e0, p) for r in range(k)]
     assert all(g == 0 for g in grads)  # Jacobian criterion fails there
     point = _point_at(am.reduce_mod(p), e0, p)
-    assert (point.rank, point.kernel_dim, point.smooth_at) == (4, 4, False)
+    assert (point["rank"], point["kernel_dim"], point["smooth_at"]) == (4, 4, False)
 
 
 def symbolic_jacobian_test(am):
@@ -903,9 +904,9 @@ def test_point_verdict_matches_symbolic_jacobian(n, k, p, seeds, count, max_line
         reference = symbolic_jacobian_test(am)
         res = sample_y2(am, p, count, seed=seed, max_lines=max_lines)
         for q in res.points:
-            assert q == _point_at(am.reduce_mod(p), q.coordinates, p)
-            assert q.smooth_at == reference(q.coordinates), q
-            seen.add(q.smooth_at)
+            assert q == _point_at(am.reduce_mod(p), q["coordinates"], p)
+            assert q["smooth_at"] == reference(q["coordinates"]), q
+            seen.add(q["smooth_at"])
     assert seen == verdicts
 
 
@@ -937,8 +938,8 @@ def test_planted_odd_corank_three_points():
     for vanishing, smooth in ((((4, 5),), False), ((), True)):
         am = planted_family(7, 4, p, 31, ((0, 1), (2, 3)), vanishing)
         point = _point_at(am.reduce_mod(p), e0, p)
-        assert (point.rank, point.kernel_dim) == (4, 3)
-        assert point.smooth_at is smooth
+        assert (point["rank"], point["kernel_dim"]) == (4, 3)
+        assert point["smooth_at"] is smooth
         assert symbolic_jacobian_test(am)(e0) is smooth
 
 
@@ -950,7 +951,7 @@ def test_planted_deep_corank_points_are_singular():
         am = planted_family(n, k, p, 32, ((0, 1),))
         e0 = (1,) + (0,) * (k - 1)
         point = _point_at(am.reduce_mod(p), e0, p)
-        assert (point.rank, point.kernel_dim, point.smooth_at) == (2, n - 2, False)
+        assert (point["rank"], point["kernel_dim"], point["smooth_at"]) == (2, n - 2, False)
         assert symbolic_jacobian_test(am)(e0) is False
 
 
@@ -986,7 +987,7 @@ def test_even_line_through_a_deep_corank_point_is_singular(monkeypatch):
     sweep_line, decided = _even_line_sweeper(monkeypatch, am, p)
     found = sweep_line(e0, [rng.randrange(p) for _ in e0])
     point = found[e0]
-    assert (point.rank, point.kernel_dim, point.smooth_at) == (2, 4, False)
+    assert (point["rank"], point["kernel_dim"], point["smooth_at"]) == (2, 4, False)
     assert e0 in decided
     fam = am.reduce_mod(p)
     assert all(q == _point_at(fam, u, p) for u, q in found.items())
@@ -998,7 +999,7 @@ def test_even_line_tangent_at_a_smooth_point_stays_smooth(monkeypatch):
     # a double root of g, and u is still smooth
     p = 10007
     am = AMap.random(8, 4, 1, p=p)
-    u = sample_y2(am, p, 1, 1).points[0].coordinates
+    u = tuple(sample_y2(am, p, 1, 1).points[0]["coordinates"])
     k1, k2 = nullspace_mod(_combine_forms(am, u, p), p)
     pairing = []
     for r in range(am.k):
@@ -1011,7 +1012,7 @@ def test_even_line_tangent_at_a_smooth_point_stays_smooth(monkeypatch):
     p1[0] = -sum(a * b for a, b in zip(p1, pairing)) * pow(pairing[0], -1, p) % p
     sweep_line, decided = _even_line_sweeper(monkeypatch, am, p)
     found = sweep_line(u, p1)
-    assert found[u] == SamplePoint(u, 6, 2, True)
+    assert found[u] == {"coordinates": list(u), "rank": 6, "kernel_dim": 2, "smooth_at": True}
     assert u in decided
 
 
@@ -1033,9 +1034,9 @@ def test_even_simple_roots_agree_with_the_kernel_test(monkeypatch):
         am, before = AMap.random(n, k, seed, p=p), len(fallbacks)
         res = sample_y2(am, p, 10, seed, max_lines=40)
         for q in res.points:
-            assert q == point_at(am, q.coordinates, p), (n, k, p, seed)
+            assert q == point_at(am, q["coordinates"], p), (n, k, p, seed)
         shortcuts += len(res.points) - (len(fallbacks) - before)
-    verdicts = Counter(q and q.smooth_at for q in fallbacks)
+    verdicts = Counter(q and q["smooth_at"] for q in fallbacks)
     assert set(verdicts) == {True, False}
     assert shortcuts > 10 * len(fallbacks), (shortcuts, verdicts)
 
@@ -1093,7 +1094,7 @@ def test_sampling_beyond_symbolic_reach():
     res = sample_y2(am, 10007, 5, seed=1)
     assert len(res.points) == 5
     for q in res.points:
-        assert (q.rank, q.kernel_dim, q.smooth_at) == (12, 2, True)
+        assert (q["rank"], q["kernel_dim"], q["smooth_at"]) == (12, 2, True)
 
 
 def test_sampling_exhaustion_report_not_exception():
@@ -1102,7 +1103,7 @@ def test_sampling_exhaustion_report_not_exception():
     am = AMap.random(7, 2, seed=21, p=101)
     res = sample_y2(am, 101, 5, seed=1, max_lines=20)
     assert res.exhausted
-    assert res.points == ()
+    assert res.points == []
 
 
 def test_trial_search_stops_when_every_point_is_drawn():
@@ -1119,7 +1120,7 @@ def test_trial_search_stops_when_every_point_is_drawn():
         am = AMap.random(5, 3, seed=seed, p=p)
         scan = [_point_at(am.reduce_mod(p), u, p) for u in plane]
         res = sample_y2(am, p, 13, seed=seed)
-        assert res.points == tuple(q for q in scan if q is not None)
+        assert res.points == [q for q in scan if q is not None]
         assert res.exhausted
         assert res.attempts < 1000
         sizes.add(len(res.points))
@@ -1160,6 +1161,15 @@ def test_sampling_rejects_a_non_integer_max_lines():
     assert sample_y2(am, 10007, 2, seed=1, max_lines=60).attempts <= 60
 
 
+def test_sampling_rejects_a_line_budget_below_one():
+    # max_lines = 0 or -5 returned an empty exhausted report after 0 attempts
+    for am in (AMap.random(6, 3, seed=2), AMap.random(7, 7, seed=2), AMap.random(5, 3, seed=2)):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match=re.escape(f"need max_lines >= 1, got {bad}")):
+                sample_y2(am, 10007, 2, seed=1, max_lines=bad)
+    assert sample_y2(AMap.random(6, 3, seed=2), 10007, 1, seed=1, max_lines=1).attempts == 1
+
+
 @pytest.mark.parametrize("p", [3037000507, 2**61 - 1])
 def test_sampling_at_large_primes(p):
     # far beyond the reach of any scan of F_p
@@ -1168,7 +1178,7 @@ def test_sampling_at_large_primes(p):
     assert len(res.points) == 5 and not res.exhausted
     fam = am.reduce_mod(p)
     for q in res.points:
-        assert rank_mod(_combine_forms(fam, q.coordinates, p), p) == q.rank == 4
+        assert rank_mod(_combine_forms(fam, q["coordinates"], p), p) == q["rank"] == 4
     with pytest.raises(ValueError, match="count"):
         sample_y2(am, p, 0, seed=1)
     with pytest.raises(ValueError, match="odd prime"):
@@ -1206,10 +1216,25 @@ FROZEN_SAMPLES = {
 }
 
 
+def frozen_repr(res, p, seed):
+    """The repr the digests were frozen from, rebuilt from the sampler's result:
+    each point was a SamplePoint(coordinates, rank, kernel_dim, smooth_at)
+    with tuple coordinates, and the result also held the prime and seed."""
+    points = [
+        f"SamplePoint(coordinates={tuple(q['coordinates'])!r}, rank={q['rank']!r}, "
+        f"kernel_dim={q['kernel_dim']!r}, smooth_at={q['smooth_at']!r})"
+        for q in res.points
+    ]
+    points = "(" + ", ".join(points) + ("," if len(points) == 1 else "") + ")"
+    return (f"SampleResult(points={points}, requested={res.requested!r}, "
+            f"attempts={res.attempts!r}, prime={p!r}, seed={seed!r}, "
+            f"exhausted={res.exhausted!r})")
+
+
 @pytest.mark.parametrize("n, k, s, p, count, seed", list(FROZEN_SAMPLES))
 def test_sample_results_frozen(n, k, s, p, count, seed):
     res = sample_y2(AMap.random(n, k, s), p, count, seed)
-    digest = hashlib.sha256(repr(res).encode()).hexdigest()
+    digest = hashlib.sha256(frozen_repr(res, p, seed).encode()).hexdigest()
     assert digest == FROZEN_SAMPLES[n, k, s, p, count, seed]
 
 
@@ -1737,7 +1762,7 @@ def test_small_prime_sampling_equals_exhaustive_scan(n, k, p):
     scan = [q for q in (_point_at(fam, u, p) for u in space) if q is not None]
     assert scan
     res = sample_y2(am, p, len(scan) + 1, seed=1, max_lines=400)
-    assert res.points == tuple(scan)
+    assert res.points == scan
 
 
 @pytest.mark.parametrize("n, k, p", [(10, 5, 3), (12, 4, 5)])
@@ -1749,7 +1774,7 @@ def test_small_prime_even_search_stops_when_every_point_is_drawn(n, k, p):
     fam = am.reduce_mod(p)
     space = [u for u in itertools.product(range(p), repeat=k)
              if any(u) and next(x for x in u if x) == 1]
-    scan = tuple(q for q in (_point_at(fam, u, p) for u in space) if q is not None)
+    scan = [q for q in (_point_at(fam, u, p) for u in space) if q is not None]
     res = sample_y2(am, p, len(scan) + 1, seed=1)
     assert res.points == scan and res.exhausted
     assert res.attempts < 1000
@@ -1764,7 +1789,7 @@ def test_small_prime_odd_square_finds_points(n, k, p):
     assert len(res.points) == 5 and not res.exhausted
     fam = am.reduce_mod(p)
     for q in res.points:
-        assert q == _point_at(fam, q.coordinates, p)
+        assert q == _point_at(fam, q["coordinates"], p)
 
 
 # --- rank census over finite fields ----------------------------------------------

@@ -74,6 +74,20 @@ def test_check_prime_rejects_non_integers():
             AMap(2, 1, bad, [[1]])
 
 
+@pytest.mark.parametrize("field", [Q, 7], ids=["Q", "F7"])
+def test_coerce_refuses_what_is_not_an_int_or_a_fraction(field):
+    # a float was truncated over F_p (2.9 -> 2) and taken as its binary
+    # fraction over Q, and the string '3' was parsed as 3; the JSON path
+    # already refused both, as it refuses bools
+    for bad in (1.5, 2.9, 2.0, "3", True, False, None, 1j):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            coerce(bad, field)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            AMap(4, 1, field, [[1, 0, 0, 0, 0, bad]])
+    assert coerce(-3, field) == (Fraction(-3) if field is Q else 4)
+    assert coerce(Fraction(3, 2), field) == (Fraction(3, 2) if field is Q else 5)
+
+
 def test_rationals_ops(tmp_path):
     # Q is named by None; its elements are Fractions, written as ints when whole
     assert type(coerce(3, Q)) is Fraction

@@ -19,7 +19,6 @@ from grpf.errors import DominanceError, IntegrityError
 from grpf.geometry import ModelParams, classify, grassmannian_window, pfaffian_window
 from grpf.schur import cauchy_exterior_cotangent, clebsch_gordan_rank2, virtual_rank
 from grpf.sections import (
-    PairVerdict,
     h1_tangent_y1,
     hodge_diamond_y1,
     koszul_restricted_cohomology,
@@ -156,7 +155,7 @@ def test_hodge_diamond_elevenfold():
             assert dia[p, 11 - p] == 0
     assert row == [0, 0, 0, 0, 1, 101, 101, 1, 0, 0, 0, 0]
     assert dia[1, 1] == 1
-    assert classify(ModelParams(10, 5)).theorem_applies
+    assert classify(ModelParams(10, 5))["theorem_applies"]
 
 
 def test_section_hodge_holds_only_what_it_computes():
@@ -614,28 +613,28 @@ def test_rhom_self_is_one_dimensional():
 
 def test_collection_verification_passes():
     rep = verify_strong_exceptional(10, grassmannian_window(10))
-    assert rep.passed
-    assert rep.pair_count == 45 * 45
+    assert rep["passed"]
+    assert rep["pairs"] == 45 * 45
     rep7 = verify_strong_exceptional(7, grassmannian_window(7))
-    assert rep7.passed
-    assert rep7.pair_count == 21 * 21
+    assert rep7["passed"]
+    assert rep7["pairs"] == 21 * 21
 
 
 def test_collection_hom_matrix_diagonal_and_order():
     rep = verify_strong_exceptional(7, grassmannian_window(7))
-    size = len(rep.order)
+    size = len(rep["order"])
     for i in range(size):
-        assert rep.hom_matrix[i][i] == 1
+        assert rep["hom_matrix"][i][i] == 1
         for j in range(i):
-            assert rep.hom_matrix[i][j] == 0
+            assert rep["hom_matrix"][i][j] == 0
 
 
 def test_collection_failure_is_detected():
     # the Pfaffian-side window with too many twists is not exceptional on
     # the Grassmannian: it leaves the safe range and higher Ext appears
     rep = verify_strong_exceptional(6, pfaffian_window(6, 9))
-    assert not rep.passed
-    assert rep.ext_failures
+    assert not rep["passed"]
+    assert rep["ext_failures"]
 
 
 def test_collection_refuses_negative_symmetric_powers():
@@ -659,24 +658,26 @@ def pair_walk_failures(n, window, rhom=rhom_dimensions):
     """Ext failures, order violations and diagonal failures, pair by pair.
 
     One ``rhom`` call (the oracle by default) per ordered pair of the
-    window, in the verifier's order, with no table shared between pairs.
+    window, in the verifier's order, with no table shared between pairs;
+    each failure is the dict the verifier's report lists.
     """
     order = sorted(window, key=lambda lm: (-lm[1], -lm[0]))
     ext, violations, diagonal = [], [], []
     for i, e in enumerate(order):
         for j, f in enumerate(order):
             table = rhom(e, f, n)
-            ext += [(e, f, d, v) for d, v in sorted(table.items()) if d > 0]
+            ext += [{"source": e, "target": f, "degree": d, "dimension": v}
+                    for d, v in sorted(table.items()) if d > 0]
             hom = table.get(0, 0)
             if i == j and hom != 1:
-                diagonal.append((e, hom))
+                diagonal.append({"label": e, "dimension": hom})
             if i > j and hom != 0:
-                violations.append((e, f, hom))
-    return tuple(ext), tuple(violations), tuple(diagonal)
+                violations.append({"source": e, "target": f, "dimension": hom})
+    return ext, violations, diagonal
 
 
 def report_failures(rep):
-    return rep.ext_failures, rep.order_violations, rep.diagonal_failures
+    return rep["ext_failures"], rep["order_violations"], rep["diagonal_failures"]
 
 
 def test_failure_lists_match_a_pair_walk_on_failing_windows():
@@ -687,11 +688,11 @@ def test_failure_lists_match_a_pair_walk_on_failing_windows():
         for k in range(1, 2 * n + 1):
             window = pfaffian_window(n, k)
             rep = verify_strong_exceptional(n, window)
-            if rep.passed:
-                assert report_failures(rep) == ((), (), ())
+            if rep["passed"]:
+                assert report_failures(rep) == ([], [], [])
                 continue
             failing += 1
-            assert rep.ext_failures
+            assert rep["ext_failures"]
             assert report_failures(rep) == pair_walk_failures(n, window), (n, k)
     assert failing == 95
 
@@ -731,15 +732,15 @@ def test_failure_lists_match_a_pair_walk_on_planted_homs(monkeypatch, planted, k
                                (8, grassmannian_window(8), False),
                                (8, pfaffian_window(8, 7), True)):
         rep = verify_strong_exceptional(n, window)
-        assert not rep.passed
+        assert not rep["passed"]
         ext, violations, diagonal = pair_walk_failures(n, window, planted_rhom)
         assert report_failures(rep) == (ext, violations, diagonal)
         assert bool(violations) == (kind in ("order", "both"))
         assert bool(diagonal) == (kind in ("diagonal", "both"))
         assert bool(ext) == has_ext
-        index = {label: i for i, label in enumerate(rep.order)}
-        for e, f, dim in violations:
-            assert rep.hom_matrix[index[e]][index[f]] == dim
+        index = {label: i for i, label in enumerate(rep["order"])}
+        for v in violations:
+            assert rep["hom_matrix"][index[v["source"]]][index[v["target"]]] == v["dimension"]
 
 
 def test_hom_summands_never_reach_the_run_walk(monkeypatch):
@@ -750,10 +751,10 @@ def test_hom_summands_never_reach_the_run_walk(monkeypatch):
         raise AssertionError(f"_bott_runs{args}")
 
     monkeypatch.setattr(bwb, "_bott_runs", refuse)
-    assert verify_strong_exceptional(10, grassmannian_window(10)).passed
-    assert not verify_strong_exceptional(6, pfaffian_window(6, 9)).passed
-    assert twisted_ext_vanishing(12).all_vanish
-    assert not pair_twisted_vanishing(5, (2, 0), (2, 3)).vanishes_for_all_t
+    assert verify_strong_exceptional(10, grassmannian_window(10))["passed"]
+    assert not verify_strong_exceptional(6, pfaffian_window(6, 9))["passed"]
+    assert twisted_ext_vanishing(12)["all_vanish"]
+    assert pair_twisted_vanishing(5, (2, 0), (2, 3)) is not None
 
 
 def least_row_pair_keys(n):
@@ -891,13 +892,14 @@ def test_antidiagonal_table_matches_the_oracle_on_gapped_label_sets(monkeypatch)
 def test_twisted_vanishing_even_cases():
     for n in (8, 10, 12):
         rep = twisted_ext_vanishing(n)
-        assert rep.all_vanish
+        assert rep["all_vanish"]
         size = len(grassmannian_window(n))
-        assert rep.pair_count == size * size
+        assert rep["pairs"] == size * size
 
 
 def covered_set_verdict(n, e, f):
-    """The all-t verdict from explicit sets of covered twists per summand."""
+    """The all-t verdict from explicit sets of covered twists per summand:
+    None, or the first failing (summand index, t, degree, dimension)."""
     for i, (a1, a2) in enumerate(hom_s_blocks(e, f)):
         covered = set(range(max(0, 2 - n - a2), -a2))
         covered.update(range(max(0, 1 - n - a1), -1 - a1))
@@ -906,8 +908,8 @@ def covered_set_verdict(n, e, f):
                 continue
             res = bott(n, (a1 + t, a2 + t), (0,) * (n - 2))
             if res is not None and res[0] > 0:
-                return PairVerdict(False, (i, t) + res[:2])
-    return PairVerdict(True, None)
+                return (i, t) + res[:2]
+    return None
 
 
 def test_pair_verdict_residual_twists_in_closed_form():
@@ -920,10 +922,10 @@ def test_pair_verdict_residual_twists_in_closed_form():
                     e, f = (l, d), (lp, 0)
                     verdict = pair_twisted_vanishing(n, e, f)
                     assert verdict == covered_set_verdict(n, e, f), (n, e, f)
-                    verdicts.add(verdict.vanishes_for_all_t)
+                    verdicts.add(verdict is None)
                     # the failing m - m' of a row pair form a down-set
-                    assert verdict.vanishes_for_all_t or not passed, (n, e, f)
-                    passed = verdict.vanishes_for_all_t
+                    assert verdict is None or not passed, (n, e, f)
+                    passed = verdict is None
     # a residual twist (neither dominant nor a repeat) is in positive
     # degree, so the oracle's first one is the closed form's counterexample
     assert verdicts == {True, False}
@@ -942,17 +944,19 @@ def brute_twisted_ext_vanishing(n):
                 verdicts[key] = sections.pair_twisted_vanishing(n, e, f)
             verdict = verdicts[key]
             summands += min(e[0], f[0]) + 1
-            if not verdict.vanishes_for_all_t:
-                counterexamples.append((e, f) + verdict.counterexample)
-    return len(labels) ** 2, summands, tuple(counterexamples)
+            if verdict is not None:
+                i, t, degree, dim = verdict
+                counterexamples.append({"source": e, "target": f, "summand": i, "t": t,
+                                        "degree": degree, "dimension": dim})
+    return len(labels) ** 2, summands, counterexamples
 
 
 @pytest.mark.parametrize("n", range(4, 31, 2))
 def test_twisted_vanishing_counts_match_every_pair(n):
     rep = twisted_ext_vanishing(n)
-    counts = (rep.pair_count, rep.summand_count, rep.counterexamples)
+    counts = (rep["pairs"], rep["summands"], rep["counterexamples"])
     assert counts == brute_twisted_ext_vanishing(n)
-    assert rep.all_vanish
+    assert rep["all_vanish"]
 
 
 @pytest.mark.parametrize("n, bad_key", [(8, (1, 2, -3)), (12, (0, 0, 0)), (12, (5, 3, 4))])
@@ -966,15 +970,15 @@ def test_twisted_vanishing_counterexamples_keep_pair_order(monkeypatch, n, bad_k
 
     def failing_below_d0(n, e, f):
         if (e[0], f[0]) == (l, lp) and e[1] - f[1] <= d0:
-            return PairVerdict(False, (0, 7, 1, 3))
+            return (0, 7, 1, 3)
         return pair(n, e, f)
 
     monkeypatch.setattr(sections, "pair_twisted_vanishing", failing_below_d0)
     rep = twisted_ext_vanishing(n)
     pairs, summands, counterexamples = brute_twisted_ext_vanishing(n)
     assert len(counterexamples) > 1
-    assert rep.counterexamples == counterexamples
-    assert (rep.pair_count, rep.summand_count) == (pairs, summands)
+    assert rep["counterexamples"] == counterexamples
+    assert (rep["pairs"], rep["summands"]) == (pairs, summands)
 
 
 def test_twisted_vanishing_requires_even_n():
@@ -986,8 +990,8 @@ def test_twisted_vanishing_negative_control():
     # a target outside the window produces a concrete failing twist: the
     # first twist below the dominant regime that no repeat window covers
     verdict = pair_twisted_vanishing(10, (4, 0), (5, 9))
-    assert not verdict.vanishes_for_all_t
-    i, t, degree, dim = verdict.counterexample
+    assert verdict is not None
+    i, t, degree, dim = verdict
     assert degree > 0 and dim > 0
     # confirm by direct computation at the reported twist
     table = rhom_dimensions((4, 0), (5, 9 - t), 10)
@@ -998,7 +1002,7 @@ def test_twisted_vanishing_pair_level_inside_window():
     window = sorted(grassmannian_window(8))
     for e in window:
         for f in window:
-            assert pair_twisted_vanishing(8, e, f).vanishes_for_all_t
+            assert pair_twisted_vanishing(8, e, f) is None
 
 
 def test_enumerative_matches_symbolic_at_small_twists():
@@ -1008,7 +1012,7 @@ def test_enumerative_matches_symbolic_at_small_twists():
     sample = labels[:: 9]
     for e in sample:
         for f in sample:
-            assert pair_twisted_vanishing(10, e, f).vanishes_for_all_t
+            assert pair_twisted_vanishing(10, e, f) is None
             for t in range(6):
                 table = rhom_dimensions(e, (f[0], f[1] - t), 10)
                 assert all(deg == 0 for deg in table), (e, f, t)

@@ -87,6 +87,8 @@ COMMANDS = [
     "classify --n 8 --k 6",
     "classify --n 9 --k 9",
     "verify-all --profile fast",
+    "hodge grass-section --n 40 --k 20",
+    "hodge grass-section --n 50 --k 5",
     "collection verify --n 6",
     "collection verify --n 6 --set T --k 3",
 ]

@@ -14,7 +14,8 @@ General weights (:func:`bott`, the one checked entry, which spells the
 resulting weight out), the terms of a class, checked once per call
 (:func:`_class_tables`), and the Cauchy q-blocks of the Hodge terms
 (:func:`_bott_cauchy`) go through it; :func:`_cauchy_ray` steps a
-twisted Cauchy term along its twists by a telescoped Weyl ratio.  The
+twisted Cauchy term along its twists, past its closed untwisted
+outcome, by a telescoped Weyl ratio.  The
 Hom and Ext summands have a zero q-block, whose outcome is one of five
 closed forms (:func:`_bott_zero_tail`).
 """
@@ -148,18 +149,21 @@ def _bott_zero_tail(a1, a2, n):
 def _cauchy_ray(j, m, n, hi):
     """Surviving (t, degree, dimension), t = 0..hi, of Cauchy term j of Wedge^m under O(-t).
 
-    The shifted s-entries g1 - t, g2 - t fill the gaps at t = 0; one fills
-    a gap, the other leaves 1..n only at t = gap = g1 - g2 if gap >= g2;
-    both are below 1 from t = g1 on.  Bott runs at these three twists.  On
-    that tail the degree is 2(n - 2) and the weight is, up to a constant,
-    the q-block, y1 = g1 - t at P = n - 2 and y2 = g2 + 1 - t at P = n - 1.
-    A q-run (value v, start a, length r) puts X(X - 1)...(X - r + 1),
-    X = v - y + P - a, in the Weyl product, so t -> t + 1 multiplies the
-    dimension by six factors (X + 1)/(X - r + 1), dividing exactly.
+    At t = 0 the shifted s-entries g1, g2 fill the gaps: the weight sorts
+    to rho past j entries above g1 and m - j above g2, degree m and
+    dimension 1.  One fills a gap, the other leaves 1..n only at
+    t = gap = g1 - g2 if gap >= g2; both are below 1 from t = g1 on.  Bott
+    runs at these two twists only.  On that tail the degree is 2(n - 2)
+    and the weight is, up to a constant, the q-block, y1 = g1 - t at
+    P = n - 2 and y2 = g2 + 1 - t at P = n - 1.  A q-run (value v, start a,
+    length r) puts X(X - 1)...(X - r + 1), X = v - y + P - a, in the Weyl
+    product, so t -> t + 1 multiplies the dimension by six factors
+    (X + 1)/(X - r + 1), dividing exactly.
     """
     g1, g2 = _cauchy_gaps(j, m, n)
-    twists = (0, g1 - g2, g1) if g1 - g2 >= g2 else (0, g1)
-    ray = [(t, *_bott_cauchy(-j - t, j - m - t, j, m, n)) for t in twists if t <= hi]
+    twists = (g1 - g2, g1) if g1 - g2 >= g2 else (g1,)
+    ray = [(0, m, 1)]
+    ray += [(t, *_bott_cauchy(-j - t, j - m - t, j, m, n)) for t in twists if t <= hi]
     runs = ((2, 0, j), (1, j, m - 2 * j), (0, m - j, n - 2 - m + j))
     xs = [(v - y + pos - a, r) for y, pos in ((g1, n - 2), (g2 + 1, n - 1)) for v, a, r in runs]
     for t in range(g1, hi):  # X = x + t

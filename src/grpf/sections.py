@@ -5,11 +5,13 @@ section of O(1)^k, so its structure sheaf has the Koszul resolution by
 O(-a)^{C(k,a)} and every Euler characteristic on Y is an alternating
 binomial sum of Euler characteristics upstairs.  For Wedge^p Omega_Y
 every term is a Cauchy term of Wedge^m Omega_Gr twisted by O(-t), so
-:func:`hodge_diamond_y1` sums chi^p over one ray of Bott outcomes per
-Cauchy term, and its audit is the table of those outcomes; other classes,
-checked once, get one Bott table per Koszul twist
-(:func:`_koszul_tables`).  Middle Hodge numbers come from these exact
-Euler characteristics plus the Lefschetz hyperplane theorem.  Koszul
+:func:`hodge_diamond_y1` builds one ray of Bott outcomes per Cauchy term,
+sums the rays of each Wedge^m into one array over the twists, convolves
+it once with the Koszul row and reads chi^p off those; its audit is the
+table of the outcomes.  Other classes, checked once, get one Bott table
+per Koszul twist (:func:`_koszul_tables`).  Middle Hodge numbers come
+from these exact Euler characteristics plus the Lefschetz hyperplane
+theorem.  Koszul
 spectral sequences for restricted bundles are resolved by forced
 cancellations (degrees that must vanish force their differentials); an
 outcome that stays ambiguous raises :class:`~grpf.errors.IntegrityError`.
@@ -18,10 +20,9 @@ outcome that stays ambiguous raises :class:`~grpf.errors.IntegrityError`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, groupby
-from operator import sub
+from operator import mul, sub
 
 from .bwb import _bott_zero_tail, _cauchy_ray, _class_tables, euler_characteristic
 from .diamond import hodge_diamond
@@ -94,11 +95,12 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     is built once per m, for its rank check and its number of terms, which
     fixes the least j.  Term (j, m) of Omega^p enters with twist O(-i),
     i = p - m, and the Koszul twist O(-a) adds to it, so its Bott outcome
-    depends on (j, m, t) with t = i + a only.  The first term to need (j, m)
-    builds its ray (:func:`grpf.bwb._cauchy_ray`) up to the largest twist
-    d - m + k (0 if k = 0), and term (i, j) reads it at i <= t <= i + k:
-    outcome (j, m, t) enters chi^p, p = m + i, with Koszul twist a = t - i
-    and sign (-1)^i C(k+i-1, i) (-1)^a C(k, a) (a Cauchy term has
+    depends on (j, m, t) with t = i + a only.  Each ray
+    (:func:`grpf.bwb._cauchy_ray`) is built once, up to the largest twist
+    d - m + k (0 if k = 0); the signed dimensions of the rays of one m sum
+    to R_m[t], convolved once with the Koszul row into
+    S_m[i] = sum_a (-1)^a C(k, a) R_m[i + a], and
+    chi^p = sum_i (-1)^i C(k+i-1, i) S_(p-i)[i] (a Cauchy term has
     multiplicity one).  The audit lists each outcome once; which p reads
     it, and with what sign, follows from (n, k) alone, so no row is kept.
     A negative or non-symmetric middle row means an upstream bug, and
@@ -108,24 +110,21 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     if d < 0:
         raise ValueError(f"empty section: dim = {d} for (n,k)=({n},{k})")
     gp = grassmannian_poincare(n)
-    # Cauchy term j of Wedge^m Omega_Gr runs over least[m] <= j <= m // 2
-    least = [m // 2 + 1 - len(cauchy_exterior_cotangent(n, m)) for m in range(d + 1)]
     omega = [(-1) ** i * math.comb(k + i - 1, i) for i in range(d + 1)] if k else [1]
     koszul = [(-1) ** a * math.comb(k, a) for a in range(k + 1)]
     rays = {}  # (j, m) -> its surviving (t, degree, dimension), ascending
-    chi = []
-    for p in range(d + 1):
-        total = 0
-        for i, mult in enumerate(omega[:p + 1]):
-            m = p - i
-            for j in range(least[m], m // 2 + 1):
-                ray = rays.get((j, m))
-                if ray is None:
-                    ray = rays[j, m] = _cauchy_ray(j, m, n, d - m + k if k else 0)
-                lo = bisect_left(ray, (i,))
-                for t, degree, dim in ray[lo:bisect_left(ray, (i + k + 1,), lo)]:
-                    total += (-1) ** degree * mult * koszul[t - i] * dim
-        chi.append(total)
+    convolved = []  # S_m for each m
+    for m in range(d + 1):
+        top = d - m if k else 0  # the largest i = p - m read
+        dense = [0] * (top + k + 1)  # R_m
+        # Cauchy term j of Wedge^m Omega_Gr runs over least <= j <= m // 2
+        least = m // 2 + 1 - len(cauchy_exterior_cotangent(n, m))
+        for j in range(least, m // 2 + 1):
+            ray = rays[j, m] = _cauchy_ray(j, m, n, top + k)
+            for t, degree, dim in ray:
+                dense[t] += -dim if degree & 1 else dim
+        convolved.append([sum(map(mul, koszul, dense[i:i + k + 1])) for i in range(top + 1)])
+    chi = [sum(w * convolved[p - i][i] for i, w in enumerate(omega[:p + 1])) for p in range(d + 1)]
 
     middle = [
         (-1) ** (d - p) * (chi[p] - (0 if d == 2 * p else (-1) ** p * gp[min(p, d - p)]))
@@ -139,7 +138,7 @@ def hodge_diamond_y1(params: ModelParams) -> SectionHodge:
     return SectionHodge(
         diamond=h,
         chi_p=tuple(chi),
-        audit={"outcomes": sorted(key + value for key, ray in rays.items() for value in ray)},
+        audit={"outcomes": [key + value for key in sorted(rays) for value in rays[key]]},
     )
 
 

@@ -211,6 +211,20 @@ def test_cauchy_term_oracle_catches_an_off_by_one_gap(monkeypatch, gaps):
     assert cauchy_term_mismatches(range(3, 9))
 
 
+def test_untwisted_cauchy_term_sorts_to_rho_in_degree_m():
+    # the closed t = 0 outcome of _cauchy_ray: the shifted s-entries fill
+    # the two gaps of the shifted q-block, so the weight sorts to rho
+    # (dimension 1) after m inversions
+    terms = 0
+    for n in range(3, 41):
+        for m in range(2 * (n - 2) + 1):
+            for s, _ in cauchy_exterior_cotangent(n, m):
+                j = -s[0]
+                assert _bott_cauchy(-j, j - m, j, m, n) == (m, 1), (n, m, j)
+                terms += 1
+    assert terms == sum(math.comb(n, 2) for n in range(3, 41))
+
+
 def test_perturbed_shift_entry_breaks_serre_duality(monkeypatch):
     # mutation check: an off-by-one in the shift of the first s-entry
     # (u1 = a1 + n + 1) must make the duality invariant fail somewhere

@@ -5,7 +5,7 @@ What lives where:
 * :mod:`grpf.weights`   a weight is the tuple pair (s, q), checked by
   ``check_weight(n, s, q)``; Weyl dimensions, Gaussian binomials and the
   Poincare polynomial of Gr(2, n) as coefficient tuples
-* :mod:`grpf.schur`     Clebsch-Gordan, the Cauchy identity; a class of
+* :mod:`grpf.schur`     the Cauchy identity and virtual ranks; a class of
   bundles is the dict {(s_weight, q_weight): multiplicity}, checked once
   by ``weights.check_class``
 * :mod:`grpf.bwb`       the Borel-Weil-Bott engine (``bott(n, s, q)``),
@@ -17,12 +17,14 @@ What lives where:
   the dict its command prints
 * :mod:`grpf.diamond`   Hodge diamonds as dicts {(p, q): h}
 * :mod:`grpf.modp`      a field named by its modulus (None for Q, an odd
-  prime p for F_p): row reduction, Pfaffians and roots mod p
+  prime p for F_p): rank and kernel by row reduction, Pfaffians and
+  roots mod p
 * :mod:`grpf.pfaffian`  skew families of 2-forms (:class:`~grpf.pfaffian.AMap`),
   their exact Pfaffians as dicts {exponent tuple: nonzero coefficient},
   finite-field point sampling (a namespace whose ``vars()`` is the
   report), hypersurface Hodge numbers
-* :mod:`grpf.verify`    the named checks behind ``grpf verify-all``
+* :mod:`grpf.verify`    the paper's stated numbers, the checks behind
+  ``grpf verify-all``
 * :mod:`grpf.errors`    the exception types
 * :mod:`grpf.cli`       the ``grpf`` command line tool
 """
@@ -37,6 +39,7 @@ from .geometry import (
     pfaffian_window,
     window_sets,
 )
+from .modp import pfaffian_mod
 from .pfaffian import (
     AMap,
     hypersurface_hodge,
@@ -44,7 +47,7 @@ from .pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
-from .schur import cauchy_exterior_cotangent, clebsch_gordan_rank2
+from .schur import cauchy_exterior_cotangent, virtual_rank
 from .sections import (
     h1_tangent_y1,
     hodge_diamond_y1,

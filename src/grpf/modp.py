@@ -1,8 +1,8 @@
 """Exact arithmetic in a field named by its modulus: ``None`` for Q, with
 ``fractions.Fraction`` elements, or an odd prime p for F_p, with ints in
 [0, p).  The prime is checked once, where it enters (:func:`check_prime`).
-:func:`coerce` and :func:`_rref` take either field; the matrices, Pfaffians
-and polynomial roots below work over F_p on int lists."""
+:func:`coerce` and :func:`_rref` take either field; ranks, kernels,
+Pfaffians and polynomial roots below work over F_p on int lists."""
 
 from __future__ import annotations
 
@@ -74,28 +74,22 @@ def coerce(x, p):
 
 
 def _rref(rows, p):
-    """RREF over F_p, or over Q when p is None; (rank, matrix, pivot columns, det).
+    """RREF over F_p, or over Q when p is None; (rank, matrix, pivot columns).
 
-    Entries are ints in [0, p) over F_p, Fractions over Q.  ``det``, the
-    product of the pivots before scaling with its sign flipped on each row
-    swap, is the determinant of the pivot columns when the rank equals the
-    number of rows.
+    Entries are ints in [0, p) over F_p, Fractions over Q.
     """
     m = list(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
     pivots = []
-    det = 1
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
-            det = -det
         pivot = m[rank][col]
-        det = det * pivot % p if p else det * pivot
         inv = inv_mod(pivot, p) if p else 1 / pivot
         m[rank] = [x * inv % p for x in m[rank]] if p else [x * inv for x in m[rank]]
         for r in range(nrows):
@@ -107,7 +101,7 @@ def _rref(rows, p):
         rank += 1
         if rank == nrows:
             break
-    return rank, m, pivots, det
+    return rank, m, pivots
 
 
 def rank_mod(rows, p):
@@ -119,7 +113,7 @@ def nullspace_mod(rows, p):
     if not rows:
         return []
     ncols = len(rows[0])
-    _, m, pivots, _ = _rref([[x % p for x in row] for row in rows], p)
+    _, m, pivots = _rref([[x % p for x in row] for row in rows], p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -129,11 +123,6 @@ def nullspace_mod(rows, p):
             v[pc] = (-m[r][fc]) % p
         basis.append(v)
     return basis
-
-
-def det_mod(rows, p):
-    rank, _, _, det = _rref([[x % p for x in row] for row in rows], p)
-    return det if rank == len(rows) else 0
 
 
 def _pack(coeffs, w):
@@ -359,12 +348,3 @@ def roots_mod(coeffs, p):
             factors += [d, _divmod(g, d, p)[0]] if 1 < len(d) < len(g) else [g]
     return sorted(roots)
 
-
-def random_skew_mod(n, p, rng):
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = rng.randrange(p)
-            m[i][j] = x
-            m[j][i] = (-x) % p
-    return m

@@ -1,11 +1,9 @@
 """Schur-functor calculus for the tautological bundles on Gr(2, n).
 
-The two decompositions needed downstream:
-
-* the rank-2 Clebsch-Gordan rule Sym^l x Sym^l' = sum_i Sym^{l+l'-2i} det^i,
-* the Cauchy identity for exterior powers of the cotangent bundle
-  Wedge^m (S x Q*) = sum over lam of S_lam(S) x S_lam'(Q*), lam running over
-  partitions of m with at most 2 rows and n-2 columns (Q* the dual of Q).
+The decomposition needed downstream is the Cauchy identity for exterior
+powers of the cotangent bundle, Wedge^m (S x Q*) = sum over lam of
+S_lam(S) x S_lam'(Q*), lam running over partitions of m with at most 2
+rows and n-2 columns (Q* the dual of Q).
 
 A class of bundles is a formal integer combination of irreducible
 homogeneous bundles, the dict {(s_weight, q_weight): nonzero multiplicity}
@@ -27,16 +25,6 @@ def virtual_rank(c):
     """Rank of a class {(s_weight, q_weight): multiplicity} on Gr(2, n), checked once."""
     _, terms = check_class(c)
     return sum(m * (a1 - a2 + 1) * weyl_dimension_of_runs(q_runs) for a1, a2, q_runs, m in terms)
-
-
-def clebsch_gordan_rank2(l, lp):
-    """Decompose Sym^l x Sym^l' of a rank-2 bundle.
-
-    Returns (exponent, det-power) pairs; every multiplicity is 1.
-    """
-    if l < 0 or lp < 0:
-        raise ValueError(f"need l, l' >= 0, got {l}, {lp}")
-    return [(l + lp - 2 * i, i) for i in range(min(l, lp) + 1)]
 
 
 def cauchy_exterior_cotangent(n, m):

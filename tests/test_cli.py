@@ -457,18 +457,10 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert data["result"]["y2_type"] == "CalabiYau"
 
 
-def test_verify_all_fast(capsys):
-    code, report = run_json(capsys, ["verify-all", "--profile", "fast"])
+def test_verify_all_runs_the_papers_checks(capsys):
+    code, report = run_json(capsys, ["verify-all"])
     assert code == 0
-    assert report["result"]["all_passed"] is True
-    names = {item["name"] for item in report["result"]["items"]}
-    assert "section-hodge-10-5" in names
-    assert "pfaffian-sampling" not in names  # slow item skipped in fast profile
-
-
-def test_verify_all_full(capsys):
-    code, report = run_json(capsys, ["verify-all", "--profile", "full"])
-    assert code == 0
+    assert report["params"] == {}
     assert report["result"]["all_passed"] is True
     assert [item["name"] for item in report["result"]["items"]] == [
         "hypersurface-quintic",
@@ -479,17 +471,15 @@ def test_verify_all_full(capsys):
         "lemma-n8",
         "lemma-n10",
         "lemma-n12",
-        "window-inclusion-grid",
         "orthogonal-rectangle-10-5",
         "pfaffian-degree-10-5",
-        "serre-duality-random",
-        "bwb-degree-range-random",
-        "cauchy-rank-conservation",
-        "clebsch-gordan-dimensions",
-        "diamond-integrity",
-        "pfaffian-square-is-det",
         "pfaffian-sampling",
     ]
+
+
+def test_verify_all_has_no_profile_option(capsys):
+    assert run(["verify-all", "--profile", "full"]) == 2
+    assert "unrecognized arguments: --profile full" in capsys.readouterr().err
 
 
 def test_grass_section_audit_trail(capsys):
@@ -612,9 +602,9 @@ def test_sample_reports_byte_identical(tmp_path, capsys):
 def test_verify_all_human_output(capsys):
     # one "PASS name: detail [x.xxs]" line per item of the JSON report,
     # then the verdict line
-    code, report = run_json(capsys, ["verify-all", "--profile", "fast"])
+    code, report = run_json(capsys, ["verify-all"])
     assert code == 0
-    assert run(["verify-all", "--profile", "fast"]) == 0
+    assert run(["verify-all"]) == 0
     lines = capsys.readouterr().out.splitlines()
     items = report["result"]["items"]
     assert len(lines) == len(items) + 1

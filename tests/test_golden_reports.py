@@ -86,7 +86,7 @@ COMMANDS = [
     "classify --n 7 --k 5",
     "classify --n 8 --k 6",
     "classify --n 9 --k 9",
-    "verify-all --profile fast",
+    "verify-all",
     "hodge grass-section --n 40 --k 20",
     "hodge grass-section --n 50 --k 5",
     "collection verify --n 6",

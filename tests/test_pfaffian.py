@@ -25,7 +25,6 @@ from grpf.modp import (
     _pfaffian_series,
     _unpack,
     coerce,
-    det_mod,
     nullspace_mod,
     pfaffian_mod,
     rank_mod,
@@ -46,6 +45,7 @@ from grpf.pfaffian import (
     sample_y2,
     submaximal_pfaffians,
 )
+from test_poly_modp import det_mod, random_skew_mod
 
 Q = None  # the modulus that names the rationals
 
@@ -1694,14 +1694,16 @@ def test_lagrange_mod_recovers_polynomials(p):
 
 
 def test_one_determinant_per_cofactor_vector(monkeypatch):
-    # the scale of each cofactor vector comes out of its own elimination.
-    # The per-layer tracer swaps the sampler's layers in grpf.pfaffian, so
+    # the scale of each cofactor vector comes out of its own elimination:
+    # grpf has no determinant routine the sampler could call.  The
+    # per-layer tracer swaps the sampler's layers in grpf.pfaffian, so
     # each line path must reach them there, not through a captured alias.
-    import grpf.modp as modp_mod
     import grpf.pfaffian as pf_mod
 
+    assert not hasattr(grpf.modp, "det_mod")
+    assert not hasattr(grpf.pfaffian, "det_mod")
     layers = ["_series_cofactors", "_combiner", "_roots_mod"]
-    calls = dict.fromkeys(["det"] + layers, 0)
+    calls = dict.fromkeys(layers, 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -1709,13 +1711,9 @@ def test_one_determinant_per_cofactor_vector(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for module in (modp_mod, pf_mod):
-        monkeypatch.setattr(module, "det_mod", counted("det", modp_mod.det_mod),
-                            raising=False)
     for name in layers:
         monkeypatch.setattr(pf_mod, name, counted(name, getattr(pf_mod, name)))
     sample_y2(AMap.random(7, 7, seed=42, p=10007), 10007, 10, 42)
-    assert calls["det"] == 0
     assert all(calls[name] > 0 for name in layers), calls
     for n, k in ((7, 8), (8, 4)):  # the odd sliced and the even path
         used = layers if n % 2 else layers[1:]
@@ -1832,7 +1830,6 @@ def test_rank_census_codimension_three():
     q = 11
     n = 5
     rng = random.Random(123)
-    from grpf.modp import random_skew_mod
 
     batch = 150_000
     hits = 0
@@ -1850,7 +1847,6 @@ def test_rank_census_deep_strata_rare():
     p = 10007
     n = 7
     rng = random.Random(124)
-    from grpf.modp import random_skew_mod
 
     hits = 0
     for _ in range(20_000):

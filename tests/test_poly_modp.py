@@ -11,18 +11,75 @@ from grpf.modp import (
     _sqrt_mod,
     check_prime,
     coerce,
-    det_mod,
     inv_mod,
     is_prime,
     nullspace_mod,
     pfaffian_mod,
-    random_skew_mod,
     rank_mod,
     roots_mod,
 )
 from grpf.pfaffian import AMap
 
 Q = None  # the modulus that names the rationals
+
+
+# --- test-side matrices over F_p: random skew ones and an independent determinant
+
+def random_skew_mod(n, p, rng):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rng.randrange(p)
+            m[i][j] = x
+            m[j][i] = (-x) % p
+    return m
+
+
+def det_mod(rows, p):
+    """Determinant over F_p by its own elimination, apart from grpf's row
+    reduction: the product of the pivots, negated on each row swap."""
+    m = [[x % p for x in row] for row in rows]
+    n, det = len(m), 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv % p
+            if f:
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[c])]
+    return det % p
+
+
+def leibniz_det(rows, p):
+    """Determinant over F_p as the signed sum over permutations."""
+    n, total = len(rows), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * rows[i][j] % p
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("p", [3, 7, 10007, 2**61 - 1])
+def test_det_mod_matches_leibniz(p):
+    rng = random.Random(f"det:{p}")
+    for n in range(6):
+        for _ in range(30):
+            m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            assert det_mod(m, p) == leibniz_det(m, p), (n, m)
+            if n > 1:
+                m[0][0] = 0  # the first pivot is a row swap
+                assert det_mod(m, p) == leibniz_det(m, p), (n, m)
+                m[-1] = [(2 * x) % p for x in m[0]]  # a repeated row up to scale
+                assert det_mod(m, p) == leibniz_det(m, p) == 0, (n, m)
 
 
 def test_is_prime_small():
@@ -106,6 +163,8 @@ def test_inv_and_rank_and_det():
         m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         d = det_mod(m, p)
         assert (rank_mod(m, p) == n) == (d != 0)
+    # a row swap flips the sign of the pivot product
+    assert det_mod([[0, 2], [3, 5]], 7) == -6 % 7
     assert inv_mod(3, p) * 3 % p == 1
     with pytest.raises(ZeroDivisionError):
         inv_mod(0, p)
@@ -125,13 +184,12 @@ def test_rref_over_q_and_fp():
     # det = 7: full rank over Q, rank 1 over F_7
     m = [[1, 2], [3, 13]]
     q = [[Fraction(x) for x in row] for row in m]
-    assert _rref(q, Q) == (2, [[1, 0], [0, 1]], [0, 1], 7)
-    assert _rref(m, 7) == (1, [[1, 2], [0, 0]], [0], 1)
+    assert _rref(q, Q) == (2, [[1, 0], [0, 1]], [0, 1])
+    assert _rref(m, 7) == (1, [[1, 2], [0, 0]], [0])
     assert rank_mod(m, 7) == 1 and rank_mod(m, 11) == 2
     half = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    assert _rref(half, Q) == (1, [[1, Fraction(2, 3)], [0, 0]], [0], Fraction(1, 2))
-    # a row swap flips the sign of the pivot product
-    assert _rref([[0, 2], [3, 5]], 7)[3] == -6 % 7
+    assert _rref(half, Q) == (1, [[1, Fraction(2, 3)], [0, 0]], [0])
+    assert _rref([[0, 2], [3, 5]], 7) == (2, [[1, 0], [0, 1]], [0, 1])
 
 
 # --- roots of univariate polynomials over F_p --------------------------------

